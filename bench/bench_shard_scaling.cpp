@@ -25,10 +25,12 @@
 //     fast-forward jumps). The event counts must be identical at every
 //     thread count — a gate; the wall-clock fields are report-only and
 //     excluded from every determinism comparison.
-// An ablation block at threads=1 toggles {fences, fast_forward}: the
-// fast-forward-off run must reproduce the fast-forward-on fingerprint
-// bit-for-bit (gate); the fences-off rows run the legacy single-threaded
-// control-plane semantics and are reported for wall-clock context only.
+// A sweep row with more threads than the host has hardware threads is
+// oversubscribed: it still runs (its fingerprint and counts feed the
+// determinism gates) but is written with "valid": 0, without speedups,
+// and is left out of the best-wall speedup figures.
+// An ablation row at threads=1 turns fast-forward off: it must reproduce
+// the fast-forward-on fingerprint bit-for-bit (gate).
 //
 // Output: stdout tables + BENCH_shard.json (schema nezha-bench-shard-v3,
 // README.md) in the CWD, diffable with tools/nezha_report (wall-clock
@@ -47,7 +49,6 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -73,7 +74,6 @@ struct RunOpts {
   int window_ms = 1000;
   std::uint64_t seed = 7;
   bool churn = true;
-  bool fences = true;
   bool fast_forward = true;
 };
 
@@ -110,12 +110,10 @@ struct RunResult {
   std::string report;
 };
 
-/// One full scenario run, threaded end-to-end when o.fences (deploy,
-/// offload, churn and the timed traffic window all execute under o.threads
-/// workers; the fence protocol keeps the outcome thread-count invariant).
-/// With o.fences == false the run is pinned to 1 worker — the legacy
-/// control-plane rule this bench's protocol removed — and serves as the
-/// ablation baseline. shards == 1 builds the engine-less reference bed.
+/// One full scenario run, threaded end-to-end (deploy, offload, churn and
+/// the timed traffic window all execute under o.threads workers; the fence
+/// protocol keeps the outcome thread-count invariant). shards == 1 builds
+/// the engine-less reference bed.
 RunResult run_one(const RunOpts& o) {
   core::TestbedConfig cfg = core::make_clos_testbed_config(o.vswitches);
   cfg.controller.auto_offload = false;
@@ -124,8 +122,7 @@ RunResult run_one(const RunOpts& o) {
   cfg.monitor.probe_timeout = common::milliseconds(50);
   cfg.monitor.miss_threshold = 2;
   cfg.shards = o.shards;
-  cfg.threads = o.fences ? o.threads : 1;
-  cfg.shard_fences = o.fences;
+  cfg.threads = o.threads;
   cfg.shard_fast_forward = o.fast_forward;
   core::Testbed bed(cfg);
 
@@ -292,6 +289,12 @@ int main(int argc, char** argv) {
 
   std::vector<int> sweep;
   for (int t = 1; t <= max_threads; t *= 2) sweep.push_back(t);
+  // Rows with more workers than hardware threads measure oversubscription,
+  // not scaling (hardware_concurrency 0 = unknown: every row counts).
+  std::vector<bool> valid;
+  for (const int t : sweep) {
+    valid.push_back(hw == 0 || t <= static_cast<int>(hw));
+  }
   std::vector<RunResult> results;
   for (const int t : sweep) {
     std::printf("  [%d thread(s)] running...\n", t);
@@ -307,8 +310,11 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const RunResult& r = results[i];
     tab.add_row({std::to_string(sweep[i]), benchutil::fmt(r.wall_sec, 2),
-                 benchutil::fmt(ref.wall_sec / r.wall_sec, 2) + "x",
-                 benchutil::fmt(results[0].wall_sec / r.wall_sec, 2) + "x",
+                 valid[i] ? benchutil::fmt(ref.wall_sec / r.wall_sec, 2) + "x"
+                          : "invalid",
+                 valid[i] ? benchutil::fmt(results[0].wall_sec / r.wall_sec,
+                                           2) + "x"
+                          : "invalid",
                  benchutil::fmt_si(static_cast<double>(r.delivered) /
                                    r.wall_sec),
                  benchutil::fmt_pct(r.busy_balance),
@@ -316,6 +322,11 @@ int main(int argc, char** argv) {
                  std::to_string(r.fenced_sections)});
   }
   tab.print();
+  if (std::find(valid.begin(), valid.end(), false) != valid.end()) {
+    std::printf("  rows with more than %u thread(s) oversubscribe this host: "
+                "marked invalid, left out of the speedup figures\n",
+                hw);
+  }
 
   // Where the wall-clock went, per thread count (wall-clock columns are
   // host-dependent; the three count columns must not move with threads).
@@ -338,35 +349,19 @@ int main(int argc, char** argv) {
   ptab.print();
 
   // Ablation at threads=1: fast-forward off must reproduce the sweep
-  // fingerprint; fences off (legacy single-threaded control plane) is
-  // wall-clock context only — its event interleaving differs by design.
-  std::printf("\n  [ablation, threads=1]\n");
-  struct Ablation {
-    bool fences;
-    bool fast_forward;
-    RunResult r;
-  };
-  std::vector<Ablation> ablation;
-  for (const auto& [fen, ff] : std::vector<std::pair<bool, bool>>{
-           {true, false}, {false, true}, {false, false}}) {
-    RunOpts o = base;
-    o.threads = 1;
-    o.fences = fen;
-    o.fast_forward = ff;
-    std::printf("    fences=%d fast_forward=%d running...\n", fen ? 1 : 0,
-                ff ? 1 : 0);
-    std::fflush(stdout);
-    ablation.push_back(Ablation{fen, ff, run_one(o)});
-  }
+  // fingerprint.
+  std::printf("\n  [ablation, threads=1] fast_forward=0 running...\n");
+  std::fflush(stdout);
+  RunOpts off = base;
+  off.threads = 1;
+  off.fast_forward = false;
+  const RunResult ff_off = run_one(off);
   benchutil::Table atab(
-      {"fences", "fast-fwd", "wall (s)", "epochs", "skipped", "sections"});
-  for (const Ablation& a : ablation) {
-    atab.add_row({a.fences ? "on" : "off", a.fast_forward ? "on" : "off",
-                  benchutil::fmt(a.r.wall_sec, 2),
-                  std::to_string(a.r.epochs),
-                  std::to_string(a.r.epochs_skipped),
-                  std::to_string(a.r.fenced_sections)});
-  }
+      {"fast-fwd", "wall (s)", "epochs", "skipped", "sections"});
+  atab.add_row({"off", benchutil::fmt(ff_off.wall_sec, 2),
+                std::to_string(ff_off.epochs),
+                std::to_string(ff_off.epochs_skipped),
+                std::to_string(ff_off.fenced_sections)});
   atab.print();
 
   bool deterministic = true;
@@ -379,19 +374,16 @@ int main(int argc, char** argv) {
                 r.exported == r.imported + r.pending && r.late == 0;
   }
   const RunResult& last = results.back();
-  const double best_wall =
-      std::min_element(results.begin(), results.end(),
-                       [](const RunResult& a, const RunResult& b) {
-                         return a.wall_sec < b.wall_sec;
-                       })
-          ->wall_sec;
+  double best_wall = results[0].wall_sec;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (valid[i]) best_wall = std::min(best_wall, results[i].wall_sec);
+  }
   const double best_vs_unsharded = ref.wall_sec / best_wall;
   const double best_vs_1thread = results[0].wall_sec / best_wall;
   const bool protocol_live =
       results[0].epochs_skipped > 0 && results[0].fenced_sections > 0;
-  const bool ff_invariant =
-      ablation[0].r.fingerprint == results[0].fingerprint &&
-      ablation[0].r.epochs_skipped == 0;
+  const bool ff_invariant = ff_off.fingerprint == results[0].fingerprint &&
+                            ff_off.epochs_skipped == 0;
   bool churned = ref.failovers > 0;
   for (const RunResult& r : results) {
     churned = churned && r.failovers == results[0].failovers &&
@@ -465,8 +457,8 @@ int main(int argc, char** argv) {
                "  \"schema\": \"nezha-bench-shard-v3\",\n"
                "  \"config\": {\"num_vswitches\": %zu, \"shards\": %zu, "
                "\"pairs\": %zu, \"window_ms\": %d, \"seed\": %llu, "
-               "\"hardware_concurrency\": %u, \"quiesce_fences\": 1, "
-               "\"fast_forward\": 1, \"churn\": 1},\n"
+               "\"hardware_concurrency\": %u, \"fast_forward\": 1, "
+               "\"churn\": 1},\n"
                "  \"unsharded_reference\": {\"wall_seconds\": %.3f, "
                "\"pkts_per_wall_sec\": %.0f, \"delivered_packets\": %llu, "
                "\"completed_connections\": %llu, \"failovers\": %llu},\n"
@@ -479,10 +471,17 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(ref.failovers));
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const RunResult& r = results[i];
+    char speedups[96] = "";
+    if (valid[i]) {
+      std::snprintf(speedups, sizeof(speedups),
+                    "\"speedup_vs_unsharded\": %.3f, "
+                    "\"speedup_vs_1thread\": %.3f, ",
+                    ref.wall_sec / r.wall_sec,
+                    results[0].wall_sec / r.wall_sec);
+    }
     std::fprintf(
         json,
-        "    {\"threads\": %d, \"wall_seconds\": %.3f, "
-        "\"speedup_vs_unsharded\": %.3f, \"speedup_vs_1thread\": %.3f, "
+        "    {\"threads\": %d, \"valid\": %d, \"wall_seconds\": %.3f, %s"
         "\"pkts_per_wall_sec\": %.0f, \"busy_balance\": %.4f, "
         "\"ideal_speedup_from_balance\": %.3f, \"exported_tokens\": %llu, "
         "\"epochs\": %llu, \"epochs_skipped\": %llu, "
@@ -491,8 +490,7 @@ int main(int argc, char** argv) {
         "\"ff_jumps\": %llu, \"snapshot_wall_ns\": %llu, "
         "\"advance_wall_ns\": %llu, \"barrier_wait_wall_ns\": %llu, "
         "\"fast_forward_wall_ns\": %llu, \"fence_wall_ns\": %llu}}%s\n",
-        sweep[i], r.wall_sec, ref.wall_sec / r.wall_sec,
-        results[0].wall_sec / r.wall_sec,
+        sweep[i], valid[i] ? 1 : 0, r.wall_sec, speedups,
         static_cast<double>(r.delivered) / r.wall_sec, r.busy_balance,
         r.ideal_speedup, static_cast<unsigned long long>(r.exported),
         static_cast<unsigned long long>(r.epochs),
@@ -509,29 +507,23 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.fence_wall_ns),
         i + 1 < sweep.size() ? "," : "");
   }
-  std::fprintf(json, "  ],\n  \"ablation\": [\n");
-  for (std::size_t i = 0; i < ablation.size(); ++i) {
-    const Ablation& a = ablation[i];
-    std::fprintf(
-        json,
-        "    {\"fences\": %d, \"fast_forward\": %d, \"threads\": 1, "
-        "\"wall_seconds\": %.3f, \"fingerprint_hex\": \"%016llx\", "
-        "\"epochs\": %llu, \"epochs_skipped\": %llu, "
-        "\"fenced_sections\": %llu}%s\n",
-        a.fences ? 1 : 0, a.fast_forward ? 1 : 0, a.r.wall_sec,
-        static_cast<unsigned long long>(a.r.fingerprint),
-        static_cast<unsigned long long>(a.r.epochs),
-        static_cast<unsigned long long>(a.r.epochs_skipped),
-        static_cast<unsigned long long>(a.r.fenced_sections),
-        i + 1 < ablation.size() ? "," : "");
-  }
   std::fprintf(json,
+               "  ],\n  \"ablation\": [\n"
+               "    {\"fast_forward\": 0, \"threads\": 1, "
+               "\"wall_seconds\": %.3f, \"fingerprint_hex\": \"%016llx\", "
+               "\"epochs\": %llu, \"epochs_skipped\": %llu, "
+               "\"fenced_sections\": %llu}\n"
                "  ],\n"
                "  \"determinism\": {\"fingerprints_equal_across_threads\": "
                "%d, \"fast_forward_invariant\": %d, "
                "\"profile_counts_thread_invariant\": %d, "
                "\"fingerprint_hex\": \"%016llx\"}\n"
                "}\n",
+               ff_off.wall_sec,
+               static_cast<unsigned long long>(ff_off.fingerprint),
+               static_cast<unsigned long long>(ff_off.epochs),
+               static_cast<unsigned long long>(ff_off.epochs_skipped),
+               static_cast<unsigned long long>(ff_off.fenced_sections),
                deterministic ? 1 : 0, ff_invariant ? 1 : 0,
                profile_inv ? 1 : 0,
                static_cast<unsigned long long>(results[0].fingerprint));

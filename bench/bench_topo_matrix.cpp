@@ -28,16 +28,16 @@ constexpr tables::VnicId kServer = 100;
 
 core::TestbedConfig base_config(bool clos, std::size_t num_vswitches,
                                 std::uint32_t hosts_per_leaf,
-                                std::size_t shards) {
+                                std::size_t shards, int threads) {
   core::TestbedConfig cfg;
   if (clos) cfg = core::make_clos_testbed_config(num_vswitches, hosts_per_leaf);
   cfg.num_vswitches = num_vswitches;
   cfg.controller.auto_offload = false;
   cfg.controller.auto_scale = false;
   // --shards only applies to the Clos runs: sharding partitions racks, and
-  // the single-rack fabric has exactly one. Setup always runs 1 worker.
+  // the single-rack fabric has exactly one.
   cfg.shards = clos ? shards : 1;
-  cfg.threads = 1;
+  cfg.threads = threads;
   return cfg;
 }
 
@@ -54,7 +54,8 @@ struct LatencyResult {
 /// flow measures delivery latency. Condensed from bench_fig12 (one load
 /// point, offload always on) so the fabric is the only variable.
 LatencyResult run_latency(bool clos, std::size_t shards, int threads) {
-  core::Testbed bed(base_config(clos, 16, /*hosts_per_leaf=*/4, shards));
+  core::Testbed bed(
+      base_config(clos, 16, /*hosts_per_leaf=*/4, shards, threads));
   // On a sharded bed the endpoints may land in different shards, so every
   // client-side event schedules on the client's shard loop and latency is
   // read off the server's (deliveries fire on the server's shard thread).
@@ -89,7 +90,6 @@ LatencyResult run_latency(bool clos, std::size_t shards, int threads) {
 
   (void)bed.controller().trigger_offload(kServer, 4);
   bed.run_for(common::seconds(4));
-  bed.set_threads(threads);  // offload workflow done; traffic may thread
 
   // Warm all flows onto the fast path.
   for (int f = 0; f < kFlows; ++f) {
@@ -156,11 +156,9 @@ struct FailoverResult {
 /// Steady traffic toward an offloaded server, one FE crash, monitor-driven
 /// failover; loss rate sampled in 250ms windows. Condensed from
 /// bench_fig14 with identical detection parameters on both fabrics.
-/// Sharding applies, but the run always uses 1 worker thread: the
-/// monitor-driven failover workflow mutates vswitch state across shards
-/// mid-run, which the Testbed threading rules reserve for 1-thread runs.
-FailoverResult run_failover(bool clos, std::size_t shards) {
-  core::TestbedConfig cfg = base_config(clos, 16, /*hosts_per_leaf=*/4, shards);
+FailoverResult run_failover(bool clos, std::size_t shards, int threads) {
+  core::TestbedConfig cfg =
+      base_config(clos, 16, /*hosts_per_leaf=*/4, shards, threads);
   cfg.monitor.probe_interval = common::milliseconds(500);
   cfg.monitor.probe_timeout = common::milliseconds(300);
   cfg.monitor.miss_threshold = 3;
@@ -250,8 +248,7 @@ FailoverResult run_failover(bool clos, std::size_t shards) {
 
 int main(int argc, char** argv) {
   // Sharded-engine knobs (README: BENCH schema v4). Only the Clos runs can
-  // shard (racks are the partition unit); the failover scenario additionally
-  // pins its traffic phase to 1 thread — see run_failover.
+  // shard (racks are the partition unit).
   const std::size_t shards = static_cast<std::size_t>(
       std::max(1L, benchutil::int_flag(argc, argv, "--shards", 1)));
   const int threads = static_cast<int>(
@@ -264,8 +261,8 @@ int main(int argc, char** argv) {
 
   const LatencyResult lat_rack = run_latency(false, shards, threads);
   const LatencyResult lat_clos = run_latency(true, shards, threads);
-  const FailoverResult fo_rack = run_failover(false, shards);
-  const FailoverResult fo_clos = run_failover(true, shards);
+  const FailoverResult fo_rack = run_failover(false, shards, threads);
+  const FailoverResult fo_clos = run_failover(true, shards, threads);
 
   benchutil::Table lt({"fabric", "avg lat (us)", "p99 lat (us)",
                        "probe delivered", "throughput (pps)"});

@@ -238,56 +238,24 @@ void Counter::register_ids(std::span<const std::string_view> names) {
   id_counts_.assign(names.size(), 0);
 }
 
-namespace {
-/// Key-ordered position of `key` in a key-sorted entry vector.
-auto entry_lower_bound(std::vector<std::pair<std::string, std::uint64_t>>& v,
-                       const std::string& key) {
-  return std::lower_bound(
-      v.begin(), v.end(), key,
-      [](const auto& e, const std::string& k) { return e.first < k; });
-}
-}  // namespace
-
-void Counter::inc(const std::string& key, std::uint64_t by) {
-  auto it = entry_lower_bound(entries_, key);
-  if (it != entries_.end() && it->first == key) {
-    it->second += by;
-    return;
-  }
-  entries_.emplace(it, key, by);
-}
-
-std::uint64_t Counter::get(const std::string& key) const {
+std::uint64_t Counter::get(std::string_view key) const {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < id_names_.size(); ++i) {
     if (id_names_[i] == key) total += id_counts_[i];
   }
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const auto& e, const std::string& k) { return e.first < k; });
-  if (it != entries_.end() && it->first == key) total += it->second;
   return total;
 }
 
 const std::vector<std::pair<std::string, std::uint64_t>> Counter::sorted()
     const {
-  auto copy = entries_;
+  std::vector<std::pair<std::string, std::uint64_t>> out;
   for (std::size_t i = 0; i < id_names_.size(); ++i) {
-    if (id_counts_[i] == 0) continue;
-    bool merged = false;
-    for (auto& [k, v] : copy) {
-      if (k == id_names_[i]) {
-        v += id_counts_[i];
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) copy.emplace_back(std::string(id_names_[i]), id_counts_[i]);
+    if (id_counts_[i] != 0) out.emplace_back(id_names_[i], id_counts_[i]);
   }
-  std::sort(copy.begin(), copy.end(), [](const auto& a, const auto& b) {
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     return a.second > b.second;
   });
-  return copy;
+  return out;
 }
 
 }  // namespace nezha::common

@@ -129,10 +129,9 @@ class Percentiles {
 
 /// Named counters for drop-reason accounting.
 ///
-/// Hot callers register a static name table once (register_ids) and then
+/// Callers register a static name table once (register_ids) and then
 /// increment by compile-time id — a plain array increment, no string work.
-/// The legacy string API stays for cold callers (benches, tests) and is
-/// O(log n) over a key-sorted vector. get()/sorted() see both populations.
+/// The name table serves the by-name reads.
 class Counter {
  public:
   /// Binds the id-indexed counters to a static name table. The span must
@@ -143,15 +142,14 @@ class Counter {
   void inc(std::size_t id, std::uint64_t by = 1) { id_counts_[id] += by; }
   std::uint64_t get_id(std::size_t id) const { return id_counts_[id]; }
 
-  void inc(const std::string& key, std::uint64_t by = 1);
-  std::uint64_t get(const std::string& key) const;
-  /// All nonzero counters (id-registered and string-keyed), largest first.
+  /// Count of the registered name `key` (0 when no such name).
+  std::uint64_t get(std::string_view key) const;
+  /// All nonzero counters, largest first.
   const std::vector<std::pair<std::string, std::uint64_t>> sorted() const;
 
  private:
   std::span<const std::string_view> id_names_;
   std::vector<std::uint64_t> id_counts_;
-  std::vector<std::pair<std::string, std::uint64_t>> entries_;  // key-sorted
 };
 
 }  // namespace nezha::common

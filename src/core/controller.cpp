@@ -48,15 +48,15 @@ void Controller::record_ctrl(telemetry::EventKind kind, std::uint32_t node,
 
 void Controller::schedule_ctrl(common::TimePoint at,
                                std::function<void()> fn) {
-  if (fences_ != nullptr) {
-    fences_->schedule_fenced(at, std::move(fn));
+  if (engine_ != nullptr) {
+    engine_->schedule_fenced(at, std::move(fn));
   } else {
     loop_.schedule_at(at, std::move(fn));
   }
 }
 
 void Controller::schedule_monitor_tick(common::TimePoint at) {
-  fences_->schedule_fenced(at, [this, at]() {
+  engine_->schedule_fenced(at, [this, at]() {
     monitor_tick();
     schedule_monitor_tick(at + config_.monitor_period);
   });
@@ -704,7 +704,7 @@ bool Controller::transition_pending(tables::VnicId id) const {
 void Controller::start() {
   if (started_) return;
   started_ = true;
-  if (fences_ != nullptr) {
+  if (engine_ != nullptr) {
     // Monitoring reads every shard's vSwitch CPU and can launch any
     // workflow → the tick itself is a fenced section, self-rescheduling at
     // nominal multiples of the period (the barrier quantizes actual

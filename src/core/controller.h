@@ -28,10 +28,6 @@ namespace nezha::telemetry {
 class Hub;
 }
 
-namespace nezha::sim {
-class FenceScheduler;
-}
-
 namespace nezha::core {
 
 struct ControllerConfig {
@@ -163,14 +159,14 @@ class Controller {
   /// scale-out/-in, failover).
   void set_telemetry(telemetry::Hub* hub) { telemetry_ = hub; }
 
-  /// Threaded control plane (DESIGN.md §15): when set, every controller
-  /// continuation that touches cross-shard state — monitor ticks, gateway
-  /// publishes, fleet-wide config applies — runs as a fenced section at an
-  /// epoch barrier instead of as a plain shard-0 loop event, so the whole
-  /// lifecycle (offload, churn, failover) is safe while the engine is
-  /// multi-threaded. Null (the default) keeps the legacy single-loop
-  /// behavior bit-identical.
-  void set_fence_scheduler(sim::FenceScheduler* fences) { fences_ = fences; }
+  /// Threaded control plane (DESIGN.md §15): on a sharded bed, every
+  /// controller continuation that touches cross-shard state — monitor
+  /// ticks, gateway publishes, fleet-wide config applies — runs as a
+  /// fenced section at an epoch barrier instead of as a plain shard-0 loop
+  /// event, so the whole lifecycle (offload, churn, failover) is safe while
+  /// the engine is multi-threaded. Null (the default, an unsharded bed)
+  /// schedules them on the controller's own loop.
+  void set_engine(sim::ShardedEngine* engine) { engine_ = engine; }
 
   /// Monitoring hook for experiments: called after each monitor tick with
   /// (node, cpu utilization) samples.
@@ -203,7 +199,7 @@ class Controller {
 
   /// Schedules a control continuation that may touch cross-shard state
   /// (gateway, other shards' vSwitch config, the whole fleet): a fenced
-  /// section when a scheduler is installed, a shard-0 loop event otherwise.
+  /// section on a sharded bed, a shard-0 loop event otherwise.
   /// Continuations that only mutate the controller's own records stay on
   /// loop_ unconditionally — they always execute on the controller's shard.
   void schedule_ctrl(common::TimePoint at, std::function<void()> fn);
@@ -258,7 +254,7 @@ class Controller {
   common::Percentiles offload_completion_;
   UtilizationHook utilization_hook_;
   telemetry::Hub* telemetry_ = nullptr;
-  sim::FenceScheduler* fences_ = nullptr;
+  sim::ShardedEngine* engine_ = nullptr;
   bool started_ = false;
 };
 

@@ -31,30 +31,26 @@ Testbed::Testbed(TestbedConfig config) : topology_(config.topology) {
   shard_map_ = sim::ShardMap::make(
       topology_.rack_count(config.num_vswitches + 2),
       static_cast<std::uint32_t>(config.shards));
-  num_shards_ = shard_map_.shards;
   threads_ = config.threads < 1 ? 1 : config.threads;
 
-  // Shard 0 reuses loop_/network_: a shards=1 testbed is object-for-object
-  // the classic single-loop one (bit-identical runs, same code path).
-  network_ = std::make_unique<sim::Network>(loop_, topology_, config.network);
-  for (std::uint32_t s = 1; s < num_shards_; ++s) {
-    extra_loops_.push_back(std::make_unique<sim::EventLoop>());
-    extra_networks_.push_back(std::make_unique<sim::Network>(
-        *extra_loops_.back(), topology_, config.network));
+  shards_.resize(shard_map_.shards);
+  for (Shard& sh : shards_) {
+    sh.loop = std::make_unique<sim::EventLoop>();
+    sh.network =
+        std::make_unique<sim::Network>(*sh.loop, topology_, config.network);
   }
-  if (num_shards_ > 1) {
-    std::vector<sim::ShardedEngine::Shard> shards;
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      shards.push_back(
-          sim::ShardedEngine::Shard{&loop_of_shard(s), &network_of_shard(s)});
+  if (shards_.size() > 1) {
+    std::vector<sim::ShardedEngine::Shard> engine_shards;
+    for (Shard& sh : shards_) {
+      engine_shards.push_back({sh.loop.get(), sh.network.get()});
     }
     sim::ShardedEngineConfig ecfg;
     ecfg.epoch = topology_.min_cross_rack_latency();
-    ecfg.ring_capacity = config.shard_ring_capacity;
     ecfg.fast_forward = config.shard_fast_forward;
-    engine_ = std::make_unique<sim::ShardedEngine>(std::move(shards), ecfg);
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      network_of_shard(s).set_shard_router(engine_.get(), s);
+    engine_ =
+        std::make_unique<sim::ShardedEngine>(std::move(engine_shards), ecfg);
+    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+      network_of_shard(s).set_engine(engine_.get(), s);
     }
   }
 
@@ -68,13 +64,11 @@ Testbed::Testbed(TestbedConfig config) : topology_(config.topology) {
     if (engine_ != nullptr) engine_->map_ip(underlay_ip(i), s, vs->id());
     switches_.push_back(std::move(vs));
   }
-  // Control plane lives on shard 0. Under the fence protocol its
-  // cross-shard continuations run as fenced sections at epoch barriers;
-  // otherwise the legacy contract applies (threads == 1 or quiescent).
-  controller_ = std::make_unique<Controller>(loop_, *network_, gateway_,
+  // Control plane lives on shard 0; on a sharded bed its cross-shard
+  // continuations run as fenced sections at epoch barriers.
+  controller_ = std::make_unique<Controller>(loop(), network(), gateway_,
                                              config.controller);
-  fenced_control_ = engine_ != nullptr && config.shard_fences;
-  if (fenced_control_) controller_->set_fence_scheduler(engine_.get());
+  controller_->set_engine(engine_.get());
   for (auto& vs : switches_) controller_->add_vswitch(vs.get());
   const sim::NodeId monitor_id =
       static_cast<sim::NodeId>(config.num_vswitches + 1);
@@ -87,20 +81,20 @@ Testbed::Testbed(TestbedConfig config) : topology_(config.topology) {
     engine_->map_ip(net::Ipv4Addr(10, 255, 0, 1), monitor_shard, monitor_id);
   }
   // The monitor fires this from its own shard's advance phase; failover
-  // touches the whole fleet, so under fences it becomes a fenced section
-  // at the next barrier (due 0 = "as soon as everyone is parked").
+  // touches the whole fleet, so on a sharded bed it becomes a fenced
+  // section at the next barrier (due 0 = "as soon as everyone is parked").
   monitor_->set_crash_callback([this](sim::NodeId node) {
-    if (fenced_control_) {
+    if (engine_ != nullptr) {
       engine_->schedule_fenced(
           0, [this, node]() { controller_->handle_fe_crash(node); });
     } else {
       controller_->handle_fe_crash(node);
     }
   });
-  link_prober_ = std::make_unique<LinkProber>(loop_, *network_);
+  link_prober_ = std::make_unique<LinkProber>(loop(), network());
   link_prober_->set_failure_callback(
       [this](tables::VnicId id, sim::NodeId fe) {
-        if (fenced_control_) {
+        if (engine_ != nullptr) {
           engine_->schedule_fenced(0, [this, id, fe]() {
             controller_->handle_link_failure(id, fe);
           });
@@ -126,20 +120,15 @@ void Testbed::wire_telemetry(const telemetry::TelemetryConfig& cfg) {
   // lands in the hub's spillover ring. Sharded beds get one hub per shard
   // (disjoint packet-id streams, own sampler on the shard's loop) so the
   // datapath never records across threads.
-  telemetry_ = std::make_unique<telemetry::Hub>(switches_.size() + 2, cfg);
-  for (std::uint32_t s = 1; s < num_shards_; ++s) {
-    extra_hubs_.push_back(
-        std::make_unique<telemetry::Hub>(switches_.size() + 2, cfg));
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].hub =
+        std::make_unique<telemetry::Hub>(switches_.size() + 2, cfg);
+    shards_[s].hub->set_packet_id_stream(s);
   }
-  if (num_shards_ > 1) {
-    for (std::uint32_t s = 0; s < num_shards_; ++s) {
-      telemetry_of_shard(s)->set_packet_id_stream(s);
-    }
-  }
-  controller_->set_telemetry(telemetry_.get());
+  controller_->set_telemetry(telemetry());
   monitor_->set_telemetry(telemetry_of_shard(
       shard_of_node(static_cast<sim::NodeId>(switches_.size() + 1))));
-  for (std::uint32_t s = 0; s < num_shards_; ++s) {
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     wire_shard_telemetry(s, telemetry_of_shard(s));
   }
   if (engine_ != nullptr) {
@@ -147,7 +136,7 @@ void Testbed::wire_telemetry(const telemetry::TelemetryConfig& cfg) {
     // in a quiescent context, on the thread that owns shard 0's hub). Node
     // id = switches_.size(): the spare slot between the vSwitches [0, N)
     // and the monitor N+1 — "the controller".
-    telemetry::Hub* hub0 = telemetry_.get();
+    telemetry::Hub* hub0 = telemetry();
     const auto ctrl_node = static_cast<std::uint32_t>(switches_.size());
     engine_->set_fence_trace(
         [hub0, ctrl_node](const sim::ShardedEngine::FenceTracePoint& p) {
@@ -274,8 +263,8 @@ void Testbed::wire_shard_telemetry(std::uint32_t shard, telemetry::Hub* hub) {
 
 Testbed::NetTotals Testbed::net_totals() const {
   NetTotals t;
-  const sim::Network* nets[1] = {network_.get()};
-  auto add = [&t](const sim::Network& n) {
+  for (const Shard& sh : shards_) {
+    const sim::Network& n = *sh.network;
     t.sent += n.sent();
     t.delivered += n.delivered();
     t.dropped += n.dropped_total();
@@ -286,26 +275,23 @@ Testbed::NetTotals Testbed::net_totals() const {
     const auto& sb = n.spine_bytes();
     if (t.spine_bytes.size() < sb.size()) t.spine_bytes.resize(sb.size());
     for (std::size_t i = 0; i < sb.size(); ++i) t.spine_bytes[i] += sb[i];
-  };
-  add(*nets[0]);
-  for (const auto& n : extra_networks_) add(*n);
+  }
   return t;
 }
 
 void Testbed::dump_merged_trace(std::ostream& os) const {
-  if (telemetry_ == nullptr) return;
+  if (shards_[0].hub == nullptr) return;
   std::vector<const telemetry::FlightRecorder*> recs;
-  recs.push_back(&telemetry_->recorder());
-  for (const auto& h : extra_hubs_) recs.push_back(&h->recorder());
+  for (const Shard& sh : shards_) recs.push_back(&sh.hub->recorder());
   telemetry::dump_merged(os, recs);
 }
 
 void Testbed::schedule_control(common::TimePoint at,
                                std::function<void()> fn) {
-  if (fenced_control_) {
+  if (engine_ != nullptr) {
     engine_->schedule_fenced(at, std::move(fn));
   } else {
-    loop_.schedule_at(at, std::move(fn));
+    loop().schedule_at(at, std::move(fn));
   }
 }
 

@@ -4,24 +4,22 @@
 // small-scale testbed (§6.1). Used by integration tests, benches and the
 // examples.
 //
-// Sharded mode (DESIGN.md §13): with config.shards > 1 the fleet is
-// partitioned per rack into shards, each owning its own EventLoop and
-// Network; run_for() drives them in lockstep epochs through a
-// sim::ShardedEngine, optionally on config.threads worker threads.
-// shards = 1 (the default) is exactly the classic single-loop testbed —
-// same objects, same code path, bit-identical behavior.
+// Sharded mode (DESIGN.md §13): the fleet is partitioned per rack into
+// config.shards shards, each owning its own EventLoop, Network and (with
+// telemetry on) Hub; shard 0 also hosts the control plane. With more than
+// one shard, run_for() drives them in lockstep epochs through a
+// sim::ShardedEngine on config.threads worker threads. shards = 1 (the
+// default) builds no engine: run_for() runs shard 0's loop directly.
 //
 // Thread-affinity rules for sharded runs (enforced where cheap, documented
 // here otherwise):
 //  * Control-plane workflows (controller offload/scale/failover pushes,
-//    monitor crash callbacks) mutate vSwitches across shards. With
-//    config.shard_fences (the default) the Testbed routes them through the
-//    engine's epoch-fenced quiesce protocol (DESIGN.md §15): each runs at
-//    an epoch barrier with every worker parked, in deterministic (due,
-//    seq) order — so offload activation, churn and failover are safe and
-//    thread-invariant at ANY thread count. With fences disabled the
-//    legacy rule applies: such workflows must run at threads == 1 or
-//    while the bed is quiescent.
+//    monitor crash callbacks) mutate vSwitches across shards, so the
+//    Testbed routes them through the engine's epoch-fenced quiesce
+//    protocol (DESIGN.md §15): each runs at an epoch barrier with every
+//    worker parked, in deterministic (due, seq) order — so offload
+//    activation, churn and failover are safe and thread-invariant at ANY
+//    thread count.
 //  * Workload callbacks (CpsWorkload) execute on the shard threads of
 //    their endpoint vSwitches; CpsWorkload therefore requires both of its
 //    endpoints in the same shard (checked in its constructor).
@@ -66,20 +64,11 @@ struct TestbedConfig {
   /// dump_merged_trace() produces the deterministic combined dump.
   telemetry::TelemetryConfig telemetry;
   /// Sharded engine: number of rack-aligned shard domains (clamped to the
-  /// rack count). 1 = classic single-loop testbed, bit-identical to the
-  /// pre-shard code path.
+  /// rack count). 1 = single-loop testbed, no engine.
   std::size_t shards = 1;
   /// Worker threads run_for() uses to drive the shards (clamped to
   /// [1, shards]). The simulation result is identical for every value.
   int threads = 1;
-  /// Capacity of each (src, dst) cross-shard token ring.
-  std::size_t shard_ring_capacity = 1024;
-  /// Route cross-shard control work (controller continuations, monitor
-  /// crash callbacks) through the engine's fenced-section protocol so the
-  /// whole lifecycle runs thread-safely at any thread count. Only
-  /// meaningful when shards > 1; disabling reverts to the legacy
-  /// "control at threads == 1" contract (ablation knob).
-  bool shard_fences = true;
   /// Sparse-epoch fast-forward in the sharded engine (ablation knob;
   /// outcome-invariant either way).
   bool shard_fast_forward = true;
@@ -99,27 +88,26 @@ class Testbed {
  public:
   explicit Testbed(TestbedConfig config = {});
 
-  sim::EventLoop& loop() { return loop_; }
-  sim::Network& network() { return *network_; }
+  /// Shard 0's loop and network: the control plane's home.
+  sim::EventLoop& loop() { return loop_of_shard(0); }
+  sim::Network& network() { return network_of_shard(0); }
   tables::VnicServerMap& gateway() { return gateway_; }
   Controller& controller() { return *controller_; }
   HealthMonitor& monitor() { return *monitor_; }
   LinkProber& link_prober() { return *link_prober_; }
   /// Null when config.telemetry.enabled was false; shard 0's hub otherwise.
-  telemetry::Hub* telemetry() { return telemetry_.get(); }
+  telemetry::Hub* telemetry() { return telemetry_of_shard(0); }
 
   // --- sharding ---
-  std::size_t shard_count() const { return num_shards_; }
+  std::size_t shard_count() const { return shards_.size(); }
   /// Null unless shard_count() > 1.
   sim::ShardedEngine* engine() { return engine_.get(); }
   std::uint32_t shard_of_node(sim::NodeId id) const {
     return shard_map_.shard_of_rack(topology_.tor_of(id));
   }
-  sim::EventLoop& loop_of_shard(std::uint32_t s) {
-    return s == 0 ? loop_ : *extra_loops_[s - 1];
-  }
+  sim::EventLoop& loop_of_shard(std::uint32_t s) { return *shards_[s].loop; }
   sim::Network& network_of_shard(std::uint32_t s) {
-    return s == 0 ? *network_ : *extra_networks_[s - 1];
+    return *shards_[s].network;
   }
   /// The loop/network that own vSwitch i (== loop()/network() at shards=1).
   sim::EventLoop& loop_of(std::size_t i) {
@@ -128,13 +116,10 @@ class Testbed {
   sim::Network& network_of(std::size_t i) {
     return network_of_shard(shard_of_node(static_cast<sim::NodeId>(i)));
   }
+  /// Null when config.telemetry.enabled was false.
   telemetry::Hub* telemetry_of_shard(std::uint32_t s) {
-    if (telemetry_ == nullptr) return nullptr;
-    return s == 0 ? telemetry_.get() : extra_hubs_[s - 1].get();
+    return shards_[s].hub.get();
   }
-  /// Worker threads used by run_for (sharded beds only; result-invariant).
-  int threads() const { return threads_; }
-  void set_threads(int threads) { threads_ = threads < 1 ? 1 : threads; }
 
   /// Fleet-wide network counter sums (single network's counters at
   /// shards = 1). Quiescent reads only on threaded runs.
@@ -155,13 +140,9 @@ class Testbed {
   /// telemetry.
   void dump_merged_trace(std::ostream& os) const;
 
-  /// True when cross-shard control runs through the fence protocol
-  /// (shards > 1 and config.shard_fences).
-  bool fenced_control() const { return fenced_control_; }
-
   /// Schedules a control-plane action at sim-time `at`: a fenced section
-  /// under fenced_control(), a plain shard-0 loop event otherwise. The
-  /// hook scenario drivers (FleetScenario churn, chaos scripts) use to
+  /// on a sharded bed, a plain shard-0 loop event otherwise. The hook
+  /// scenario drivers (FleetScenario churn, chaos scripts) use to
   /// fire mid-window control that may touch any shard.
   void schedule_control(common::TimePoint at, std::function<void()> fn);
 
@@ -188,35 +169,34 @@ class Testbed {
 
   void run_for(common::Duration d) {
     if (engine_ != nullptr) {
-      engine_->run_until(loop_.now() + d, threads_);
+      engine_->run_until(loop().now() + d, threads_);
     } else {
-      loop_.run_until(loop_.now() + d);
+      loop().run_until(loop().now() + d);
     }
   }
 
  private:
+  /// One shard domain. Heap-held members keep their addresses stable for
+  /// the vSwitches, workloads and engine that point at them.
+  struct Shard {
+    std::unique_ptr<sim::EventLoop> loop;
+    std::unique_ptr<sim::Network> network;
+    std::unique_ptr<telemetry::Hub> hub;  // null without telemetry
+  };
+
   void wire_telemetry(const telemetry::TelemetryConfig& cfg);
   void wire_shard_telemetry(std::uint32_t shard, telemetry::Hub* hub);
 
-  sim::EventLoop loop_;
   tables::VnicServerMap gateway_;
   sim::Topology topology_;
   sim::ShardMap shard_map_;
-  std::size_t num_shards_ = 1;
   int threads_ = 1;
-  bool fenced_control_ = false;
-  std::unique_ptr<sim::Network> network_;
-  // Shards 1..K-1 (shard 0 reuses loop_/network_ so the single-shard
-  // testbed is object-for-object the pre-shard one).
-  std::vector<std::unique_ptr<sim::EventLoop>> extra_loops_;
-  std::vector<std::unique_ptr<sim::Network>> extra_networks_;
+  std::vector<Shard> shards_;
   std::unique_ptr<sim::ShardedEngine> engine_;
   std::vector<std::unique_ptr<vswitch::VSwitch>> switches_;
   std::unique_ptr<Controller> controller_;
   std::unique_ptr<HealthMonitor> monitor_;
   std::unique_ptr<LinkProber> link_prober_;
-  std::unique_ptr<telemetry::Hub> telemetry_;
-  std::vector<std::unique_ptr<telemetry::Hub>> extra_hubs_;
   /// SLO probe-loss lag, in sampler ticks: how long probe replies may
   /// trail probe sends before counting as loss (derived from the monitor
   /// probe timeout and the sampler period in the constructor).

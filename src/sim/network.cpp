@@ -303,8 +303,8 @@ void Network::send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt) {
   }
   Node* dst = find_by_ip(to_ip);
   if (dst == nullptr) {
-    if (router_ != nullptr) {
-      const ShardRouter::Remote* rem = router_->lookup_remote(to_ip);
+    if (engine_ != nullptr) {
+      const ShardedEngine::Remote* rem = engine_->lookup_remote(to_ip);
       if (rem != nullptr && rem->shard != shard_id_) {
         send_remote(from, *rem, std::move(pkt));
         return;
@@ -386,7 +386,7 @@ void Network::send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt) {
   schedule_delivery(arrival, slot);
 }
 
-void Network::send_remote(NodeId from, const ShardRouter::Remote& rem,
+void Network::send_remote(NodeId from, const ShardedEngine::Remote& rem,
                           net::Packet pkt) {
   const NodeId to = rem.node;
   if (partitioned(from, to)) {
@@ -495,7 +495,7 @@ void Network::send_remote(NodeId from, const ShardRouter::Remote& rem,
     tok.kind = TokenKind::kArrival;
   }
   ++exported_;
-  router_->export_token(shard_id_, rem.shard, std::move(tok));
+  engine_->export_token(shard_id_, rem.shard, std::move(tok));
 }
 
 void Network::inject_token(ShardToken tok) {

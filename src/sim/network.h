@@ -88,13 +88,13 @@ class Network {
   /// crashed, or a queue overflows.
   void send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt);
 
-  /// Sharded-engine hookup (DESIGN.md §13). With a router set, a send()
+  /// Sharded-engine hookup (DESIGN.md §13). With an engine set, a send()
   /// whose destination IP is not attached locally is resolved fleet-wide:
   /// the source shard models sender-port serialization (and, on Clos, the
   /// leaf→spine uplink it owns), then exports a ShardToken to the owning
   /// shard instead of scheduling a local delivery.
-  void set_shard_router(ShardRouter* router, std::uint32_t shard_id) {
-    router_ = router;
+  void set_engine(ShardedEngine* engine, std::uint32_t shard_id) {
+    engine_ = engine;
     shard_id_ = shard_id;
   }
   std::uint32_t shard_id() const { return shard_id_; }
@@ -126,7 +126,7 @@ class Network {
   ///   sent() + imported() ==
   ///       delivered() + dropped_total() + in_flight() + exported()
   /// holds after every event (checked by core::InvariantChecker). Without
-  /// a shard router exported/imported stay 0 and this reduces to the
+  /// a sharded engine exported/imported stay 0 and this reduces to the
   /// classic sent == delivered + dropped + in_flight.
   std::uint64_t sent() const { return sent_; }
   /// Packets handed off to another shard as tokens (cross-shard sends).
@@ -206,7 +206,7 @@ class Network {
 
   /// Cross-shard path: serialize on the sender port (and the local Clos
   /// uplink), then export a token to the destination's shard.
-  void send_remote(NodeId from, const ShardRouter::Remote& rem,
+  void send_remote(NodeId from, const ShardedEngine::Remote& rem,
                    net::Packet pkt);
 
   /// Deferred queue-byte drains for exported packets (the completion that
@@ -324,7 +324,7 @@ class Network {
 
   TraceFn trace_;
   telemetry::Hub* telemetry_ = nullptr;
-  ShardRouter* router_ = nullptr;
+  ShardedEngine* engine_ = nullptr;
   std::uint32_t shard_id_ = 0;
 
   std::uint64_t sent_ = 0;

@@ -13,6 +13,11 @@
 namespace nezha::sim {
 
 namespace {
+// Per-(src, dst) token ring capacity.
+constexpr std::size_t kRingCapacity = 1024;
+// Seeds the fixed source-shard merge permutation.
+constexpr std::uint64_t kMergeSeed = 0x5eedfab1ccafeULL;
+
 std::size_t round_up_pow2(std::size_t v) {
   std::size_t p = 1;
   while (p < v) p <<= 1;
@@ -65,28 +70,25 @@ ShardedEngine::ShardedEngine(std::vector<Shard> shards,
   const std::size_t k = shards_.size();
   rings_.reserve(k * k);
   for (std::size_t i = 0; i < k * k; ++i) {
-    rings_.emplace_back(config_.ring_capacity);
+    rings_.emplace_back(kRingCapacity);
   }
   snap_.assign(k * k, 0);
   staged_.resize(k * k);
   late_.assign(k, 0);
-  busy_ns_.assign(k, 0);
-  snapshot_ns_.assign(k, 0);
-  ff_ns_.assign(k, 0);
+  profile_.assign(k, PhaseProfile{});
   fence_staged_.resize(k);
   next_event_.assign(k, 0);
   xfer_epoch_.assign(k, 0);
   xfer_inflight_.assign(k, 0);
-  wait_.assign(k, BarrierWaitStats{});
   wait_observers_.resize(k);
-  // The fixed injection order of source shards: a seeded permutation drawn
-  // once, so the merge schedule is part of (config, seed) — not an artifact
-  // of construction order — and identical for every thread count.
+  // The fixed injection order of source shards: a permutation drawn once
+  // from a constant seed, so the merge schedule is a function of
+  // shard_count alone — identical for every thread count.
   merge_order_.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
     merge_order_[i] = static_cast<std::uint32_t>(i);
   }
-  common::Rng rng(config_.seed ^ 0x5eedfab1ccafeULL);
+  common::Rng rng(kMergeSeed);
   rng.shuffle(merge_order_);
 }
 
@@ -95,7 +97,7 @@ void ShardedEngine::map_ip(net::Ipv4Addr ip, std::uint32_t shard,
   ip_map_[ip.value()] = Remote{shard, node};
 }
 
-const ShardRouter::Remote* ShardedEngine::lookup_remote(
+const ShardedEngine::Remote* ShardedEngine::lookup_remote(
     net::Ipv4Addr ip) const {
   const auto it = ip_map_.find(ip.value());
   return it == ip_map_.end() ? nullptr : &it->second;
@@ -130,7 +132,7 @@ void ShardedEngine::advance_shard(std::uint32_t s, common::TimePoint end) {
   EventLoop* loop = shards_[s].loop;
   Network* net = shards_[s].net;
   const common::TimePoint epoch_start = loop->now();
-  // Inject last epoch's inbound prefix: sources in the seeded merge order,
+  // Inject last epoch's inbound prefix: sources in the fixed merge order,
   // each source's tokens in production (seq) order — a 2-way merge of the
   // ring prefix and the overflow batch, both individually seq-ascending.
   for (const std::uint32_t src : merge_order_) {
@@ -168,7 +170,7 @@ void ShardedEngine::advance_shard(std::uint32_t s, common::TimePoint end) {
   // the other workers by the post-advance barrier.
   xfer_inflight_[s] = xfer_epoch_[s];
   xfer_epoch_[s] = 0;
-  busy_ns_[s] += ns_between(t0, std::chrono::steady_clock::now());
+  profile_[s].advance_ns += ns_between(t0, std::chrono::steady_clock::now());
 }
 
 void ShardedEngine::schedule_fenced(common::TimePoint due,
@@ -176,8 +178,8 @@ void ShardedEngine::schedule_fenced(common::TimePoint due,
   if (tls_engine == static_cast<const void*>(this)) {
     // Mid-epoch, on a shard's worker thread (e.g. a monitor continuation
     // or a crash callback firing inside an advance phase). The global
-    // sequence is assigned at the barrier drain, in seeded merge order, so
-    // it cannot depend on wall-clock interleaving across workers.
+    // sequence is assigned at the barrier drain, in the fixed merge order,
+    // so it cannot depend on wall-clock interleaving across workers.
     fence_staged_[tls_shard].push_back(Fence{due, 0, std::move(fn)});
     return;
   }
@@ -323,7 +325,8 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
         for (std::uint32_t s = w; s < k; s += w_count) {
           const auto j0 = std::chrono::steady_clock::now();
           shards_[s].loop->run_until(jump);
-          ff_ns_[s] += ns_between(j0, std::chrono::steady_clock::now());
+          profile_[s].fast_forward_ns +=
+              ns_between(j0, std::chrono::steady_clock::now());
         }
         if (w == 0) {
           epochs_skipped_ += static_cast<std::uint64_t>((jump - e) / epoch);
@@ -337,7 +340,8 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
       for (std::uint32_t s = w; s < k; s += w_count) {
         const auto s0 = std::chrono::steady_clock::now();
         snapshot_inbound(s);
-        snapshot_ns_[s] += ns_between(s0, std::chrono::steady_clock::now());
+        profile_[s].snapshot_ns +=
+            ns_between(s0, std::chrono::steady_clock::now());
       }
       const auto t0 = std::chrono::steady_clock::now();
       bar.arrive_and_wait();
@@ -352,10 +356,8 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
       const std::uint64_t wait_ns =
           ns_between(t0, t1) + ns_between(t2, t3);
       for (std::uint32_t s = w; s < k; s += w_count) {
-        BarrierWaitStats& ws = wait_[s];
-        ++ws.epochs;
-        ws.total_ns += wait_ns;
-        if (wait_ns > ws.max_ns) ws.max_ns = wait_ns;
+        ++profile_[s].epochs;
+        profile_[s].barrier_wait_ns += wait_ns;
         if (wait_observers_[s]) {
           wait_observers_[s](static_cast<double>(wait_ns) * 1e-3);
         }
@@ -379,17 +381,6 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
   run_fences(t);
   fence_ns_ += ns_between(f0, std::chrono::steady_clock::now());
   ++fence_barriers_;
-}
-
-ShardedEngine::PhaseProfile ShardedEngine::phase_profile(
-    std::uint32_t shard) const {
-  PhaseProfile p;
-  p.epochs = wait_.at(shard).epochs;
-  p.snapshot_ns = snapshot_ns_.at(shard);
-  p.advance_ns = busy_ns_.at(shard);
-  p.barrier_wait_ns = wait_.at(shard).total_ns;
-  p.fast_forward_ns = ff_ns_.at(shard);
-  return p;
 }
 
 std::uint64_t ShardedEngine::tokens_pending() const {

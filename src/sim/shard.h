@@ -13,16 +13,17 @@
 // rings, one per (src, dst) shard pair. Producers push during their epoch;
 // consumers snapshot ring occupancy while every worker is quiescent at the
 // epoch barrier and inject exactly that prefix at the start of the next
-// epoch, merging sources in a fixed seeded order and each source's tokens
-// in production order (seq). Shard s is always driven by worker thread
-// s % num_threads, and threads interact only through the rings at
-// barriers, so the schedule — and therefore every counter and fingerprint
-// — is a pure function of (config, seed, shard_count), independent of the
-// thread count and of wall-clock interleaving.
+// epoch, merging sources in a fixed permutation (drawn once from a
+// constant seed) and each source's tokens in production order (seq). Shard
+// s is always driven by worker thread s % num_threads, and threads interact
+// only through the rings at barriers, so the schedule — and therefore
+// every counter and fingerprint — is a pure function of (config, seed,
+// shard_count), independent of the thread count and of wall-clock
+// interleaving.
 //
 // Control-plane work that must touch cross-shard state (gateway placement
 // publishes, fleet-wide policy pushes, crash failover) registers *fenced
-// sections* through the FenceScheduler interface: each runs at the first
+// sections* through ShardedEngine::schedule_fenced: each runs at the first
 // epoch barrier at or after its due time, executed by one designated
 // worker in (due, seq) order while every other worker is parked at the
 // barrier (DESIGN.md §15). Symmetrically, when every shard's next event
@@ -128,42 +129,6 @@ class SpscTokenRing {
   std::vector<ShardToken> overflow_;
 };
 
-/// Deterministic quiesce point for cross-shard control (DESIGN.md §15).
-///
-/// A fenced section runs at the first epoch barrier whose sim-time is
-/// >= `due` (any due <= now, including 0, means "the next barrier"), with
-/// every worker thread parked, so it may freely read or mutate state owned
-/// by any shard. Pending sections execute in (due, seq) order, where seq
-/// is assigned deterministically: registrations from a quiescent context
-/// (setup code, or another fence's body) take the next global sequence
-/// immediately; registrations made mid-epoch on a shard's worker thread
-/// are staged per shard and drained at the next barrier in the engine's
-/// seeded merge order — the same recipe that makes token injection a pure
-/// function of (config, seed, shard_count).
-class FenceScheduler {
- public:
-  virtual ~FenceScheduler() = default;
-  virtual void schedule_fenced(common::TimePoint due,
-                               std::function<void()> fn) = 0;
-};
-
-/// The Network's view of the engine: resolve an underlay IP that is not
-/// local to this shard, and hand off a token to the owning shard.
-class ShardRouter {
- public:
-  virtual ~ShardRouter() = default;
-
-  struct Remote {
-    std::uint32_t shard = 0;
-    NodeId node = 0;
-  };
-
-  /// Null when the IP is unknown fleet-wide (genuine no-route).
-  virtual const Remote* lookup_remote(net::Ipv4Addr ip) const = 0;
-  virtual void export_token(std::uint32_t src_shard, std::uint32_t dst_shard,
-                            ShardToken tok) = 0;
-};
-
 /// Maps racks (ToR/leaf index) onto contiguous shard blocks. Rack-aligned
 /// blocks guarantee same-rack traffic is always intra-shard, which is what
 /// lets the epoch length be the *cross-rack* minimum latency.
@@ -188,10 +153,6 @@ struct ShardedEngineConfig {
   /// Lockstep epoch length; must be <= the minimum latency of any
   /// cross-shard path (Topology::min_cross_rack_latency()).
   common::Duration epoch = common::microseconds(8);
-  /// Seeds the fixed source-shard merge permutation used at injection.
-  std::uint64_t seed = 0;
-  /// Per-(src,dst) ring capacity (rounded up to a power of two).
-  std::size_t ring_capacity = 1024;
   /// Sparse-epoch fast-forward: when every shard's next event lies beyond
   /// the next epoch boundary and all token rings are empty, jump the
   /// lockstep clock to the boundary just before the earliest event (or
@@ -200,11 +161,17 @@ struct ShardedEngineConfig {
   bool fast_forward = true;
 };
 
-class ShardedEngine final : public ShardRouter, public FenceScheduler {
+class ShardedEngine {
  public:
   struct Shard {
     EventLoop* loop = nullptr;
     Network* net = nullptr;
+  };
+
+  /// Where a node that is not local to the asking shard lives.
+  struct Remote {
+    std::uint32_t shard = 0;
+    NodeId node = 0;
   };
 
   ShardedEngine(std::vector<Shard> shards, ShardedEngineConfig config);
@@ -221,16 +188,27 @@ class ShardedEngine final : public ShardRouter, public FenceScheduler {
   /// identical for every thread count.
   void run_until(common::TimePoint t, int threads);
 
-  // --- ShardRouter ---
-  const Remote* lookup_remote(net::Ipv4Addr ip) const override;
+  // --- the Networks' view: cross-shard routing ---
+  /// Null when the IP is unknown fleet-wide (genuine no-route).
+  const Remote* lookup_remote(net::Ipv4Addr ip) const;
+  /// Hands a token to dst_shard's inbound ring (called by src_shard's
+  /// Network while src_shard's thread drives it).
   void export_token(std::uint32_t src_shard, std::uint32_t dst_shard,
-                    ShardToken tok) override;
+                    ShardToken tok);
 
-  // --- FenceScheduler ---
-  /// Safe from any shard's worker mid-epoch (stages per shard, drained at
-  /// the next barrier in seeded merge order), from inside another fenced
-  /// section, and from quiescent setup code between run_until calls.
-  void schedule_fenced(common::TimePoint due, std::function<void()> fn) override;
+  /// Deterministic quiesce point for cross-shard control (DESIGN.md §15).
+  ///
+  /// A fenced section runs at the first epoch barrier whose sim-time is
+  /// >= `due` (any due <= now, including 0, means "the next barrier"),
+  /// with every worker thread parked, so it may freely read or mutate
+  /// state owned by any shard. Pending sections execute in (due, seq)
+  /// order. Registrations from a quiescent context (setup code between
+  /// run_until calls, or another fence's body) take the next global
+  /// sequence immediately; registrations made mid-epoch on a shard's
+  /// worker thread are staged per shard and drained at the next barrier in
+  /// the fixed merge order — the same recipe that makes token injection a
+  /// pure function of (config, seed, shard_count).
+  void schedule_fenced(common::TimePoint due, std::function<void()> fn);
 
   // --- observability (quiescent reads) ---
   std::uint64_t epochs_run() const { return epochs_run_; }
@@ -246,10 +224,7 @@ class ShardedEngine final : public ShardRouter, public FenceScheduler {
   /// Per-shard busy wall-clock accumulated inside advance phases; the
   /// balance across shards bounds the achievable parallel speedup.
   std::uint64_t shard_busy_ns(std::uint32_t shard) const {
-    return busy_ns_.at(shard);
-  }
-  const std::vector<std::uint32_t>& merge_order() const {
-    return merge_order_;
+    return profile_.at(shard).advance_ns;
   }
   /// Epochs elided by sparse-epoch fast-forward (would have run empty).
   std::uint64_t epochs_skipped() const { return epochs_skipped_; }
@@ -261,16 +236,6 @@ class ShardedEngine final : public ShardRouter, public FenceScheduler {
   /// signature of a stuck fence.
   std::uint64_t fences_queued() const { return fences_.size(); }
 
-  /// Wall-clock a shard's worker spent parked at epoch barriers while
-  /// driving this shard — the imbalance signal complementing busy_ns.
-  struct BarrierWaitStats {
-    std::uint64_t epochs = 0;    // barrier crossings measured
-    std::uint64_t total_ns = 0;  // summed wait
-    std::uint64_t max_ns = 0;    // worst single wait
-  };
-  const BarrierWaitStats& barrier_wait_stats(std::uint32_t shard) const {
-    return wait_.at(shard);
-  }
   /// Called by shard `shard`'s owning worker with each epoch's barrier
   /// wait in microseconds — feeds the per-shard metrics histogram. The
   /// callback runs on that worker's thread; it must only touch state owned
@@ -282,9 +247,9 @@ class ShardedEngine final : public ShardRouter, public FenceScheduler {
 
   /// Per-shard wall-clock attribution of run_until time to epoch phases
   /// (DESIGN.md §16). The *_ns fields are wall-clock — never part of a
-  /// determinism gate — while `epochs` (barrier crossings, == the
-  /// BarrierWaitStats count) is a pure function of (config, seed,
-  /// shard_count) and is gated for thread- and run-invariance.
+  /// determinism gate — while `epochs` (barrier crossings) is a pure
+  /// function of (config, seed, shard_count) and is gated for thread- and
+  /// run-invariance.
   struct PhaseProfile {
     std::uint64_t epochs = 0;           // barrier crossings measured
     std::uint64_t snapshot_ns = 0;      // snapshot_inbound phases
@@ -292,7 +257,9 @@ class ShardedEngine final : public ShardRouter, public FenceScheduler {
     std::uint64_t barrier_wait_ns = 0;  // parked at epoch barriers
     std::uint64_t fast_forward_ns = 0;  // clock teleports in jump phases
   };
-  PhaseProfile phase_profile(std::uint32_t shard) const;
+  const PhaseProfile& phase_profile(std::uint32_t shard) const {
+    return profile_.at(shard);
+  }
 
   /// Engine-global profile counters, owned by worker 0 (quiescent reads).
   /// fence_barriers / ff_jumps are event counts (thread- and
@@ -342,9 +309,9 @@ class ShardedEngine final : public ShardRouter, public FenceScheduler {
   /// by every worker with all shards quiescent (barrier-separated from
   /// the writes it observes).
   bool fence_work_pending(common::TimePoint e) const;
-  /// Worker 0, everyone else parked: drain staged registrations in seeded
-  /// merge order, then execute every fence with due <= now in (due, seq)
-  /// order, then refresh every shard's next-event cache.
+  /// Worker 0, everyone else parked: drain staged registrations in the
+  /// fixed merge order, then execute every fence with due <= now in
+  /// (due, seq) order, then refresh every shard's next-event cache.
   void run_fences(common::TimePoint now);
   /// Sparse-epoch fast-forward decision at epoch-start `e` (run end `t`):
   /// returns `e` when the next epoch must run normally, else the
@@ -357,16 +324,14 @@ class ShardedEngine final : public ShardRouter, public FenceScheduler {
   std::vector<SpscTokenRing> rings_;         // [src * K + dst]
   std::vector<std::size_t> snap_;            // per-ring snapshot counts
   std::vector<std::vector<ShardToken>> staged_;  // per-ring overflow batches
-  std::vector<std::uint32_t> merge_order_;   // seeded source permutation
+  std::vector<std::uint32_t> merge_order_;   // fixed source permutation
   std::unordered_map<std::uint32_t, Remote> ip_map_;
   std::uint64_t epochs_run_ = 0;
   std::vector<std::uint64_t> late_;          // per-shard, summed on read
-  std::vector<std::uint64_t> busy_ns_;       // per-shard busy wall-clock
-  // Phase-profiler wall clocks: per-shard fields are written only by the
-  // shard's owning worker; the engine-global fence/jump fields only by
-  // worker 0 (or quiescent code) — same discipline as busy_ns_/wait_.
-  std::vector<std::uint64_t> snapshot_ns_;   // per-shard snapshot phases
-  std::vector<std::uint64_t> ff_ns_;         // per-shard fast-forward jumps
+  // Phase profiler: profile_[s] is written only by shard s's owning
+  // worker; the engine-global fence/jump fields only by worker 0 (or
+  // quiescent code).
+  std::vector<PhaseProfile> profile_;
   std::uint64_t fence_ns_ = 0;
   std::uint64_t fence_barriers_ = 0;
   std::uint64_t ff_jumps_ = 0;
@@ -394,7 +359,6 @@ class ShardedEngine final : public ShardRouter, public FenceScheduler {
   /// never live ring state, which snapshot_inbound mutates concurrently.
   std::vector<std::uint64_t> xfer_epoch_;
   std::vector<std::uint64_t> xfer_inflight_;
-  std::vector<BarrierWaitStats> wait_;
   std::vector<std::function<void(double)>> wait_observers_;
   std::function<void(const FenceTracePoint&)> trace_;
 };

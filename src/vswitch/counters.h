@@ -1,8 +1,7 @@
 // Interned datapath counter ids. The vSwitch registers kCounterNames with
 // its common::Counter once at construction; datapath increments are then a
-// plain array increment (no string hashing or comparison per packet). The
-// string API (counters().get("drop.acl")) keeps working — it resolves
-// against this table too.
+// plain array increment (no string hashing or comparison per packet).
+// By-name reads (counters().get("drop.acl")) resolve against this table.
 #pragma once
 
 #include <array>

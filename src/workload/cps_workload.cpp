@@ -90,9 +90,8 @@ CpsWorkload::CpsWorkload(core::Testbed& bed, std::size_t client_switch,
       rng_(config.seed),
       client_kernel_(config.client_kernel),
       server_kernel_(config.server_kernel) {
-  if (bed.shard_count() > 1 &&
-      bed.shard_of_node(static_cast<sim::NodeId>(client_switch)) !=
-          bed.shard_of_node(static_cast<sim::NodeId>(server_switch))) {
+  if (bed.shard_of_node(static_cast<sim::NodeId>(client_switch)) !=
+      bed.shard_of_node(static_cast<sim::NodeId>(server_switch))) {
     throw std::runtime_error(
         "CpsWorkload: endpoints must share a shard on a sharded testbed");
   }

@@ -51,10 +51,10 @@ class CpsWorkload {
  public:
   /// Both endpoints must already exist: vNIC `client_vnic` on switch
   /// `client_switch`, `server_vnic` on `server_switch`, same VPC.
-  /// Sharded beds (bed.shard_count() > 1): both endpoints must live in the
-  /// same shard — the workload's timers and connection table belong to that
-  /// shard's event loop, and delivery callbacks fire on both endpoints'
-  /// shard threads (throws std::runtime_error otherwise).
+  /// Both endpoints must live in the same shard (always true on an
+  /// unsharded bed) — the workload's timers and connection table belong to
+  /// that shard's event loop, and delivery callbacks fire on both
+  /// endpoints' shard threads (throws std::runtime_error otherwise).
   CpsWorkload(core::Testbed& bed, std::size_t client_switch,
               tables::VnicId client_vnic, std::size_t server_switch,
               tables::VnicId server_vnic, CpsWorkloadConfig config = {});

@@ -157,6 +157,17 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+constexpr std::size_t kServerIdBase = 1000;
+constexpr std::size_t kClientIdBase = 2000;
+
+/// vNIC id of pair i's server (kServerIdBase) or client (kClientIdBase).
+/// Pairs take ids in blocks of 1000 that alternate server, client, server,
+/// ... (1000-1999, 2000-2999, 3000-3999, ...), so no server id equals a
+/// client id at any pair count.
+tables::VnicId pair_vnic_id(std::size_t base, std::size_t i) {
+  return static_cast<tables::VnicId>(base + i + 1000 * (i / 1000));
+}
+
 }  // namespace
 
 FleetScenario::FleetScenario(core::Testbed& bed, FleetScenarioConfig config)
@@ -193,9 +204,8 @@ void FleetScenario::deploy() {
     if (client_node == server_node) {
       client_node = (server_node + 1) % bed_.size();
     }
-    if (bed_.shard_count() > 1 &&
-        bed_.shard_of_node(static_cast<sim::NodeId>(client_node)) !=
-            bed_.shard_of_node(static_cast<sim::NodeId>(server_node))) {
+    if (bed_.shard_of_node(static_cast<sim::NodeId>(client_node)) !=
+        bed_.shard_of_node(static_cast<sim::NodeId>(server_node))) {
       // Sharded bed: CpsWorkload endpoints must share a shard. Deterministic
       // re-pick inside the server's shard, preferring another rack so the
       // pair still exercises the fabric (offload BE↔FE traffic crosses
@@ -220,7 +230,7 @@ void FleetScenario::deploy() {
     }
 
     vswitch::VnicConfig server;
-    server.id = static_cast<tables::VnicId>(1000 + i);
+    server.id = pair_vnic_id(kServerIdBase, i);
     server.addr = tables::OverlayAddr{
         config_.vpc_id,
         net::Ipv4Addr(10, 50, static_cast<std::uint8_t>(i / 250),
@@ -229,7 +239,7 @@ void FleetScenario::deploy() {
     bed_.add_vnic(server_node, server);
 
     vswitch::VnicConfig client;
-    client.id = static_cast<tables::VnicId>(2000 + i);
+    client.id = pair_vnic_id(kClientIdBase, i);
     client.addr = tables::OverlayAddr{
         config_.vpc_id,
         net::Ipv4Addr(10, 60, static_cast<std::uint8_t>(i / 250),
@@ -302,7 +312,7 @@ void FleetScenario::start_traffic() {
     wl.attempts_per_sec = config_.base_attempts_per_sec * pair_load_scale_[i];
     wl.seed = config_.seed * 1000003 + i;
     workloads_.push_back(std::make_unique<CpsWorkload>(
-        bed_, client_switches_[i], static_cast<tables::VnicId>(2000 + i),
+        bed_, client_switches_[i], pair_vnic_id(kClientIdBase, i),
         server_switches_[i], servers_[i], wl));
     workloads_.back()->start();
   }

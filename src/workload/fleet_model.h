@@ -108,7 +108,10 @@ class FleetScenario {
   FleetScenario(core::Testbed& bed, FleetScenarioConfig config = {});
 
   /// Creates the vNIC pairs: server i on the first host of leaf i (mod
-  /// #leaves), its client on a host half the fabric away.
+  /// #leaves), its client on a host half the fabric away. Pair i's vNIC
+  /// ids are 1000 + i (server) and 2000 + i (client) below 1000 pairs;
+  /// larger fleets continue in alternating blocks of 1000, so every vNIC
+  /// id is distinct.
   void deploy();
 
   /// Offloads the server vNICs to fes_per_vnic FEs each, skipping the last

@@ -2,7 +2,9 @@
 // distribution sanity, statistics accumulators.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <string_view>
 
 #include "src/common/result.h"
 #include "src/common/rng.h"
@@ -230,16 +232,20 @@ TEST(HistogramTest, RejectsBadBounds) {
 }
 
 TEST(CounterTest, IncrementAndSort) {
+  static constexpr std::array<std::string_view, 3> kNames = {"a", "b", "c"};
   Counter c;
-  c.inc("a");
-  c.inc("b", 5);
-  c.inc("a", 2);
+  c.register_ids(kNames);
+  c.inc(0);
+  c.inc(1, 5);
+  c.inc(0, 2);
   EXPECT_EQ(c.get("a"), 3u);
   EXPECT_EQ(c.get("b"), 5u);
+  EXPECT_EQ(c.get("c"), 0u);
   EXPECT_EQ(c.get("missing"), 0u);
   auto sorted = c.sorted();
-  ASSERT_EQ(sorted.size(), 2u);
+  ASSERT_EQ(sorted.size(), 2u);  // zero counters are left out
   EXPECT_EQ(sorted[0].first, "b");
+  EXPECT_EQ(sorted[1].first, "a");
 }
 
 TEST(ResultTest, ValueAndError) {

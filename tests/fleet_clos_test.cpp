@@ -194,5 +194,22 @@ TEST(FleetClos, DifferentSeedsProduceDifferentTraffic) {
   EXPECT_NE(a.fingerprint, c.fingerprint);
 }
 
+// Past 1000 pairs the server and client id ranges must not meet: pair
+// 1000's server may not reuse pair 0's client id, or the controller would
+// silently overwrite that vNIC's record.
+TEST(FleetClos, MoreThanThousandPairsGetDistinctVnicIds) {
+  core::TestbedConfig cfg = core::make_clos_testbed_config(
+      kVSwitches, /*hosts_per_leaf=*/8, /*num_spines=*/4,
+      /*oversubscription=*/2.0);
+  cfg.controller.auto_offload = false;
+  cfg.controller.auto_scale = false;
+  core::Testbed bed(cfg);
+  workload::FleetScenarioConfig sc;
+  sc.num_pairs = 1024;
+  workload::FleetScenario scenario(bed, sc);
+  scenario.deploy();
+  EXPECT_EQ(bed.controller().vnic_ids().size(), 2 * sc.num_pairs);
+}
+
 }  // namespace
 }  // namespace nezha

@@ -70,10 +70,8 @@ std::uint64_t total_completed(const workload::FleetScenario& sc) {
 
 /// One churn experiment on a 16-host, 2-shard Clos bed: offload the fleet,
 /// run traffic, apply the stimulus quiescently, keep running with invariant
-/// checks between every window. `threads` > 1 is only safe for Churn
-/// stimuli with no scheduled control-plane continuations (kReseed applies
-/// synchronously; the others schedule config pushes that mutate vSwitches
-/// from the controller's shard-0 loop).
+/// checks between every window. The whole run, setup included, executes on
+/// `threads` workers; control-plane continuations run as fenced sections.
 ChurnRun run_churn(PolicyKind kind, Churn churn, std::uint64_t seed,
                    int threads = 1) {
   core::TestbedConfig cfg = core::make_clos_testbed_config(
@@ -82,7 +80,7 @@ ChurnRun run_churn(PolicyKind kind, Churn churn, std::uint64_t seed,
   cfg.controller.auto_scale = false;
   cfg.controller.fe_policy = kind;
   cfg.shards = 2;
-  cfg.threads = 1;
+  cfg.threads = threads;
   core::Testbed bed(cfg);
 
   workload::FleetScenarioConfig sc;
@@ -99,7 +97,7 @@ ChurnRun run_churn(PolicyKind kind, Churn churn, std::uint64_t seed,
   scenario.offload_all();
   checker.record("offload_all");
   // Let every offload workflow (and its config-push tail) finish before
-  // traffic threads; threaded runs get a longer settle for the p999 tail.
+  // traffic starts; threaded runs get a longer settle for the p999 tail.
   bed.run_for(common::seconds(threads > 1 ? 3 : 1));
   checker.check();
 
@@ -113,7 +111,6 @@ ChurnRun run_churn(PolicyKind kind, Churn churn, std::uint64_t seed,
   EXPECT_NE(r.target, 0u) << "no offloaded vNIC to churn";
   r.pool_before = bed.controller().fe_nodes_of(r.target);
 
-  bed.set_threads(threads);
   scenario.start_traffic();
   checker.record("start_traffic");
   bed.run_for(common::milliseconds(250));
@@ -282,10 +279,9 @@ INSTANTIATE_TEST_SUITE_P(
                       PolicyKind::kPushAsideDisplacement),
     [](const auto& info) { return policy::to_string(info.param); });
 
-// Worker threads must not change a churned run's outcome. Reseed is the
-// one stimulus with no scheduled control-plane tail, so it is the one that
-// may legally run under threaded traffic windows (applied quiescently
-// between them). This case runs under TSan in CI.
+// Worker threads must not change a churned run's outcome: the reseed run
+// at 2 workers, setup included, must match the 1-worker run. This case
+// runs under TSan in CI.
 TEST(PolicyChurnThreadedTest, ReseedOutcomeIsThreadInvariant) {
   for (PolicyKind kind :
        {PolicyKind::kStaticHash, PolicyKind::kLoadAwareWeighted}) {

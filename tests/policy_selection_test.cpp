@@ -222,10 +222,9 @@ struct BedRun {
   std::string report;
 };
 
-/// Clos fleet with every server vNIC offloaded under `kind`; traffic runs
-/// at `threads` workers after single-threaded setup (the Testbed's
-/// control-plane rule). The outcome must be a pure function of
-/// (config, seed, shards) — never of `threads`.
+/// Clos fleet with every server vNIC offloaded under `kind`; the whole
+/// run, setup included, executes on `threads` workers. The outcome must be
+/// a pure function of (config, seed, shards) — never of `threads`.
 BedRun run_fleet(PolicyKind kind, std::size_t shards, int threads,
                  std::uint64_t seed) {
   core::TestbedConfig cfg = core::make_clos_testbed_config(
@@ -234,7 +233,7 @@ BedRun run_fleet(PolicyKind kind, std::size_t shards, int threads,
   cfg.controller.auto_scale = false;
   cfg.controller.fe_policy = kind;
   cfg.shards = shards;
-  cfg.threads = 1;
+  cfg.threads = threads;
   core::Testbed bed(cfg);
 
   workload::FleetScenarioConfig sc;
@@ -250,7 +249,6 @@ BedRun run_fleet(PolicyKind kind, std::size_t shards, int threads,
   bed.run_for(common::seconds(1));
   checker.check();
 
-  bed.set_threads(threads);
   scenario.start_traffic();
   for (int slice = 0; slice < 4; ++slice) {
     bed.run_for(common::milliseconds(250));

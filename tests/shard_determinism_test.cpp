@@ -44,8 +44,8 @@ struct ShardRun {
 
 /// Clos fleet scenario with every server vNIC offloaded, driven in slices
 /// with quiescent invariant checks between them. `shards == 1` builds the
-/// classic engine-less testbed; `threads` only applies to the traffic
-/// phase (control-plane workflows run at 1 thread, per the Testbed rules).
+/// engine-less testbed; otherwise the whole run, offload workflows
+/// included, executes on `threads` workers.
 ShardRun run_sharded(std::size_t shards, int threads, std::uint64_t seed) {
   // 4-host racks: the min-4-FE pools cannot fit beside their BE in one
   // rack, so offload traffic is forced across leaves — and across shards.
@@ -55,7 +55,7 @@ ShardRun run_sharded(std::size_t shards, int threads, std::uint64_t seed) {
   cfg.controller.auto_offload = false;
   cfg.controller.auto_scale = false;
   cfg.shards = shards;
-  cfg.threads = 1;
+  cfg.threads = threads;
   core::Testbed bed(cfg);
 
   workload::FleetScenarioConfig sc;
@@ -68,10 +68,9 @@ ShardRun run_sharded(std::size_t shards, int threads, std::uint64_t seed) {
 
   scenario.deploy();
   scenario.offload_all();
-  bed.run_for(common::seconds(1));  // offload workflows, single-threaded
+  bed.run_for(common::seconds(1));  // offload workflows settle
   checker.check();
 
-  bed.set_threads(threads);
   scenario.start_traffic();
   for (int slice = 0; slice < 6; ++slice) {
     bed.run_for(common::milliseconds(250));
