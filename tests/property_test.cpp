@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -36,12 +38,20 @@ net::FiveTuple random_tuple(common::Rng& rng) {
 
 // ---------------------------------------------------------------- packets
 
+// gtest names each case after the raw bytes of its PacketCase, so the struct
+// has no padding: `fill_a` and `fill_b` take the bytes the compiler would
+// otherwise pad. Left as padding they were uninitialised, and the case names
+// changed from one run to the next. Their values keep every case under the
+// name the test listing has carried so far; the test body never reads them.
 struct PacketCase {
   bool tcp;
+  std::uint8_t fill_a;
   std::uint16_t payload;
   bool encap;
+  std::array<std::uint8_t, 3> fill_b;
   int carrier_tlvs;  // -1 = no carrier
 };
+static_assert(sizeof(PacketCase) == 12, "PacketCase must have no padding");
 
 class PacketRoundTrip : public ::testing::TestWithParam<PacketCase> {};
 
@@ -88,17 +98,18 @@ TEST_P(PacketRoundTrip, SerializeParseIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PacketRoundTrip,
-    ::testing::Values(PacketCase{true, 0, false, -1},
-                      PacketCase{false, 0, false, -1},
-                      PacketCase{true, 64, false, -1},
-                      PacketCase{true, 1400, false, -1},
-                      PacketCase{true, 0, true, -1},
-                      PacketCase{false, 512, true, -1},
-                      PacketCase{true, 64, true, 0},
-                      PacketCase{true, 64, true, 1},
-                      PacketCase{false, 200, true, 3},
-                      PacketCase{true, 1400, true,
-                                 net::CarrierHeader::kMaxTlvs}));
+    ::testing::Values(
+        PacketCase{true, 0x00, 0, false, {0x00, 0x00, 0x00}, -1},
+        PacketCase{false, 0x45, 0, false, {0xB4, 0xE6, 0xDB}, -1},
+        PacketCase{true, 0xE5, 64, false, {0x45, 0xAF, 0x05}, -1},
+        PacketCase{true, 0x00, 1400, false, {0xFF, 0xFF, 0xFF}, -1},
+        PacketCase{true, 0x00, 0, true, {0x00, 0x00, 0x00}, -1},
+        PacketCase{false, 0x45, 512, true, {0x00, 0x00, 0x00}, -1},
+        PacketCase{true, 0xFF, 64, true, {0xFF, 0xFF, 0xFF}, 0},
+        PacketCase{true, 0x00, 64, true, {0x32, 0xE8, 0xDB}, 1},
+        PacketCase{false, 0x00, 200, true, {0x00, 0x00, 0x00}, 3},
+        PacketCase{true, 0x56, 1400, true, {0xB4, 0xE6, 0xDB},
+                   net::CarrierHeader::kMaxTlvs}));
 
 TEST(PacketFuzz, ParseNeverMisbehavesOnRandomBytes) {
   common::Rng rng = make_rng(2);
