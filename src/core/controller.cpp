@@ -18,7 +18,7 @@ Controller::Controller(sim::EventLoop& loop, sim::Network& network,
 
 void Controller::add_vswitch(vswitch::VSwitch* vs) {
   fleet_index_[vs->id()] = fleet_.size();
-  fleet_.push_back(SwitchState{vs, {}, 0.0});
+  fleet_.push_back(SwitchState{vs, vs->id(), {}, 0.0});
   vs->set_fe_policy(policy_);
 }
 
@@ -96,29 +96,31 @@ std::vector<vswitch::VSwitch*> Controller::select_frontends(
     const vswitch::VSwitch& home, std::size_t count,
     const std::vector<sim::NodeId>& exclude) const {
   std::vector<policy::PlacementCandidate> candidates;
+  candidates.reserve(fleet_.size());
   const auto& topo = network_.topology();
-  for (const auto& state : fleet_) {
-    vswitch::VSwitch* vs = state.vs;
-    if (vs->id() == home.id()) continue;
-    if (network_.crashed(vs->id())) continue;
-    if (std::find(exclude.begin(), exclude.end(), vs->id()) != exclude.end()) {
+  const sim::NodeId home_id = home.id();
+  for (const SwitchState& state : fleet_) {
+    const sim::NodeId node = state.node;
+    if (node == home_id) continue;
+    if (network_.crashed(node)) continue;
+    if (std::find(exclude.begin(), exclude.end(), node) != exclude.end()) {
       continue;
     }
     // Idle enough to take load without becoming a bottleneck (App B.1), and
     // with spare rule memory for the table copy.
     if (state.last_cpu_util >= config_.scale_threshold) continue;
     candidates.push_back(policy::PlacementCandidate{
-        vs->id(), topo.hop_tier(home.id(), vs->id()), state.last_cpu_util,
-        static_cast<double>(network_.port_queued_bytes(vs->id())),
-        static_cast<std::uint32_t>(vs->frontend_count())});
+        node, topo.hop_tier(home_id, node), state.last_cpu_util,
+        static_cast<double>(network_.port_queued_bytes(node))});
   }
-  // The policy orders candidates best-first; the default rank is the
+  // The policy moves the best `count` to the front; the default rank is the
   // paper's App B.1 preference (same ToR, then least-loaded).
-  policy_->rank(candidates);
+  count = std::min(count, candidates.size());
+  policy_->rank(candidates, count);
   std::vector<vswitch::VSwitch*> out;
-  for (const auto& c : candidates) {
-    if (out.size() >= count) break;
-    out.push_back(fleet_[fleet_index_.at(c.node)].vs);
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(fleet_[fleet_index_.at(candidates[i].node)].vs);
   }
   return out;
 }
@@ -156,16 +158,19 @@ std::vector<vswitch::VSwitch*> Controller::displace_frontends(
               return a.node < b.node;
             });
 
+  // Deterministic donor choice: iterate vNIC ids sorted (vnics_ is
+  // unordered). Evictions below never add or remove a vNIC record, so one
+  // sorted copy serves every victim.
+  const std::vector<tables::VnicId> ids = vnic_ids();
   std::vector<vswitch::VSwitch*> out;
   for (const Victim& victim : victims) {
     if (out.size() >= count) break;
     vswitch::VSwitch* host = fleet_[victim.fleet_idx].vs;
-    // Deterministic donor choice on this host: the vNIC with the largest
-    // pool that can spare an FE (ties → smallest vNIC id). vnics_ is
-    // unordered, so iterate ids sorted.
+    // The donor on this host: the vNIC with the largest pool that can spare
+    // an FE (ties → smallest vNIC id).
     tables::VnicId donor = 0;
     std::size_t donor_pool = 0;
-    for (tables::VnicId vid : vnic_ids()) {
+    for (tables::VnicId vid : ids) {
       if (vid == requester) continue;
       const VnicRecord& rec = vnics_.at(vid);
       if (rec.transition_pending) continue;

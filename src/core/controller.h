@@ -188,6 +188,8 @@ class Controller {
 
   struct SwitchState {
     vswitch::VSwitch* vs = nullptr;
+    /// vs->id(), cached so fleet-wide scans stay inside this dense vector.
+    sim::NodeId node = 0;
     vswitch::UtilizationSampler sampler;
     double last_cpu_util = 0.0;
   };

@@ -1,6 +1,7 @@
 #include "src/core/invariants.h"
 
 #include <sstream>
+#include <unordered_map>
 
 #include "src/core/testbed.h"
 
@@ -111,7 +112,21 @@ void InvariantChecker::check_conservation() {
 
 void InvariantChecker::check_vnic_placement() {
   Controller& ctrl = bed_.controller();
-  for (tables::VnicId id : ctrl.vnic_ids()) {
+  const std::vector<tables::VnicId> ids = ctrl.vnic_ids();
+  // One pass over the fleet builds both tables the per-vNIC checks read:
+  // how many vSwitches host each vNIC, and which vSwitch owns each underlay
+  // address (the lowest index wins, as a linear scan would find it).
+  std::unordered_map<tables::VnicId, std::size_t> instances;
+  std::unordered_map<std::uint32_t, vswitch::VSwitch*> by_ip;
+  instances.reserve(ids.size());
+  by_ip.reserve(bed_.size());
+  for (std::size_t i = 0; i < bed_.size(); ++i) {
+    vswitch::VSwitch& vs = bed_.vswitch(i);
+    vs.for_each_vnic([&](const vswitch::Vnic& v) { ++instances[v.id()]; });
+    by_ip.emplace(vs.underlay_ip().value(), &vs);
+  }
+
+  for (tables::VnicId id : ids) {
     vswitch::VSwitch* home = ctrl.home_of(id);
     if (home == nullptr) {
       violation("vnic " + std::to_string(id) + " has no home vSwitch");
@@ -119,13 +134,11 @@ void InvariantChecker::check_vnic_placement() {
     }
     // Single-copy session state: the vNIC instance exists on exactly one
     // vSwitch — its home (§3.2.1).
-    std::size_t instances = 0;
-    for (std::size_t i = 0; i < bed_.size(); ++i) {
-      if (bed_.vswitch(i).find_vnic(id) != nullptr) ++instances;
-    }
-    if (instances != 1) {
+    const auto found = instances.find(id);
+    const std::size_t copies = found == instances.end() ? 0 : found->second;
+    if (copies != 1) {
       violation("vnic " + std::to_string(id) + " exists on " +
-                std::to_string(instances) + " vSwitches (want exactly 1)");
+                std::to_string(copies) + " vSwitches (want exactly 1)");
     }
     vswitch::Vnic* v = home->vnic(id);
     if (v == nullptr) {
@@ -184,18 +197,13 @@ void InvariantChecker::check_vnic_placement() {
     }
     if (ctrl.is_offloaded(id) && v->mode() == vswitch::VnicMode::kOffloaded) {
       for (const tables::Location& loc : entry->placement.locations) {
-        vswitch::VSwitch* host = nullptr;
-        for (std::size_t i = 0; i < bed_.size(); ++i) {
-          if (bed_.vswitch(i).underlay_ip() == loc.ip) {
-            host = &bed_.vswitch(i);
-            break;
-          }
-        }
-        if (host == nullptr) {
+        const auto owner = by_ip.find(loc.ip.value());
+        if (owner == by_ip.end()) {
           violation("vnic " + std::to_string(id) +
                     " placement names an unknown underlay address");
           continue;
         }
+        vswitch::VSwitch* host = owner->second;
         vswitch::FrontendInstance* fe = host->frontend(id);
         if (fe == nullptr) {
           violation("vnic " + std::to_string(id) +

@@ -13,17 +13,21 @@ const char* to_string(PolicyKind kind) {
   return "unknown";
 }
 
-void FeSelectionPolicy::rank(std::vector<PlacementCandidate>& candidates) const {
+void FeSelectionPolicy::rank(std::vector<PlacementCandidate>& candidates,
+                             std::size_t count) const {
   // App B.1: prefer close (same ToR first) then least-loaded, so the
   // selected set has similar performance-affecting attributes. Node id is
   // the deterministic tie-break. This comparator is byte-for-byte the
-  // pre-policy Controller::select_frontends order.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const PlacementCandidate& a, const PlacementCandidate& b) {
-              if (a.tier != b.tier) return a.tier < b.tier;
-              if (a.cpu_util != b.cpu_util) return a.cpu_util < b.cpu_util;
-              return a.node < b.node;
-            });
+  // pre-policy Controller::select_frontends order. Only the best `count`
+  // are ordered: O(n log count), not a full sort of the fleet.
+  const auto mid = candidates.begin() + std::min(count, candidates.size());
+  std::partial_sort(
+      candidates.begin(), mid, candidates.end(),
+      [](const PlacementCandidate& a, const PlacementCandidate& b) {
+        if (a.tier != b.tier) return a.tier < b.tier;
+        if (a.cpu_util != b.cpu_util) return a.cpu_util < b.cpu_util;
+        return a.node < b.node;
+      });
 }
 
 std::size_t StaticHashPolicy::pick(const net::FiveTuple& hash_ft,
@@ -67,19 +71,21 @@ std::size_t LoadAwareWeightedPolicy::pick(const net::FiveTuple& hash_ft,
   return best;
 }
 
-void LoadAwareWeightedPolicy::rank(
-    std::vector<PlacementCandidate>& candidates) const {
+void LoadAwareWeightedPolicy::rank(std::vector<PlacementCandidate>& candidates,
+                                   std::size_t count) const {
   // Same structure as the default (locality first, deterministic tie-break)
   // but the load key folds queue backlog into CPU so a host with an idle
   // CPU and a saturated port ranks behind a genuinely idle one.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const PlacementCandidate& a, const PlacementCandidate& b) {
-              if (a.tier != b.tier) return a.tier < b.tier;
-              const double la = load_score(a);
-              const double lb = load_score(b);
-              if (la != lb) return la < lb;
-              return a.node < b.node;
-            });
+  const auto mid = candidates.begin() + std::min(count, candidates.size());
+  std::partial_sort(
+      candidates.begin(), mid, candidates.end(),
+      [](const PlacementCandidate& a, const PlacementCandidate& b) {
+        if (a.tier != b.tier) return a.tier < b.tier;
+        const double la = load_score(a);
+        const double lb = load_score(b);
+        if (la != lb) return la < lb;
+        return a.node < b.node;
+      });
 }
 
 std::size_t PushAsideDisplacementPolicy::pick(

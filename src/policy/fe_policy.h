@@ -78,7 +78,6 @@ struct PlacementCandidate {
   int tier = 0;               // topology hop tier from the vNIC's home
   double cpu_util = 0.0;      // controller's last sampled CPU utilization
   double queue_bytes = 0.0;   // egress port backlog (controller's shard view)
-  std::uint32_t frontends = 0;  // FE instances already hosted there
 };
 
 class FeSelectionPolicy {
@@ -97,11 +96,14 @@ class FeSelectionPolicy {
                            std::uint64_t seed,
                            const FeWeightBook& weights) const = 0;
 
-  /// Control path: orders placement candidates best-first. The default is
-  /// the paper's App B.1 preference — same ToR, then least-loaded, then
-  /// lowest node id — exactly the pre-policy Controller::select_frontends
-  /// comparator.
-  virtual void rank(std::vector<PlacementCandidate>& candidates) const;
+  /// Control path: moves the best `count` placement candidates to the
+  /// front, best-first; the rest of the vector is left in no particular
+  /// order. Every comparator ends on the node id, so the order is total and
+  /// the prefix equals that of a full sort. The default is the paper's App
+  /// B.1 preference — same ToR, then least-loaded, then lowest node id —
+  /// exactly the pre-policy Controller::select_frontends comparator.
+  virtual void rank(std::vector<PlacementCandidate>& candidates,
+                    std::size_t count) const;
 
   /// True when the controller may displace a neighbor's FE to satisfy this
   /// policy's placement when no idle host remains.
@@ -122,7 +124,8 @@ class LoadAwareWeightedPolicy final : public FeSelectionPolicy {
   std::size_t pick(const net::FiveTuple& hash_ft, const tables::Location* fes,
                    std::size_t n, std::uint64_t seed,
                    const FeWeightBook& weights) const override;
-  void rank(std::vector<PlacementCandidate>& candidates) const override;
+  void rank(std::vector<PlacementCandidate>& candidates,
+            std::size_t count) const override;
 
   /// Combined load signal used for ranking: CPU utilization plus the port
   /// backlog normalized against kQueueNormBytes, saturating at 1 each.

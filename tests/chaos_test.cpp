@@ -4,7 +4,10 @@
 // every settle period. Deterministic per seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/invariants.h"
@@ -287,6 +290,57 @@ TEST_P(ClosChaosTest, FeCrashDuringScaleOutKeepsInvariantsAndRecovers) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClosChaosTest,
                          ::testing::Values(1ull, 4ull, 9ull));
+
+// The placement audit catches each planted fault, and only those: a second
+// copy of an offloaded vNIC, a gateway location no vSwitch owns, and a
+// published vSwitch that hosts no FrontendInstance for the vNIC.
+TEST(InvariantCheckerTest, ReportsPlantedPlacementFaults) {
+  core::TestbedConfig cfg = core::make_clos_testbed_config(
+      16, /*hosts_per_leaf=*/4, /*num_spines=*/2);
+  cfg.controller.auto_offload = false;
+  cfg.controller.auto_scale = false;
+  core::Testbed bed(cfg);
+  VnicConfig v;
+  v.id = 100;
+  v.addr = OverlayAddr{kVpc, net::Ipv4Addr(10, 9, 0, 1)};
+  bed.add_vnic(0, v);
+  ASSERT_TRUE(bed.controller().trigger_offload(v.id).ok());
+  bed.run_for(seconds(6));
+  ASSERT_FALSE(bed.controller().transition_pending(v.id));
+  core::InvariantChecker checker(bed);
+  checker.check();
+  ASSERT_TRUE(checker.ok()) << checker.report();
+
+  // Two vSwitches that are neither the home nor an FE of the vNIC.
+  const auto fes = bed.controller().fe_nodes_of(v.id);
+  ASSERT_FALSE(fes.empty());
+  std::vector<std::size_t> idle;
+  for (std::size_t i = 1; i < bed.size() && idle.size() < 2; ++i) {
+    if (std::find(fes.begin(), fes.end(), bed.vswitch(i).id()) == fes.end()) {
+      idle.push_back(i);
+    }
+  }
+  ASSERT_EQ(idle.size(), 2u);
+  ASSERT_TRUE(bed.vswitch(idle[0]).add_vnic(v).ok());
+  bed.gateway().set_placement(
+      v.addr, v.id,
+      {bed.vswitch(fes.front()).location(),
+       tables::Location{net::Ipv4Addr(203, 0, 113, 9), net::MacAddr{}},
+       bed.vswitch(idle[1]).location()});
+
+  checker.check();
+  const std::vector<std::string>& got = checker.violations();
+  ASSERT_EQ(got.size(), 3u) << checker.report();
+  EXPECT_NE(got[0].find("vnic 100 exists on 2 vSwitches"), std::string::npos)
+      << got[0];
+  EXPECT_NE(got[1].find("vnic 100 placement names an unknown underlay address"),
+            std::string::npos)
+      << got[1];
+  EXPECT_NE(got[2].find("node " + std::to_string(bed.vswitch(idle[1]).id()) +
+                        " which hosts no FrontendInstance"),
+            std::string::npos)
+      << got[2];
+}
 
 }  // namespace
 }  // namespace nezha

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -173,30 +174,60 @@ TEST(PolicySelectionTest, RendezvousHonorsTheWeightBook) {
   }
 }
 
+// Tie-heavy candidate set: few tiers, few CPU levels and several queue
+// levels, so most comparisons fall through to the node-id tie-break.
+std::vector<PlacementCandidate> tied_candidates(std::size_t n) {
+  common::Rng rng(19);
+  std::vector<PlacementCandidate> cands;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    cands.push_back(PlacementCandidate{
+        i, static_cast<int>(rng.uniform_u64(0, 2)),
+        static_cast<double>(rng.uniform_u64(0, 4)) * 0.1,
+        static_cast<double>(rng.uniform_u64(0, 4)) * 0.75e6});
+  }
+  return cands;
+}
+
+// rank(c, k) puts the best min(k, n) candidates first, in the order a full
+// sort by `less` gives them, and keeps every candidate exactly once. k runs
+// over none, one, a default pool, and the edges around n.
+template <typename Less>
+void expect_rank_prefix(PolicyKind kind,
+                        const std::vector<PlacementCandidate>& cands,
+                        Less less) {
+  const std::size_t n = cands.size();
+  auto expected = cands;
+  std::sort(expected.begin(), expected.end(), less);
+  for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{4}, n - 1,
+                        n, n + 3}) {
+    SCOPED_TRACE(std::string(policy::to_string(kind)) +
+                 " k=" + std::to_string(k));
+    auto got = cands;
+    policy::policy_for(kind).rank(got, k);
+    ASSERT_EQ(got.size(), n);
+    for (std::size_t i = 0; i < std::min(k, n); ++i) {
+      ASSERT_EQ(got[i].node, expected[i].node) << "rank " << i;
+    }
+    std::vector<std::uint32_t> nodes;
+    for (const PlacementCandidate& c : got) nodes.push_back(c.node);
+    std::sort(nodes.begin(), nodes.end());
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(nodes[i], cands[i].node);
+  }
+}
+
 // The default rank (static + push-aside) must order exactly like the
 // pre-policy Controller::select_frontends comparator.
 TEST(PolicySelectionTest, DefaultRankMatchesLegacyComparator) {
-  common::Rng rng(19);
-  std::vector<PlacementCandidate> cands;
-  for (std::uint32_t i = 0; i < 40; ++i) {
-    cands.push_back(PlacementCandidate{
-        i, static_cast<int>(rng.uniform_u64(0, 2)),
-        static_cast<double>(rng.uniform_u64(0, 4)) * 0.1, 0.0, 0});
-  }
-  auto expected = cands;
-  std::sort(expected.begin(), expected.end(),
-            [](const PlacementCandidate& a, const PlacementCandidate& b) {
-              if (a.tier != b.tier) return a.tier < b.tier;
-              if (a.cpu_util != b.cpu_util) return a.cpu_util < b.cpu_util;
-              return a.node < b.node;
-            });
+  const auto cands = tied_candidates(40);
   for (PolicyKind kind :
        {PolicyKind::kStaticHash, PolicyKind::kPushAsideDisplacement}) {
-    auto got = cands;
-    policy::policy_for(kind).rank(got);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].node, expected[i].node) << policy::to_string(kind);
-    }
+    expect_rank_prefix(
+        kind, cands,
+        [](const PlacementCandidate& a, const PlacementCandidate& b) {
+          if (a.tier != b.tier) return a.tier < b.tier;
+          if (a.cpu_util != b.cpu_util) return a.cpu_util < b.cpu_util;
+          return a.node < b.node;
+        });
   }
 }
 
@@ -205,11 +236,21 @@ TEST(PolicySelectionTest, DefaultRankMatchesLegacyComparator) {
 // with an empty queue (same tier).
 TEST(PolicySelectionTest, LoadAwareRankFoldsQueueBacklog) {
   std::vector<PlacementCandidate> cands;
-  cands.push_back(PlacementCandidate{1, 0, 0.1, 3e6, 0});  // queue-saturated
-  cands.push_back(PlacementCandidate{2, 0, 0.3, 0.0, 0});
-  policy::policy_for(PolicyKind::kLoadAwareWeighted).rank(cands);
+  cands.push_back(PlacementCandidate{1, 0, 0.1, 3e6});  // queue-saturated
+  cands.push_back(PlacementCandidate{2, 0, 0.3, 0.0});
+  policy::policy_for(PolicyKind::kLoadAwareWeighted).rank(cands, 2);
   EXPECT_EQ(cands[0].node, 2u);
   EXPECT_EQ(cands[1].node, 1u);
+
+  expect_rank_prefix(
+      PolicyKind::kLoadAwareWeighted, tied_candidates(40),
+      [](const PlacementCandidate& a, const PlacementCandidate& b) {
+        if (a.tier != b.tier) return a.tier < b.tier;
+        const double la = policy::LoadAwareWeightedPolicy::load_score(a);
+        const double lb = policy::LoadAwareWeightedPolicy::load_score(b);
+        if (la != lb) return la < lb;
+        return a.node < b.node;
+      });
 }
 
 // ---------------------------------------------------------------- bed level
