@@ -115,5 +115,5 @@ int main() {
                      "per-direction hashing roughly doubles slow-path work");
   benchutil::verdict(consistent.cps >= split.cps * 0.95,
                      "session-consistent hashing never loses throughput");
-  return 0;
+  return benchutil::exit_status();
 }

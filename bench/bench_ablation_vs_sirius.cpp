@@ -73,5 +73,5 @@ int main() {
   std::printf("  (%zu of %d flows long-lived; Nezha keeps state at the BE "
               "in one copy, so rebalancing moves nothing)\n",
               long_lived, kFlows);
-  return 0;
+  return benchutil::exit_status();
 }

@@ -85,5 +85,5 @@ int main() {
       static_cast<double>(scale_out_events) / kOffloadEvents;
   benchutil::verdict(frac < 0.06 && total_fes >= 9996ull,
                      "4 initial FEs satisfy >94% of offloads");
-  return 0;
+  return benchutil::exit_status();
 }

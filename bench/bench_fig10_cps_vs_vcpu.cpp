@@ -97,5 +97,5 @@ int main() {
   benchutil::verdict(with_growth > 1.5 && with_growth < 8.0,
                      "with Nezha CPS follows the VM but sublinearly "
                      "(kernel locks)");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -134,5 +134,5 @@ int main(int argc, char** argv) {
                      "offload drops BE CPU from ~70% to ~10%");
   benchutil::verdict(max_fes >= 8 && max_fes <= 16,
                      "FE pool scales out (4 -> 8+) when FE CPU crosses 40%");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -221,5 +221,5 @@ int main(int argc, char** argv) {
                          with_overload_delivery > 0.99,
                      "past saturation the local vSwitch melts down while "
                      "Nezha stays flat");
-  return 0;
+  return benchutil::exit_status();
 }

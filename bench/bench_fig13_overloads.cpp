@@ -63,5 +63,5 @@ int main() {
   benchutil::verdict(all_ok,
                      ">99.5% of CPS/#flows overloads mitigated, #vNICs "
                      "overloads eliminated");
-  return 0;
+  return benchutil::exit_status();
 }

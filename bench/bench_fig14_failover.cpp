@@ -125,5 +125,5 @@ int main(int argc, char** argv) {
                      "loss surge lasts ≈2s (detection + reconfiguration)");
   benchutil::verdict(max_loss > 0.10 && max_loss < 0.45,
                      "only ~1/#FEs of traffic is affected (active-active)");
-  return 0;
+  return benchutil::exit_status();
 }

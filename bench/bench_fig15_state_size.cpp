@@ -116,5 +116,5 @@ int main() {
                      "used state is an order of magnitude below the 64B "
                      "allocation");
   benchutil::verdict(potential >= 5.0, "variable-length states buy ≥5x");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -42,5 +42,5 @@ int main() {
               benchutil::fmt_pct(frac_vs).c_str());
   benchutil::verdict(frac_vm > 0.85 && frac_vm < 0.95 && frac_vs > 0.999,
                      "high-CPS VMs idle while their vSwitches saturate");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -26,5 +26,5 @@ int main() {
   }
   t.print();
   benchutil::verdict(ok, "CPS dominates overloads, #vNICs rarest");
-  return 0;
+  return benchutil::exit_status();
 }

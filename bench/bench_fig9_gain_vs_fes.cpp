@@ -139,5 +139,5 @@ int main(int argc, char** argv) {
                      "CPS gain saturates ≈3.3x beyond 4 FEs");
   benchutil::verdict(flows12 / base_flows > 3.0 && flows12 == flows4,
                      "#flows gain plateaus ≈3.8x at 4 FEs (BE-memory bound)");
-  return 0;
+  return benchutil::exit_status();
 }

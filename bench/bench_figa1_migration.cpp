@@ -68,5 +68,5 @@ int main() {
                          completion_1tb > 600,
                      "migration cost scales with VM size; Nezha redirect "
                      "does not");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -55,5 +55,5 @@ int main() {
   }
   t.print();
   benchutil::verdict(ok, "median users are ~1% of the P9999 heavy user");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -114,5 +114,5 @@ int main() {
                          flow_gains[2] > flow_gains[0] && flow_gains[0] > 3,
                      "#flows gain ordering NAT > TR > LB (inverse session-"
                      "pool size)");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -53,5 +53,5 @@ int main() {
                          completion.percentile(99) < 3500,
                      "activation ≈1s average, ≈2s P99 (seconds, not minutes)");
   std::printf("  (%d offload events simulated)\n", kEvents);
-  return 0;
+  return benchutil::exit_status();
 }

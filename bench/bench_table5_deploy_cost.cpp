@@ -60,5 +60,5 @@ int main() {
   benchutil::verdict(ratio < 0.15,
                      "reuse strategy costs ~an order of magnitude less than "
                      "introducing new devices");
-  return 0;
+  return benchutil::exit_status();
 }

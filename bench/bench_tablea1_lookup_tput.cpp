@@ -111,5 +111,5 @@ int main() {
   h.print();
   benchutil::verdict(base > with_1000,
                      "real lookup code slows with ACL rule count");
-  return 0;
+  return benchutil::exit_status();
 }

@@ -71,9 +71,16 @@ std::string fmt_pct(double fraction, int precision) {
   return buf;
 }
 
+namespace {
+bool g_claim_failed = false;
+}  // namespace
+
 void verdict(bool ok, const std::string& claim) {
   std::printf("  [%s] %s\n", ok ? "SHAPE OK" : "CHECK", claim.c_str());
+  if (!ok) g_claim_failed = true;
 }
+
+int exit_status() { return g_claim_failed ? 1 : 0; }
 
 bool has_flag(int argc, char** argv, const std::string& flag) {
   for (int i = 1; i < argc; ++i) {

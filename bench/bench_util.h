@@ -31,8 +31,12 @@ std::string fmt(double v, int precision = 2);
 std::string fmt_si(double v, int precision = 2);  // 1.3M, 42.0K, ...
 std::string fmt_pct(double fraction, int precision = 1);
 
-/// Prints "  [SHAPE OK] <claim>" or "  [CHECK] <claim>" based on ok.
+/// Prints "  [SHAPE OK] <claim>" or "  [CHECK] <claim>" based on ok, and
+/// records a failed claim for exit_status().
 void verdict(bool ok, const std::string& claim);
+
+/// A paper bench's exit code: 1 once any verdict() printed [CHECK], else 0.
+int exit_status();
 
 /// True when `flag` (e.g. "--clos") appears among the program arguments.
 /// The per-figure benches use this to switch the testbed from the default

@@ -18,7 +18,7 @@ Controller::Controller(sim::EventLoop& loop, sim::Network& network,
 
 void Controller::add_vswitch(vswitch::VSwitch* vs) {
   fleet_index_[vs->id()] = fleet_.size();
-  fleet_.push_back(SwitchState{vs, vs->id(), {}, 0.0});
+  fleet_.push_back(SwitchState{vs, vs->id(), &vs->network(), {}, 0.0});
   vs->set_fe_policy(policy_);
 }
 
@@ -111,7 +111,7 @@ std::vector<vswitch::VSwitch*> Controller::select_frontends(
     if (state.last_cpu_util >= config_.scale_threshold) continue;
     candidates.push_back(policy::PlacementCandidate{
         node, topo.hop_tier(home_id, node), state.last_cpu_util,
-        static_cast<double>(network_.port_queued_bytes(node))});
+        static_cast<double>(state.net->port_queued_bytes(node))});
   }
   // The policy moves the best `count` to the front; the default rank is the
   // paper's App B.1 preference (same ToR, then least-loaded).
@@ -625,12 +625,13 @@ void Controller::publish_fe_weights() {
   ++weight_book_.version;
   for (const auto& state : fleet_) {
     const vswitch::VSwitch* vs = state.vs;
-    // Fold CPU with the egress-port backlog (the controller's shard view;
-    // nodes owned by other shards read 0 — conservative) so either
-    // saturated resource downweights the host. Quantize to [1, kMaxWeight]:
-    // never 0, so an FE still serving stale senders keeps draining.
+    // Fold CPU with the egress-port backlog so either saturated resource
+    // downweights the host. The backlog is read on the owning shard; on a
+    // sharded bed this runs in a fence or between runs, with every shard
+    // quiescent. Quantize to [1, kMaxWeight]: never 0, so an FE still
+    // serving stale senders keeps draining.
     const double queue = std::min(
-        1.0, network_.port_queued_bytes(vs->id()) /
+        1.0, state.net->port_queued_bytes(state.node) /
                  policy::LoadAwareWeightedPolicy::kQueueNormBytes);
     const double load = std::min(1.0, std::max(state.last_cpu_util, queue));
     const auto weight = static_cast<std::uint16_t>(

@@ -112,7 +112,7 @@ class Controller {
   void set_fe_policy(policy::PolicyKind kind);
   policy::PolicyKind fe_policy() const { return config_.fe_policy; }
   /// Recomputes per-FE weights from the latest monitor samples (CPU folded
-  /// with the controller-shard port backlog — the same signals the
+  /// with the port backlog read on the owning shard — the same signals the
   /// telemetry registry's vs<i>.cpu_util / vs<i>.port_q gauges export) and
   /// pushes the book fleet-wide. monitor_tick calls this every
   /// weight_update_period under kLoadAwareWeighted; tests and benches may
@@ -190,6 +190,8 @@ class Controller {
     vswitch::VSwitch* vs = nullptr;
     /// vs->id(), cached so fleet-wide scans stay inside this dense vector.
     sim::NodeId node = 0;
+    /// vs->network(): the owning shard's Network, which holds the port.
+    const sim::Network* net = nullptr;
     vswitch::UtilizationSampler sampler;
     double last_cpu_util = 0.0;
   };

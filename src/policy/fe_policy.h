@@ -77,7 +77,7 @@ struct PlacementCandidate {
   std::uint32_t node = 0;     // sim::NodeId of the candidate vSwitch
   int tier = 0;               // topology hop tier from the vNIC's home
   double cpu_util = 0.0;      // controller's last sampled CPU utilization
-  double queue_bytes = 0.0;   // egress port backlog (controller's shard view)
+  double queue_bytes = 0.0;   // egress port backlog (owning shard's view)
 };
 
 class FeSelectionPolicy {

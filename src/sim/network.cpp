@@ -88,7 +88,7 @@ void Network::attach(Node& node) {
     crashed_.resize(id + 1, 0);
   }
   nodes_[id] = &node;
-  ports_[id] = Port{};
+  ports_[id] = Link{};
   // Probe-table growth keeps the load factor ≤ 1/2.
   if (2 * (ip_count_ + 1) > ip_slots_.size()) {
     rebuild_ip_table();
@@ -99,7 +99,7 @@ void Network::attach(Node& node) {
 void Network::detach(NodeId id) {
   if (id >= nodes_.size() || nodes_[id] == nullptr) return;
   nodes_[id] = nullptr;
-  ports_[id] = Port{};
+  ports_[id] = Link{};
   crashed_[id] = 0;
   rebuild_ip_table();
 }
@@ -122,26 +122,10 @@ bool Network::finish_hop(std::uint32_t slot, net::Packet* pkt_out,
   const NodeId from = rec.from;
   const NodeId to = rec.to;
   const std::uint32_t bytes = rec.bytes;
-  const std::int32_t up = rec.up_link;
-  const std::int32_t down = rec.down_link;
   const HopKind kind = rec.kind;
   // Free before delivery: receive() may send and reuse this slot.
   free_slots_.push_back(slot);
   --in_flight_;
-
-  const bool imported = rec.imported != 0;
-  // Drain the queue accounting as the bytes leave the port / fabric links.
-  // Imported packets' sender ports belong to another shard — the source
-  // shard drained them at the handoff time.
-  if (!imported && from < ports_.size() && ports_[from].queued_bytes >= bytes) {
-    ports_[from].queued_bytes -= bytes;
-  }
-  if (up >= 0 && fabric_links_[up].queued_bytes >= bytes) {
-    fabric_links_[up].queued_bytes -= bytes;
-  }
-  if (down >= 0 && fabric_links_[down].queued_bytes >= bytes) {
-    fabric_links_[down].queued_bytes -= bytes;
-  }
 
   if (kind == HopKind::kFabricDrop) {
     ++dropped_fabric_;
@@ -291,6 +275,40 @@ void Network::record_drop(const net::Packet& pkt, NodeId node,
   telemetry_->record(e);
 }
 
+bool Network::reserve(Link& link, common::TimePoint at, std::size_t bytes,
+                      double bps, std::size_t cap, common::TimePoint* done) {
+  if (link.busy_until < at) link.busy_until = at;
+  if (backlog(link, at, bps) + static_cast<double>(bytes) >
+      static_cast<double>(cap)) {
+    return false;
+  }
+  link.busy_until += static_cast<common::Duration>(
+      static_cast<double>(bytes) * 8.0 / bps *
+      static_cast<double>(common::kSecond));
+  *done = link.busy_until;
+  return true;
+}
+
+Network::Link& Network::fabric_link(bool down, std::uint32_t leaf,
+                                    std::uint32_t spine) {
+  const std::size_t i = (leaf * num_spines_ + spine) * 2 + (down ? 1 : 0);
+  if (i >= fabric_links_.size()) fabric_links_.resize(i + 1);
+  return fabric_links_[i];
+}
+
+std::uint32_t Network::hold(net::Packet&& pkt, NodeId from, NodeId to,
+                            std::uint32_t bytes, HopKind kind) {
+  ++in_flight_;
+  const std::uint32_t slot = alloc_slot();
+  InFlight& rec = slab_[slot];
+  rec.pkt = std::move(pkt);
+  rec.from = from;
+  rec.to = to;
+  rec.bytes = bytes;
+  rec.kind = kind;
+  return slot;
+}
+
 void Network::send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt) {
   ++sent_;
   if (telemetry_ != nullptr) telemetry_->stamp(pkt);
@@ -301,94 +319,24 @@ void Network::send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt) {
                 static_cast<std::uint32_t>(pkt.wire_size()));
     return;
   }
-  Node* dst = find_by_ip(to_ip);
-  if (dst == nullptr) {
-    if (engine_ != nullptr) {
-      const ShardedEngine::Remote* rem = engine_->lookup_remote(to_ip);
-      if (rem != nullptr && rem->shard != shard_id_) {
-        send_remote(from, *rem, std::move(pkt));
-        return;
-      }
+  // Resolve the destination: attached here, or owned by another shard.
+  NodeId to = 0;
+  std::uint32_t to_shard = shard_id_;
+  if (const Node* dst = find_by_ip(to_ip)) {
+    to = dst->id();
+  } else {
+    const ShardedEngine::Remote* rem =
+        engine_ != nullptr ? engine_->lookup_remote(to_ip) : nullptr;
+    if (rem == nullptr || rem->shard == shard_id_) {
+      ++dropped_no_route_;
+      record_drop(pkt, from, to_ip.value(),
+                  static_cast<std::uint8_t>(telemetry::DropReason::kNoRoute),
+                  static_cast<std::uint32_t>(pkt.wire_size()));
+      return;
     }
-    ++dropped_no_route_;
-    record_drop(pkt, from, to_ip.value(),
-                static_cast<std::uint8_t>(telemetry::DropReason::kNoRoute),
-                static_cast<std::uint32_t>(pkt.wire_size()));
-    return;
+    to = rem->node;
+    to_shard = rem->shard;
   }
-  if (partitioned(from, dst->id())) {
-    ++dropped_partitioned_;
-    record_drop(pkt, from, dst->id(),
-                static_cast<std::uint8_t>(telemetry::DropReason::kPartitioned),
-                static_cast<std::uint32_t>(pkt.wire_size()));
-    return;
-  }
-  const std::size_t bytes = pkt.wire_size();
-
-  // Sender-port serialization: the port transmits packets back to back at
-  // link_bps. busy_until tracks when the port frees up. Off-shard control
-  // senders (e.g. the link prober speaking for a remote BE) may carry ids
-  // beyond the locally attached range; grow the port table for them.
-  if (from >= ports_.size()) ports_.resize(from + 1);
-  Port& port = ports_[from];
-  const common::TimePoint now = loop_.now();
-  if (port.busy_until < now) {
-    port.busy_until = now;
-    port.queued_bytes = 0;
-  }
-  if (port.queued_bytes + bytes > config_.egress_queue_bytes) {
-    ++dropped_queue_full_;
-    record_drop(pkt, from, dst->id(),
-                static_cast<std::uint8_t>(telemetry::DropReason::kQueueFull),
-                static_cast<std::uint32_t>(bytes));
-    return;
-  }
-  const auto serialization = static_cast<common::Duration>(
-      static_cast<double>(bytes) * 8.0 / config_.link_bps *
-      static_cast<double>(common::kSecond));
-  port.busy_until += serialization;
-  port.queued_bytes += bytes;
-  const common::TimePoint tx_done = port.busy_until;
-  const NodeId to = dst->id();
-
-  if (telemetry_ != nullptr) {
-    telemetry::TraceEvent e;
-    e.at = loop_.now();
-    e.packet_id = pkt.id;
-    e.flow = trace_flow(pkt);
-    e.a = to;
-    e.b = static_cast<std::uint32_t>(bytes);
-    e.node = from;
-    e.kind = telemetry::EventKind::kPktEnqueue;
-    telemetry_->record(e);
-  }
-
-  if (topology_.is_clos() && !topology_.same_leaf(from, to)) {
-    total_bytes_ += bytes;
-    send_clos(from, to, bytes, tx_done, std::move(pkt));
-    return;
-  }
-
-  const common::TimePoint arrival = tx_done + topology_.latency(from, to);
-  total_bytes_ += bytes;
-
-  ++in_flight_;
-  const std::uint32_t slot = alloc_slot();
-  InFlight& rec = slab_[slot];
-  rec.pkt = std::move(pkt);
-  rec.from = from;
-  rec.to = to;
-  rec.bytes = static_cast<std::uint32_t>(bytes);
-  rec.up_link = -1;
-  rec.down_link = -1;
-  rec.kind = HopKind::kDeliver;
-  rec.imported = 0;
-  schedule_delivery(arrival, slot);
-}
-
-void Network::send_remote(NodeId from, const ShardedEngine::Remote& rem,
-                          net::Packet pkt) {
-  const NodeId to = rem.node;
   if (partitioned(from, to)) {
     ++dropped_partitioned_;
     record_drop(pkt, from, to,
@@ -396,225 +344,103 @@ void Network::send_remote(NodeId from, const ShardedEngine::Remote& rem,
                 static_cast<std::uint32_t>(pkt.wire_size()));
     return;
   }
-  const std::size_t bytes = pkt.wire_size();
+  const auto bytes = static_cast<std::uint32_t>(pkt.wire_size());
+
+  // Sender port. Off-shard control senders (e.g. the link prober speaking
+  // for a remote BE) may carry ids beyond the locally attached range; grow
+  // the port table for them.
   if (from >= ports_.size()) ports_.resize(from + 1);
-  Port& port = ports_[from];
-  const common::TimePoint now = loop_.now();
-  if (port.busy_until < now) {
-    port.busy_until = now;
-    port.queued_bytes = 0;
-  }
-  if (port.queued_bytes + bytes > config_.egress_queue_bytes) {
+  common::TimePoint tx_done = 0;
+  if (!reserve(ports_[from], loop_.now(), bytes, config_.link_bps,
+               config_.egress_queue_bytes, &tx_done)) {
     ++dropped_queue_full_;
     record_drop(pkt, from, to,
                 static_cast<std::uint8_t>(telemetry::DropReason::kQueueFull),
-                static_cast<std::uint32_t>(bytes));
+                bytes);
     return;
   }
-  const auto serialization = static_cast<common::Duration>(
-      static_cast<double>(bytes) * 8.0 / config_.link_bps *
-      static_cast<double>(common::kSecond));
-  port.busy_until += serialization;
-  port.queued_bytes += bytes;
-  const common::TimePoint tx_done = port.busy_until;
   total_bytes_ += bytes;
-
   if (telemetry_ != nullptr) {
     telemetry::TraceEvent e;
     e.at = loop_.now();
     e.packet_id = pkt.id;
     e.flow = trace_flow(pkt);
     e.a = to;
-    e.b = static_cast<std::uint32_t>(bytes);
+    e.b = bytes;
     e.node = from;
     e.kind = telemetry::EventKind::kPktEnqueue;
     telemetry_->record(e);
   }
 
-  ShardToken tok;
-  tok.from = from;
-  tok.to = to;
-  tok.bytes = static_cast<std::uint32_t>(bytes);
-  if (topology_.is_clos() && !topology_.same_leaf(from, to)) {
-    // Cross-leaf Clos: this shard owns the source leaf's uplinks (shards
-    // are rack-aligned, so no other shard touches them). Model the uplink
-    // leg locally; hand off at the spine.
+  // `at` becomes the spine arrival on a cross-leaf Clos path and the final
+  // arrival on every other path.
+  common::TimePoint at = 0;
+  std::uint32_t spine = 0;
+  if (cross_leaf(from, to)) {
+    // ECMP on the canonical inner 5-tuple: both directions of a flow, and
+    // both runs of a seeded experiment, ride the same spine.
+    spine = topology_.ecmp_spine(
+        from, to, net::flow_hash(pkt.inner.ft.canonical(), config_.ecmp_seed));
+    // Leaf→spine uplink. Shards are rack-aligned, so the sender's shard
+    // owns its leaf's uplinks.
     const ClosConfig& clos = topology_.config().clos;
-    const std::uint64_t entropy =
-        net::flow_hash(pkt.inner.ft.canonical(), config_.ecmp_seed);
-    const std::uint32_t spine = topology_.ecmp_spine(from, to, entropy);
-    const std::uint32_t up_idx =
-        fabric_index(false, topology_.leaf_of(from), spine);
-    if (up_idx >= fabric_links_.size()) fabric_links_.resize(up_idx + 1);
-    const auto fabric_ser = static_cast<common::Duration>(
-        static_cast<double>(bytes) * 8.0 / fabric_link_bps_ *
-        static_cast<double>(common::kSecond));
     const common::TimePoint at_leaf = tx_done + clos.host_leaf_latency;
-    Port& up = fabric_links_[up_idx];
-    if (up.busy_until < at_leaf) {
-      up.busy_until = at_leaf;
-      up.queued_bytes = 0;
-    }
-    if (up.queued_bytes + bytes > config_.fabric_queue_bytes) {
-      // Tail-dropped on our own uplink: stays shard-local (mirrors
-      // send_clos — an in-flight record carried to the drop time).
-      ++in_flight_;
-      const std::uint32_t slot = alloc_slot();
-      InFlight& rec = slab_[slot];
-      rec.pkt = std::move(pkt);
-      rec.from = from;
-      rec.to = to;
-      rec.bytes = static_cast<std::uint32_t>(bytes);
-      rec.up_link = -1;
-      rec.down_link = -1;
-      rec.kind = HopKind::kFabricDrop;
-      rec.imported = 0;
-      schedule_delivery(at_leaf, slot);
+    common::TimePoint up_done = 0;
+    if (!reserve(fabric_link(false, topology_.leaf_of(from), spine), at_leaf,
+                 bytes, fabric_link_bps_, config_.fabric_queue_bytes,
+                 &up_done)) {
+      schedule_delivery(at_leaf, hold(std::move(pkt), from, to, bytes,
+                                      HopKind::kFabricDrop));
       return;
     }
-    up.busy_until += fabric_ser;
-    up.queued_bytes += bytes;
-    const common::TimePoint at_spine = up.busy_until + clos.leaf_spine_latency;
-    // The bytes leave this shard's domain at the spine; the destination
-    // shard cannot reach back to drain our queues, so drain the sender
-    // port and uplink accounting here.
-    loop_.schedule_raw_at(at_spine, &Network::drain_port_thunk, this,
-                          pack_drain(bytes, from));
-    loop_.schedule_raw_at(at_spine, &Network::drain_fabric_thunk, this,
-                          pack_drain(bytes, up_idx));
-    tok.pkt = std::move(pkt);
-    tok.at = at_spine;
-    tok.spine = spine;
-    tok.kind = TokenKind::kAtSpine;
+    at = up_done + clos.leaf_spine_latency;
   } else {
-    const common::TimePoint arrival = tx_done + topology_.latency(from, to);
-    loop_.schedule_raw_at(arrival, &Network::drain_port_thunk, this,
-                          pack_drain(bytes, from));
-    tok.pkt = std::move(pkt);
-    tok.at = arrival;
-    tok.kind = TokenKind::kArrival;
+    at = tx_done + topology_.latency(from, to);
   }
-  ++exported_;
-  engine_->export_token(shard_id_, rem.shard, std::move(tok));
+
+  if (to_shard != shard_id_) {
+    ShardToken tok;
+    tok.pkt = std::move(pkt);
+    tok.at = at;
+    tok.from = from;
+    tok.to = to;
+    tok.bytes = bytes;
+    tok.spine = spine;
+    ++exported_;
+    engine_->export_token(shard_id_, to_shard, std::move(tok));
+    return;
+  }
+  downlink(hold(std::move(pkt), from, to, bytes, HopKind::kDeliver), spine,
+           at);
 }
 
 void Network::inject_token(ShardToken tok) {
   ++imported_;
-  ++in_flight_;
-  const std::uint32_t slot = alloc_slot();
-  InFlight& rec = slab_[slot];
-  rec.pkt = std::move(tok.pkt);
-  rec.from = tok.from;
-  rec.to = tok.to;
-  rec.bytes = tok.bytes;
-  rec.up_link = -1;
-  rec.down_link = -1;
-  rec.imported = 1;
-  if (tok.kind == TokenKind::kArrival) {
-    rec.kind = HopKind::kDeliver;
-    schedule_delivery(tok.at, slot);
-    return;
-  }
-  // kAtSpine: finish the Clos path on the spine→leaf downlink, which this
-  // shard owns (the destination leaf is one of its racks).
-  const ClosConfig& clos = topology_.config().clos;
-  const std::uint32_t down_idx =
-      fabric_index(true, topology_.leaf_of(tok.to), tok.spine);
-  if (down_idx >= fabric_links_.size()) fabric_links_.resize(down_idx + 1);
-  const auto fabric_ser = static_cast<common::Duration>(
-      static_cast<double>(tok.bytes) * 8.0 / fabric_link_bps_ *
-      static_cast<double>(common::kSecond));
-  Port& down = fabric_links_[down_idx];
-  if (down.busy_until < tok.at) {
-    down.busy_until = tok.at;
-    down.queued_bytes = 0;
-  }
-  if (down.queued_bytes + tok.bytes > config_.fabric_queue_bytes) {
-    rec.kind = HopKind::kFabricDrop;
-    schedule_delivery(tok.at, slot);
-    return;
-  }
-  down.busy_until += fabric_ser;
-  down.queued_bytes += tok.bytes;
-  rec.down_link = static_cast<std::int32_t>(down_idx);
-  spine_bytes_[tok.spine] += tok.bytes;
-  rec.kind = HopKind::kDeliver;
-  const common::TimePoint arrival =
-      down.busy_until + clos.leaf_spine_latency + clos.host_leaf_latency;
-  schedule_delivery(arrival, slot);
+  downlink(hold(std::move(tok.pkt), tok.from, tok.to, tok.bytes,
+                HopKind::kDeliver),
+           tok.spine, tok.at);
 }
 
-void Network::send_clos(NodeId from, NodeId to, std::size_t bytes,
-                        common::TimePoint tx_done, net::Packet pkt) {
-  const ClosConfig& clos = topology_.config().clos;
-  // ECMP on the canonical inner 5-tuple: both directions of a flow, and both
-  // runs of a seeded experiment, ride the same spine.
-  const std::uint64_t entropy =
-      net::flow_hash(pkt.inner.ft.canonical(), config_.ecmp_seed);
-  const std::uint32_t spine = topology_.ecmp_spine(from, to, entropy);
-  const std::uint32_t up_idx =
-      fabric_index(false, topology_.leaf_of(from), spine);
-  const std::uint32_t down_idx =
-      fabric_index(true, topology_.leaf_of(to), spine);
-  const std::uint32_t max_idx = std::max(up_idx, down_idx);
-  if (max_idx >= fabric_links_.size()) {
-    // Off-grid senders (gateway/monitor nodes beyond the host grid) extend
-    // the link table; fabric_index() never renumbers existing links.
-    fabric_links_.resize(max_idx + 1);
-  }
-  const auto fabric_ser = static_cast<common::Duration>(
-      static_cast<double>(bytes) * 8.0 / fabric_link_bps_ *
-      static_cast<double>(common::kSecond));
-
-  ++in_flight_;
-  const std::uint32_t slot = alloc_slot();
+void Network::downlink(std::uint32_t slot, std::uint32_t spine,
+                       common::TimePoint at) {
   InFlight& rec = slab_[slot];
-  rec.pkt = std::move(pkt);
-  rec.from = from;
-  rec.to = to;
-  rec.bytes = static_cast<std::uint32_t>(bytes);
-  rec.up_link = -1;
-  rec.down_link = -1;
-  rec.imported = 0;
-
-  // Leaf→spine uplink: queue + serialize at the contended fabric rate.
-  const common::TimePoint at_leaf = tx_done + clos.host_leaf_latency;
-  Port& up = fabric_links_[up_idx];
-  if (up.busy_until < at_leaf) {
-    up.busy_until = at_leaf;
-    up.queued_bytes = 0;
-  }
-  if (up.queued_bytes + bytes > config_.fabric_queue_bytes) {
-    rec.kind = HopKind::kFabricDrop;
-    schedule_delivery(at_leaf, slot);
+  if (!cross_leaf(rec.from, rec.to)) {
+    schedule_delivery(at, slot);
     return;
   }
-  up.busy_until += fabric_ser;
-  up.queued_bytes += bytes;
-  rec.up_link = static_cast<std::int32_t>(up_idx);
-  const common::TimePoint at_spine = up.busy_until + clos.leaf_spine_latency;
-
-  // Spine→leaf downlink.
-  Port& down = fabric_links_[down_idx];
-  if (down.busy_until < at_spine) {
-    down.busy_until = at_spine;
-    down.queued_bytes = 0;
-  }
-  if (down.queued_bytes + bytes > config_.fabric_queue_bytes) {
+  // Spine→leaf downlink, owned by the destination leaf's shard.
+  const ClosConfig& clos = topology_.config().clos;
+  common::TimePoint down_done = 0;
+  if (!reserve(fabric_link(true, topology_.leaf_of(rec.to), spine), at,
+               rec.bytes, fabric_link_bps_, config_.fabric_queue_bytes,
+               &down_done)) {
     rec.kind = HopKind::kFabricDrop;
-    schedule_delivery(at_spine, slot);
+    schedule_delivery(at, slot);
     return;
   }
-  down.busy_until += fabric_ser;
-  down.queued_bytes += bytes;
-  rec.down_link = static_cast<std::int32_t>(down_idx);
-  const common::TimePoint down_done = down.busy_until;
-  spine_bytes_[spine] += bytes;
-
-  const common::TimePoint arrival =
-      down_done + clos.leaf_spine_latency + clos.host_leaf_latency;
-  rec.kind = HopKind::kDeliver;
-  schedule_delivery(arrival, slot);
+  spine_bytes_[spine] += rec.bytes;
+  schedule_delivery(
+      down_done + clos.leaf_spine_latency + clos.host_leaf_latency, slot);
 }
 
 void Network::crash(NodeId id) {

@@ -1,12 +1,18 @@
 // The underlay network: registers nodes, routes packets by underlay IP,
-// models per-port serialization (link bandwidth) plus fabric latency, and
-// injects node crashes for failover experiments.
+// models link bandwidth plus fabric latency, and injects node crashes for
+// failover experiments.
 //
-// Under a Clos topology (Topology::is_clos()), cross-leaf packets also
-// traverse two contended fabric links — the leaf→spine uplink and the
-// spine→leaf downlink of the ECMP-selected spine — each with finite
-// bandwidth and a tail-drop queue, so offload traffic genuinely competes
-// for spine capacity.
+// One link model: every sender port and, under a Clos topology
+// (Topology::is_clos()), every leaf→spine uplink and spine→leaf downlink is
+// a tail-drop FIFO described by one clock, the time its last reserved byte
+// leaves. A packet reserves each link on its path through the same
+// reserve() hop: it queues behind the backlog it finds, or is dropped when
+// that backlog plus itself exceeds the link's queue capacity. The backlog
+// at time t is max(0, busy_until − t) × rate, exact for a work-conserving
+// FIFO, so drops and the queue gauges read the clock and no byte counter
+// has to be released later. Cross-leaf Clos packets pick a spine by ECMP
+// and contend for its uplink and downlink, so offload traffic genuinely
+// competes for spine capacity.
 //
 // Datapath memory model: a packet in flight lives in a pooled slab record
 // (InFlight) addressed by a small slot index, and the scheduled completion
@@ -83,16 +89,16 @@ class Network {
 
   /// Sends pkt from `from` to the node owning `to_ip`. The packet first
   /// waits in the sender's egress queue (serialization at link_bps), then
-  /// crosses the fabric (topology latency; on Clos, also two contended
-  /// fabric links), then is delivered — unless the destination is unknown,
-  /// crashed, or a queue overflows.
+  /// crosses the fabric (topology latency; on a cross-leaf Clos path, also
+  /// the ECMP spine's uplink and downlink), then is delivered — unless the
+  /// destination is unknown, crashed, or a queue overflows.
   void send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt);
 
   /// Sharded-engine hookup (DESIGN.md §13). With an engine set, a send()
-  /// whose destination IP is not attached locally is resolved fleet-wide:
-  /// the source shard models sender-port serialization (and, on Clos, the
-  /// leaf→spine uplink it owns), then exports a ShardToken to the owning
-  /// shard instead of scheduling a local delivery.
+  /// whose destination IP is not attached locally is resolved fleet-wide.
+  /// The sending shard reserves the links it owns (the sender port and, on
+  /// a cross-leaf Clos path, its leaf's uplink), then exports a ShardToken
+  /// to the owning shard instead of running the last leg locally.
   void set_engine(ShardedEngine* engine, std::uint32_t shard_id) {
     engine_ = engine;
     shard_id_ = shard_id;
@@ -100,9 +106,10 @@ class Network {
   std::uint32_t shard_id() const { return shard_id_; }
 
   /// Injects a token exported by another shard (engine-only; called at
-  /// epoch boundaries with every worker quiescent). Completes the fabric
-  /// path: schedules delivery at tok.at (kArrival) or queues the
-  /// spine→leaf downlink first (kAtSpine).
+  /// epoch boundaries with every worker quiescent). Runs the same last leg
+  /// a local send runs: a cross-leaf Clos packet reaches the spine at
+  /// tok.at and queues on the spine→leaf downlink this shard owns; any
+  /// other packet is delivered at tok.at.
   void inject_token(ShardToken tok);
 
   /// Fault injection: a crashed node neither sends nor receives.
@@ -159,21 +166,35 @@ class Network {
   /// events and stamps packet ids at the send edge.
   void set_telemetry(telemetry::Hub* hub) { telemetry_ = hub; }
 
-  /// Queue-depth observability for telemetry gauges.
+  /// Egress-port backlog of node `id` now: the bytes its FIFO has yet to
+  /// put on the wire. Exact for the modeled port. The port lives on the
+  /// sender's shard, so read it from the Network that owns the node.
   std::size_t port_queued_bytes(NodeId id) const {
-    return id < ports_.size() ? ports_[id].queued_bytes : 0;
+    return id < ports_.size() ? static_cast<std::size_t>(backlog(
+                                    ports_[id], loop_.now(), config_.link_bps))
+                              : 0;
   }
   std::size_t fabric_link_count() const { return fabric_links_.size(); }
+  /// Backlog of directed fabric link i now, max(0, busy_until − now) ×
+  /// rate: the bytes committed to it and not yet sent. A fabric link is
+  /// reserved when the packet is sent, not when the packet reaches it, so
+  /// while a packet is still travelling toward the link the gauge also
+  /// counts that travel time at the link's rate. Uplinks live on the
+  /// source leaf's shard, downlinks on the destination leaf's shard.
   std::size_t fabric_queued_bytes(std::size_t i) const {
-    return i < fabric_links_.size() ? fabric_links_[i].queued_bytes : 0;
+    return i < fabric_links_.size()
+               ? static_cast<std::size_t>(
+                     backlog(fabric_links_[i], loop_.now(), fabric_link_bps_))
+               : 0;
   }
   std::uint32_t num_spines() const { return num_spines_; }
 
  private:
-  struct Port {
-    // Virtual time at which the egress link becomes free.
+  /// One direction of a link: a sender port or a Clos fabric link. The
+  /// link sends back to back, so its clock is its whole state.
+  struct Link {
+    // Virtual time at which the last reserved byte leaves the link.
     common::TimePoint busy_until = 0;
-    std::size_t queued_bytes = 0;
   };
 
   /// What a scheduled completion does with its in-flight record.
@@ -183,57 +204,42 @@ class Network {
   };
 
   /// Pooled record for one packet between send() and its completion event.
-  /// up_link / down_link are fabric-link indices to drain on completion
-  /// (-1 = not queued on that link).
   struct InFlight {
     net::Packet pkt;
     NodeId from = 0;
     NodeId to = 0;
     std::uint32_t bytes = 0;
-    std::int32_t up_link = -1;
-    std::int32_t down_link = -1;
     HopKind kind = HopKind::kDeliver;
-    /// Injected from another shard: `from` is a remote node, so completion
-    /// must not drain this shard's port accounting for it (the source
-    /// shard drains its own port at the handoff time).
-    std::uint8_t imported = 0;
   };
 
-  /// Cross-leaf Clos path: queue through the ECMP-selected uplink/downlink
-  /// pair after sender-port serialization completes at tx_done.
-  void send_clos(NodeId from, NodeId to, std::size_t bytes,
-                 common::TimePoint tx_done, net::Packet pkt);
+  /// The one FIFO hop. A packet of `bytes` reaching `link` at `at` is
+  /// tail-dropped (returns false) when the backlog it finds plus itself
+  /// exceeds `cap`; otherwise it queues behind that backlog, serializes at
+  /// `bps`, and *done is the time its last byte leaves.
+  static bool reserve(Link& link, common::TimePoint at, std::size_t bytes,
+                      double bps, std::size_t cap, common::TimePoint* done);
+  /// Bytes `link` still has to send at `at`: max(0, busy_until − at) × bps.
+  static double backlog(const Link& link, common::TimePoint at, double bps) {
+    if (link.busy_until <= at) return 0.0;
+    return static_cast<double>(link.busy_until - at) * bps /
+           (8.0 * static_cast<double>(common::kSecond));
+  }
 
-  /// Cross-shard path: serialize on the sender port (and the local Clos
-  /// uplink), then export a token to the destination's shard.
-  void send_remote(NodeId from, const ShardedEngine::Remote& rem,
-                   net::Packet pkt);
-
-  /// Deferred queue-byte drains for exported packets (the completion that
-  /// would normally drain them runs on another shard). arg packs
-  /// (bytes << 32 | index).
-  static std::uint64_t pack_drain(std::size_t bytes, std::uint32_t idx) {
-    return (static_cast<std::uint64_t>(bytes) << 32) | idx;
+  bool cross_leaf(NodeId from, NodeId to) const {
+    return topology_.is_clos() && !topology_.same_leaf(from, to);
   }
-  void drain_port(std::uint64_t bytes, std::uint32_t node) {
-    if (node < ports_.size() && ports_[node].queued_bytes >= bytes) {
-      ports_[node].queued_bytes -= static_cast<std::size_t>(bytes);
-    }
-  }
-  void drain_fabric(std::uint64_t bytes, std::uint32_t link) {
-    if (link < fabric_links_.size() &&
-        fabric_links_[link].queued_bytes >= bytes) {
-      fabric_links_[link].queued_bytes -= static_cast<std::size_t>(bytes);
-    }
-  }
-  static void drain_port_thunk(void* self, std::uint64_t arg) {
-    static_cast<Network*>(self)->drain_port(arg >> 32,
-                                            static_cast<std::uint32_t>(arg));
-  }
-  static void drain_fabric_thunk(void* self, std::uint64_t arg) {
-    static_cast<Network*>(self)->drain_fabric(
-        arg >> 32, static_cast<std::uint32_t>(arg));
-  }
+  /// Directed fabric link: appending leaves as higher NodeIds appear never
+  /// renumbers existing links (spine count is fixed per topology), so
+  /// off-grid nodes (gateway/monitor beyond the host grid) extend the table.
+  Link& fabric_link(bool down, std::uint32_t leaf, std::uint32_t spine);
+  /// Puts pkt in flight in a fresh slab record.
+  std::uint32_t hold(net::Packet&& pkt, NodeId from, NodeId to,
+                     std::uint32_t bytes, HopKind kind);
+  /// The last leg, shared by a local send and an injected token: a
+  /// cross-leaf Clos packet reaches `spine` at `at` and queues on the
+  /// spine→leaf downlink; any other packet arrives at `at`.
+  void downlink(std::uint32_t slot, std::uint32_t spine,
+                common::TimePoint at);
 
   /// One per-node batch of deliveries sharing a quantized window timestamp.
   /// Buckets are pooled (slots vectors keep their capacity across reuse) so
@@ -251,9 +257,9 @@ class Network {
   /// (exact mode) or membership in the destination's window bucket (burst
   /// mode, rx_burst_window > 0).
   void schedule_delivery(common::TimePoint arrival, std::uint32_t slot);
-  /// Completion accounting shared by both modes: frees the slot, drains
-  /// queue-byte accounting, and classifies the hop. Returns true when the
-  /// packet survives to delivery (moved into *pkt_out).
+  /// Completion accounting shared by both modes: frees the slot and
+  /// classifies the hop. Returns true when the packet survives to delivery
+  /// (moved into *pkt_out).
   bool finish_hop(std::uint32_t slot, net::Packet* pkt_out, NodeId* from_out,
                   std::uint32_t* bytes_out);
   void rx_drain(std::uint32_t bucket);
@@ -275,13 +281,6 @@ class Network {
   void rebuild_ip_table();
   void ip_insert(std::uint32_t ip, Node* node);
 
-  /// Directed fabric link index: appending leaves as higher NodeIds appear
-  /// never renumbers existing links (spine count is fixed per topology).
-  std::uint32_t fabric_index(bool down, std::uint32_t leaf,
-                             std::uint32_t spine) const {
-    return (leaf * num_spines_ + spine) * 2 + (down ? 1 : 0);
-  }
-
   static std::uint64_t pair_key(NodeId a, NodeId b) {
     if (a > b) std::swap(a, b);
     return (static_cast<std::uint64_t>(a) << 32) | b;
@@ -295,7 +294,7 @@ class Network {
 
   // Dense per-node state, indexed by NodeId (ids are small and sequential).
   std::vector<Node*> nodes_;
-  std::vector<Port> ports_;
+  std::vector<Link> ports_;
   std::vector<std::uint8_t> crashed_;
 
   // Flat open-addressed IP→node probe table (key 0 = empty slot; a node
@@ -304,8 +303,9 @@ class Network {
   std::size_t ip_count_ = 0;
   Node* ip_zero_node_ = nullptr;
 
-  // Directed Clos fabric links, indexed by fabric_index().
-  std::vector<Port> fabric_links_;
+  // Directed Clos fabric links, indexed (leaf * num_spines + spine) * 2 +
+  // (downlink ? 1 : 0).
+  std::vector<Link> fabric_links_;
 
   // Partitions are rare and few; a tiny pair-key vector beats a hash set.
   std::vector<std::uint64_t> partition_pairs_;

@@ -47,29 +47,19 @@ namespace nezha::sim {
 class EventLoop;
 class Network;
 
-/// How far along the fabric path a token's packet already is when it is
-/// handed to the destination shard.
-enum class TokenKind : std::uint8_t {
-  /// `at` is the final arrival time at the destination host; the source
-  /// shard already modeled the whole path (tiered fabrics, same-leaf).
-  kArrival = 0,
-  /// Clos cross-leaf: the source shard modeled sender-port serialization
-  /// and the leaf→spine uplink; `at` is the time the packet reaches the
-  /// spine. The destination shard owns the spine→leaf downlink (only its
-  /// own racks' downlinks), so it queues the downlink leg and delivers.
-  kAtSpine = 1,
-};
-
 /// One cross-shard packet handoff. POD-movable; the Packet rides by value.
+/// The source shard has reserved every link it owns. On a cross-leaf Clos
+/// path `at` is the spine arrival and the destination shard queues the
+/// spine→leaf downlink it owns; on any other path `at` is the final
+/// arrival. Both shards tell the two apart from the topology.
 struct ShardToken {
   net::Packet pkt;
-  common::TimePoint at = 0;  // kind-dependent; always >= next epoch start
+  common::TimePoint at = 0;  // always >= next epoch start
   std::uint64_t seq = 0;     // producer order within one (src, dst) ring
   NodeId from = 0;
   NodeId to = 0;
   std::uint32_t bytes = 0;
-  std::uint32_t spine = 0;   // kAtSpine: ECMP spine already selected
-  TokenKind kind = TokenKind::kArrival;
+  std::uint32_t spine = 0;   // cross-leaf Clos: ECMP spine already selected
 };
 
 /// Single-producer/single-consumer token ring with a producer-side

@@ -122,6 +122,9 @@ class VSwitch : public sim::Node {
   /// on the wrong loop would race with the owning shard's packet processing
   /// once the engine goes multi-threaded.
   sim::EventLoop& loop() { return loop_; }
+  /// The Network this vSwitch sends through — its owning shard's. Its
+  /// egress port lives there, so read the port backlog from it.
+  const sim::Network& network() const { return network_; }
 
   // ---------- vNIC lifecycle ----------
   /// Adds a hosted vNIC; fails when slow-path memory cannot hold its rule

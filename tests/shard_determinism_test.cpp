@@ -13,14 +13,23 @@
 //  * N-shard runs reproduce bit-for-bit across repeated runs;
 //  * N-shard runs are identical at 1 and 2 worker threads;
 //  * the invariant harness (including the cross-shard identity) stays
-//    green throughout a threaded run.
+//    green throughout a threaded run;
+//  * moving a destination to another shard changes no link outcome, and
+//    the controller reads each port's backlog on the shard that owns it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/invariants.h"
 #include "src/core/testbed.h"
+#include "src/sim/event_loop.h"
+#include "src/sim/network.h"
+#include "src/sim/shard.h"
 #include "src/workload/fleet_model.h"
 
 namespace nezha {
@@ -304,6 +313,184 @@ TEST(ShardDeterminism, FencesExecuteInDueThenSeqOrderAndStuckOnesKeep) {
   EXPECT_EQ(order.back(), 4);
   EXPECT_EQ(bed.engine()->fences_queued(), 0u);
   EXPECT_EQ(bed.engine()->fenced_sections_run(), 5u);
+}
+
+// ---------------------------------------------------------------------------
+// One link model across the shard boundary (DESIGN.md §13). The sending
+// shard reserves the sender port and, on a cross-leaf Clos path, the uplink,
+// whether or not the destination is local; the destination's shard reserves
+// the downlink. So moving the destinations to another shard must change no
+// drop, no delivery time, no spine byte and no port or uplink backlog. The
+// flows give each downlink one sender: a local downlink is reserved at send
+// time and a remote one at token injection, so two senders could reach it
+// in a different order.
+
+class SinkHost : public sim::Node {
+ public:
+  explicit SinkHost(sim::NodeId id)
+      : Node(id, "host" + std::to_string(id),
+             net::Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(id + 1)),
+             net::MacAddr(id + 1)) {}
+  void receive(net::Packet) override {}
+};
+
+struct LinkRun {
+  std::uint64_t dropped_queue_full = 0;
+  std::uint64_t dropped_fabric = 0;
+  std::vector<std::pair<sim::NodeId, common::TimePoint>> arrivals;  // sorted
+  std::vector<std::uint64_t> spine_bytes;
+  /// Per 50 us sample: each sender's port backlog, then leaf 0's uplink.
+  std::vector<std::size_t> backlog;
+};
+
+/// Every flow's sender lives on shard 0 and sends one 1250 B packet every
+/// 7 us for 1 ms, faster than its 1 Gb/s port drains (10 us per packet).
+/// On Clos, senders 0 and 1 share leaf 0's uplink, which drains at 1 Gb/s
+/// too. The queues hold four (port) and about five (fabric) packets. The
+/// destinations live on `dst_shard`; two worker threads drive the shards.
+LinkRun run_links(const sim::TopologyConfig& topo_cfg,
+                  const std::vector<std::pair<sim::NodeId, sim::NodeId>>& flows,
+                  std::uint32_t dst_shard) {
+  const sim::Topology topo(topo_cfg);
+  const sim::NetworkConfig net_cfg{.link_bps = 1e9,
+                                   .egress_queue_bytes = 5000,
+                                   .fabric_link_bps = 1e9,
+                                   .fabric_queue_bytes = 6000};
+  sim::EventLoop loops[2];
+  sim::Network net0(loops[0], topo, net_cfg);
+  sim::Network net1(loops[1], topo, net_cfg);
+  sim::Network* nets[2] = {&net0, &net1};
+  sim::ShardedEngine engine({{&loops[0], &net0}, {&loops[1], &net1}},
+                            sim::ShardedEngineConfig{});
+  std::vector<std::pair<sim::NodeId, common::TimePoint>> arrivals[2];
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    nets[s]->set_engine(&engine, s);
+    // Each shard's trace runs on its own worker: one vector per shard.
+    nets[s]->set_trace([&arrivals, &loops, s](common::TimePoint,
+                                              const net::Packet&, sim::NodeId,
+                                              sim::NodeId to) {
+      arrivals[s].emplace_back(to, loops[s].now());
+    });
+  }
+  std::vector<std::unique_ptr<SinkHost>> hosts;
+  auto add_host = [&](sim::NodeId id, std::uint32_t shard) {
+    hosts.push_back(std::make_unique<SinkHost>(id));
+    nets[shard]->attach(*hosts.back());
+    engine.map_ip(hosts.back()->underlay_ip(), shard, id);
+  };
+  for (const auto& [from, to] : flows) {
+    add_host(from, 0);
+    add_host(to, dst_shard);
+    const net::Ipv4Addr to_ip = hosts.back()->underlay_ip();
+    for (common::TimePoint t = 0; t < common::milliseconds(1);
+         t += common::microseconds(7)) {
+      loops[0].schedule_at(t, [&net0, from, to_ip] {
+        const net::FiveTuple ft{net::Ipv4Addr(192, 168, 0, 1),
+                                net::Ipv4Addr(192, 168, 0, 2), 1000, 80,
+                                net::IpProto::kUdp};
+        net0.send(from, to_ip, net::make_udp_packet(ft, 1208));
+      });
+    }
+  }
+
+  LinkRun r;
+  for (common::TimePoint t = common::microseconds(50);
+       t <= common::microseconds(1500); t += common::microseconds(50)) {
+    engine.run_until(t, 2);
+    for (const auto& flow : flows) {
+      r.backlog.push_back(net0.port_queued_bytes(flow.first));
+    }
+    r.backlog.push_back(net0.fabric_queued_bytes(0));
+  }
+  engine.run_until(common::milliseconds(3), 2);
+  EXPECT_EQ(net0.in_flight() + net1.in_flight() + engine.tokens_pending(),
+            0u);
+  EXPECT_EQ(engine.late_tokens(), 0u);
+  for (sim::Network* n : nets) {
+    r.dropped_queue_full += n->dropped_queue_full();
+    r.dropped_fabric += n->dropped_fabric();
+    r.spine_bytes.resize(n->spine_bytes().size());
+    for (std::size_t i = 0; i < n->spine_bytes().size(); ++i) {
+      r.spine_bytes[i] += n->spine_bytes()[i];
+    }
+  }
+  for (const auto& a : arrivals) {
+    r.arrivals.insert(r.arrivals.end(), a.begin(), a.end());
+  }
+  std::sort(r.arrivals.begin(), r.arrivals.end());
+  return r;
+}
+
+void expect_same_links(const LinkRun& local, const LinkRun& remote) {
+  EXPECT_EQ(remote.dropped_queue_full, local.dropped_queue_full);
+  EXPECT_EQ(remote.dropped_fabric, local.dropped_fabric);
+  EXPECT_EQ(remote.arrivals, local.arrivals);
+  EXPECT_EQ(remote.spine_bytes, local.spine_bytes);
+  EXPECT_EQ(remote.backlog, local.backlog);
+}
+
+TEST(ShardDeterminism, LinksDoNotDependOnTheDestinationShard) {
+  // Clos: three leaves of two hosts under one spine. Hosts 0 and 1 share
+  // leaf 0's uplink; hosts 2 and 4 sit behind separate downlinks.
+  sim::TopologyConfig clos;
+  clos.kind = sim::FabricKind::kClos;
+  clos.clos.num_leaves = 3;
+  clos.clos.hosts_per_leaf = 2;
+  clos.clos.num_spines = 1;
+  const LinkRun local = run_links(clos, {{0, 2}, {1, 4}}, 0);
+  const LinkRun remote = run_links(clos, {{0, 2}, {1, 4}}, 1);
+  // The run must overflow both the ports and the shared uplink.
+  EXPECT_GT(local.dropped_queue_full, 0u);
+  EXPECT_GT(local.dropped_fabric, 0u);
+  EXPECT_FALSE(local.arrivals.empty());
+  expect_same_links(local, remote);
+
+  // Tiered: two hosts per ToR in one aggregation block. Host 0 → host 2
+  // crosses ToRs (15 us), longer than the 8 us epoch.
+  sim::TopologyConfig tiered;
+  tiered.servers_per_tor = 2;
+  tiered.tors_per_agg = 4;
+  const LinkRun tiered_local = run_links(tiered, {{0, 2}}, 0);
+  const LinkRun tiered_remote = run_links(tiered, {{0, 2}}, 1);
+  EXPECT_GT(tiered_local.dropped_queue_full, 0u);
+  EXPECT_FALSE(tiered_local.arrivals.empty());
+  expect_same_links(tiered_local, tiered_remote);
+}
+
+TEST(ShardDeterminism, FeWeightsReadThePortOnItsOwningShard) {
+  // The controller runs on shard 0. A host on shard 1 fills its own port,
+  // and its published weight must fold in that backlog exactly as the
+  // unsharded bed does.
+  constexpr sim::NodeId kHost = 13;
+  auto weight_after_burst = [](std::size_t shards) {
+    core::TestbedConfig cfg = core::make_clos_testbed_config(
+        16, /*hosts_per_leaf=*/4, /*num_spines=*/2, /*oversubscription=*/2.0);
+    cfg.shards = shards;
+    cfg.threads = 2;
+    core::Testbed bed(cfg);
+    if (shards > 1) {
+      EXPECT_EQ(bed.shard_of_node(kHost), 1u);
+    }
+    bed.run_for(common::milliseconds(1));
+    // 1000 packets of 1250 B: 100 us of work at the 100 Gb/s port.
+    const net::FiveTuple ft{net::Ipv4Addr(192, 168, 0, 1),
+                            net::Ipv4Addr(192, 168, 0, 2), 1000, 80,
+                            net::IpProto::kUdp};
+    sim::Network& net = bed.network_of(kHost);
+    for (int i = 0; i < 1000; ++i) {
+      net.send(kHost, bed.vswitch(kHost - 1).underlay_ip(),
+               net::make_udp_packet(ft, 1208));
+    }
+    bed.run_for(common::microseconds(50));
+    EXPECT_GT(net.port_queued_bytes(kHost), 600000u);
+    bed.controller().publish_fe_weights();
+    return bed.controller().fe_weights().weight_of(
+        bed.vswitch(kHost).underlay_ip());
+  };
+  const std::uint16_t unsharded = weight_after_burst(1);
+  const std::uint16_t sharded = weight_after_burst(2);
+  EXPECT_LT(unsharded, policy::FeWeightBook::kMaxWeight);
+  EXPECT_EQ(sharded, unsharded);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Unit tests for the discrete-event simulator: event loop ordering and
-// cancellation, topology tiers, network delivery/latency/faults.
+// cancellation, topology tiers, network delivery/latency/faults, and the
+// FIFO tail-drop arithmetic of ports and Clos fabric links.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_loop.h"
@@ -394,6 +396,9 @@ TEST(NetworkTest, SerializationDelayAccumulatesAtPort) {
 }
 
 TEST(NetworkTest, EgressQueueOverflowTailDrops) {
+  // A 1 Mb/s port with a 3000 B queue. A 1242 B packet serializes in
+  // 9.936 ms, so the port drains 125 B per ms, and the backlog a packet
+  // finds is exactly the bytes still ahead of it on the wire.
   EventLoop loop;
   Topology topo;
   Network net(loop, topo,
@@ -402,13 +407,134 @@ TEST(NetworkTest, EgressQueueOverflowTailDrops) {
   SinkNode b{1, net::Ipv4Addr(1, 0, 0, 2)};
   net.attach(a);
   net.attach(b);
+  std::vector<TimePoint> arrivals;
+  net.set_trace([&](TimePoint t, const net::Packet&, NodeId, NodeId) {
+    arrivals.push_back(t);
+  });
+  // Ten at t=0: two fit (1242 and 2484 B), eight are dropped.
   for (int i = 0; i < 10; ++i) {
     net.send(a.id(), b.underlay_ip(), test_packet(1200));
   }
+  EXPECT_EQ(net.dropped_queue_full(), 8u);
+  EXPECT_EQ(net.port_queued_bytes(a.id()), 2484u);
+
+  // At 5 ms, 14.872 ms of work is left: 1859 B + 1242 B > 3000 B.
+  loop.run_until(milliseconds(5));
+  EXPECT_EQ(net.port_queued_bytes(a.id()), 1859u);
+  net.send(a.id(), b.underlay_ip(), test_packet(1200));
+  EXPECT_EQ(net.dropped_queue_full(), 9u);
+
+  // At 9 ms the first packet is still on its way to b, but its bytes have
+  // left the port: 1359 B + 1242 B fits, leaving 2601 B queued.
+  loop.run_until(milliseconds(9));
+  EXPECT_EQ(net.port_queued_bytes(a.id()), 1359u);
+  net.send(a.id(), b.underlay_ip(), test_packet(1200));
+  EXPECT_EQ(net.dropped_queue_full(), 9u);
+  EXPECT_EQ(net.port_queued_bytes(a.id()), 2601u);
+
   loop.run();
-  EXPECT_GT(net.dropped_queue_full(), 0u);
-  EXPECT_LT(b.received.size(), 10u);
-  EXPECT_GT(b.received.size(), 0u);
+  // Serialization end plus the 5 us same-ToR hop.
+  EXPECT_EQ(arrivals, (std::vector<TimePoint>{microseconds(9941),
+                                               microseconds(19877),
+                                               microseconds(29813)}));
+  EXPECT_EQ(b.received.size(), 3u);
+  EXPECT_EQ(net.port_queued_bytes(a.id()), 0u);
+}
+
+/// Three leaves of two hosts under one spine. A 1250 B packet takes 1 us on
+/// a 10 Gb/s host port and 10 us on a 1 Gb/s fabric link, so a fabric
+/// link drains 125 B per us; each fabric queue holds 3000 B. A cross-leaf
+/// packet pays 2 us host→leaf and 8 us leaf→spine on each side.
+struct ClosFixture {
+  static TopologyConfig topology() {
+    TopologyConfig c;
+    c.kind = FabricKind::kClos;
+    c.clos.num_leaves = 3;
+    c.clos.hosts_per_leaf = 2;
+    c.clos.num_spines = 1;
+    return c;
+  }
+  // Directed fabric link index: (leaf * spines + spine) * 2 + downlink.
+  static constexpr std::size_t uplink(std::size_t leaf) { return leaf * 2; }
+  static constexpr std::size_t downlink(std::size_t leaf) {
+    return leaf * 2 + 1;
+  }
+
+  EventLoop loop;
+  Network net{loop, Topology(topology()),
+              NetworkConfig{.link_bps = 1e10,
+                            .fabric_link_bps = 1e9,
+                            .fabric_queue_bytes = 3000}};
+  std::vector<std::unique_ptr<SinkNode>> hosts;
+  std::vector<std::pair<NodeId, TimePoint>> arrivals;
+
+  ClosFixture() {
+    for (NodeId id = 0; id < 6; ++id) {
+      hosts.push_back(std::make_unique<SinkNode>(
+          id, net::Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(id + 1))));
+      net.attach(*hosts.back());
+    }
+    net.set_trace([this](TimePoint t, const net::Packet&, NodeId, NodeId to) {
+      arrivals.emplace_back(to, t);
+    });
+  }
+  void send(NodeId from, NodeId to) {
+    net.send(from, hosts[to]->underlay_ip(), test_packet(1208));
+  }
+};
+
+TEST(NetworkTest, FabricUplinkBurstTailDrops) {
+  ClosFixture f;
+  ASSERT_EQ(test_packet(1208).wire_size(), 1250u);
+  // Five packets leave host 0's port at 1..5 us and reach the leaf at
+  // 3..7 us. The uplink takes the first (idle) and the second (finds
+  // 1125 B); the last three find 2250, 2125 and 2000 B and are dropped.
+  for (int i = 0; i < 5; ++i) f.send(0, 2);
+  f.loop.run_until(microseconds(10));
+  EXPECT_EQ(f.net.dropped_fabric(), 3u);
+  EXPECT_EQ(f.net.fabric_queued_bytes(ClosFixture::uplink(0)), 1625u);
+
+  // At 12 us a sixth packet reaches the leaf at 15 us, finds 1000 B and
+  // queues, leaving the uplink busy until 33 us.
+  f.loop.run_until(microseconds(12));
+  f.send(0, 2);
+  EXPECT_EQ(f.net.fabric_queued_bytes(ClosFixture::uplink(0)), 2625u);
+  f.loop.run();
+  // Spine arrivals at 21, 31 and 41 us; each downlink hop ends 10 us later
+  // and the last 10 us are spine→leaf→host.
+  EXPECT_EQ(f.arrivals,
+            (std::vector<std::pair<NodeId, TimePoint>>{
+                {2, microseconds(41)}, {2, microseconds(51)},
+                {2, microseconds(61)}}));
+  EXPECT_EQ(f.net.dropped_fabric(), 3u);
+  EXPECT_EQ(f.net.dropped_queue_full(), 0u);
+  EXPECT_EQ(f.net.spine_bytes()[0], 3u * 1250u);
+  EXPECT_EQ(f.net.fabric_queued_bytes(ClosFixture::uplink(0)), 0u);
+}
+
+TEST(NetworkTest, FabricDownlinkConvergenceTailDrops) {
+  ClosFixture f;
+  // Hosts 0 (leaf 0) and 2 (leaf 1) each send two packets to leaf 2. Each
+  // uplink passes both (spine arrivals at 21 and 31 us), and the shared
+  // spine→leaf-2 downlink sees them in send order: idle, then 1250 B,
+  // then 1250 B, then 2500 B — the fourth is dropped.
+  f.send(0, 4);
+  f.send(2, 5);
+  f.send(0, 4);
+  f.send(2, 5);
+  f.loop.run_until(microseconds(35));
+  EXPECT_EQ(f.net.dropped_fabric(), 1u);
+  EXPECT_EQ(f.net.fabric_queued_bytes(ClosFixture::downlink(2)), 2000u);
+  f.loop.run_until(microseconds(45));
+  EXPECT_EQ(f.net.fabric_queued_bytes(ClosFixture::downlink(2)), 750u);
+  f.loop.run();
+  EXPECT_EQ(f.arrivals,
+            (std::vector<std::pair<NodeId, TimePoint>>{
+                {4, microseconds(41)}, {5, microseconds(51)},
+                {4, microseconds(61)}}));
+  EXPECT_EQ(f.net.dropped_fabric(), 1u);
+  EXPECT_EQ(f.net.spine_bytes()[0], 3u * 1250u);
+  EXPECT_EQ(f.net.fabric_queued_bytes(ClosFixture::downlink(2)), 0u);
 }
 
 TEST(NetworkTest, DetachRemovesRouting) {
