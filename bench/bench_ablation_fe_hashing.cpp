@@ -8,16 +8,11 @@
 // flow twice (double FE cache memory), exactly the "cache friendliness"
 // concern the paper raises for packet-level balancing.
 #include "bench/bench_util.h"
-#include "src/core/testbed.h"
-#include "src/workload/cps_workload.h"
+#include "support/scenarios.h"
 
 using namespace nezha;
 
 namespace {
-
-constexpr std::uint32_t kVpc = 7;
-constexpr tables::VnicId kServer = 100;
-constexpr int kClients = 4;
 
 struct Result {
   double cps = 0;
@@ -32,54 +27,19 @@ struct Result {
 };
 
 Result run(bool session_consistent) {
-  core::TestbedConfig cfg;
-  cfg.num_vswitches = 40;
-  cfg.vswitch.cpu.cores = 2;
-  cfg.vswitch.cpu.hz_per_core = 0.25e9;
-  cfg.vswitch.cpu.max_queue_delay = common::milliseconds(16);
-  cfg.vswitch.cost = tables::CostModel::production();
+  core::TestbedConfig cfg = support::hot_server_config(/*clos=*/false);
   cfg.vswitch.session_consistent_fe_hash = session_consistent;
-  cfg.controller.auto_offload = false;
-  cfg.controller.auto_scale = false;
-  core::Testbed bed(cfg);
-
-  vswitch::VnicConfig server;
-  server.id = kServer;
-  server.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 100)};
-  bed.add_vnic(30, server);
-  std::vector<std::unique_ptr<workload::CpsWorkload>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    vswitch::VnicConfig client;
-    client.id = static_cast<tables::VnicId>(c + 1);
-    client.addr = tables::OverlayAddr{
-        kVpc, net::Ipv4Addr(10, 0, 1, static_cast<std::uint8_t>(c + 1))};
-    bed.add_vnic(32 + static_cast<std::size_t>(c), client);
-    workload::CpsWorkloadConfig w;
-    w.concurrency = 160;
-    w.seed = 400 + static_cast<std::uint64_t>(c);
-    w.server_kernel = workload::VmKernelConfig{
-        .vcpus = 16, .cps_per_core = 16500, .contention = 0.045};
-    w.client_kernel =
-        workload::VmKernelConfig{.vcpus = 64, .cps_per_core = 30000};
-    clients.push_back(std::make_unique<workload::CpsWorkload>(
-        bed, 32 + static_cast<std::size_t>(c), client.id, 30, kServer, w));
-  }
-
-  (void)bed.controller().trigger_offload(kServer, 4);
-  bed.run_for(common::seconds(4));
-  const common::TimePoint t0 = bed.loop().now();
-  for (auto& c : clients) c->start();
-  bed.run_for(common::seconds(2));
-  for (auto& c : clients) c->stop();
+  support::CpsBed s = support::hot_server_bed(
+      cfg, {.server_vcpus = 16, .concurrency = 160, .seed_base = 400});
+  core::Testbed& bed = *s.bed;
 
   Result r;
-  for (auto& c : clients) {
-    r.cps += c->cps_over(t0 + common::milliseconds(500), t0 + common::seconds(2));
-    r.completed += c->completed();
-  }
-  for (sim::NodeId n : bed.controller().fe_nodes_of(kServer)) {
+  r.cps = support::run_hot_server(s, 4, common::milliseconds(500),
+                                  common::seconds(2));
+  r.completed = s.completed();
+  for (sim::NodeId n : bed.controller().fe_nodes_of(support::kServer)) {
     r.fe_chain_runs += bed.vswitch(n).slow_path_lookups();
-    if (auto* fe = bed.vswitch(n).frontend(kServer)) {
+    if (auto* fe = bed.vswitch(n).frontend(support::kServer)) {
       r.fe_cache_entries += fe->flow_cache.size();
     }
   }

@@ -13,6 +13,7 @@
 #include "src/common/rng.h"
 #include "src/core/testbed.h"
 #include "src/workload/fleet_model.h"
+#include "support/scenarios.h"
 
 using namespace nezha;
 
@@ -42,13 +43,7 @@ int main() {
   int scale_out_events = 0;
   std::uint64_t extra_fes = 0;
   for (int i = 0; i < kOffloadEvents; ++i) {
-    vswitch::VnicConfig v;
-    v.id = static_cast<tables::VnicId>(i + 1);
-    v.addr = tables::OverlayAddr{
-        7, net::Ipv4Addr(10, static_cast<std::uint8_t>(1 + i / 60000),
-                         static_cast<std::uint8_t>((i / 250) % 240),
-                         static_cast<std::uint8_t>(i % 250 + 1))};
-    v.profile.synthetic_rule_bytes = 2 << 20;
+    const vswitch::VnicConfig v = support::numbered_vnic(i);
     bed.add_vnic(i % bed.size(), v);
     if (!bed.controller().trigger_offload(v.id).ok()) continue;
     bed.run_for(common::seconds(5));

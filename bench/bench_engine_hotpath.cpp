@@ -41,29 +41,19 @@
 #include "src/tables/lpm.h"
 #include "src/workload/cps_workload.h"
 #include "support/alloc_hook.h"
+#include "support/scenarios.h"
 
 using namespace nezha;
 
 namespace {
 
-// Burst configuration for the e2e run (DESIGN.md §11): the largest windows
-// whose event-interleaving distortion stays within 0.02% of the exact-timing
-// run. (wnet=256µs cost −0.5% packets, wcpu=128µs −4% — quantization delay
-// compounds through the closed-loop handshake RTT, so the windows below are
-// the knee, not the maximum.) Aging at the closed-TTL cadence keeps the
-// dead-entry population ~10x smaller under ~570K conns/s churn; it is
-// fingerprint-neutral (aging is wall-clock-only bookkeeping).
-constexpr int kE2eNetBurstUs = 192;
-constexpr int kE2eCpuBurstUs = 64;
-constexpr int kE2eTimerWindowUs = 64;
-constexpr int kE2eAgingPeriodMs = 100;
-// Determinism fingerprint of the e2e run under the burst configuration
-// above. Re-baselined (from 4585995/1146438, the exact-timing fingerprint
-// the seed engine produced) when burst windows were turned on for this
-// scenario: window quantization legitimately shifts event interleaving by
-// −0.017% packets / −0.013% connections. Exact timing (all windows 0)
-// still reproduces the old fingerprint and stays the unit-test default;
-// tests/burst_determinism_test.cpp pins both.
+// Determinism fingerprint of the e2e run under the burst windows of
+// support/scenarios.h. Re-baselined (from 4585995/1146438, the exact-timing
+// fingerprint the seed engine produced) when burst windows were turned on
+// for this scenario: window quantization legitimately shifts event
+// interleaving by −0.017% packets / −0.013% connections. Exact timing (all
+// windows 0) still reproduces the old fingerprint and stays the unit-test
+// default; tests/policy_golden_test.cpp and tests/slo_test.cpp pin both.
 constexpr std::uint64_t kGoldenE2ePackets = 4585200;
 constexpr std::uint64_t kGoldenE2eConnections = 1146286;
 // Setup-phase allocation budget: once slabs, indexes and timer rings are
@@ -139,31 +129,6 @@ net::FiveTuple random_tuple(common::Rng& rng) {
       rng.chance(0.5) ? net::IpProto::kTcp : net::IpProto::kUdp};
 }
 
-// A realistic mixed tenant ACL: prefix scopes, port ranges, a spread of
-// protocols and directions (what the (proto, direction) partitioning and the
-// priority merge have to handle in the field).
-tables::AclRule random_rule(common::Rng& rng) {
-  tables::AclRule r;
-  r.priority = static_cast<std::uint32_t>(rng.uniform_u64(0, 1000));
-  r.src = tables::Prefix{net::Ipv4Addr(static_cast<std::uint32_t>(rng.next())),
-                         static_cast<std::uint8_t>(rng.uniform_u64(8, 24))};
-  r.dst = tables::Prefix{net::Ipv4Addr(static_cast<std::uint32_t>(rng.next())),
-                         static_cast<std::uint8_t>(rng.uniform_u64(8, 24))};
-  const std::uint16_t lo =
-      static_cast<std::uint16_t>(rng.uniform_u64(0, 60000));
-  r.dst_ports = tables::PortRange{
-      lo, static_cast<std::uint16_t>(lo + rng.uniform_u64(0, 4000))};
-  const std::uint64_t proto = rng.uniform_u64(0, 3);
-  if (proto == 0) r.proto = net::IpProto::kTcp;
-  if (proto == 1) r.proto = net::IpProto::kUdp;
-  if (proto == 2) r.proto = net::IpProto::kIcmp;
-  const std::uint64_t dir = rng.uniform_u64(0, 2);
-  if (dir == 0) r.direction = flow::Direction::kTx;
-  if (dir == 1) r.direction = flow::Direction::kRx;
-  r.verdict = rng.chance(0.5) ? flow::Verdict::kDrop : flow::Verdict::kAccept;
-  return r;
-}
-
 struct AclResult {
   double indexed_per_sec = 0;
   double reference_per_sec = 0;
@@ -174,7 +139,7 @@ AclResult bench_acl(std::size_t n_rules, int n_lookups) {
   tables::AclTable acl(flow::Verdict::kAccept);
   ReferenceAcl ref;
   for (std::size_t i = 0; i < n_rules; ++i) {
-    const tables::AclRule r = random_rule(rng);
+    const tables::AclRule r = support::random_acl_rule(rng);
     acl.add_rule(r);
     ref.add_rule(r);
   }
@@ -381,56 +346,10 @@ struct E2eResult {
 };
 
 E2eResult bench_e2e() {
-  core::TestbedConfig cfg;
-  cfg.num_vswitches = 8;
-  cfg.vswitch.cost = tables::CostModel::production();
-  cfg.controller.auto_offload = false;
-  cfg.controller.auto_scale = false;
-  cfg.network.rx_burst_window = common::microseconds(kE2eNetBurstUs);
-  cfg.vswitch.cpu_burst_window = common::microseconds(kE2eCpuBurstUs);
-  cfg.vswitch.aging_period = common::milliseconds(kE2eAgingPeriodMs);
-  core::Testbed bed(cfg);
-
-  constexpr std::uint32_t kVpc = 7;
-  constexpr tables::VnicId kServer = 100;
-  vswitch::VnicConfig server;
-  server.id = kServer;
-  server.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 100)};
-  bed.add_vnic(0, server);
-  // Production-sized tenant ACL on the server vNIC.
-  common::Rng rng(0xe2e);
-  auto& server_acl = bed.vswitch(0).vnic(kServer)->rules()->acl();
-  for (int i = 0; i < 1000; ++i) {
-    tables::AclRule r = random_rule(rng);
-    r.priority += 10;  // keep priority 0 free for the allow rule below
-    r.verdict = flow::Verdict::kDrop;
-    // Scope the random rules into address space the workload never uses so
-    // the chain cost is realistic but the traffic still flows.
-    r.src.addr = net::Ipv4Addr(172, 16, static_cast<std::uint8_t>(i % 200),
-                               1);
-    r.src.length = 30;
-    server_acl.add_rule(r);
-  }
-  bed.vswitch(0).vnic(kServer)->rules()->commit_update();
-
-  std::vector<std::unique_ptr<workload::CpsWorkload>> clients;
-  for (int c = 0; c < 2; ++c) {
-    vswitch::VnicConfig client;
-    client.id = static_cast<tables::VnicId>(c + 1);
-    client.addr = tables::OverlayAddr{
-        kVpc, net::Ipv4Addr(10, 0, 1, static_cast<std::uint8_t>(c + 1))};
-    const std::size_t client_switch = 1 + static_cast<std::size_t>(c);
-    bed.add_vnic(client_switch, client);
-    workload::CpsWorkloadConfig w;
-    w.concurrency = 128;  // closed loop: ride at capacity
-    w.seed = 300 + static_cast<std::uint64_t>(c);
-    w.timer_window = common::microseconds(kE2eTimerWindowUs);
-    clients.push_back(std::make_unique<workload::CpsWorkload>(
-        bed, client_switch, client.id, 0, kServer, w));
-  }
-  for (std::size_t i = 0; i < bed.size(); ++i) bed.vswitch(i).start_aging();
-
-  for (auto& c : clients) c->start();
+  support::CpsBed s = support::e2e_bed(support::e2e_config(/*bursts=*/true),
+                                       /*bursts=*/true);
+  core::Testbed& bed = *s.bed;
+  s.start();
   const auto t0 = std::chrono::steady_clock::now();
   // Warmup second: slabs, probe indexes and timer rings reach their
   // steady sizes (splitting run_for never changes event order). Everything
@@ -439,15 +358,14 @@ E2eResult bench_e2e() {
   // allocation creep shows up here at full magnification.
   bed.run_for(common::seconds(1));
   const std::uint64_t warm_allocs = support::alloc_counts().news;
-  std::uint64_t warm_conns = 0;
-  for (auto& c : clients) warm_conns += c->completed();
+  const std::uint64_t warm_conns = s.completed();
   bed.run_for(common::seconds(3));
   const double elapsed = wall_seconds(t0);
-  for (auto& c : clients) c->stop();
+  s.stop();
 
   E2eResult out;
   out.delivered = bed.network().delivered();
-  for (auto& c : clients) out.completed_conns += c->completed();
+  out.completed_conns = s.completed();
   out.pkts_per_wall_sec = static_cast<double>(out.delivered) / elapsed;
   out.conns_per_wall_sec = static_cast<double>(out.completed_conns) / elapsed;
   out.setup_window_allocs = support::alloc_counts().news - warm_allocs;
@@ -475,52 +393,17 @@ struct AllocResult {
 };
 
 AllocResult bench_steady_alloc(bool timed) {
-  core::TestbedConfig cfg;
-  cfg.num_vswitches = 8;
-  cfg.controller.auto_offload = false;
-  cfg.controller.auto_scale = false;
-  // Keep gateway-map refreshes out of the measurement window: a refresh is
-  // control-plane work and may allocate.
-  cfg.vswitch.learning_interval = common::seconds(100000);
-  core::Testbed bed(cfg);
-
-  constexpr std::uint32_t kVpc = 3;
-  constexpr tables::VnicId kClient = 1, kServer = 2;
-  vswitch::VnicConfig client;
-  client.id = kClient;
-  client.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 1)};
-  vswitch::VnicConfig server;
-  server.id = kServer;
-  server.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 2)};
-  bed.add_vnic(0, client);
-  bed.add_vnic(1, server);
-  if (!bed.controller().trigger_offload(kServer).ok()) {
+  core::Testbed bed(support::tcp_pair_config());
+  if (!support::add_offloaded_tcp_pair(bed)) {
     std::fprintf(stderr, "FATAL: alloc bench offload failed\n");
     std::abort();
   }
-  bed.run_for(common::seconds(4));
-
-  const net::FiveTuple ft{net::Ipv4Addr(10, 0, 0, 1),
-                          net::Ipv4Addr(10, 0, 0, 2), 40000, 80,
-                          net::IpProto::kTcp};
-  const auto pump = [&](int iterations) {
-    for (int i = 0; i < iterations; ++i) {
-      bed.vswitch(0).from_vm(
-          kClient, net::make_tcp_packet(ft, net::TcpFlags{.ack = true}, 100,
-                                        kVpc));
-      bed.vswitch(1).from_vm(
-          kServer, net::make_tcp_packet(ft.reversed(),
-                                        net::TcpFlags{.ack = true}, 100,
-                                        kVpc));
-      bed.run_for(common::milliseconds(1));
-    }
-  };
-
-  pump(/*iterations=*/256);  // warmup: grow every slab and table once
+  // Warmup: grow every slab and table once.
+  support::pump_tcp_pair(bed, /*sport=*/40000, /*iterations=*/256);
 
   const std::uint64_t delivered_before = bed.network().delivered();
   const std::uint64_t allocs_before = support::alloc_counts().news;
-  pump(/*iterations=*/4096);
+  support::pump_tcp_pair(bed, /*sport=*/40000, /*iterations=*/4096);
   const std::uint64_t window_allocs =
       support::alloc_counts().news - allocs_before;
   const std::uint64_t window_packets =
@@ -539,7 +422,7 @@ AllocResult bench_steady_alloc(bool timed) {
     // (4 packets per connection), which dilutes per-packet datapath gains.
     const std::uint64_t timed_before = bed.network().delivered();
     const auto t0 = std::chrono::steady_clock::now();
-    pump(/*iterations=*/100000);
+    support::pump_tcp_pair(bed, /*sport=*/40000, /*iterations=*/100000);
     const double elapsed = wall_seconds(t0);
     out.steady_pkts_per_sec =
         static_cast<double>(bed.network().delivered() - timed_before) /
@@ -566,9 +449,7 @@ ClosResult bench_clos(std::size_t num_vswitches, std::size_t shards,
   cfg.controller.auto_scale = false;
   // Same burst configuration as the e2e run: the macro row should measure
   // the fleet on the production fast path, not the exact-timing debug path.
-  cfg.network.rx_burst_window = common::microseconds(kE2eNetBurstUs);
-  cfg.vswitch.cpu_burst_window = common::microseconds(kE2eCpuBurstUs);
-  cfg.vswitch.aging_period = common::milliseconds(kE2eAgingPeriodMs);
+  support::use_burst_windows(cfg);
   // --shards/--threads: partition the fleet onto the sharded engine and run
   // it, setup included, on worker threads.
   cfg.shards = shards;
@@ -623,7 +504,7 @@ ClosResult bench_clos(std::size_t num_vswitches, std::size_t shards,
     // latency away, or the row measures window skew instead of capacity.
     w.concurrency = 256;
     w.seed = 900 + static_cast<std::uint64_t>(p);
-    w.timer_window = common::microseconds(kE2eTimerWindowUs);
+    w.timer_window = support::kTimerWindow;
     clients.push_back(std::make_unique<workload::CpsWorkload>(
         bed, client_switch, client.id, server_switch, server.id, w));
   }
@@ -741,6 +622,9 @@ int main(int argc, char** argv) {
   benchutil::verdict(acl_speedup >= 5.0,
                      "ACL lookup >= 5x the linear scan at 1k rules");
 
+  const auto us = [](common::Duration d) {
+    return static_cast<int>(d / common::kMicrosecond);
+  };
   std::FILE* json = std::fopen("BENCH_engine.json", "w");
   if (json == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_engine.json\n");
@@ -798,8 +682,11 @@ int main(int argc, char** argv) {
                alloc.allocs_per_packet,
                static_cast<unsigned long long>(alloc.window_packets),
                static_cast<unsigned long long>(alloc.window_allocs),
-               alloc.steady_pkts_per_sec, kE2eNetBurstUs, kE2eCpuBurstUs,
-               kE2eTimerWindowUs, kE2eAgingPeriodMs, e2e.pkts_per_wall_sec,
+               alloc.steady_pkts_per_sec, us(support::kNetBurstWindow),
+               us(support::kCpuBurstWindow), us(support::kTimerWindow),
+               static_cast<int>(support::kBurstAgingPeriod /
+                                common::kMillisecond),
+               e2e.pkts_per_wall_sec,
                e2e.conns_per_wall_sec,
                static_cast<unsigned long long>(e2e.delivered),
                static_cast<unsigned long long>(e2e.completed_conns),

@@ -7,8 +7,7 @@
 // Here the controller runs fully automatically (monitoring, thresholds,
 // Fig 8 decision logic); the bench only ramps the offered load.
 #include "bench/bench_util.h"
-#include "src/core/testbed.h"
-#include "src/workload/cps_workload.h"
+#include "support/scenarios.h"
 
 using namespace nezha;
 
@@ -20,15 +19,7 @@ int main(int argc, char** argv) {
                     "BE: ramps to 70% → drops to ~10% on offload; FEs "
                     "scale out 4→8 when avg FE CPU > 40%");
 
-  core::TestbedConfig cfg;
-  if (clos) cfg = core::make_clos_testbed_config(40, /*hosts_per_leaf=*/8);
-  cfg.num_vswitches = 40;
-  cfg.vswitch.cpu.cores = 2;
-  cfg.vswitch.cpu.hz_per_core = 0.25e9;
-  // Keep the buffer-in-packets comparable to the full-scale SmartNIC: the
-  // queue bound scales inversely with the CPU slow-down.
-  cfg.vswitch.cpu.max_queue_delay = common::milliseconds(16);
-  cfg.vswitch.cost = tables::CostModel::production();
+  core::TestbedConfig cfg = support::hot_server_config(clos);
   cfg.controller.auto_offload = true;
   cfg.controller.auto_scale = true;
   cfg.controller.monitor_period = common::milliseconds(250);
@@ -38,39 +29,15 @@ int main(int argc, char** argv) {
   cfg.telemetry.trace = false;  // metrics only; no trace consumer here
   cfg.telemetry.sample_period = common::milliseconds(500);
   cfg.telemetry.max_samples = 64;
-  core::Testbed bed(cfg);
+  // Open loop at 2K conn/s per client, ramped below.
+  support::CpsBed s = support::hot_server_bed(
+      cfg, {.server_vcpus = 32, .attempts_per_sec = 2000, .seed_base = 300});
+  core::Testbed& bed = *s.bed;
+  auto& clients = s.clients;
   telemetry::MetricsRegistry& metrics = bed.telemetry()->metrics();
 
-  constexpr std::uint32_t kVpc = 7;
-  constexpr tables::VnicId kServer = 100;
-  vswitch::VnicConfig server;
-  server.id = kServer;
-  server.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 100)};
-  server.profile.synthetic_rule_bytes = 8 << 20;
-  bed.add_vnic(30, server);
-
-  constexpr int kClients = 4;
-  std::vector<std::unique_ptr<workload::CpsWorkload>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    vswitch::VnicConfig client;
-    client.id = static_cast<tables::VnicId>(c + 1);
-    client.addr = tables::OverlayAddr{
-        kVpc, net::Ipv4Addr(10, 0, 1, static_cast<std::uint8_t>(c + 1))};
-    const std::size_t client_switch = 32 + static_cast<std::size_t>(c);
-    bed.add_vnic(client_switch, client);
-    workload::CpsWorkloadConfig w;
-    w.attempts_per_sec = 2000;  // ramped below
-    w.seed = 300 + static_cast<std::uint64_t>(c);
-    w.server_kernel = workload::VmKernelConfig{
-        .vcpus = 32, .cps_per_core = 16500, .contention = 0.045};
-    w.client_kernel =
-        workload::VmKernelConfig{.vcpus = 64, .cps_per_core = 30000};
-    clients.push_back(std::make_unique<workload::CpsWorkload>(
-        bed, client_switch, client.id, 30, kServer, w));
-  }
-
   bed.controller().start();
-  for (auto& c : clients) c->start();
+  s.start();
 
   // Ramp the per-client offered load 2K → 40K conn/s over 12 seconds.
   for (int step = 0; step <= 24; ++step) {
@@ -84,7 +51,8 @@ int main(int argc, char** argv) {
   // BE + average-FE utilization from the registry's last sampler tick
   // (the tick at each 500ms boundary fires inside run_for before it
   // returns, so the read covers exactly the preceding window).
-  const auto be_gauge = metrics.find_gauge("vs30.cpu_util");
+  const auto be_gauge = metrics.find_gauge(
+      "vs" + std::to_string(support::kHotServerHost) + ".cpu_util");
   benchutil::Table t({"t (s)", "offered CPS", "BE CPU", "avg FE CPU",
                       "#FEs", "mode"});
   double be_peak = 0, be_after_offload = 1.0;
@@ -95,7 +63,7 @@ int main(int argc, char** argv) {
     bed.run_for(common::milliseconds(500));
     const common::TimePoint now = bed.loop().now();
     const double be_util = metrics.last_sample_gauge(be_gauge);
-    const auto fes = bed.controller().fe_nodes_of(kServer);
+    const auto fes = bed.controller().fe_nodes_of(support::kServer);
     double fe_util = 0;
     for (sim::NodeId n : fes) {
       fe_util += metrics.last_sample_gauge(
@@ -104,7 +72,8 @@ int main(int argc, char** argv) {
     if (!fes.empty()) fe_util /= static_cast<double>(fes.size());
     max_fes = std::max(max_fes, fes.size());
 
-    const auto* vnic = bed.vswitch(30).find_vnic(kServer);
+    const auto* vnic =
+        bed.vswitch(support::kHotServerHost).find_vnic(support::kServer);
     const std::string mode = to_string(vnic->mode());
     if (vnic->mode() == vswitch::VnicMode::kLocal) {
       be_peak = std::max(be_peak, be_util);
@@ -114,8 +83,8 @@ int main(int argc, char** argv) {
       be_after_offload = std::min(be_after_offload, be_util);
     }
     if (tick % 2 == 0) {
-      double offered = 0;
-      for (auto& c : clients) offered += 2000 + std::min(tick, 24) * 1150.0;
+      const double offered = static_cast<double>(clients.size()) *
+                             (2000 + std::min(tick, 24) * 1150.0);
       t.add_row({benchutil::fmt(common::to_seconds(now), 1),
                  benchutil::fmt_si(offered, 0), benchutil::fmt_pct(be_util),
                  benchutil::fmt_pct(fe_util), std::to_string(fes.size()),

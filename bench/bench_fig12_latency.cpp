@@ -11,28 +11,25 @@
 #include <memory>
 
 #include "bench/bench_util.h"
-#include "src/core/testbed.h"
+#include "support/scenarios.h"
 
 using namespace nezha;
+using support::kPairClientHost;
+using support::kPairServerHost;
+using support::kVpc;
 
 namespace {
 
-constexpr std::uint32_t kVpc = 7;
-constexpr tables::VnicId kServer = 100;
 constexpr int kClientSwitches = 4;
 constexpr int kFlowsPerClient = 16;
 
 bool g_clos = false;
 
 core::TestbedConfig testbed_config() {
-  core::TestbedConfig cfg;
-  if (g_clos) cfg = core::make_clos_testbed_config(16, /*hosts_per_leaf=*/4);
-  cfg.num_vswitches = 16;
+  core::TestbedConfig cfg = support::pair_config(g_clos);
   cfg.vswitch.cpu.cores = 2;
   cfg.vswitch.cpu.hz_per_core = 0.25e9;
   cfg.vswitch.cost = tables::CostModel::production();
-  cfg.controller.auto_offload = false;
-  cfg.controller.auto_scale = false;
   // Probe latency/delivery go through the telemetry registry (metrics
   // only; the flight recorder stays off — no trace consumer here).
   cfg.telemetry.enabled = true;
@@ -53,27 +50,15 @@ struct RunResult {
 
 RunResult run(double utilization, bool with_nezha) {
   core::Testbed bed(testbed_config());
-  vswitch::VnicConfig server;
-  server.id = kServer;
-  server.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 100)};
-  bed.add_vnic(10, server);
-
+  support::add_pair(bed, kClientSwitches);
   std::vector<net::FiveTuple> flows;
   for (int c = 0; c < kClientSwitches; ++c) {
-    vswitch::VnicConfig client;
-    client.id = static_cast<tables::VnicId>(c + 1);
-    client.addr = tables::OverlayAddr{
-        kVpc, net::Ipv4Addr(10, 0, 1, static_cast<std::uint8_t>(c + 1))};
-    bed.add_vnic(12 + static_cast<std::size_t>(c), client);
     for (int f = 0; f < kFlowsPerClient; ++f) {
-      flows.push_back(net::FiveTuple{client.addr.ip, server.addr.ip,
-                                     static_cast<std::uint16_t>(30000 + f),
-                                     80, net::IpProto::kUdp});
+      flows.push_back(
+          support::pair_flow(static_cast<std::uint16_t>(30000 + f), c));
     }
   }
-  const net::FiveTuple probe_ft{net::Ipv4Addr(10, 0, 1, 1),
-                                net::Ipv4Addr(10, 0, 0, 100), 39999, 80,
-                                net::IpProto::kUdp};
+  const net::FiveTuple probe_ft = support::pair_flow(39999);
 
   // Bounded-memory histogram: 10ns-grain buckets over [0, 20ms] cover
   // everything short of total meltdown; the overflow bucket absorbs the
@@ -85,7 +70,7 @@ RunResult run(double utilization, bool with_nezha) {
   // The registry has no per-histogram reset, so gate measurement on a flag
   // instead of clearing after warmup.
   bool measuring = false;
-  bed.vswitch(10).set_vm_delivery(
+  bed.vswitch(kPairServerHost).set_vm_delivery(
       [&](tables::VnicId, const net::Packet& p) {
         if (measuring && p.inner.ft == probe_ft) {
           metrics.add(delivered_ctr);
@@ -94,14 +79,11 @@ RunResult run(double utilization, bool with_nezha) {
         }
       });
 
-  if (with_nezha) {
-    (void)bed.controller().trigger_offload(kServer, 4);
-    bed.run_for(common::seconds(4));
-  }
+  if (with_nezha) support::offload_pair(bed);
 
   constexpr std::uint16_t kPayload = 200;
   const double capacity =
-      bed.vswitch(10).cpu().cycles_per_second() /
+      bed.vswitch(kPairServerHost).cpu().cycles_per_second() /
       rx_packet_cycles(testbed_config().vswitch.cost,
                        net::make_udp_packet(flows[0], kPayload).inner.wire_size());
   const double total_rate = capacity * utilization;
@@ -110,11 +92,12 @@ RunResult run(double utilization, bool with_nezha) {
 
   // Warm every flow so the measurement sees pure fast-path behaviour.
   for (std::size_t i = 0; i < flows.size(); ++i) {
-    bed.vswitch(12 + i / kFlowsPerClient % kClientSwitches)
+    bed.vswitch(kPairClientHost + i / kFlowsPerClient % kClientSwitches)
         .from_vm(static_cast<tables::VnicId>(i / kFlowsPerClient + 1),
                  net::make_udp_packet(flows[i], kPayload, kVpc));
   }
-  bed.vswitch(12).from_vm(1, net::make_udp_packet(probe_ft, kPayload, kVpc));
+  bed.vswitch(kPairClientHost)
+      .from_vm(1, net::make_udp_packet(probe_ft, kPayload, kVpc));
   bed.run_for(common::milliseconds(100));
   measuring = true;
 
@@ -130,7 +113,7 @@ RunResult run(double utilization, bool with_nezha) {
     for (common::TimePoint t = t0 + static_cast<common::Duration>(i * 97);
          t < t0 + window; t += gap) {
       bed.loop().schedule_at(t, [&bed, ft = flows[i], cidx, vnic]() {
-        bed.vswitch(12 + cidx).from_vm(
+        bed.vswitch(kPairClientHost + cidx).from_vm(
             vnic, net::make_udp_packet(ft, kPayload, kVpc));
       });
     }
@@ -143,7 +126,7 @@ RunResult run(double utilization, bool with_nezha) {
       bed.loop().schedule_at(t, [&bed, probe_ft]() {
         net::Packet pkt = net::make_udp_packet(probe_ft, kPayload, kVpc);
         pkt.created_at = bed.loop().now();
-        bed.vswitch(12).from_vm(1, std::move(pkt));
+        bed.vswitch(kPairClientHost).from_vm(1, std::move(pkt));
       });
       ++probe_sent;
     }

@@ -3,7 +3,7 @@
 // polling + failover reconfiguration), affecting only the 1/N of traffic
 // hashed to the dead FE (active-active); then the system fully recovers.
 #include "bench/bench_util.h"
-#include "src/core/testbed.h"
+#include "support/scenarios.h"
 
 using namespace nezha;
 
@@ -14,14 +14,7 @@ int main(int argc, char** argv) {
                         (clos ? " [Clos fabric]" : " [single rack]"),
                     "loss surge for ≈2s on ~1/4 of flows, then full recovery");
 
-  core::TestbedConfig cfg;
-  if (clos) cfg = core::make_clos_testbed_config(16, /*hosts_per_leaf=*/4);
-  cfg.num_vswitches = 16;
-  cfg.controller.auto_offload = false;
-  cfg.controller.auto_scale = false;
-  cfg.monitor.probe_interval = common::milliseconds(500);
-  cfg.monitor.probe_timeout = common::milliseconds(300);
-  cfg.monitor.miss_threshold = 3;
+  core::TestbedConfig cfg = support::pair_config(clos);
   // Sent/delivered tallies live in the telemetry registry (metrics only;
   // no trace consumer here).
   cfg.telemetry.enabled = true;
@@ -31,60 +24,25 @@ int main(int argc, char** argv) {
   const auto sent_ctr = metrics.counter("bench.pkts_sent");
   const auto delivered_ctr = metrics.counter("bench.pkts_delivered");
 
-  constexpr std::uint32_t kVpc = 7;
-  constexpr tables::VnicId kServer = 100;
-  vswitch::VnicConfig server;
-  server.id = kServer;
-  server.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 100)};
-  bed.add_vnic(10, server);
-  vswitch::VnicConfig client;
-  client.id = 1;
-  client.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 1, 1)};
-  bed.add_vnic(12, client);
-
-  bed.vswitch(10).set_vm_delivery([&metrics, delivered_ctr](
-                                      tables::VnicId, const net::Packet&) {
-    metrics.add(delivered_ctr);
-  });
-
-  (void)bed.controller().trigger_offload(kServer, 4);
-  bed.run_for(common::seconds(4));
+  support::add_pair(bed);
+  bed.vswitch(support::kPairServerHost)
+      .set_vm_delivery([&metrics, delivered_ctr](tables::VnicId,
+                                                 const net::Packet&) {
+        metrics.add(delivered_ctr);
+      });
+  support::offload_pair(bed);
   bed.watch_fe_hosts();
   bed.monitor().start();
 
   // Steady traffic: 200 flows × 100 pps = 20K pps toward the server.
   constexpr int kFlows = 200;
-  constexpr double kPps = 100.0;
-  auto send_burst = [&bed, &metrics, sent_ctr]() {
-    for (int f = 0; f < kFlows; ++f) {
-      net::FiveTuple ft{net::Ipv4Addr(10, 0, 1, 1),
-                        net::Ipv4Addr(10, 0, 0, 100),
-                        static_cast<std::uint16_t>(20000 + f), 80,
-                        net::IpProto::kUdp};
-      bed.vswitch(12).from_vm(1, net::make_udp_packet(ft, 100, 7));
-    }
-    metrics.add(sent_ctr, kFlows);
-  };
-  send_burst();
-  auto pump_id = std::make_shared<sim::EventId>();
-  *pump_id = bed.loop().schedule_periodic(
-      static_cast<common::Duration>(common::kSecond / kPps),
-      [&bed, send_burst, pump_id]() {
-        if (bed.loop().now() > common::seconds(16)) {
-          bed.loop().cancel(*pump_id);
-          return;
-        }
-        send_burst();
-      });
+  support::pump_pair(bed, kFlows, common::milliseconds(10), common::seconds(16),
+                     [&metrics, sent_ctr] { metrics.add(sent_ctr, kFlows); });
   bed.run_for(common::seconds(2));
 
   // Crash one FE at t≈6s (not the client's host).
-  sim::NodeId victim = sim::kInvalidNode;
-  for (sim::NodeId n : bed.controller().fe_nodes_of(kServer)) {
-    if (n != 12) { victim = n; break; }
-  }
   const common::TimePoint crash_at = bed.loop().now();
-  bed.network().crash(victim);
+  support::crash_pair_fe(bed);
 
   // Sample loss rate in 250ms windows.
   benchutil::Table t({"t since crash (s)", "loss rate"});

@@ -8,91 +8,23 @@
 // calibrated capacity model (same constants as the dataplane).
 #include "bench/bench_util.h"
 #include "src/baseline/capacity_model.h"
-#include "src/core/testbed.h"
-#include "src/workload/cps_workload.h"
+#include "support/scenarios.h"
 
 using namespace nezha;
 
 namespace {
 
-constexpr std::uint32_t kVpc = 7;
-constexpr tables::VnicId kServer = 100;
-constexpr int kClients = 4;
-
 bool g_clos = false;
-
-core::TestbedConfig testbed_config() {
-  core::TestbedConfig cfg;
-  if (g_clos) cfg = core::make_clos_testbed_config(40, /*hosts_per_leaf=*/8);
-  cfg.num_vswitches = 40;
-  // Scaled-down SmartNIC: the shape (gain vs #FEs) is invariant to the
-  // absolute CPU scale; this keeps the simulation fast.
-  cfg.vswitch.cpu.cores = 2;
-  cfg.vswitch.cpu.hz_per_core = 0.25e9;
-  // Keep the buffer-in-packets comparable to the full-scale SmartNIC: the
-  // queue bound scales inversely with the CPU slow-down.
-  cfg.vswitch.cpu.max_queue_delay = common::milliseconds(16);
-  cfg.vswitch.cost = tables::CostModel::production();
-  cfg.controller.auto_offload = false;
-  cfg.controller.auto_scale = false;
-  cfg.controller.initial_fes = 4;
-  return cfg;
-}
-
-workload::CpsWorkloadConfig workload_config(int client_index) {
-  workload::CpsWorkloadConfig w;
-  w.concurrency = 160;  // closed loop (netperf TCP_CRR style)
-  w.seed = 100 + static_cast<std::uint64_t>(client_index);
-  // Server guest kernel: ~145K CPS ceiling → the 3.3x plateau.
-  w.server_kernel = workload::VmKernelConfig{.vcpus = 16,
-                                             .cps_per_core = 16500,
-                                             .contention = 0.045};
-  // Client guests never bottleneck.
-  w.client_kernel = workload::VmKernelConfig{.vcpus = 64,
-                                             .cps_per_core = 30000};
-  return w;
-}
 
 /// Measures steady-state CPS with `num_fes` frontends (0 = no Nezha).
 double measure_cps(std::size_t num_fes) {
-  core::Testbed bed(testbed_config());
-  vswitch::VnicConfig server;
-  server.id = kServer;
-  server.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 100)};
-  server.profile.synthetic_rule_bytes = 8 << 20;
-  bed.add_vnic(30, server);  // home on a high id; FEs picked from low ids
-
-  std::vector<std::unique_ptr<workload::CpsWorkload>> clients;
-  for (int c = 0; c < kClients; ++c) {
-    vswitch::VnicConfig client;
-    client.id = static_cast<tables::VnicId>(c + 1);
-    client.addr = tables::OverlayAddr{
-        kVpc, net::Ipv4Addr(10, 0, 1, static_cast<std::uint8_t>(c + 1))};
-    const std::size_t client_switch = 32 + static_cast<std::size_t>(c);
-    bed.add_vnic(client_switch, client);
-    clients.push_back(std::make_unique<workload::CpsWorkload>(
-        bed, client_switch, client.id, 30, kServer, workload_config(c)));
-  }
-
-  if (num_fes > 0) {
-    auto st = bed.controller().trigger_offload(kServer, num_fes);
-    if (!st.ok()) {
-      std::fprintf(stderr, "offload failed: %s\n", st.error().message.c_str());
-      return 0;
-    }
-    bed.run_for(common::seconds(4));  // activation completes
-  }
-  const common::TimePoint t0 = bed.loop().now();
-  for (auto& c : clients) c->start();
-  bed.run_for(common::seconds(3));
-  for (auto& c : clients) c->stop();
-
-  double cps = 0;
-  for (auto& c : clients) {
-    // Skip the first second as warm-up.
-    cps += c->cps_over(t0 + common::seconds(1), t0 + common::seconds(3));
-  }
-  return cps;
+  // Server guest kernel: ~145K CPS ceiling → the 3.3x plateau.
+  support::CpsBed s = support::hot_server_bed(
+      support::hot_server_config(g_clos),
+      {.server_vcpus = 16, .concurrency = 160, .seed_base = 100});
+  // Skip the first second as warm-up.
+  return support::run_hot_server(s, num_fes, common::seconds(1),
+                                 common::seconds(3));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // on a fleet testbed and report the recorded activation distribution.
 #include "bench/bench_util.h"
 #include "src/core/testbed.h"
+#include "support/scenarios.h"
 
 using namespace nezha;
 
@@ -24,13 +25,7 @@ int main() {
 
   constexpr int kEvents = 4000;
   for (int i = 0; i < kEvents; ++i) {
-    vswitch::VnicConfig v;
-    v.id = static_cast<tables::VnicId>(i + 1);
-    v.addr = tables::OverlayAddr{
-        7, net::Ipv4Addr(10, static_cast<std::uint8_t>(1 + i / 60000),
-                         static_cast<std::uint8_t>((i / 250) % 240),
-                         static_cast<std::uint8_t>(i % 250 + 1))};
-    v.profile.synthetic_rule_bytes = 2 << 20;
+    const vswitch::VnicConfig v = support::numbered_vnic(i);
     const std::size_t home = i % bed.size();
     bed.add_vnic(home, v);
     auto st = bed.controller().trigger_offload(v.id);

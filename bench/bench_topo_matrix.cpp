@@ -17,23 +17,17 @@
 
 #include "bench/bench_util.h"
 #include "src/common/stats.h"
-#include "src/core/testbed.h"
+#include "support/scenarios.h"
 
 using namespace nezha;
+using support::kPairClientHost;
+using support::kPairServerHost;
+using support::kVpc;
 
 namespace {
 
-constexpr std::uint32_t kVpc = 7;
-constexpr tables::VnicId kServer = 100;
-
-core::TestbedConfig base_config(bool clos, std::size_t num_vswitches,
-                                std::uint32_t hosts_per_leaf,
-                                std::size_t shards, int threads) {
-  core::TestbedConfig cfg;
-  if (clos) cfg = core::make_clos_testbed_config(num_vswitches, hosts_per_leaf);
-  cfg.num_vswitches = num_vswitches;
-  cfg.controller.auto_offload = false;
-  cfg.controller.auto_scale = false;
+core::TestbedConfig base_config(bool clos, std::size_t shards, int threads) {
+  core::TestbedConfig cfg = support::pair_config(clos);
   // --shards only applies to the Clos runs: sharding partitions racks, and
   // the single-rack fabric has exactly one.
   cfg.shards = clos ? shards : 1;
@@ -54,32 +48,22 @@ struct LatencyResult {
 /// flow measures delivery latency. Condensed from bench_fig12 (one load
 /// point, offload always on) so the fabric is the only variable.
 LatencyResult run_latency(bool clos, std::size_t shards, int threads) {
-  core::Testbed bed(
-      base_config(clos, 16, /*hosts_per_leaf=*/4, shards, threads));
+  core::Testbed bed(base_config(clos, shards, threads));
   // On a sharded bed the endpoints may land in different shards, so every
   // client-side event schedules on the client's shard loop and latency is
   // read off the server's (deliveries fire on the server's shard thread).
-  sim::EventLoop& client_loop = bed.loop_of(12);
-  sim::EventLoop& server_loop = bed.loop_of(10);
-  vswitch::VnicConfig server;
-  server.id = kServer;
-  server.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 100)};
-  bed.add_vnic(10, server);
-  vswitch::VnicConfig client;
-  client.id = 1;
-  client.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 1, 1)};
-  bed.add_vnic(12, client);
+  sim::EventLoop& client_loop = bed.loop_of(kPairClientHost);
+  sim::EventLoop& server_loop = bed.loop_of(kPairServerHost);
+  support::add_pair(bed);
 
   constexpr int kFlows = 32;
-  const net::FiveTuple probe_ft{net::Ipv4Addr(10, 0, 1, 1),
-                                net::Ipv4Addr(10, 0, 0, 100), 39999, 80,
-                                net::IpProto::kUdp};
+  const net::FiveTuple probe_ft = support::pair_flow(39999);
   // Bounded mode: the matrix sweeps several fabrics per run, so keep the
   // probe-latency memory O(buckets) (mean stays exact, p99 within 10us).
   common::Percentiles latency =
       common::Percentiles::bounded(0.0, 20000.0, 2000);
   std::uint64_t probe_delivered = 0, delivered = 0;
-  bed.vswitch(10).set_vm_delivery(
+  bed.vswitch(kPairServerHost).set_vm_delivery(
       [&](tables::VnicId, const net::Packet& p) {
         ++delivered;
         if (p.inner.ft == probe_ft) {
@@ -88,18 +72,16 @@ LatencyResult run_latency(bool clos, std::size_t shards, int threads) {
         }
       });
 
-  (void)bed.controller().trigger_offload(kServer, 4);
-  bed.run_for(common::seconds(4));
+  support::offload_pair(bed);
 
   // Warm all flows onto the fast path.
+  vswitch::VSwitch& client = bed.vswitch(kPairClientHost);
   for (int f = 0; f < kFlows; ++f) {
-    net::FiveTuple ft{net::Ipv4Addr(10, 0, 1, 1),
-                      net::Ipv4Addr(10, 0, 0, 100),
-                      static_cast<std::uint16_t>(30000 + f), 80,
-                      net::IpProto::kUdp};
-    bed.vswitch(12).from_vm(1, net::make_udp_packet(ft, 200, kVpc));
+    const net::FiveTuple ft =
+        support::pair_flow(static_cast<std::uint16_t>(30000 + f));
+    client.from_vm(1, net::make_udp_packet(ft, 200, kVpc));
   }
-  bed.vswitch(12).from_vm(1, net::make_udp_packet(probe_ft, 200, kVpc));
+  client.from_vm(1, net::make_udp_packet(probe_ft, 200, kVpc));
   bed.run_for(common::milliseconds(100));
   latency.clear();
   probe_delivered = 0;
@@ -110,23 +92,21 @@ LatencyResult run_latency(bool clos, std::size_t shards, int threads) {
   const common::Duration window = common::milliseconds(400);
   std::uint64_t probe_sent = 0;
   for (int f = 0; f < kFlows; ++f) {
-    net::FiveTuple ft{net::Ipv4Addr(10, 0, 1, 1),
-                      net::Ipv4Addr(10, 0, 0, 100),
-                      static_cast<std::uint16_t>(30000 + f), 80,
-                      net::IpProto::kUdp};
+    const net::FiveTuple ft =
+        support::pair_flow(static_cast<std::uint16_t>(30000 + f));
     for (common::TimePoint t = t0 + static_cast<common::Duration>(f * 97);
          t < t0 + window; t += common::microseconds(500)) {
-      client_loop.schedule_at(t, [&bed, ft]() {
-        bed.vswitch(12).from_vm(1, net::make_udp_packet(ft, 200, kVpc));
+      client_loop.schedule_at(t, [&client, ft]() {
+        client.from_vm(1, net::make_udp_packet(ft, 200, kVpc));
       });
     }
   }
   for (common::TimePoint t = t0; t < t0 + window;
        t += common::milliseconds(2)) {
-    client_loop.schedule_at(t, [&bed, &client_loop, probe_ft]() {
+    client_loop.schedule_at(t, [&client, &client_loop, probe_ft]() {
       net::Packet pkt = net::make_udp_packet(probe_ft, 200, kVpc);
       pkt.created_at = client_loop.now();
-      bed.vswitch(12).from_vm(1, std::move(pkt));
+      client.from_vm(1, std::move(pkt));
     });
     ++probe_sent;
   }
@@ -157,66 +137,21 @@ struct FailoverResult {
 /// failover; loss rate sampled in 250ms windows. Condensed from
 /// bench_fig14 with identical detection parameters on both fabrics.
 FailoverResult run_failover(bool clos, std::size_t shards, int threads) {
-  core::TestbedConfig cfg =
-      base_config(clos, 16, /*hosts_per_leaf=*/4, shards, threads);
-  cfg.monitor.probe_interval = common::milliseconds(500);
-  cfg.monitor.probe_timeout = common::milliseconds(300);
-  cfg.monitor.miss_threshold = 3;
-  core::Testbed bed(cfg);
-
-  vswitch::VnicConfig server;
-  server.id = kServer;
-  server.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 100)};
-  bed.add_vnic(10, server);
-  vswitch::VnicConfig client;
-  client.id = 1;
-  client.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 1, 1)};
-  bed.add_vnic(12, client);
-
+  core::Testbed bed(base_config(clos, shards, threads));
+  support::add_pair(bed);
   std::uint64_t delivered = 0;
-  bed.vswitch(10).set_vm_delivery(
+  bed.vswitch(kPairServerHost).set_vm_delivery(
       [&](tables::VnicId, const net::Packet&) { ++delivered; });
-
-  (void)bed.controller().trigger_offload(kServer, 4);
-  bed.run_for(common::seconds(4));
+  support::offload_pair(bed);
   bed.watch_fe_hosts();
   bed.monitor().start();
 
   constexpr int kFlows = 200;
   std::uint64_t sent = 0;
-  auto send_burst = [&bed, &sent]() {
-    for (int f = 0; f < kFlows; ++f) {
-      net::FiveTuple ft{net::Ipv4Addr(10, 0, 1, 1),
-                        net::Ipv4Addr(10, 0, 0, 100),
-                        static_cast<std::uint16_t>(20000 + f), 80,
-                        net::IpProto::kUdp};
-      bed.vswitch(12).from_vm(1, net::make_udp_packet(ft, 100, kVpc));
-      ++sent;
-    }
-  };
-  send_burst();
-  // The pump injects at the client vswitch, so it lives on the client's
-  // shard loop (== bed.loop() on unsharded beds).
-  sim::EventLoop& pump_loop = bed.loop_of(12);
-  auto pump_id = std::make_shared<sim::EventId>();
-  *pump_id = pump_loop.schedule_periodic(
-      common::milliseconds(10), [&pump_loop, send_burst, pump_id]() {
-        if (pump_loop.now() > common::seconds(14)) {
-          pump_loop.cancel(*pump_id);
-          return;
-        }
-        send_burst();
-      });
+  support::pump_pair(bed, kFlows, common::milliseconds(10), common::seconds(14),
+                     [&sent] { sent += kFlows; });
   bed.run_for(common::seconds(2));
-
-  sim::NodeId victim = sim::kInvalidNode;
-  for (sim::NodeId n : bed.controller().fe_nodes_of(kServer)) {
-    if (n != 12) {
-      victim = n;
-      break;
-    }
-  }
-  bed.network_of(victim).crash(victim);
+  support::crash_pair_fe(bed);
 
   FailoverResult r;
   std::uint64_t prev_sent = sent, prev_delivered = delivered;

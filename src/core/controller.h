@@ -57,7 +57,6 @@ struct ControllerConfig {
   std::uint64_t seed = 0x6e657a6861ULL;  // "nezha"
   bool auto_offload = true;
   bool auto_scale = true;
-  bool auto_fallback = false;
   /// FE-selection strategy (DESIGN.md §14). The default static hash is the
   /// paper's behavior and keeps the golden fingerprints bit-identical; the
   /// controller pushes the policy to every vSwitch it manages.

@@ -38,30 +38,6 @@ void InvariantChecker::check() {
   check_conservation();
   check_vnic_placement();
   check_monotone_counters();
-  if (config_.gate_slo) check_slo();
-}
-
-void InvariantChecker::check_slo() {
-  // Sum the SLO tracker's interned violation counters across every shard
-  // hub. Only ever grows; report the first crossing above zero (then each
-  // subsequent growth, bounded by max_violations).
-  std::uint64_t total = 0;
-  for (std::uint32_t s = 0; s < bed_.shard_count(); ++s) {
-    telemetry::Hub* hub = bed_.telemetry_of_shard(s);
-    if (hub == nullptr) continue;
-    const telemetry::MetricsRegistry& m = hub->metrics();
-    const auto id = m.find_counter("slo.violations");
-    if (id != telemetry::MetricsRegistry::kInvalidId) {
-      total += m.counter_value(id);
-    }
-  }
-  if (total > prev_slo_violations_) {
-    std::ostringstream os;
-    os << "SLO violations grew " << prev_slo_violations_ << " -> " << total
-       << " (slo.violations counters across shard hubs)";
-    violation(os.str());
-    prev_slo_violations_ = total;
-  }
 }
 
 void InvariantChecker::check_conservation() {

@@ -28,10 +28,6 @@ struct InvariantCheckerConfig {
   /// Stop collecting after this many violations (the first is the one that
   /// matters for replay; the cap keeps a broken run's report readable).
   std::size_t max_violations = 64;
-  /// Treat SLO tracker breaches (the `slo.violations` counters, summed
-  /// across shard hubs) as invariant violations. Opt-in: load tests
-  /// deliberately saturate CPUs, which is an SLO breach but not a bug.
-  bool gate_slo = false;
 };
 
 class InvariantChecker {
@@ -69,7 +65,6 @@ class InvariantChecker {
   void check_conservation();
   void check_vnic_placement();
   void check_monotone_counters();
-  void check_slo();
 
   Testbed& bed_;
   InvariantCheckerConfig config_;
@@ -89,7 +84,6 @@ class InvariantChecker {
   std::uint64_t prev_scale_ins_ = 0;
   std::uint64_t prev_failovers_ = 0;
   std::uint64_t prev_displacements_ = 0;
-  std::uint64_t prev_slo_violations_ = 0;
 };
 
 }  // namespace nezha::core

@@ -670,6 +670,7 @@ void VSwitch::local_tx(Vnic& v, net::Packet pkt) {
   if (!entry->qos_admit(pre.tx.rate_limit_kbps, pkt.wire_size() * 8,
                         loop_.now())) {
     inc(Ctr::kDropQos);
+    local_cycles_ += cycles;
     consume_cpu_noop(cycles, telemetry::Stage::kLocalTx);
     return;
   }
@@ -1023,6 +1024,7 @@ void VSwitch::fe_tx(FrontendInstance& fe, net::Packet pkt) {
       !entry->qos_admit(pre.tx.rate_limit_kbps, pkt.wire_size() * 8,
                         loop_.now())) {
     inc(Ctr::kDropQos);
+    fe_cycles_ += cycles;
     consume_cpu_noop(cycles, telemetry::Stage::kFeTx);
     return;
   }

@@ -20,6 +20,7 @@
 #include "src/vswitch/vswitch.h"
 #include "src/workload/cps_workload.h"
 #include "support/alloc_hook.h"
+#include "support/scenarios.h"
 
 namespace nezha {
 namespace {
@@ -35,71 +36,29 @@ constexpr std::uint32_t kVpc = 5;
 constexpr VnicId kClientVnic = 1;
 constexpr VnicId kServerVnic = 2;
 
+// The offloaded TCP pair of support/scenarios.h, which bench_engine_hotpath's
+// steady-state allocation audit also runs.
 class AllocRegressionTest : public ::testing::Test {
  protected:
-  AllocRegressionTest() : bed_(make_config()) {
-    client_ip_ = net::Ipv4Addr(10, 0, 0, 1);
-    server_ip_ = net::Ipv4Addr(10, 0, 0, 2);
-    VnicConfig client;
-    client.id = kClientVnic;
-    client.addr = OverlayAddr{kVpc, client_ip_};
-    VnicConfig server;
-    server.id = kServerVnic;
-    server.addr = OverlayAddr{kVpc, server_ip_};
-    bed_.add_vnic(0, client);
-    bed_.add_vnic(1, server);
-  }
-
-  static core::TestbedConfig make_config() {
-    core::TestbedConfig cfg;
-    cfg.num_vswitches = 8;
-    cfg.controller.auto_offload = false;
-    cfg.controller.auto_scale = false;
-    // A gateway-map refresh is control-plane work and may allocate; keep
-    // it out of every measurement window.
-    cfg.vswitch.learning_interval = seconds(100000);
-    return cfg;
-  }
+  AllocRegressionTest() : bed_(support::tcp_pair_config()) {}
 
   void offload_server() {
-    ASSERT_TRUE(bed_.controller().trigger_offload(kServerVnic).ok());
-    bed_.run_for(seconds(4));
+    ASSERT_TRUE(support::add_offloaded_tcp_pair(bed_));
     ASSERT_EQ(bed_.vswitch(1).vnic(kServerVnic)->mode(),
               VnicMode::kOffloaded);
   }
 
-  net::FiveTuple flow(std::uint16_t sport) const {
-    return net::FiveTuple{client_ip_, server_ip_, sport, 80,
-                          net::IpProto::kTcp};
-  }
-
-  /// Pushes `iterations` packet pairs (client→server and server→client)
-  /// through the datapath, draining the loop after each pair.
-  void pump(std::uint16_t sport, int iterations) {
-    const net::FiveTuple ft = flow(sport);
-    for (int i = 0; i < iterations; ++i) {
-      bed_.vswitch(0).from_vm(
-          kClientVnic,
-          net::make_tcp_packet(ft, net::TcpFlags{.ack = true}, 100, kVpc));
-      bed_.vswitch(1).from_vm(
-          kServerVnic,
-          net::make_tcp_packet(ft.reversed(), net::TcpFlags{.ack = true},
-                               100, kVpc));
-      bed_.run_for(milliseconds(1));
-    }
-  }
-
   core::Testbed bed_;
-  net::Ipv4Addr client_ip_, server_ip_;
 };
 
 TEST_F(AllocRegressionTest, SteadyStatePacketsAllocateNothing) {
   offload_server();
-  pump(40000, /*iterations=*/256);  // warmup: size every slab and table
+  // Warmup: size every slab and table.
+  support::pump_tcp_pair(bed_, 40000, /*iterations=*/256);
 
   const std::uint64_t delivered_before = bed_.network().delivered();
   const std::uint64_t allocs_before = support::alloc_counts().news;
-  pump(40000, /*iterations=*/1024);
+  support::pump_tcp_pair(bed_, 40000, /*iterations=*/1024);
   const std::uint64_t window_allocs =
       support::alloc_counts().news - allocs_before;
   const std::uint64_t window_packets =
@@ -115,7 +74,8 @@ TEST_F(AllocRegressionTest, SteadyStatePacketsAllocateNothing) {
 
 TEST_F(AllocRegressionTest, ConnectionSetupAllocationsArePinned) {
   offload_server();
-  pump(40000, /*iterations=*/256);  // warm the shared slabs/tables first
+  // Warm the shared slabs/tables first.
+  support::pump_tcp_pair(bed_, 40000, /*iterations=*/256);
 
   // Open fresh connections (distinct 5-tuples): each creates a BE session
   // entry, an FE flow-cache entry, and a cached pre-actions copy, all of
@@ -124,10 +84,11 @@ TEST_F(AllocRegressionTest, ConnectionSetupAllocationsArePinned) {
   constexpr int kConns = 64;
   const std::uint64_t allocs_before = support::alloc_counts().news;
   for (int c = 0; c < kConns; ++c) {
-    const net::FiveTuple ft = flow(static_cast<std::uint16_t>(41000 + c));
+    const net::FiveTuple ft =
+        support::tcp_pair_flow(static_cast<std::uint16_t>(41000 + c));
     bed_.vswitch(0).from_vm(
-        kClientVnic,
-        net::make_tcp_packet(ft, net::TcpFlags{.syn = true}, 100, kVpc));
+        kClientVnic, net::make_tcp_packet(ft, net::TcpFlags{.syn = true}, 100,
+                                          support::kVpc));
     bed_.run_for(milliseconds(1));
   }
   const std::uint64_t setup_allocs =
@@ -161,9 +122,7 @@ TEST(CpsSetupPhaseAllocTest, WarmSetupPathAllocatesNearZeroPerConnection) {
   cfg.controller.auto_scale = false;
   cfg.vswitch.learning_interval = seconds(100000);
   // The production burst configuration (bench_engine_hotpath's e2e row).
-  cfg.network.rx_burst_window = common::microseconds(192);
-  cfg.vswitch.cpu_burst_window = common::microseconds(64);
-  cfg.vswitch.aging_period = milliseconds(100);
+  support::use_burst_windows(cfg);
   core::Testbed bed(cfg);
 
   VnicConfig server;
@@ -180,7 +139,7 @@ TEST(CpsSetupPhaseAllocTest, WarmSetupPathAllocatesNearZeroPerConnection) {
     workload::CpsWorkloadConfig w;
     w.concurrency = 64;
     w.seed = 900 + static_cast<std::uint64_t>(c);
-    w.timer_window = common::microseconds(64);
+    w.timer_window = support::kTimerWindow;
     clients.push_back(std::make_unique<workload::CpsWorkload>(
         bed, 1 + static_cast<std::size_t>(c), client.id, 0, kServerVnic, w));
   }

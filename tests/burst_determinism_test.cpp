@@ -19,11 +19,11 @@
 #include "src/core/invariants.h"
 #include "src/core/testbed.h"
 #include "src/workload/cps_workload.h"
+#include "support/scenarios.h"
 
 namespace nezha {
 namespace {
 
-using common::microseconds;
 using common::milliseconds;
 
 struct Fingerprint {
@@ -50,12 +50,8 @@ Fingerprint run_scenario(const RunOptions& opt) {
   cfg.num_vswitches = 4;
   cfg.controller.auto_offload = false;
   cfg.controller.auto_scale = false;
-  if (opt.bursts) {
-    // The production burst configuration from bench_engine_hotpath.
-    cfg.network.rx_burst_window = microseconds(192);
-    cfg.vswitch.cpu_burst_window = microseconds(64);
-    cfg.vswitch.aging_period = milliseconds(100);
-  }
+  // The production burst configuration (bench_engine_hotpath's e2e row).
+  if (opt.bursts) support::use_burst_windows(cfg);
   core::Testbed bed(cfg);
 
   constexpr std::uint32_t kVpc = 9;
@@ -79,7 +75,7 @@ Fingerprint run_scenario(const RunOptions& opt) {
     // window-quantization latency, a starved one would multiply it.
     w.concurrency = 128;
     w.seed = 700 + static_cast<std::uint64_t>(c);
-    if (opt.bursts) w.timer_window = microseconds(64);
+    if (opt.bursts) w.timer_window = support::kTimerWindow;
     clients.push_back(std::make_unique<workload::CpsWorkload>(
         bed, client_switch, client.id, 0, kServer, w));
   }

@@ -16,8 +16,7 @@
 
 #include <cstdint>
 
-#include "src/core/testbed.h"
-#include "src/net/packet.h"
+#include "support/scenarios.h"
 
 namespace nezha {
 namespace {
@@ -39,67 +38,23 @@ struct TraceResult {
 /// One complete failover run. Everything observable derives from the fixed
 /// config, so repeated calls must produce identical results.
 TraceResult run_failover_trace() {
-  core::TestbedConfig cfg;
-  cfg.num_vswitches = 16;
-  cfg.controller.auto_offload = false;
-  cfg.controller.auto_scale = false;
-  cfg.monitor.probe_interval = common::milliseconds(500);
-  cfg.monitor.probe_timeout = common::milliseconds(300);
-  cfg.monitor.miss_threshold = 3;
-  core::Testbed bed(cfg);
-
-  constexpr std::uint32_t kVpc = 7;
-  constexpr tables::VnicId kServer = 100;
-  vswitch::VnicConfig server;
-  server.id = kServer;
-  server.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 100)};
-  bed.add_vnic(10, server);
-  vswitch::VnicConfig client;
-  client.id = 1;
-  client.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 1, 1)};
-  bed.add_vnic(12, client);
-
+  core::Testbed bed(support::pair_config(/*clos=*/false));
+  support::add_pair(bed);
   std::uint64_t delivered = 0;
-  bed.vswitch(10).set_vm_delivery(
-      [&](tables::VnicId, const net::Packet&) { ++delivered; });
-
-  (void)bed.controller().trigger_offload(kServer, 4);
-  bed.run_for(common::seconds(4));
+  bed.vswitch(support::kPairServerHost)
+      .set_vm_delivery(
+          [&](tables::VnicId, const net::Packet&) { ++delivered; });
+  support::offload_pair(bed);
   bed.watch_fe_hosts();
   bed.monitor().start();
 
   // 64 flows x 50 pps steady traffic toward the offloaded server.
-  constexpr int kFlows = 64;
-  auto send_burst = [&bed]() {
-    for (int f = 0; f < kFlows; ++f) {
-      net::FiveTuple ft{net::Ipv4Addr(10, 0, 1, 1),
-                        net::Ipv4Addr(10, 0, 0, 100),
-                        static_cast<std::uint16_t>(20000 + f), 80,
-                        net::IpProto::kUdp};
-      bed.vswitch(12).from_vm(1, net::make_udp_packet(ft, 100, kVpc));
-    }
-  };
-  send_burst();
-  auto pump_id = std::make_shared<sim::EventId>();
-  *pump_id = bed.loop().schedule_periodic(
-      common::milliseconds(20), [&bed, send_burst, pump_id]() {
-        if (bed.loop().now() > common::seconds(12)) {
-          bed.loop().cancel(*pump_id);
-          return;
-        }
-        send_burst();
-      });
+  support::pump_pair(bed, /*flows=*/64, common::milliseconds(20),
+                     common::seconds(12), {});
   bed.run_for(common::seconds(2));
 
   // Crash the first FE that is not the client's host; run to recovery.
-  sim::NodeId victim = sim::kInvalidNode;
-  for (sim::NodeId n : bed.controller().fe_nodes_of(kServer)) {
-    if (n != 12) {
-      victim = n;
-      break;
-    }
-  }
-  bed.network().crash(victim);
+  support::crash_pair_fe(bed);
   bed.run_for(common::seconds(8));
 
   TraceResult r;

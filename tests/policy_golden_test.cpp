@@ -8,132 +8,48 @@
 //   exact timing (all windows 0, defaults):          4585995 packets,
 //     1146438 connections
 //
-// The scenario is a faithful replica of bench_engine_hotpath's bench_e2e
-// (8 vswitches, production cost model, 1000-rule tenant ACL from Rng(0xe2e),
-// two 128-concurrency CPS clients, 1s warmup + 3s run). Any drift means the
-// policy refactor perturbed the simulation — the virtual dispatch must be
+// The scenario is the golden e2e bed of support/scenarios.h, which
+// bench_engine_hotpath's e2e row also runs (8 vswitches, production cost
+// model, 1000-rule tenant ACL from Rng(0xe2e), two 128-concurrency CPS
+// clients), driven for 4s. Any drift means the policy
+// refactor perturbed the simulation — the virtual dispatch must be
 // semantics-preserving, not just "close". A second differential pins that
 // PushAsideDisplacementPolicy's hot path (same static modulo, displacement
 // is placement-time only) is bit-identical on the same scenario.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "src/common/rng.h"
-#include "src/core/testbed.h"
 #include "src/policy/fe_policy.h"
-#include "src/tables/rule_set.h"
-#include "src/workload/cps_workload.h"
+#include "support/scenarios.h"
 
 namespace nezha {
 namespace {
+
+using support::E2eFingerprint;
 
 constexpr std::uint64_t kGoldenBurstPackets = 4585200;
 constexpr std::uint64_t kGoldenBurstConnections = 1146286;
 constexpr std::uint64_t kGoldenExactPackets = 4585995;
 constexpr std::uint64_t kGoldenExactConnections = 1146438;
 
-// Byte-for-byte the e2e bench's tenant ACL generator (the rule stream from
-// Rng(0xe2e) is part of the scenario identity).
-tables::AclRule random_rule(common::Rng& rng) {
-  tables::AclRule r;
-  r.priority = static_cast<std::uint32_t>(rng.uniform_u64(0, 1000));
-  r.src = tables::Prefix{net::Ipv4Addr(static_cast<std::uint32_t>(rng.next())),
-                         static_cast<std::uint8_t>(rng.uniform_u64(8, 24))};
-  r.dst = tables::Prefix{net::Ipv4Addr(static_cast<std::uint32_t>(rng.next())),
-                         static_cast<std::uint8_t>(rng.uniform_u64(8, 24))};
-  const std::uint16_t lo =
-      static_cast<std::uint16_t>(rng.uniform_u64(0, 60000));
-  r.dst_ports = tables::PortRange{
-      lo, static_cast<std::uint16_t>(lo + rng.uniform_u64(0, 4000))};
-  const std::uint64_t proto = rng.uniform_u64(0, 3);
-  if (proto == 0) r.proto = net::IpProto::kTcp;
-  if (proto == 1) r.proto = net::IpProto::kUdp;
-  if (proto == 2) r.proto = net::IpProto::kIcmp;
-  const std::uint64_t dir = rng.uniform_u64(0, 2);
-  if (dir == 0) r.direction = flow::Direction::kTx;
-  if (dir == 1) r.direction = flow::Direction::kRx;
-  r.verdict = rng.chance(0.5) ? flow::Verdict::kDrop : flow::Verdict::kAccept;
-  return r;
-}
-
-struct Fingerprint {
-  std::uint64_t delivered = 0;
-  std::uint64_t completed = 0;
-};
-
-Fingerprint run_e2e(bool bursts, policy::PolicyKind kind) {
-  core::TestbedConfig cfg;
-  cfg.num_vswitches = 8;
-  cfg.vswitch.cost = tables::CostModel::production();
-  cfg.controller.auto_offload = false;
-  cfg.controller.auto_scale = false;
+E2eFingerprint run_e2e(bool bursts, policy::PolicyKind kind) {
+  core::TestbedConfig cfg = support::e2e_config(bursts);
   cfg.controller.fe_policy = kind;
-  if (bursts) {
-    cfg.network.rx_burst_window = common::microseconds(192);
-    cfg.vswitch.cpu_burst_window = common::microseconds(64);
-    cfg.vswitch.aging_period = common::milliseconds(100);
-  }
-  core::Testbed bed(cfg);
-  EXPECT_EQ(bed.controller().fe_policy(), kind);
-  EXPECT_EQ(bed.vswitch(0).fe_policy().kind(), kind);
-
-  constexpr std::uint32_t kVpc = 7;
-  constexpr tables::VnicId kServer = 100;
-  vswitch::VnicConfig server;
-  server.id = kServer;
-  server.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 100)};
-  bed.add_vnic(0, server);
-  common::Rng rng(0xe2e);
-  auto& server_acl = bed.vswitch(0).vnic(kServer)->rules()->acl();
-  for (int i = 0; i < 1000; ++i) {
-    tables::AclRule r = random_rule(rng);
-    r.priority += 10;
-    r.verdict = flow::Verdict::kDrop;
-    r.src.addr = net::Ipv4Addr(172, 16, static_cast<std::uint8_t>(i % 200), 1);
-    r.src.length = 30;
-    server_acl.add_rule(r);
-  }
-  bed.vswitch(0).vnic(kServer)->rules()->commit_update();
-
-  std::vector<std::unique_ptr<workload::CpsWorkload>> clients;
-  for (int c = 0; c < 2; ++c) {
-    vswitch::VnicConfig client;
-    client.id = static_cast<tables::VnicId>(c + 1);
-    client.addr = tables::OverlayAddr{
-        kVpc, net::Ipv4Addr(10, 0, 1, static_cast<std::uint8_t>(c + 1))};
-    const std::size_t client_switch = 1 + static_cast<std::size_t>(c);
-    bed.add_vnic(client_switch, client);
-    workload::CpsWorkloadConfig w;
-    w.concurrency = 128;
-    w.seed = 300 + static_cast<std::uint64_t>(c);
-    if (bursts) w.timer_window = common::microseconds(64);
-    clients.push_back(std::make_unique<workload::CpsWorkload>(
-        bed, client_switch, client.id, 0, kServer, w));
-  }
-  for (std::size_t i = 0; i < bed.size(); ++i) bed.vswitch(i).start_aging();
-
-  for (auto& c : clients) c->start();
-  bed.run_for(common::seconds(1));
-  bed.run_for(common::seconds(3));
-  for (auto& c : clients) c->stop();
-
-  Fingerprint fp;
-  fp.delivered = bed.network().delivered();
-  for (auto& c : clients) fp.completed += c->completed();
-  return fp;
+  support::CpsBed s = support::e2e_bed(cfg, bursts);
+  EXPECT_EQ(s.bed->controller().fe_policy(), kind);
+  EXPECT_EQ(s.bed->vswitch(0).fe_policy().kind(), kind);
+  return support::run_e2e(s);
 }
 
 TEST(PolicyGoldenTest, StaticHashReproducesBurstGoldenFingerprint) {
-  const Fingerprint fp = run_e2e(true, policy::PolicyKind::kStaticHash);
+  const E2eFingerprint fp = run_e2e(true, policy::PolicyKind::kStaticHash);
   EXPECT_EQ(fp.delivered, kGoldenBurstPackets);
   EXPECT_EQ(fp.completed, kGoldenBurstConnections);
 }
 
 TEST(PolicyGoldenTest, StaticHashReproducesExactGoldenFingerprint) {
-  const Fingerprint fp = run_e2e(false, policy::PolicyKind::kStaticHash);
+  const E2eFingerprint fp = run_e2e(false, policy::PolicyKind::kStaticHash);
   EXPECT_EQ(fp.delivered, kGoldenExactPackets);
   EXPECT_EQ(fp.completed, kGoldenExactConnections);
 }
@@ -143,7 +59,7 @@ TEST(PolicyGoldenTest, StaticHashReproducesExactGoldenFingerprint) {
 // be bit-identical to the golden numbers too — pinning that a policy swap
 // alone cannot perturb the datapath.
 TEST(PolicyGoldenTest, PushAsideHotPathMatchesBurstGoldenFingerprint) {
-  const Fingerprint fp =
+  const E2eFingerprint fp =
       run_e2e(true, policy::PolicyKind::kPushAsideDisplacement);
   EXPECT_EQ(fp.delivered, kGoldenBurstPackets);
   EXPECT_EQ(fp.completed, kGoldenBurstConnections);

@@ -74,6 +74,20 @@ class QosPathTest : public ::testing::Test {
     bed_.run_for(duration + milliseconds(100));
   }
 
+  /// `attributed` must equal the cycles vs's CPU served: its busy integral
+  /// now, in cycles, within the rounding of each accepted op's service time
+  /// down to whole nanoseconds.
+  void expect_cycles_attributed(const vswitch::VSwitch& vs,
+                                double attributed) {
+    const vswitch::CpuModel& cpu = vs.cpu();
+    const double per_ns =
+        cpu.cycles_per_second() / static_cast<double>(common::kSecond);
+    const double served =
+        static_cast<double>(cpu.busy_integral(bed_.loop().now())) * per_ns;
+    EXPECT_NEAR(attributed, served,
+                static_cast<double>(cpu.accepted()) * per_ns);
+  }
+
   core::Testbed bed_;
   std::uint64_t delivered_ = 0;
 };
@@ -87,6 +101,15 @@ TEST_F(QosPathTest, LocalPathEnforcesRate) {
   EXPECT_LT(delivered_, 80u);
 }
 
+// monitor_tick picks scale-out or scale-in from the split of CPU cycles
+// between local and FE work (Fig 8), so the split must count every cycle a
+// drop costs, QoS drops included.
+TEST_F(QosPathTest, QosDropsAreAttributedToLocalCycles) {
+  stream(200, seconds(2));
+  ASSERT_GT(bed_.vswitch(0).counters().get("drop.qos"), 100u);
+  expect_cycles_attributed(bed_.vswitch(0), bed_.vswitch(0).local_cycles());
+}
+
 TEST_F(QosPathTest, OffloadedPathEnforcesAtFrontend) {
   // After offload, TX packets are finalized at the flow's single FE — the
   // rate limit moves there with the cached pre-actions.
@@ -97,7 +120,10 @@ TEST_F(QosPathTest, OffloadedPathEnforcesAtFrontend) {
   stream(200, seconds(2));
   std::uint64_t fe_qos_drops = 0;
   for (sim::NodeId n : bed_.controller().fe_nodes_of(1)) {
-    fe_qos_drops += bed_.vswitch(n).counters().get("drop.qos");
+    const vswitch::VSwitch& fe = bed_.vswitch(n);
+    fe_qos_drops += fe.counters().get("drop.qos");
+    // An FE may share its vSwitch with the receiver, whose RX is local work.
+    expect_cycles_attributed(fe, fe.fe_cycles() + fe.local_cycles());
   }
   EXPECT_GT(fe_qos_drops, 100u);
   EXPECT_GT(delivered_, 20u);

@@ -7,25 +7,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "src/common/rng.h"
 #include "src/core/testbed.h"
 #include "src/sim/event_loop.h"
-#include "src/tables/rule_set.h"
 #include "src/telemetry/hub.h"
 #include "src/telemetry/slo.h"
-#include "src/workload/cps_workload.h"
 #include "src/workload/fleet_model.h"
+#include "support/scenarios.h"
 
 namespace nezha {
 namespace {
 
 using common::milliseconds;
 using common::seconds;
+using support::E2eFingerprint;
 using telemetry::Hub;
 using telemetry::MetricsRegistry;
 using telemetry::SloRule;
@@ -298,114 +295,34 @@ constexpr std::uint64_t kGoldenBurstConnections = 1146286;
 constexpr std::uint64_t kGoldenExactPackets = 4585995;
 constexpr std::uint64_t kGoldenExactConnections = 1146438;
 
-// Byte-for-byte the e2e bench's tenant ACL generator (the rule stream from
-// Rng(0xe2e) is part of the scenario identity — see policy_golden_test).
-tables::AclRule random_rule(common::Rng& rng) {
-  tables::AclRule r;
-  r.priority = static_cast<std::uint32_t>(rng.uniform_u64(0, 1000));
-  r.src = tables::Prefix{net::Ipv4Addr(static_cast<std::uint32_t>(rng.next())),
-                         static_cast<std::uint8_t>(rng.uniform_u64(8, 24))};
-  r.dst = tables::Prefix{net::Ipv4Addr(static_cast<std::uint32_t>(rng.next())),
-                         static_cast<std::uint8_t>(rng.uniform_u64(8, 24))};
-  const std::uint16_t lo =
-      static_cast<std::uint16_t>(rng.uniform_u64(0, 60000));
-  r.dst_ports = tables::PortRange{
-      lo, static_cast<std::uint16_t>(lo + rng.uniform_u64(0, 4000))};
-  const std::uint64_t proto = rng.uniform_u64(0, 3);
-  if (proto == 0) r.proto = net::IpProto::kTcp;
-  if (proto == 1) r.proto = net::IpProto::kUdp;
-  if (proto == 2) r.proto = net::IpProto::kIcmp;
-  const std::uint64_t dir = rng.uniform_u64(0, 2);
-  if (dir == 0) r.direction = flow::Direction::kTx;
-  if (dir == 1) r.direction = flow::Direction::kRx;
-  r.verdict = rng.chance(0.5) ? flow::Verdict::kDrop : flow::Verdict::kAccept;
-  return r;
-}
-
-struct Fingerprint {
-  std::uint64_t delivered = 0;
-  std::uint64_t completed = 0;
-};
-
-/// The policy_golden_test e2e scenario with the full telemetry plane (SLO
-/// tracker included) switched on. The tracker samples the simulation; it
-/// must never steer it.
-Fingerprint run_e2e_with_slo(bool bursts) {
-  core::TestbedConfig cfg;
-  cfg.num_vswitches = 8;
-  cfg.vswitch.cost = tables::CostModel::production();
-  cfg.controller.auto_offload = false;
-  cfg.controller.auto_scale = false;
-  if (bursts) {
-    cfg.network.rx_burst_window = common::microseconds(192);
-    cfg.vswitch.cpu_burst_window = common::microseconds(64);
-    cfg.vswitch.aging_period = milliseconds(100);
-  }
+/// The golden e2e bed (support/scenarios.h, the bed policy_golden_test
+/// runs) with the full telemetry plane (SLO tracker included) switched on.
+/// The tracker samples the simulation; it must never steer it.
+E2eFingerprint run_e2e_with_slo(bool bursts) {
+  core::TestbedConfig cfg = support::e2e_config(bursts);
   cfg.telemetry.enabled = true;
   cfg.telemetry.events_per_node = 1 << 12;
-  core::Testbed bed(cfg);
-
-  constexpr std::uint32_t kVpc = 7;
-  constexpr tables::VnicId kServer = 100;
-  vswitch::VnicConfig server;
-  server.id = kServer;
-  server.addr = tables::OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 100)};
-  bed.add_vnic(0, server);
-  common::Rng rng(0xe2e);
-  auto& server_acl = bed.vswitch(0).vnic(kServer)->rules()->acl();
-  for (int i = 0; i < 1000; ++i) {
-    tables::AclRule r = random_rule(rng);
-    r.priority += 10;
-    r.verdict = flow::Verdict::kDrop;
-    r.src.addr = net::Ipv4Addr(172, 16, static_cast<std::uint8_t>(i % 200), 1);
-    r.src.length = 30;
-    server_acl.add_rule(r);
-  }
-  bed.vswitch(0).vnic(kServer)->rules()->commit_update();
-
-  std::vector<std::unique_ptr<workload::CpsWorkload>> clients;
-  for (int c = 0; c < 2; ++c) {
-    vswitch::VnicConfig client;
-    client.id = static_cast<tables::VnicId>(c + 1);
-    client.addr = tables::OverlayAddr{
-        kVpc, net::Ipv4Addr(10, 0, 1, static_cast<std::uint8_t>(c + 1))};
-    const std::size_t client_switch = 1 + static_cast<std::size_t>(c);
-    bed.add_vnic(client_switch, client);
-    workload::CpsWorkloadConfig w;
-    w.concurrency = 128;
-    w.seed = 300 + static_cast<std::uint64_t>(c);
-    if (bursts) w.timer_window = common::microseconds(64);
-    clients.push_back(std::make_unique<workload::CpsWorkload>(
-        bed, client_switch, client.id, 0, kServer, w));
-  }
-  for (std::size_t i = 0; i < bed.size(); ++i) bed.vswitch(i).start_aging();
-
-  for (auto& c : clients) c->start();
-  bed.run_for(seconds(1));
-  bed.run_for(seconds(3));
-  for (auto& c : clients) c->stop();
+  support::CpsBed s = support::e2e_bed(cfg, bursts);
+  const E2eFingerprint fp = support::run_e2e(s);
 
   // The tracker really ran: counters exist and the section renders.
-  EXPECT_NE(bed.telemetry(), nullptr);
-  EXPECT_NE(bed.telemetry()->slo(), nullptr);
+  Hub* hub = s.bed->telemetry();
+  EXPECT_NE(hub, nullptr);
+  EXPECT_NE(hub->slo(), nullptr);
   std::ostringstream js;
-  bed.telemetry()->write_json(js);
+  hub->write_json(js);
   EXPECT_NE(js.str().find("\"slo\": "), std::string::npos);
-
-  Fingerprint fp;
-  fp.delivered = bed.network().delivered();
-  for (auto& c : clients) fp.completed += c->completed();
   return fp;
 }
 
 TEST(SloGoldenTest, TelemetryWithSloPreservesBurstGoldenFingerprint) {
-  const Fingerprint fp = run_e2e_with_slo(/*bursts=*/true);
+  const E2eFingerprint fp = run_e2e_with_slo(/*bursts=*/true);
   EXPECT_EQ(fp.delivered, kGoldenBurstPackets);
   EXPECT_EQ(fp.completed, kGoldenBurstConnections);
 }
 
 TEST(SloGoldenTest, TelemetryWithSloPreservesExactGoldenFingerprint) {
-  const Fingerprint fp = run_e2e_with_slo(/*bursts=*/false);
+  const E2eFingerprint fp = run_e2e_with_slo(/*bursts=*/false);
   EXPECT_EQ(fp.delivered, kGoldenExactPackets);
   EXPECT_EQ(fp.completed, kGoldenExactConnections);
 }
