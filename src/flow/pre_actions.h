@@ -39,10 +39,11 @@ struct NextHop {
 /// Per-direction preliminary action from the rule-table chain.
 struct DirPreAction {
   Verdict acl_verdict = Verdict::kAccept;
-  // NAT rewrite recipe (applies to the inner header when enabled).
+  // NAT rewrite recipe (applies to the inner header when enabled). The port
+  // sits beside the two flags, where it needs no padding.
   bool nat_enabled = false;
-  net::Ipv4Addr nat_ip;
   std::uint16_t nat_port = 0;
+  net::Ipv4Addr nat_ip;
   // QoS: committed rate; 0 means unlimited.
   std::uint32_t rate_limit_kbps = 0;
   // Flow statistics policy (a *rule-table-involved* state input, §3.2.2).

@@ -41,11 +41,13 @@ struct SessionState {
   /// Flow-statistics policy currently applied (a rule-table-involved state;
   /// updated via notify packets under Nezha, §3.2.2).
   StatsMode stats_mode = StatsMode::kNone;
+  /// Ahead of the counters: aging reads it on every visit, the counters
+  /// only matter under a statistics policy.
+  common::TimePoint last_active = 0;
   std::uint64_t pkts_tx = 0;
   std::uint64_t pkts_rx = 0;
   std::uint64_t bytes_tx = 0;
   std::uint64_t bytes_rx = 0;
-  common::TimePoint last_active = 0;
 
   bool initialized() const { return first_dir != FirstDirection::kNone; }
 

@@ -17,9 +17,10 @@ std::size_t state_entry_bytes(const VSwitchConfig& config) {
                                 : flow::kStateAllocBytes;
   return flow::kSessionKeyBytes + state;
 }
-/// Extra bytes reserved when an entry caches pre-actions locally.
+/// Extra bytes reserved when a state-bearing entry caches pre-actions.
 constexpr std::size_t kPreActionCacheBytes = flow::kPreActionsBytes;
-/// FE flow-cache entry bytes (key + pre-actions, no state).
+/// FE flow-cache entry bytes (key + pre-actions, no state): the entry's
+/// pre-actions are paid for at creation, never again on caching.
 constexpr std::size_t kFeCacheEntryBytes =
     flow::kSessionKeyBytes + flow::kPreActionsBytes;
 
@@ -247,10 +248,9 @@ void VSwitch::invalidate_cached_flows(tables::VnicId id) {
     if (key.canonical_ft.src_ip != addr.ip && key.canonical_ft.dst_ip != addr.ip) {
       return;
     }
-    if (entry.pre_actions.has_value()) {
+    if (sessions_.pre_actions(entry) != nullptr) {
       // for_each is const; drop via the non-const find below.
-      auto* e = sessions_.find(key);
-      e->pre_actions.reset();
+      sessions_.clear_pre_actions(*sessions_.find(key));
       session_pool_.release(kPreActionCacheBytes);
     }
   });
@@ -517,13 +517,14 @@ flow::SessionEntry* VSwitch::get_or_create_cache_entry(
 }
 
 const flow::PreActions& VSwitch::ensure_pre_actions(
-    flow::SessionEntry& entry, const tables::RuleTableSet& rules,
-    const net::FiveTuple& tx_ft, double* cycles, flow::PreActions& fallback) {
-  if (entry.pre_actions.has_value() &&
-      entry.pre_actions->rule_version == rules.version()) {
+    flow::SessionTable& table, flow::SessionEntry& entry,
+    const tables::RuleTableSet& rules, const net::FiveTuple& tx_ft,
+    double* cycles, flow::PreActions& fallback) {
+  const flow::PreActions* cached = table.pre_actions(entry);
+  if (cached != nullptr && cached->rule_version == rules.version()) {
     ++fast_hits_;
     *cycles += config_.cost.session_lookup_cycles;
-    return *entry.pre_actions;
+    return *cached;
   }
   // Miss (first packet) or stale (rule tables updated): run the chain.
   ++slow_lookups_;
@@ -543,10 +544,11 @@ const flow::PreActions& VSwitch::ensure_pre_actions(
   // charged above — the cache models no hardware, it just makes the
   // simulator's connection-setup path cheap to execute.
   fallback = rules.lookup_cached(tx_ft);
-  const bool had_cache = entry.pre_actions.has_value();
-  if (had_cache || session_pool_.reserve(kPreActionCacheBytes)) {
-    entry.pre_actions = fallback;
-    return *entry.pre_actions;
+  // A stale cache re-uses its reservation, and an FE-cache entry's charge
+  // already covers its pre-actions.
+  if (cached != nullptr || !table.config().store_state ||
+      session_pool_.reserve(kPreActionCacheBytes)) {
+    return table.set_pre_actions(entry, fallback);
   }
   inc(Ctr::kCacheInsertFail);
   return fallback;
@@ -587,7 +589,7 @@ void VSwitch::mirror_copy(const net::Packet& pkt,
 
 void VSwitch::release_session_entry(const flow::SessionEntry& entry) {
   session_pool_.release(state_entry_bytes(config_));
-  if (entry.pre_actions.has_value()) {
+  if (sessions_.pre_actions(entry) != nullptr) {
     session_pool_.release(kPreActionCacheBytes);
   }
 }
@@ -649,7 +651,8 @@ void VSwitch::local_tx(Vnic& v, net::Packet pkt) {
 
   flow::PreActions scratch;
   const flow::PreActions& pre =
-      ensure_pre_actions(*entry, *v.rules(), pkt.inner.ft, &cycles, scratch);
+      ensure_pre_actions(sessions_, *entry, *v.rules(), pkt.inner.ft, &cycles,
+                         scratch);
 
   entry->state.observe(flow::Direction::kTx, pkt.inner.tcp_flags,
                        pkt.inner.ft.proto == net::IpProto::kTcp,
@@ -866,8 +869,9 @@ void VSwitch::local_rx(Vnic& v, net::Packet pkt) {
   flow::PreActions scratch;
   // RX packets are oriented responder→initiator from the vNIC's viewpoint;
   // the rule chain is keyed by the TX-oriented tuple.
-  const flow::PreActions& pre = ensure_pre_actions(
-      *entry, *v.rules(), pkt.inner.ft.reversed(), &cycles, scratch);
+  const flow::PreActions& pre =
+      ensure_pre_actions(sessions_, *entry, *v.rules(), pkt.inner.ft.reversed(),
+                         &cycles, scratch);
 
   entry->state.observe(flow::Direction::kRx, pkt.inner.tcp_flags,
                        pkt.inner.ft.proto == net::IpProto::kTcp,
@@ -985,7 +989,8 @@ void VSwitch::fe_tx(FrontendInstance& fe, net::Packet pkt) {
   const std::uint64_t lookups_before = slow_lookups_;
   const flow::PreActions& pre =
       (entry != nullptr)
-          ? ensure_pre_actions(*entry, fe.rules, pkt.inner.ft, &cycles, scratch)
+          ? ensure_pre_actions(fe.flow_cache, *entry, fe.rules, pkt.inner.ft,
+                               &cycles, scratch)
           : (scratch = fe.rules.lookup_cached(pkt.inner.ft),
              cycles += fe.rules.lookup_cycles(config_.cost), scratch);
   const bool chain_ran = slow_lookups_ != lookups_before || entry == nullptr;
@@ -1080,8 +1085,8 @@ void VSwitch::fe_rx(FrontendInstance& fe, net::Packet pkt) {
   const std::uint64_t lookups_before = slow_lookups_;
   const flow::PreActions& pre =
       (entry != nullptr)
-          ? ensure_pre_actions(*entry, fe.rules, pkt.inner.ft.reversed(),
-                               &cycles, scratch)
+          ? ensure_pre_actions(fe.flow_cache, *entry, fe.rules,
+                               pkt.inner.ft.reversed(), &cycles, scratch)
           : (scratch = fe.rules.lookup_cached(pkt.inner.ft.reversed()),
              cycles += fe.rules.lookup_cycles(config_.cost), scratch);
   const bool chain_ran = slow_lookups_ != lookups_before || entry == nullptr;

@@ -336,11 +336,15 @@ class VSwitch : public sim::Node {
   flow::SessionEntry* get_or_create_cache_entry(FrontendInstance& fe,
                                                 const flow::SessionKey& key);
 
-  /// Ensures `entry` holds fresh pre-actions for `tx_ft` under `rules`,
-  /// running the slow-path chain on miss/staleness (adding its cycles to
-  /// *cycles and reserving cache memory). Returns the pre-actions to use —
-  /// `fallback` when caching memory is unavailable.
-  const flow::PreActions& ensure_pre_actions(flow::SessionEntry& entry,
+  /// Ensures `entry` of `table` holds fresh pre-actions for `tx_ft` under
+  /// `rules`, running the slow-path chain on miss/staleness (adding its
+  /// cycles to *cycles and, on a state-bearing table, reserving cache
+  /// memory). Returns the pre-actions to use — `fallback` when caching
+  /// memory is unavailable. A returned pooled value is valid only until the
+  /// next set_pre_actions(), clear() or invalidate_pre_actions() on `table`
+  /// (SessionTable::pre_actions()).
+  const flow::PreActions& ensure_pre_actions(flow::SessionTable& table,
+                                             flow::SessionEntry& entry,
                                              const tables::RuleTableSet& rules,
                                              const net::FiveTuple& tx_ft,
                                              double* cycles,

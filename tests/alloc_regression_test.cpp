@@ -11,12 +11,17 @@
 // workload with burst windows, DESIGN.md §11) and pins its allocation rate:
 // once slabs are warm, opening a connection must be allocation-free apart
 // from the session-table slab growing toward its TTL equilibrium.
+// The session-table tests pin its host-memory budget: an empty table
+// allocates nothing, a session sharing its pre-actions costs at most 200
+// allocated bytes, a session with a value of its own costs no more than an
+// inline copy did, and aging sweeps at a churn equilibrium allocate nothing.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "src/core/testbed.h"
+#include "src/flow/session_table.h"
 #include "src/vswitch/vswitch.h"
 #include "src/workload/cps_workload.h"
 #include "support/alloc_hook.h"
@@ -171,6 +176,111 @@ TEST(CpsSetupPhaseAllocTest, WarmSetupPathAllocatesNearZeroPerConnection) {
   EXPECT_LE(per_conn, 0.1)
       << "setup phase allocated " << window_allocs << " times over "
       << window_conns << " connections (" << per_conn << "/connection)";
+}
+
+// Session n of the table tests below: distinct, allocation-free keys.
+flow::SessionKey nth_key(std::uint32_t n) {
+  return flow::SessionKey::from_packet(
+      kVpc, net::FiveTuple{net::Ipv4Addr(0x0a000000u | (n >> 16)),
+                           net::Ipv4Addr(10, 1, 0, 1),
+                           static_cast<std::uint16_t>(n), 80,
+                           net::IpProto::kTcp});
+}
+
+TEST(SessionTableAllocTest, EmptyTableAllocatesNothing) {
+  const support::AllocCounts before = support::alloc_counts();
+  {
+    flow::SessionTable table{flow::SessionTableConfig{}};
+    EXPECT_EQ(table.find(nth_key(1)), nullptr);
+    table.prefetch_entry(table.prefetch_index(nth_key(1)));
+    EXPECT_EQ(table.age_out(seconds(30)), 0u);
+  }
+  const support::AllocCounts after = support::alloc_counts();
+  EXPECT_EQ(after.news - before.news, 0u);
+  EXPECT_EQ(after.bytes - before.bytes, 0u);
+}
+
+// Allocated bytes per session when 65,536 sessions, created over one
+// second, each cache value(n); `distinct` is how many values that makes.
+template <typename ValueFn>
+double bytes_per_session(ValueFn value, std::size_t distinct) {
+  constexpr std::uint32_t kSessions = 65536;
+  const std::uint64_t bytes_before = support::alloc_counts().bytes;
+  {
+    flow::SessionTable table{flow::SessionTableConfig{}};
+    for (std::uint32_t n = 0; n < kSessions; ++n) {
+      flow::SessionEntry* e = table.find_or_create(
+          nth_key(n), static_cast<common::TimePoint>(
+                          std::uint64_t{n} * common::kSecond / kSessions));
+      EXPECT_NE(e, nullptr);
+      if (e != nullptr) table.set_pre_actions(*e, value(n));
+    }
+    EXPECT_EQ(table.size(), kSessions);
+    EXPECT_EQ(table.pre_action_pool_size(), distinct);
+  }
+  return static_cast<double>(support::alloc_counts().bytes - bytes_before) /
+         kSessions;
+}
+
+flow::PreActions routed_pre_actions() {
+  flow::PreActions p;
+  p.rule_version = 3;
+  p.tx.next_hop.ip = net::Ipv4Addr(192, 168, 0, 9);
+  return p;
+}
+
+TEST(SessionTableAllocTest, SharedPreActionsCostUnder200BytesPerSession) {
+  const double per_session =
+      bytes_per_session([](std::uint32_t) { return routed_pre_actions(); }, 1);
+  EXPECT_LE(per_session, 200.0)
+      << "a session with shared pre-actions allocates " << per_session << " B";
+}
+
+// The worst case for interning: a per-tuple NAT endpoint gives every flow
+// its own value, so each session pays a pooled value and its index cell.
+// That must cost no more than the inline copy every entry used to carry:
+// 298.2 B per session on this insert sequence.
+TEST(SessionTableAllocTest, UniquePreActionsCostNoMoreThanInlineCopies) {
+  const double per_session = bytes_per_session([](std::uint32_t n) {
+    flow::PreActions p = routed_pre_actions();
+    p.tx.nat_enabled = true;
+    p.tx.nat_ip = net::Ipv4Addr(0x64400000u | (n >> 16));
+    p.tx.nat_port = static_cast<std::uint16_t>(n);
+    return p;
+  }, 65536);
+  EXPECT_LE(per_session, 298.2)
+      << "a session with unique pre-actions allocates " << per_session << " B";
+}
+
+// 1000 new established sessions and 1000 evictions per 100 ms sweep: an
+// 80K-entry equilibrium. Once every wheel cell and the re-queue buffer have
+// held a full sweep's worth, neither inserting nor sweeping allocates.
+TEST(SessionTableAllocTest, AgingSweepsAtEquilibriumAllocateNothing) {
+  flow::SessionTable table{flow::SessionTableConfig{}};
+  std::uint32_t next = 0;
+  std::size_t evicted = 0;
+  const auto churn = [&](int sweeps, common::TimePoint& now) {
+    for (int s = 0; s < sweeps; ++s) {
+      now += milliseconds(100);
+      for (int i = 0; i < 1000; ++i) {
+        ASSERT_NE(table.find_or_create(nth_key(next++), now), nullptr);
+      }
+      evicted += table.age_out(now);
+    }
+  };
+  common::TimePoint now = 0;
+  churn(250, now);  // 8 s to fill, then two turns of the 128-bucket ring
+  ASSERT_EQ(table.size(), 80000u);
+
+  const std::uint64_t evicted_before = evicted;
+  const std::uint64_t allocs_before = support::alloc_counts().news;
+  constexpr int kSweeps = 50;
+  churn(kSweeps, now);
+  const std::uint64_t allocs = support::alloc_counts().news - allocs_before;
+  EXPECT_EQ(evicted - evicted_before, kSweeps * 1000u);
+  EXPECT_EQ(table.size(), 80000u);
+  EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / kSweeps
+                        << " allocations per sweep";
 }
 
 }  // namespace

@@ -285,11 +285,11 @@ TEST(SessionTableTest, InvalidatePreActionsKeepsState) {
   SessionTable t{SessionTableConfig{}};
   auto key = SessionKey::from_packet(1, tx_tuple());
   auto* e = t.find_or_create(key, 0);
-  e->pre_actions = PreActions{};
+  t.set_pre_actions(*e, PreActions{});
   e->state.observe(Direction::kTx, TcpFlags{.syn = true}, true, 64, 0);
   t.invalidate_pre_actions();
   ASSERT_NE(t.find(key), nullptr);
-  EXPECT_FALSE(t.find(key)->pre_actions.has_value());
+  EXPECT_EQ(t.pre_actions(*t.find(key)), nullptr);
   EXPECT_EQ(t.find(key)->state.first_dir, FirstDirection::kTx);
 }
 

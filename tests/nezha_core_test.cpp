@@ -321,6 +321,40 @@ TEST_F(NezhaCoreTest, FlowsSpreadAcrossFrontends) {
   EXPECT_EQ(total_fe_cache_entries(), 200u);
 }
 
+// An FE flow-cache entry is charged key + pre-actions once, at creation;
+// caching its pre-actions adds nothing, and aging returns every byte. The
+// FE-side twin of LocalPathTest.AgingReclaimsSessionMemory.
+TEST_F(NezhaCoreTest, FrontendCacheAgingReclaimsSessionMemory) {
+  offload_server();
+  for (std::size_t n = 0; n < bed_.size(); ++n) bed_.vswitch(n).start_aging();
+  for (int i = 0; i < 64; ++i) {
+    client_sends(flow(static_cast<std::uint16_t>(46000 + i)),
+                 net::TcpFlags{.syn = true});
+  }
+  bed_.run_for(milliseconds(100));
+  constexpr std::size_t kEntryBytes =
+      flow::kSessionKeyBytes + flow::kPreActionsBytes;
+  std::vector<sim::NodeId> fe_hosts;  // FE hosts without local sessions
+  std::size_t cached = 0;
+  for (sim::NodeId node : bed_.controller().fe_nodes_of(kServerVnic)) {
+    vswitch::VSwitch& host = bed_.vswitch(node);
+    if (host.sessions().size() != 0) continue;
+    const auto* fe = host.frontend(kServerVnic);
+    ASSERT_NE(fe, nullptr);
+    EXPECT_EQ(host.session_memory().used(), fe->flow_cache.size() * kEntryBytes)
+        << "FE host " << node;
+    cached += fe->flow_cache.size();
+    fe_hosts.push_back(node);
+  }
+  ASSERT_GT(cached, 0u);
+  bed_.run_for(seconds(20));  // past the 8 s flow-cache TTL
+  for (sim::NodeId node : fe_hosts) {
+    EXPECT_EQ(bed_.vswitch(node).frontend(kServerVnic)->flow_cache.size(), 0u);
+    EXPECT_EQ(bed_.vswitch(node).session_memory().used(), 0u)
+        << "FE host " << node;
+  }
+}
+
 TEST_F(NezhaCoreTest, ScaleOutAddsFrontends) {
   offload_server();
   auto st = bed_.controller().scale_out(kServerVnic, 4);

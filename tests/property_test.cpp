@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "src/common/rng.h"
@@ -619,6 +620,113 @@ TEST(SessionTableProperty, IncrementalAgingMatchesFullScanAcrossSweeps) {
     }
     EXPECT_EQ(table.size(), live.size());
   }
+}
+
+// Pre-action interning against a reference map: after every operation each
+// live entry reads back exactly the value last cached on it (or none), and
+// the pool never holds more slots than the most distinct values ever live
+// at once. Values are drawn from three shared ones and a stream of unique
+// ones, so ids are shared, released to zero and reused.
+TEST(SessionTableProperty, PreActionPoolMatchesReferenceMap) {
+  common::Rng rng = make_rng(23);
+  flow::SessionTable table{flow::SessionTableConfig{
+      .established_ttl = common::seconds(2),
+      .embryonic_ttl = common::milliseconds(500),
+      .closed_ttl = common::milliseconds(100)}};
+  const auto value = [](std::uint32_t tag) {
+    flow::PreActions p;
+    p.rule_version = tag;
+    p.tx.rate_limit_kbps = tag * 7;
+    p.rx.nat_port = static_cast<std::uint16_t>(tag);
+    return p;
+  };
+  std::vector<flow::SessionKey> keys;
+  for (int i = 0; i < 64; ++i) {
+    keys.push_back(flow::SessionKey::from_packet(2, random_tuple(rng)));
+  }
+  // Reference: key index → the value cached on it (nullopt = none).
+  std::map<std::size_t, std::optional<flow::PreActions>> ref;
+  std::uint32_t next_unique = 100;
+  std::size_t peak_distinct = 0;  // since construction or the last clear()
+  std::size_t max_distinct = 0;
+  common::TimePoint now = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const std::size_t k = rng.uniform_u64(0, keys.size() - 1);
+    flow::SessionEntry* e = table.find(keys[k]);
+    switch (rng.uniform_u64(0, 9)) {
+      case 0: case 1:
+        if (table.find_or_create(keys[k], now) != nullptr && e == nullptr) {
+          ref[k] = std::nullopt;
+        }
+        break;
+      case 2: case 3: case 4:
+        if (e != nullptr) {
+          const flow::PreActions v = rng.chance(0.7)
+              ? value(static_cast<std::uint32_t>(rng.uniform_u64(1, 3)))
+              : value(next_unique++);
+          EXPECT_EQ(table.set_pre_actions(*e, v), v);
+          ref[k] = v;
+        }
+        break;
+      case 5:
+        if (e != nullptr) {
+          table.clear_pre_actions(*e);
+          ref[k] = std::nullopt;
+        }
+        break;
+      case 6:
+        EXPECT_EQ(table.erase(keys[k]), e != nullptr);
+        ref.erase(k);
+        break;
+      case 7: {
+        now += static_cast<common::Duration>(
+            rng.uniform_u64(0, common::milliseconds(400)));
+        table.age_out(now, [&](const flow::SessionKey& key,
+                               const flow::SessionEntry& gone) {
+          const auto it = std::find(keys.begin(), keys.end(), key);
+          ASSERT_NE(it, keys.end());
+          const std::size_t idx = static_cast<std::size_t>(it - keys.begin());
+          const flow::PreActions* cached = table.pre_actions(gone);
+          ASSERT_EQ(cached != nullptr, ref.at(idx).has_value());
+          if (cached != nullptr) {
+            EXPECT_EQ(*cached, *ref.at(idx));
+          }
+          ref.erase(idx);
+        });
+        break;
+      }
+      case 8:
+        if (rng.chance(0.2)) {
+          table.invalidate_pre_actions();
+          for (auto& [idx, v] : ref) v.reset();
+        }
+        break;
+      default:
+        if (rng.chance(0.05)) {
+          table.clear();
+          ref.clear();
+          peak_distinct = 0;
+        }
+        break;
+    }
+    ASSERT_EQ(table.size(), ref.size()) << "step " << step;
+    std::vector<flow::PreActions> distinct;
+    for (const auto& [idx, v] : ref) {
+      const flow::SessionEntry* live = table.find(keys[idx]);
+      ASSERT_NE(live, nullptr) << "step " << step;
+      const flow::PreActions* cached = table.pre_actions(*live);
+      ASSERT_EQ(cached != nullptr, v.has_value()) << "step " << step;
+      if (cached == nullptr) continue;
+      EXPECT_EQ(*cached, *v) << "step " << step;
+      if (std::find(distinct.begin(), distinct.end(), *v) == distinct.end()) {
+        distinct.push_back(*v);
+      }
+    }
+    peak_distinct = std::max(peak_distinct, distinct.size());
+    max_distinct = std::max(max_distinct, distinct.size());
+    ASSERT_LE(table.pre_action_pool_size(), peak_distinct) << "step " << step;
+  }
+  EXPECT_GT(max_distinct, 3u);  // unique values were live beside shared ones
 }
 
 // ----------------------------------------------------------- determinism
