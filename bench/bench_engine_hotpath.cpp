@@ -463,26 +463,8 @@ ClosResult bench_clos(std::size_t num_vswitches, std::size_t shards,
     // Spread pairs across the whole fleet, client and server on different
     // racks so every flow crosses the spine layer.
     const std::size_t server_switch = p * (num_vswitches / kPairs);
-    std::size_t client_switch =
+    const std::size_t client_switch =
         server_switch + num_vswitches / (2 * kPairs);
-    if (bed.shard_of_node(static_cast<sim::NodeId>(client_switch)) !=
-        bed.shard_of_node(static_cast<sim::NodeId>(server_switch))) {
-      // Sharded bed: CpsWorkload endpoints must share a shard. Walk forward
-      // to the first same-shard switch on a different rack (offload BE↔FE
-      // legs still cross shards — FE pools ignore shard boundaries).
-      const std::uint32_t want =
-          bed.shard_of_node(static_cast<sim::NodeId>(server_switch));
-      const auto& topo = bed.network().topology();
-      for (std::size_t off = 1; off < num_vswitches; ++off) {
-        const std::size_t cand = (server_switch + off) % num_vswitches;
-        if (bed.shard_of_node(static_cast<sim::NodeId>(cand)) != want) continue;
-        client_switch = cand;
-        if (topo.tor_of(static_cast<sim::NodeId>(cand)) !=
-            topo.tor_of(static_cast<sim::NodeId>(server_switch))) {
-          break;
-        }
-      }
-    }
     vswitch::VnicConfig server;
     server.id = static_cast<tables::VnicId>(100 + p);
     server.addr = tables::OverlayAddr{

@@ -117,10 +117,9 @@ NoisyResult run_noisy_neighbor(PolicyKind kind, const MatrixFlags& fl) {
   const common::Duration measure =
       fl.smoke ? common::milliseconds(500) : common::seconds(2);
 
-  // CPS server A on node 0 → FEs {1,2,3,4} (same-rack first). CpsWorkload
-  // owns vswitch 0's vm_delivery slot, so the latency probes get their own
-  // offloaded target: vnic 110 homed on node 2 — a rack-mate of the hot
-  // host, so its pool also picks up node 1.
+  // CPS server A on node 0 → FEs {1,2,3,4} (same-rack first). The latency
+  // probes get their own offloaded target: vnic 110 homed on node 2 — a
+  // rack-mate of the hot host, so its pool also picks up node 1.
   add_vnic(bed, 0, 100, 0, 100);
   const net::Ipv4Addr det_ip = add_vnic(bed, 2, 110, 0, 110);
   // Local-path server (never offloaded) for the local_rx hop class.
@@ -154,15 +153,15 @@ NoisyResult run_noisy_neighbor(PolicyKind kind, const MatrixFlags& fl) {
   std::uint64_t be_delivered = 0;
   sim::EventLoop& det_loop = bed.loop_of(2);
   bed.vswitch(2).set_vm_delivery(
-      [&](tables::VnicId id, const net::Packet& p) {
-        if (id != 110 || p.created_at == 0) return;
+      110, [&](tables::VnicId, const net::Packet& p) {
+        if (p.created_at == 0) return;
         ++be_delivered;
         be_lat.add(common::to_micros(det_loop.now() - p.created_at));
       });
   sim::EventLoop& local_loop = bed.loop_of(6);
   bed.vswitch(6).set_vm_delivery(
-      [&](tables::VnicId id, const net::Packet& p) {
-        if (id != 300 || p.created_at == 0) return;
+      300, [&](tables::VnicId, const net::Packet& p) {
+        if (p.created_at == 0) return;
         local_lat.add(common::to_micros(local_loop.now() - p.created_at));
       });
 
@@ -274,9 +273,7 @@ FailoverResult run_tight_pool_failover(PolicyKind kind,
 
   std::uint64_t delivered = 0;
   bed.vswitch(8).set_vm_delivery(
-      [&delivered](tables::VnicId id, const net::Packet&) {
-        if (id == 100) ++delivered;
-      });
+      100, [&delivered](tables::VnicId, const net::Packet&) { ++delivered; });
 
   // Three saturated clients over four FEs ≈ 0.75 utilization per FE host:
   // healthy with 4 FEs, overloaded at 3. The clients also keep their own

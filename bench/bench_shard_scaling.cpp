@@ -13,6 +13,8 @@
 //     parallelism);
 //   * determinism: every thread count must produce the same fingerprint —
 //     a hard exit-code gate, not a report line;
+//   * completed connections; every run places the same endpoints, so no
+//     pair may stall (attempt but never complete) on any row — a gate;
 //   * fence/fast-forward counters (fenced sections run, epochs skipped) —
 //     both must be non-zero or the bench is not exercising the protocol it
 //     claims to measure (also a gate, host-independent);
@@ -38,8 +40,8 @@
 //
 // `--smoke` (CI): a small fleet, threads {1, 2}, churn enabled; exits
 // non-zero unless the 2-thread fingerprint equals the 1-thread one, traffic
-// crossed shards, conservation closed, the failover fired, and both the
-// skipped-epoch and fenced-section counters are non-zero. No JSON.
+// crossed shards, conservation closed, the failover fired, no pair stalled,
+// and the skipped-epoch and fenced-section counters are non-zero. No JSON.
 //
 // Flags: --vswitches N (10240) --shards K (8) --pairs P (64)
 //        --window-ms W (1000) --max-threads T (8)
@@ -55,6 +57,7 @@
 #include "src/core/invariants.h"
 #include "src/core/testbed.h"
 #include "src/workload/fleet_model.h"
+#include "support/scenarios.h"
 
 using namespace nezha;
 
@@ -93,6 +96,7 @@ struct RunResult {
   std::uint64_t epochs_skipped = 0;
   std::uint64_t fenced_sections = 0;
   std::uint64_t failovers = 0;
+  std::size_t stalled_pairs = 0;
   double busy_balance = 0;   // mean/max of per-shard busy time (1.0 = even)
   double ideal_speedup = 0;  // sum/max of per-shard busy time
   // Phase profile, summed across shards. The *_wall_ns fields are
@@ -170,6 +174,7 @@ RunResult run_one(const RunOpts& o) {
                  bed.controller().failover_events() +
                  bed.controller().fes_provisioned_total();
   r.failovers = bed.controller().failover_events();
+  r.stalled_pairs = support::stalled_pairs(scenario);
   const core::Testbed::NetTotals t = bed.net_totals();
   r.totals = t;
   r.exported = t.exported;
@@ -255,6 +260,7 @@ int main(int argc, char** argv) {
     const bool profile_inv = t1.prof_epochs == t2.prof_epochs &&
                              t1.fence_barriers == t2.fence_barriers &&
                              t1.ff_jumps == t2.ff_jumps;
+    const bool no_stall = t1.stalled_pairs == 0 && t2.stalled_pairs == 0;
     benchutil::verdict(deterministic,
                        "2-thread fingerprint == 1-thread fingerprint "
                        "(churn included)");
@@ -268,10 +274,11 @@ int main(int argc, char** argv) {
     benchutil::verdict(profile_inv,
                        "profile event counts (epochs, fence barriers, "
                        "ff jumps) match across thread counts");
+    benchutil::verdict(no_stall, "every pair completed connections");
     if (!t1.report.empty()) std::printf("%s\n", t1.report.c_str());
     if (!t2.report.empty()) std::printf("%s\n", t2.report.c_str());
     return deterministic && crossed && conserved && churned && protocol &&
-                   profile_inv
+                   profile_inv && no_stall
                ? 0
                : 1;
   }
@@ -369,9 +376,11 @@ int main(int argc, char** argv) {
     deterministic = deterministic && r.fingerprint == results[0].fingerprint;
   }
   bool conserved = ref.violations == 0;
+  bool no_stall = ref.stalled_pairs == 0;
   for (const RunResult& r : results) {
     conserved = conserved && r.violations == 0 &&
                 r.exported == r.imported + r.pending && r.late == 0;
+    no_stall = no_stall && r.stalled_pairs == 0;
   }
   const RunResult& last = results.back();
   double best_wall = results[0].wall_sec;
@@ -413,6 +422,9 @@ int main(int argc, char** argv) {
   benchutil::verdict(profile_inv,
                      "profile event counts (epochs, fence barriers, ff "
                      "jumps) identical at every thread count");
+  benchutil::verdict(no_stall,
+                     "every pair completed connections, unsharded and at "
+                     "every thread count");
   benchutil::verdict(last.ideal_speedup >= 4.0,
                      "shard busy-time balance supports >= 4x (sum/max of "
                      "per-shard busy time)");
@@ -485,7 +497,8 @@ int main(int argc, char** argv) {
         "\"pkts_per_wall_sec\": %.0f, \"busy_balance\": %.4f, "
         "\"ideal_speedup_from_balance\": %.3f, \"exported_tokens\": %llu, "
         "\"epochs\": %llu, \"epochs_skipped\": %llu, "
-        "\"fenced_sections\": %llu, \"failovers\": %llu,\n"
+        "\"fenced_sections\": %llu, \"failovers\": %llu, "
+        "\"completed_connections\": %llu,\n"
         "     \"profile\": {\"epochs\": %llu, \"fence_barriers\": %llu, "
         "\"ff_jumps\": %llu, \"snapshot_wall_ns\": %llu, "
         "\"advance_wall_ns\": %llu, \"barrier_wait_wall_ns\": %llu, "
@@ -497,6 +510,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.epochs_skipped),
         static_cast<unsigned long long>(r.fenced_sections),
         static_cast<unsigned long long>(r.failovers),
+        static_cast<unsigned long long>(r.completed),
         static_cast<unsigned long long>(r.prof_epochs),
         static_cast<unsigned long long>(r.fence_barriers),
         static_cast<unsigned long long>(r.ff_jumps),
@@ -534,7 +548,7 @@ int main(int argc, char** argv) {
   // conservation, churn, protocol-liveness and balance gates always do.
   const bool gates_ok =
       deterministic && conserved && churned && protocol_live &&
-      ff_invariant && profile_inv && last.ideal_speedup >= 4.0 &&
+      ff_invariant && profile_inv && no_stall && last.ideal_speedup >= 4.0 &&
       (hw < 8 || (best_vs_1thread >= 3.0 && best_vs_unsharded >= 4.0));
   return gates_ok ? 0 : 1;
 }

@@ -20,9 +20,9 @@
 //    worker parked, in deterministic (due, seq) order — so offload
 //    activation, churn and failover are safe and thread-invariant at ANY
 //    thread count.
-//  * Workload callbacks (CpsWorkload) execute on the shard threads of
-//    their endpoint vSwitches; CpsWorkload therefore requires both of its
-//    endpoints in the same shard (checked in its constructor).
+//  * Each half of a CpsWorkload runs on its own endpoint vSwitch's loop and
+//    takes that VM's packets from its adapter's sink; the halves meet only
+//    through packets, so the endpoints may sit on any shards.
 //  * Pure packet traffic — including BE→FE offload detours — may cross
 //    shards freely at any thread count; that is what the token rings are
 //    for.

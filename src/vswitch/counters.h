@@ -24,6 +24,7 @@ enum class Ctr : std::size_t {
   kDropMisdelivered,
   kDropBadCarrier,
   kDropStaleRoute,
+  kDropNoVmSink,
   kNotifyReceived,
   kProbeReplied,
   kCount,
@@ -36,7 +37,8 @@ inline constexpr std::array<std::string_view,
         "cache_insert_fail", "drop.no_vnic",      "drop.acl",
         "drop.qos",          "drop.no_route",     "drop.no_frontend",
         "drop.unroutable",   "drop.misdelivered", "drop.bad_carrier",
-        "drop.stale_route",  "notify_received",   "probe_replied",
+        "drop.stale_route",  "drop.no_vm_sink",   "notify_received",
+        "probe_replied",
 };
 
 }  // namespace nezha::vswitch

@@ -15,6 +15,8 @@
 
 namespace nezha::vswitch {
 
+struct VmAdapter;  // vswitch.h
+
 /// Offload lifecycle of a vNIC on its home (BE) vSwitch.
 enum class VnicMode : std::uint8_t {
   /// All processing local; rule tables and cached flows on this vSwitch.
@@ -97,11 +99,11 @@ class Vnic {
   common::TimePoint dual_running_until() const { return dual_running_until_; }
   void set_dual_running_until(common::TimePoint t) { dual_running_until_ = t; }
 
-  /// Slot of this vNIC's adapter delivery counter, resolved once by the
-  /// hosting vSwitch at creation (the counter map's nodes are stable) so the
+  /// This vNIC's VM adapter (its parent's for a §7.4 child), resolved once
+  /// by the hosting vSwitch (the adapter map's nodes are stable) so the
   /// per-packet delivery path does not hash the adapter id.
-  std::uint64_t* delivery_counter() const { return delivery_counter_; }
-  void set_delivery_counter(std::uint64_t* slot) { delivery_counter_ = slot; }
+  VmAdapter* adapter() const { return adapter_; }
+  void set_adapter(VmAdapter* adapter) { adapter_ = adapter; }
 
  private:
   VnicConfig config_;
@@ -110,7 +112,7 @@ class Vnic {
   std::unique_ptr<tables::RuleTableSet> rules_;
   std::vector<tables::Location> fe_locations_;
   common::TimePoint dual_running_until_ = 0;
-  std::uint64_t* delivery_counter_ = nullptr;
+  VmAdapter* adapter_ = nullptr;
 };
 
 }  // namespace nezha::vswitch

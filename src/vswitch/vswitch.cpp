@@ -79,19 +79,22 @@ common::Status VSwitch::add_vnic(const VnicConfig& vnic_config,
   }
   auto [it, inserted] = vnics_.emplace(vnic_config.id, std::move(v));
   dispatch_by_addr_[vnic_config.addr].vnic = &it->second;
-  it->second.set_delivery_counter(
-      &adapter_deliveries_[vnic_config.parent.value_or(vnic_config.id)]);
+  it->second.set_adapter(
+      &adapters_[vnic_config.parent.value_or(vnic_config.id)]);
   return common::Status::ok_status();
 }
 
 void VSwitch::remove_vnic(tables::VnicId id) {
   auto it = vnics_.find(id);
   if (it == vnics_.end()) return;
+  // Dual-running modes hold the local tables and the BE metadata at once.
   if (it->second.has_local_tables()) {
     rule_pool_.release(it->second.rules()->memory_bytes());
-  } else {
+  }
+  if (it->second.mode() != VnicMode::kLocal) {
     rule_pool_.release(kBackendMetadataBytes);
   }
+  if (!it->second.config().parent) it->second.adapter()->sink = nullptr;
   if (auto dit = dispatch_by_addr_.find(it->second.addr());
       dit != dispatch_by_addr_.end()) {
     dit->second.vnic = nullptr;
@@ -401,11 +404,11 @@ void VSwitch::run_op(std::uint32_t slot) {
   PendingOp& rec = op_slab_[slot];
   net::Packet pkt = std::move(rec.pkt);
   const tables::Location dst = rec.dst;
-  std::uint64_t* adapter_count = rec.adapter_count;
+  VmAdapter* adapter = rec.adapter;
   const tables::VnicId vid = rec.vid;
   const OpKind kind = rec.kind;
   const auto stage = static_cast<telemetry::Stage>(rec.stage);
-  // Free before acting: send_encapped / vm_delivery_ may re-enter and
+  // Free before acting: send_encapped / the VM sink may re-enter and
   // reuse this slot.
   op_free_.push_back(slot);
   record_cpu(telemetry::EventKind::kCpuOpFinish, stage, &pkt, 0, 0);
@@ -414,7 +417,7 @@ void VSwitch::run_op(std::uint32_t slot) {
     return;
   }
   ++vm_deliveries_;
-  ++*adapter_count;
+  ++adapter->deliveries;
   if (telemetry_ != nullptr) {
     telemetry::TraceEvent e;
     e.at = loop_.now();
@@ -435,7 +438,8 @@ void VSwitch::run_op(std::uint32_t slot) {
       }
     }
   }
-  if (vm_delivery_) vm_delivery_(vid, pkt);
+  if (adapter->sink) adapter->sink(vid, pkt);
+  else inc(Ctr::kDropNoVmSink);
 }
 
 void VSwitch::consume_cpu_send(double cycles, net::Packet pkt,
@@ -459,8 +463,7 @@ void VSwitch::consume_cpu_send(double cycles, net::Packet pkt,
 }
 
 void VSwitch::consume_cpu_deliver(double cycles, net::Packet pkt,
-                                  tables::VnicId vid,
-                                  std::uint64_t* adapter_count,
+                                  tables::VnicId vid, VmAdapter* adapter,
                                   telemetry::Stage stage) {
   const CpuModel::Outcome out = cpu_.consume(cycles, loop_.now());
   if (!out.accepted) {
@@ -473,7 +476,7 @@ void VSwitch::consume_cpu_deliver(double cycles, net::Packet pkt,
   const std::uint32_t slot = alloc_op_slot();
   PendingOp& rec = op_slab_[slot];
   rec.pkt = std::move(pkt);
-  rec.adapter_count = adapter_count;
+  rec.adapter = adapter;
   rec.vid = vid;
   rec.kind = OpKind::kDeliver;
   rec.stage = static_cast<std::uint8_t>(stage);
@@ -897,7 +900,7 @@ void VSwitch::local_rx(Vnic& v, net::Packet pkt) {
     mirror_copy(pkt, pre.rx);
   }
   local_cycles_ += cycles;
-  consume_cpu_deliver(cycles, std::move(pkt), v.id(), v.delivery_counter(),
+  consume_cpu_deliver(cycles, std::move(pkt), v.id(), v.adapter(),
                       telemetry::Stage::kLocalRx);
 }
 
@@ -945,7 +948,7 @@ void VSwitch::be_rx(Vnic& v, net::Packet pkt) {
   }
   local_cycles_ += cycles;
   pkt.decap();
-  consume_cpu_deliver(cycles, std::move(pkt), v.id(), v.delivery_counter(),
+  consume_cpu_deliver(cycles, std::move(pkt), v.id(), v.adapter(),
                       telemetry::Stage::kBeRx);
 }
 

@@ -94,6 +94,16 @@ struct VSwitchConfig {
   common::Duration cpu_burst_window = 0;
 };
 
+/// Takes one VM adapter's packets, each with the id of the vNIC it is for.
+using VmDeliveryFn = std::function<void(tables::VnicId, const net::Packet&)>;
+
+/// A VM's I/O adapter (the vNIC itself, or its parent for a §7.4 child):
+/// the sink its VM takes packets from and the count delivered through it.
+struct VmAdapter {
+  VmDeliveryFn sink;
+  std::uint64_t deliveries = 0;
+};
+
 /// A frontend instance: one offloaded vNIC's stateless tables hosted on a
 /// remote (idle) vSwitch.
 struct FrontendInstance {
@@ -133,12 +143,17 @@ class VSwitch : public sim::Node {
   void remove_vnic(tables::VnicId id);
   Vnic* vnic(tables::VnicId id);
   const Vnic* find_vnic(tables::VnicId id) const;
-  std::size_t vnic_count() const { return vnics_.size(); }
 
   // ---------- VM-side I/O ----------
-  using VmDeliveryFn =
-      std::function<void(tables::VnicId, const net::Packet&)>;
-  void set_vm_delivery(VmDeliveryFn fn) { vm_delivery_ = std::move(fn); }
+  /// Sets the sink of VM adapter `adapter`, even before that vNIC exists;
+  /// remove_vnic clears it. Sinkless deliveries count as drop.no_vm_sink.
+  void set_vm_delivery(tables::VnicId adapter, VmDeliveryFn fn) {
+    adapters_[adapter].sink = std::move(fn);
+  }
+  /// Installs `fn` on every adapter of the vNICs hosted now.
+  void set_vm_delivery(const VmDeliveryFn& fn) {
+    for (auto& [id, v] : vnics_) v.adapter()->sink = fn;
+  }
 
   /// TX entry point: the hosted VM hands the vSwitch a packet.
   void from_vm(tables::VnicId vnic_id, net::Packet pkt);
@@ -228,6 +243,7 @@ class VSwitch : public sim::Node {
   std::uint64_t slow_path_lookups() const { return slow_lookups_; }
   std::uint64_t fast_path_hits() const { return fast_hits_; }
   std::uint64_t notify_sent() const { return notify_sent_; }
+  /// Packets that reached the VM edge, whether or not a sink took them.
   std::uint64_t vm_deliveries() const { return vm_deliveries_; }
   std::uint64_t mirrored() const { return mirrored_; }
 
@@ -235,8 +251,8 @@ class VSwitch : public sim::Node {
   /// share — the parent's for a child vNIC, its own otherwise. The guest
   /// demultiplexes children by tag on that one adapter.
   std::uint64_t adapter_deliveries(tables::VnicId adapter) const {
-    auto it = adapter_deliveries_.find(adapter);
-    return it == adapter_deliveries_.end() ? 0 : it->second;
+    auto it = adapters_.find(adapter);
+    return it == adapters_.end() ? 0 : it->second.deliveries;
   }
 
   /// CPU cycles attributed to hosting FEs for remote vNICs vs serving local
@@ -258,27 +274,18 @@ class VSwitch : public sim::Node {
   /// steady-state throughput can skip it).
   void start_aging();
 
-  /// Deterministic-order iteration over hosted vNICs / FE instances for the
-  /// invariant checker (sorted by id; the underlying maps are unordered).
+  /// Deterministic-order iteration over hosted vNICs for the invariant
+  /// checker (sorted by id; the underlying map is unordered).
   template <typename Fn>
   void for_each_vnic(Fn&& fn) const {
-    for (tables::VnicId id : sorted_keys(vnics_)) fn(vnics_.at(id));
-  }
-  template <typename Fn>
-  void for_each_frontend(Fn&& fn) const {
-    for (tables::VnicId id : sorted_keys(frontends_)) fn(frontends_.at(id));
+    std::vector<tables::VnicId> ids;
+    ids.reserve(vnics_.size());
+    for (const auto& [id, v] : vnics_) ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
+    for (tables::VnicId id : ids) fn(vnics_.at(id));
   }
 
  private:
-  template <typename Map>
-  static std::vector<tables::VnicId> sorted_keys(const Map& map) {
-    std::vector<tables::VnicId> keys;
-    keys.reserve(map.size());
-    for (const auto& [id, v] : map) keys.push_back(id);
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  }
-
   // --- datapath stages ---
   void local_tx(Vnic& v, net::Packet pkt);
   void be_tx(Vnic& v, net::Packet pkt);
@@ -305,11 +312,10 @@ class VSwitch : public sim::Node {
   /// Charges cycles and, at completion, sends `pkt` encapped toward `dst`.
   void consume_cpu_send(double cycles, net::Packet pkt,
                         const tables::Location& dst, telemetry::Stage stage);
-  /// Charges cycles and, at completion, delivers `pkt` to the VM side,
-  /// bumping *adapter_count (a node-stable pointer into
-  /// adapter_deliveries_).
+  /// Charges cycles and, at completion, hands `pkt` to `adapter` (a
+  /// node-stable pointer into adapters_).
   void consume_cpu_deliver(double cycles, net::Packet pkt,
-                           tables::VnicId vid, std::uint64_t* adapter_count,
+                           tables::VnicId vid, VmAdapter* adapter,
                            telemetry::Stage stage);
   /// Charges cycles with no completion work (verdict-drop paths).
   void consume_cpu_noop(double cycles, telemetry::Stage stage);
@@ -391,7 +397,8 @@ class VSwitch : public sim::Node {
       &policy::policy_for(policy::PolicyKind::kStaticHash);
   policy::FeWeightBook fe_weights_;
   LinkProbeReplyFn link_probe_reply_;
-  std::unordered_map<tables::VnicId, std::uint64_t> adapter_deliveries_;
+  /// Keyed by adapter id; nodes are never erased (Vnic::adapter()).
+  std::unordered_map<tables::VnicId, VmAdapter> adapters_;
 
   flow::SessionTable sessions_;  // unified store; see sessions() docs
 
@@ -401,7 +408,7 @@ class VSwitch : public sim::Node {
   struct PendingOp {
     net::Packet pkt;
     tables::Location dst;
-    std::uint64_t* adapter_count = nullptr;
+    VmAdapter* adapter = nullptr;
     common::TimePoint done = 0;  // CPU completion time (burst mode)
     tables::VnicId vid = 0;
     OpKind kind = OpKind::kSend;
@@ -432,7 +439,6 @@ class VSwitch : public sim::Node {
   std::size_t opq_count_ = 0;
   bool opq_drain_scheduled_ = false;
 
-  VmDeliveryFn vm_delivery_;
   common::Counter counters_;
   telemetry::Hub* telemetry_ = nullptr;
   /// Interned metric ids, resolved once in set_telemetry (0xffffffff = none).

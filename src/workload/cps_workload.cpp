@@ -80,21 +80,16 @@ CpsWorkload::CpsWorkload(core::Testbed& bed, std::size_t client_switch,
                          tables::VnicId client_vnic,
                          std::size_t server_switch,
                          tables::VnicId server_vnic, CpsWorkloadConfig config)
-    : bed_(bed),
-      loop_(bed.loop_of(client_switch)),
+    : client_loop_(bed.loop_of(client_switch)),
+      server_loop_(bed.loop_of(server_switch)),
       client_switch_(bed.vswitch(client_switch)),
       server_switch_(bed.vswitch(server_switch)),
       client_vnic_(client_vnic),
       server_vnic_(server_vnic),
       config_(config),
+      server_kernel_(config.server_kernel),
       rng_(config.seed),
-      client_kernel_(config.client_kernel),
-      server_kernel_(config.server_kernel) {
-  if (bed.shard_of_node(static_cast<sim::NodeId>(client_switch)) !=
-      bed.shard_of_node(static_cast<sim::NodeId>(server_switch))) {
-    throw std::runtime_error(
-        "CpsWorkload: endpoints must share a shard on a sharded testbed");
-  }
+      client_kernel_(config.client_kernel) {
   const vswitch::Vnic* c = client_switch_.find_vnic(client_vnic);
   const vswitch::Vnic* s = server_switch_.find_vnic(server_vnic);
   if (c == nullptr || s == nullptr) {
@@ -104,13 +99,11 @@ CpsWorkload::CpsWorkload(core::Testbed& bed, std::size_t client_switch,
   server_ip_ = s->addr().ip;
   vpc_ = c->addr().vpc_id;
   client_switch_.set_vm_delivery(
-      [this](tables::VnicId v, const net::Packet& p) {
-        if (v == client_vnic_) on_client_delivery(p);
-      });
+      client_vnic_,
+      [this](tables::VnicId, const net::Packet& p) { on_client_delivery(p); });
   server_switch_.set_vm_delivery(
-      [this](tables::VnicId v, const net::Packet& p) {
-        if (v == server_vnic_) on_server_delivery(p);
-      });
+      server_vnic_,
+      [this](tables::VnicId, const net::Packet& p) { on_server_delivery(p); });
 }
 
 void CpsWorkload::start() {
@@ -125,7 +118,7 @@ void CpsWorkload::start() {
 void CpsWorkload::schedule_next_attempt() {
   if (!running_) return;
   const double gap_s = rng_.exponential(1.0 / config_.attempts_per_sec);
-  loop_.schedule_after(common::from_seconds(gap_s), [this]() {
+  client_loop_.schedule_after(common::from_seconds(gap_s), [this]() {
     attempt();
     schedule_next_attempt();
   });
@@ -147,16 +140,16 @@ void CpsWorkload::attempt() {
   if (!running_) return;
   ++attempted_;
   // The client kernel must have capacity to even issue the connect().
-  const VmKernel::Outcome admit = client_kernel_.admit(loop_.now());
+  const VmKernel::Outcome admit = client_kernel_.admit(client_loop_.now());
   if (!admit.accepted) {
     if (config_.concurrency > 0) {
       // Closed loop: don't lose the slot; retry when the kernel drains.
       if (config_.timer_window > 0) {
         timer_push(kTimerReattempt,
-                   loop_.now() + common::milliseconds(5), 0);
+                   client_loop_.now() + common::milliseconds(5), 0);
       } else {
-        loop_.schedule_after(common::milliseconds(5),
-                                   [this]() { attempt(); });
+        client_loop_.schedule_after(common::milliseconds(5),
+                                    [this]() { attempt(); });
       }
     }
     return;
@@ -164,13 +157,13 @@ void CpsWorkload::attempt() {
   const net::FiveTuple ft = next_tuple();
   const std::uint32_t ports = ports_key(ft);
   Conn* c = conn_insert(ports);
-  c->syn_sent = loop_.now();
+  c->syn_sent = client_loop_.now();
   c->established = 0;
   c->retries = 0;
   if (config_.timer_window > 0) {
     timer_push(kTimerSendSyn, admit.done, ports);
   } else {
-    loop_.schedule_at(
+    client_loop_.schedule_at(
         admit.done, [this, ports]() { send_syn(client_tuple(ports), 0); });
   }
 }
@@ -182,8 +175,7 @@ void CpsWorkload::release_slot() {
   ++pending_slots_;
   if (round_scheduled_) return;
   round_scheduled_ = true;
-  loop_.schedule_at(loop_.now(),
-                          [this]() { admission_round(); });
+  client_loop_.schedule_at(client_loop_.now(), [this]() { admission_round(); });
 }
 
 void CpsWorkload::admission_round() {
@@ -195,14 +187,15 @@ void CpsWorkload::admission_round() {
 
 void CpsWorkload::timer_push(std::uint8_t kind, common::TimePoint at,
                              std::uint32_t ports, std::uint8_t attempt) {
-  if (timer_qs_.empty()) {
+  const std::size_t ri = kind == kTimerSynAck && &server_loop_ != &client_loop_;
+  TimerRings& r = timers_[ri];
+  if (r.qs.empty()) {
     const int rto_levels =
         config_.max_syn_retries > 0 ? config_.max_syn_retries : 0;
-    timer_qs_.resize(4 + static_cast<std::size_t>(rto_levels));
+    r.qs.resize(4 + static_cast<std::size_t>(rto_levels));
   }
   TimerQ& q =
-      timer_qs_[kind == kTimerRto ? 4 + static_cast<std::size_t>(attempt)
-                                  : kind];
+      r.qs[kind == kTimerRto ? 4 + static_cast<std::size_t>(attempt) : kind];
   if (q.count == q.buf.size()) {
     std::vector<Timer> bigger(q.buf.empty() ? 64 : q.buf.size() * 2);
     for (std::size_t i = 0; i < q.count; ++i) {
@@ -218,17 +211,17 @@ void CpsWorkload::timer_push(std::uint8_t kind, common::TimePoint at,
     const common::TimePoint prev = q.buf[(q.head + q.count - 1) & mask].at;
     if (at < prev) at = prev;
   }
-  q.buf[(q.head + q.count) & mask] = Timer{at, ++timer_seq_, ports, kind,
+  q.buf[(q.head + q.count) & mask] = Timer{at, ++r.seq, ports, kind,
                                            attempt};
   ++q.count;
-  if (timer_draining_) return;  // drain re-arms once, after its loop
+  if (r.draining) return;  // drain re-arms once, after its loop
   const common::Duration w = config_.timer_window;
   const common::TimePoint fire = (at + w - 1) / w * w;
-  if (timer_event_at_ < 0 || fire < timer_event_at_) {
-    if (timer_event_at_ >= 0) loop_.cancel(timer_event_);
-    timer_event_ = loop_.schedule_raw_at(
-        fire, &CpsWorkload::timer_drain_thunk, this, 0);
-    timer_event_at_ = fire;
+  if (r.event_at < 0 || fire < r.event_at) {
+    if (r.event_at >= 0) r.loop->cancel(r.event);
+    r.event = r.loop->schedule_raw_at(fire, &CpsWorkload::timer_drain_thunk,
+                                      this, ri);
+    r.event_at = fire;
   }
 }
 
@@ -261,17 +254,18 @@ void CpsWorkload::timer_fire(const Timer& t) {
   }
 }
 
-void CpsWorkload::timer_drain() {
-  timer_draining_ = true;
-  timer_event_at_ = -1;
-  const common::TimePoint now = loop_.now();
+void CpsWorkload::timer_drain(std::size_t rings) {
+  TimerRings& r = timers_[rings];
+  r.draining = true;
+  r.event_at = -1;
+  const common::TimePoint now = r.loop->now();
   // K-way merge of the ring fronts: fire everything due at `now` in
   // (at, seq) order. Timers pushed by fired handlers (e.g. a SYN's RTO, or
   // a SYN-ACK admission from a synchronous delivery) join their ring
   // mid-loop; if due at `now` they drain in this same pass, in order.
   for (;;) {
     TimerQ* best = nullptr;
-    for (TimerQ& q : timer_qs_) {
+    for (TimerQ& q : r.qs) {
       if (q.count == 0 || q.front().at > now) continue;
       if (best == nullptr || timer_later(best->front(), q.front())) {
         best = &q;
@@ -282,9 +276,9 @@ void CpsWorkload::timer_drain() {
     best->pop();
     timer_fire(t);
   }
-  timer_draining_ = false;
+  r.draining = false;
   common::TimePoint next = -1;
-  for (const TimerQ& q : timer_qs_) {
+  for (const TimerQ& q : r.qs) {
     if (q.count > 0 && (next < 0 || q.front().at < next)) {
       next = q.front().at;
     }
@@ -292,9 +286,9 @@ void CpsWorkload::timer_drain() {
   if (next >= 0) {
     const common::Duration w = config_.timer_window;
     const common::TimePoint fire = (next + w - 1) / w * w;
-    timer_event_ = loop_.schedule_raw_at(
-        fire, &CpsWorkload::timer_drain_thunk, this, 0);
-    timer_event_at_ = fire;
+    r.event = r.loop->schedule_raw_at(fire, &CpsWorkload::timer_drain_thunk,
+                                      this, rings);
+    r.event_at = fire;
   }
 }
 
@@ -304,16 +298,16 @@ void CpsWorkload::send_syn(const net::FiveTuple& ft, int attempt) {
   if (c == nullptr || c->established != 0) return;
   net::Packet syn = net::make_tcp_packet(ft, net::TcpFlags{.syn = true}, 0,
                                          vpc_);
-  syn.created_at = loop_.now();
+  syn.created_at = client_loop_.now();
   client_switch_.from_vm(client_vnic_, std::move(syn));
   const common::Duration rto = config_.syn_rto << attempt;
   if (attempt >= config_.max_syn_retries) {
     // Give up after one final RTO (frees the tracking entry and, in closed
     // loop mode, the concurrency slot).
     if (config_.timer_window > 0) {
-      timer_push(kTimerGiveUp, loop_.now() + rto, ports);
+      timer_push(kTimerGiveUp, client_loop_.now() + rto, ports);
     } else {
-      loop_.schedule_after(rto, [this, ports]() {
+      client_loop_.schedule_after(rto, [this, ports]() {
         Conn* rc = conn_find(ports);
         if (rc != nullptr && rc->established == 0) {
           conn_erase(rc);
@@ -325,10 +319,10 @@ void CpsWorkload::send_syn(const net::FiveTuple& ft, int attempt) {
   }
   // Exponential backoff retransmission, as the guest TCP stack would do.
   if (config_.timer_window > 0) {
-    timer_push(kTimerRto, loop_.now() + rto, ports,
+    timer_push(kTimerRto, client_loop_.now() + rto, ports,
                static_cast<std::uint8_t>(attempt));
   } else {
-    loop_.schedule_after(rto, [this, ports, attempt]() {
+    client_loop_.schedule_after(rto, [this, ports, attempt]() {
       Conn* rc = conn_find(ports);
       if (rc == nullptr || rc->established != 0) return;
       ++rc->retries;
@@ -341,7 +335,7 @@ void CpsWorkload::on_server_delivery(const net::Packet& pkt) {
   const net::TcpFlags flags = pkt.inner.tcp_flags;
   if (flags.syn && !flags.ack) {
     // Server kernel accepts and replies SYN-ACK when it gets CPU.
-    const VmKernel::Outcome admit = server_kernel_.admit(loop_.now());
+    const VmKernel::Outcome admit = server_kernel_.admit(server_loop_.now());
     if (!admit.accepted) return;  // SYN queue overflow: client would retry
     const net::FiveTuple& ft = pkt.inner.ft;
     if (ft.src_ip == client_ip_ && ft.dst_ip == server_ip_ &&
@@ -350,7 +344,7 @@ void CpsWorkload::on_server_delivery(const net::Packet& pkt) {
       if (config_.timer_window > 0) {
         timer_push(kTimerSynAck, admit.done, ports);
       } else {
-        loop_.schedule_at(admit.done, [this, ports]() {
+        server_loop_.schedule_at(admit.done, [this, ports]() {
           send_synack(client_tuple(ports).reversed());
         });
       }
@@ -376,8 +370,8 @@ void CpsWorkload::schedule_foreign_synack(common::TimePoint at,
     foreign_synacks_.emplace_back();
   }
   foreign_synacks_[slot] = reply;
-  loop_.schedule_raw_at(at, &CpsWorkload::foreign_synack_thunk, this,
-                              slot);
+  server_loop_.schedule_raw_at(at, &CpsWorkload::foreign_synack_thunk, this,
+                               slot);
 }
 
 void CpsWorkload::foreign_synack_thunk(void* self, std::uint64_t slot) {
@@ -409,8 +403,8 @@ void CpsWorkload::on_client_delivery(const net::Packet& pkt) {
   if (c == nullptr || c->established != 0) return;
   c->established = 1;
   ++completed_;
-  completions_.push_back(loop_.now());
-  latency_.add(common::to_micros(loop_.now() - c->syn_sent));
+  completions_.push_back(client_loop_.now());
+  latency_.add(common::to_micros(client_loop_.now() - c->syn_sent));
 
   // Complete the handshake; optionally close.
   client_switch_.from_vm(

@@ -47,14 +47,17 @@ struct CpsWorkloadConfig {
   std::uint64_t seed = 42;
 };
 
+/// Two halves that meet only through packets, so the endpoints may sit on
+/// any shards. The client half (attempts, the connection table, the client
+/// kernel, SYN/RTO/give-up/re-attempt timers, completions, latency) runs on
+/// the client vSwitch's loop; the server half (the server kernel, SYN-ACK
+/// timers, the foreign-reply pool) on the server's. Each takes its VM's
+/// packets from its vNIC's adapter sink; they share only read-only config.
 class CpsWorkload {
  public:
   /// Both endpoints must already exist: vNIC `client_vnic` on switch
-  /// `client_switch`, `server_vnic` on `server_switch`, same VPC.
-  /// Both endpoints must live in the same shard (always true on an
-  /// unsharded bed) — the workload's timers and connection table belong to
-  /// that shard's event loop, and delivery callbacks fire on both
-  /// endpoints' shard threads (throws std::runtime_error otherwise).
+  /// `client_switch`, `server_vnic` on `server_switch`, same VPC, each on
+  /// its own adapter (not a §7.4 child).
   CpsWorkload(core::Testbed& bed, std::size_t client_switch,
               tables::VnicId client_vnic, std::size_t server_switch,
               tables::VnicId server_vnic, CpsWorkloadConfig config = {});
@@ -79,10 +82,6 @@ class CpsWorkload {
   double cps_over(common::TimePoint t0, common::TimePoint t1) const;
   const common::Percentiles& connect_latency_us() const { return latency_; }
 
-  /// Completion timestamps (for windowed rates, e.g. Fig 11 timelines).
-  const std::vector<common::TimePoint>& completions() const {
-    return completions_;
-  }
 
  private:
   /// Tracked connection, stored inline in a flat open-addressed table keyed
@@ -108,7 +107,7 @@ class CpsWorkload {
   void conn_rehash(std::size_t new_size);
 
   /// Coalesced per-connection timer (timer_window > 0): a POD entry in a
-  /// workload-local store drained by one event-loop entry per window.
+  /// per-loop store drained by one event-loop entry per window.
   /// Every class has monotone deadlines (a fixed offset from the monotone
   /// sim clock, or a FIFO kernel's completion times), so the store is a set
   /// of per-class FIFO rings — O(1) push/pop at any depth, unlike a heap
@@ -145,12 +144,24 @@ class CpsWorkload {
       --count;
     }
   };
+  /// One loop's coalesced timers: rings indexed [kSendSyn, kSynAck, kGiveUp,
+  /// kReattempt, rto level 0, 1, ...] and one drain event at the quantized
+  /// earliest front (re-armed earlier for an earlier timer; O(1) cancel).
+  struct TimerRings {
+    explicit TimerRings(sim::EventLoop& l) : loop(&l) {}
+    sim::EventLoop* loop;
+    std::vector<TimerQ> qs;
+    std::uint64_t seq = 0;
+    sim::EventId event = 0;
+    common::TimePoint event_at = -1;
+    bool draining = false;
+  };
   void timer_push(std::uint8_t kind, common::TimePoint at,
                   std::uint32_t ports, std::uint8_t attempt = 0);
   void timer_fire(const Timer& t);
-  void timer_drain();
-  static void timer_drain_thunk(void* self, std::uint64_t) {
-    static_cast<CpsWorkload*>(self)->timer_drain();
+  void timer_drain(std::size_t rings);
+  static void timer_drain_thunk(void* self, std::uint64_t rings) {
+    static_cast<CpsWorkload*>(self)->timer_drain(rings);
   }
 
   /// Deferred SYN-ACK for a rewritten (e.g. NAT'd) reply tuple: the
@@ -191,10 +202,9 @@ class CpsWorkload {
                           net::IpProto::kTcp};
   }
 
-  core::Testbed& bed_;
-  /// The endpoints' shard loop (== bed.loop() on unsharded beds). All
-  /// workload events schedule here so they run on the owning shard thread.
-  sim::EventLoop& loop_;
+  // Shared by both halves; read-only while the workload runs.
+  sim::EventLoop& client_loop_;
+  sim::EventLoop& server_loop_;
   vswitch::VSwitch& client_switch_;
   vswitch::VSwitch& server_switch_;
   tables::VnicId client_vnic_;
@@ -203,27 +213,24 @@ class CpsWorkload {
   net::Ipv4Addr server_ip_;
   std::uint32_t vpc_;
   CpsWorkloadConfig config_;
-  common::Rng rng_;
-  VmKernel client_kernel_;
-  VmKernel server_kernel_;
+  /// The client loop's timers, then the server loop's; halves on one loop
+  /// share [0], so a single-loop run keeps one (at, seq) order.
+  TimerRings timers_[2] = {TimerRings(client_loop_), TimerRings(server_loop_)};
 
-  std::uint32_t conn_seq_ = 0;
-  // Flat open-addressed connection table (power-of-two size; see Conn).
-  std::vector<Conn> conns_;
-  std::size_t conn_count_ = 0;
-  // Coalesced timer state: rings indexed [kSendSyn, kSynAck, kGiveUp,
-  // kReattempt, rto level 0, rto level 1, ...]; one outstanding drain event
-  // at the quantized earliest front (re-armed earlier when an earlier timer
-  // arrives; cancel() is O(1)).
-  std::vector<TimerQ> timer_qs_;
-  std::uint64_t timer_seq_ = 0;
-  sim::EventId timer_event_ = 0;
-  common::TimePoint timer_event_at_ = -1;
-  bool timer_draining_ = false;
+  // Server half: runs on server_loop_.
+  VmKernel server_kernel_;
   // Parked reply tuples for in-flight foreign SYN-ACKs (free-listed; grows
   // only to the peak number simultaneously deferred).
   std::vector<net::FiveTuple> foreign_synacks_;
   std::vector<std::uint32_t> foreign_free_;
+
+  // Client half: runs on client_loop_.
+  common::Rng rng_;
+  VmKernel client_kernel_;
+  std::uint32_t conn_seq_ = 0;
+  // Flat open-addressed connection table (power-of-two size; see Conn).
+  std::vector<Conn> conns_;
+  std::size_t conn_count_ = 0;
   // Closed-loop admission batching state.
   int pending_slots_ = 0;
   bool round_scheduled_ = false;

@@ -204,30 +204,6 @@ void FleetScenario::deploy() {
     if (client_node == server_node) {
       client_node = (server_node + 1) % bed_.size();
     }
-    if (bed_.shard_of_node(static_cast<sim::NodeId>(client_node)) !=
-        bed_.shard_of_node(static_cast<sim::NodeId>(server_node))) {
-      // Sharded bed: CpsWorkload endpoints must share a shard. Deterministic
-      // re-pick inside the server's shard, preferring another rack so the
-      // pair still exercises the fabric (offload BE↔FE traffic crosses
-      // shards regardless — FE pools ignore shard boundaries).
-      const std::uint32_t want =
-          bed_.shard_of_node(static_cast<sim::NodeId>(server_node));
-      std::size_t fallback = server_node;
-      std::size_t pick = server_node;
-      for (std::size_t off = 1; off < bed_.size() && pick == server_node;
-           ++off) {
-        const std::size_t cand = (server_node + off) % bed_.size();
-        if (bed_.shard_of_node(static_cast<sim::NodeId>(cand)) != want) {
-          continue;
-        }
-        if (fallback == server_node) fallback = cand;
-        if (topo.tor_of(static_cast<sim::NodeId>(cand)) !=
-            topo.tor_of(static_cast<sim::NodeId>(server_node))) {
-          pick = cand;
-        }
-      }
-      client_node = pick != server_node ? pick : fallback;
-    }
 
     vswitch::VnicConfig server;
     server.id = pair_vnic_id(kServerIdBase, i);

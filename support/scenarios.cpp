@@ -293,4 +293,14 @@ vswitch::VnicConfig numbered_vnic(int i) {
   return v;
 }
 
+// ------------------------------------------------------ fleet scenarios
+
+std::size_t stalled_pairs(const workload::FleetScenario& scenario) {
+  std::size_t n = 0;
+  for (const auto& w : scenario.workloads()) {
+    if (w->attempted() > 0 && w->completed() == 0) ++n;
+  }
+  return n;
+}
+
 }  // namespace nezha::support

@@ -16,6 +16,7 @@
 #include "src/core/testbed.h"
 #include "src/tables/acl.h"
 #include "src/workload/cps_workload.h"
+#include "src/workload/fleet_model.h"
 
 namespace nezha::support {
 
@@ -169,5 +170,10 @@ void pump_tcp_pair(core::Testbed& bed, std::uint16_t sport, int iterations);
 /// vNIC i+1 of a fleet-wide offload replay: a unique overlay address in
 /// VPC kVpc and 2 MB of rules.
 vswitch::VnicConfig numbered_vnic(int i);
+
+// ------------------------------------------------------ fleet scenarios
+
+/// Pairs with attempts but no completed connection: a silent pair loss.
+std::size_t stalled_pairs(const workload::FleetScenario& scenario);
 
 }  // namespace nezha::support

@@ -18,6 +18,7 @@
 #include "src/core/testbed.h"
 #include "src/telemetry/trace_query.h"
 #include "src/workload/fleet_model.h"
+#include "support/scenarios.h"
 
 namespace nezha {
 namespace {
@@ -31,6 +32,7 @@ struct FleetRun {
   std::uint64_t attempted = 0;
   std::uint64_t completed = 0;
   std::uint64_t spine_traffic = 0;
+  std::size_t stalled_pairs = 0;
   std::size_t violations = 0;
   std::uint64_t checks = 0;
   std::string report;
@@ -102,6 +104,7 @@ FleetRun run_fleet_scenario(std::uint64_t seed, bool with_telemetry = false) {
   }
   for (std::uint64_t b : bed.network().spine_bytes()) r.spine_traffic += b;
   r.fingerprint = scenario.fingerprint();
+  r.stalled_pairs = support::stalled_pairs(scenario);
   r.violations = checker.violations().size();
   r.checks = checker.checks_run();
   r.report = checker.ok() ? "" : checker.report();
@@ -123,6 +126,7 @@ TEST(FleetClos, FleetScaleRunWithFeCrashKeepsInvariants) {
   EXPECT_GT(r.checks, 100u);
   EXPECT_GT(r.attempted, 0u);
   EXPECT_GT(r.completed, 0u) << "no CPS handshakes completed over the fabric";
+  EXPECT_EQ(r.stalled_pairs, 0u) << "a pair completed no connection";
   EXPECT_GT(r.spine_traffic, 0u)
       << "cross-rack pairs produced no spine-tier traffic";
 }

@@ -444,8 +444,10 @@ TEST_F(NezhaCoreTest, BackendMigrationIsInstant) {
   offload_server();
   vswitch::VSwitch& new_home = bed_.vswitch(7);
   std::vector<net::Packet> new_home_rx;
-  new_home.set_vm_delivery(
-      [&](VnicId, const net::Packet& p) { new_home_rx.push_back(p); });
+  // The new home hosts no vNIC yet: name the adapter the migration adds.
+  new_home.set_vm_delivery(kServerVnic, [&](VnicId, const net::Packet& p) {
+    new_home_rx.push_back(p);
+  });
 
   const common::TimePoint before = bed_.loop().now();
   auto st = bed_.controller().migrate_backend(kServerVnic, &new_home);
@@ -457,6 +459,33 @@ TEST_F(NezhaCoreTest, BackendMigrationIsInstant) {
   bed_.run_for(milliseconds(300));
   EXPECT_EQ(new_home_rx.size(), 1u);
   EXPECT_EQ(server_rx_.size(), 0u);
+}
+
+TEST_F(NezhaCoreTest, MigrationDuringDualRunningReleasesItsOldHome) {
+  // §7.2 migration accepts a vNIC from begin_offload on. While it is
+  // dual-running its home holds both its rule tables and the 2 KB of BE
+  // metadata; leaving must release both.
+  core::Testbed bed(make_config());
+  vswitch::VSwitch& old_home = bed.vswitch(3);
+  const std::size_t before = old_home.rule_memory().used();
+  VnicConfig v;
+  v.id = 9;
+  v.addr = OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 9)};
+  v.profile.synthetic_rule_bytes = 1 << 20;
+  bed.add_vnic(3, v);
+  ASSERT_TRUE(bed.controller().trigger_offload(9).ok());
+  for (int ms = 0; ms < 1000 && old_home.vnic(9)->mode() ==
+                                    vswitch::VnicMode::kLocal;
+       ++ms) {
+    bed.run_for(milliseconds(1));
+  }
+  ASSERT_EQ(old_home.vnic(9)->mode(), vswitch::VnicMode::kOffloadDualRunning);
+
+  ASSERT_TRUE(bed.controller().migrate_backend(9, &bed.vswitch(7)).ok());
+  EXPECT_EQ(old_home.vnic(9), nullptr);
+  EXPECT_EQ(old_home.rule_memory().used(), before);
+  bed.run_for(seconds(4));  // the offload's finalize finds no vNIC there
+  EXPECT_EQ(old_home.rule_memory().used(), before);
 }
 
 TEST_F(NezhaCoreTest, OffloadRejectsWhenPoolTooSmall) {

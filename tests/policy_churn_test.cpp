@@ -374,8 +374,8 @@ TEST_P(PolicyChurnDisplacementTest, SaturatedPoolDisplacesOnlyUnderPushAside) {
   constexpr int kProbeFlows = 16;
   std::map<std::uint16_t, std::uint64_t> probe_delivered;
   bed.vswitch(5).set_vm_delivery(
-      [&probe_delivered](tables::VnicId id, const net::Packet& p) {
-        if (id == 100) ++probe_delivered[p.inner.ft.src_port];
+      100, [&probe_delivered](tables::VnicId, const net::Packet& p) {
+        ++probe_delivered[p.inner.ft.src_port];
       });
   pump(1, 6, probe_ip, a_ip, kProbeFlows, 30000, common::milliseconds(10));
 

@@ -17,6 +17,7 @@
 #include "src/core/testbed.h"
 #include "src/policy/fe_policy.h"
 #include "src/workload/fleet_model.h"
+#include "support/scenarios.h"
 
 namespace nezha {
 namespace {
@@ -26,6 +27,7 @@ using policy::PolicyKind;
 struct SweepRun {
   std::uint64_t fingerprint = 0;
   std::uint64_t completed = 0;
+  std::size_t stalled_pairs = 0;
   std::size_t violations = 0;
   std::string report;
 };
@@ -82,6 +84,7 @@ SweepRun run_seed(std::uint64_t seed, PolicyKind kind) {
   SweepRun r;
   r.fingerprint = scenario.fingerprint();
   for (const auto& wl : scenario.workloads()) r.completed += wl->completed();
+  r.stalled_pairs = support::stalled_pairs(scenario);
   r.violations = checker.violations().size();
   r.report = checker.ok() ? "" : checker.report();
   return r;
@@ -99,6 +102,7 @@ TEST(PolicySeedSweepTest, SixteenSeedsStayInvariantCleanAcrossPolicies) {
         << "seed " << seed << " (" << policy::to_string(kind) << "):\n"
         << r.report;
     EXPECT_GT(r.completed, 0u) << "seed " << seed << " completed nothing";
+    EXPECT_EQ(r.stalled_pairs, 0u) << "seed " << seed;
     std::printf("seed %2llu policy=%-11s fingerprint=%016llx completed=%llu\n",
                 static_cast<unsigned long long>(seed),
                 policy::to_string(kind),

@@ -23,6 +23,7 @@
 #include "src/core/testbed.h"
 #include "src/policy/fe_policy.h"
 #include "src/workload/fleet_model.h"
+#include "support/scenarios.h"
 
 namespace nezha {
 namespace {
@@ -259,6 +260,7 @@ struct BedRun {
   std::uint64_t fingerprint = 0;
   std::uint64_t completed = 0;
   std::map<tables::VnicId, std::vector<sim::NodeId>> pools;
+  std::size_t stalled_pairs = 0;
   std::size_t violations = 0;
   std::string report;
 };
@@ -305,6 +307,7 @@ BedRun run_fleet(PolicyKind kind, std::size_t shards, int threads,
   for (tables::VnicId id : bed.controller().vnic_ids()) {
     r.pools[id] = bed.controller().fe_nodes_of(id);
   }
+  r.stalled_pairs = support::stalled_pairs(scenario);
   r.violations = checker.violations().size();
   r.report = checker.ok() ? "" : checker.report();
   return r;
@@ -320,6 +323,7 @@ TEST_P(PolicyBedDeterminismTest, TwoRunsReproduceBitForBit) {
   EXPECT_EQ(a.pools, b.pools);
   EXPECT_EQ(a.violations, 0u) << a.report;
   EXPECT_GT(a.completed, 50u);
+  EXPECT_EQ(a.stalled_pairs, 0u);
 }
 
 TEST_P(PolicyBedDeterminismTest, ThreadCountNeverChangesTheOutcome) {
@@ -330,6 +334,8 @@ TEST_P(PolicyBedDeterminismTest, ThreadCountNeverChangesTheOutcome) {
       << ": a worker-thread count leaked into the simulation result";
   EXPECT_EQ(one.pools, two.pools);
   EXPECT_EQ(two.violations, 0u) << two.report;
+  EXPECT_EQ(one.stalled_pairs, 0u);
+  EXPECT_EQ(two.stalled_pairs, 0u);
 }
 
 // Placement is controller logic, independent of how the simulation is
@@ -342,6 +348,8 @@ TEST_P(PolicyBedDeterminismTest, FePoolsAgreeAcrossShardCounts) {
   const BedRun two = run_fleet(GetParam(), 2, 1, 23);
   EXPECT_EQ(one.pools, two.pools) << policy::to_string(GetParam());
   EXPECT_EQ(one.violations, 0u) << one.report;
+  EXPECT_EQ(one.stalled_pairs, 0u);
+  EXPECT_EQ(two.stalled_pairs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

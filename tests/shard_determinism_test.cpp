@@ -15,7 +15,9 @@
 //  * the invariant harness (including the cross-shard identity) stays
 //    green throughout a threaded run;
 //  * moving a destination to another shard changes no link outcome, and
-//    the controller reads each port's backlog on the shard that owns it.
+//    the controller reads each port's backlog on the shard that owns it;
+//  * a FleetScenario places the same endpoints at every shard count and no
+//    pair stalls, and CpsWorkloads may share a vSwitch or span shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +33,7 @@
 #include "src/sim/network.h"
 #include "src/sim/shard.h"
 #include "src/workload/fleet_model.h"
+#include "support/scenarios.h"
 
 namespace nezha {
 namespace {
@@ -47,6 +50,7 @@ struct ShardRun {
   std::uint64_t tokens_pending = 0;
   std::uint64_t late_tokens = 0;
   std::uint64_t epochs = 0;
+  std::size_t stalled_pairs = 0;
   std::size_t violations = 0;
   std::string report;
 };
@@ -103,6 +107,7 @@ ShardRun run_sharded(std::size_t shards, int threads, std::uint64_t seed) {
     r.late_tokens = bed.engine()->late_tokens();
     r.epochs = bed.engine()->epochs_run();
   }
+  r.stalled_pairs = support::stalled_pairs(scenario);
   r.violations = checker.violations().size();
   r.report = checker.ok() ? "" : checker.report();
   return r;
@@ -120,6 +125,7 @@ TEST(ShardDeterminism, OneShardIsExactlyTheLegacyTestbed) {
   EXPECT_EQ(one.epochs, 0u);
   EXPECT_EQ(legacy.violations, 0u) << legacy.report;
   EXPECT_GT(legacy.completed, 100u);
+  EXPECT_EQ(legacy.stalled_pairs, 0u);
 }
 
 TEST(ShardDeterminism, ShardedRunsReproduceBitForBit) {
@@ -132,6 +138,7 @@ TEST(ShardDeterminism, ShardedRunsReproduceBitForBit) {
   EXPECT_EQ(a.exported, b.exported);
   EXPECT_EQ(a.violations, 0u) << a.report;
   EXPECT_GT(a.completed, 100u);
+  EXPECT_EQ(a.stalled_pairs, 0u) << "a pair completed no connection";
   // The offloaded BE↔FE legs must actually cross shard boundaries, or this
   // suite is vacuous.
   EXPECT_GT(a.exported, 0u) << "no cross-shard traffic was exercised";
@@ -147,6 +154,8 @@ TEST(ShardDeterminism, ThreadCountDoesNotChangeTheOutcome) {
   EXPECT_EQ(t2.exported, t1.exported);
   EXPECT_EQ(t2.imported, t1.imported);
   EXPECT_EQ(t2.violations, 0u) << t2.report;
+  EXPECT_EQ(t1.stalled_pairs, 0u);
+  EXPECT_EQ(t2.stalled_pairs, 0u);
 }
 
 TEST(ShardDeterminism, CrossShardConservationHolds) {
@@ -159,6 +168,7 @@ TEST(ShardDeterminism, CrossShardConservationHolds) {
       << "conservative lookahead violated: the epoch exceeds the minimum "
          "cross-shard latency";
   EXPECT_GT(r.epochs, 0u);
+  EXPECT_EQ(r.stalled_pairs, 0u);
 }
 
 TEST(ShardDeterminism, DifferentSeedsDiverge) {
@@ -182,6 +192,7 @@ struct ChurnRun {
   std::uint64_t epochs_skipped = 0;
   std::uint64_t fences_run = 0;
   sim::NodeId crashed_fe = 0;
+  std::size_t stalled_pairs = 0;
   std::size_t violations = 0;
   std::string report;
 };
@@ -240,6 +251,7 @@ ChurnRun run_churn(std::size_t shards, int threads, std::uint64_t seed,
   }
   r.failovers = bed.controller().failover_events();
   r.crashed_fe = scenario.crashed_fe();
+  r.stalled_pairs = support::stalled_pairs(scenario);
   r.violations = checker.violations().size();
   r.report = checker.ok() ? "" : checker.report();
   return r;
@@ -264,6 +276,8 @@ TEST(ShardDeterminism, ThreadedChurnMatchesSingleThread) {
   EXPECT_GT(t1.completed, 100u);
   EXPECT_GT(t1.exported, 0u);
   EXPECT_EQ(t1.late_tokens, 0u);
+  EXPECT_EQ(t1.stalled_pairs, 0u);
+  EXPECT_EQ(t2.stalled_pairs, 0u);
 }
 
 TEST(ShardDeterminism, FastForwardDoesNotChangeOutcome) {
@@ -278,6 +292,134 @@ TEST(ShardDeterminism, FastForwardDoesNotChangeOutcome) {
   EXPECT_EQ(off.epochs_skipped, 0u);
   EXPECT_EQ(on.violations, 0u) << on.report;
   EXPECT_EQ(off.violations, 0u) << off.report;
+  EXPECT_EQ(on.stalled_pairs, 0u);
+}
+
+TEST(ShardDeterminism, FleetScenarioPlacesPairsAlikeAtEveryShardCount) {
+  // The unsharded bed is the oracle: sharding must not move an endpoint.
+  const auto homes = [](std::size_t shards) {
+    core::TestbedConfig cfg = core::make_clos_testbed_config(
+        kVSwitches, /*hosts_per_leaf=*/4, /*num_spines=*/4,
+        /*oversubscription=*/2.0);
+    cfg.shards = shards;
+    core::Testbed bed(cfg);
+    workload::FleetScenarioConfig sc;
+    sc.num_pairs = kPairs;
+    workload::FleetScenario scenario(bed, sc);
+    scenario.deploy();
+    std::vector<std::pair<tables::VnicId, std::size_t>> out;
+    for (std::size_t i = 0; i < bed.size(); ++i) {
+      bed.vswitch(i).for_each_vnic(
+          [&](const vswitch::Vnic& v) { out.emplace_back(v.id(), i); });
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto unsharded = homes(1);
+  ASSERT_EQ(unsharded.size(), 2 * kPairs);
+  for (std::size_t shards : {2, 4, 8}) {
+    EXPECT_EQ(homes(shards), unsharded) << shards << " shards";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CpsWorkload halves (DESIGN.md §13): each half runs on its own endpoint's
+// loop and takes its VM's packets from its own adapter's sink, so two
+// workloads may share a vSwitch and one workload may span shards.
+
+struct PairsRun {
+  std::vector<std::uint64_t> completed;  // per pair
+  /// Per pair attempted and completed, then sent, delivered, dropped,
+  /// exported and imported packets.
+  std::vector<std::uint64_t> outcome;
+  std::size_t cross_shard_pairs = 0;
+};
+
+/// 16 vSwitches in racks of 4 (at 2 shards, vSwitches 0-11 and 12-15).
+/// Pair p is {client switch, server switch}, with client vNIC p + 1 and
+/// server vNIC 100 + p, offering 2000 connections/s for 300 ms.
+PairsRun run_pairs(
+    const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
+    std::size_t shards, int threads, common::Duration timer_window) {
+  core::TestbedConfig cfg = core::make_clos_testbed_config(
+      16, /*hosts_per_leaf=*/4, /*num_spines=*/2, /*oversubscription=*/2.0);
+  cfg.controller.auto_offload = false;
+  cfg.controller.auto_scale = false;
+  cfg.shards = shards;
+  cfg.threads = threads;
+  core::Testbed bed(cfg);
+
+  PairsRun r;
+  std::vector<std::unique_ptr<workload::CpsWorkload>> cps;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const auto [client_sw, server_sw] = pairs[p];
+    const auto octet = static_cast<std::uint8_t>(p + 1);
+    vswitch::VnicConfig client;
+    client.id = static_cast<tables::VnicId>(p + 1);
+    client.addr = tables::OverlayAddr{5, net::Ipv4Addr(10, 0, 1, octet)};
+    vswitch::VnicConfig server;
+    server.id = static_cast<tables::VnicId>(100 + p);
+    server.addr = tables::OverlayAddr{5, net::Ipv4Addr(10, 0, 0, octet)};
+    bed.add_vnic(client_sw, client);
+    bed.add_vnic(server_sw, server);
+    workload::CpsWorkloadConfig w;
+    w.attempts_per_sec = 2000.0;
+    w.timer_window = timer_window;
+    w.seed = 50 + p;
+    cps.push_back(std::make_unique<workload::CpsWorkload>(
+        bed, client_sw, client.id, server_sw, server.id, w));
+    if (bed.shard_of_node(static_cast<sim::NodeId>(client_sw)) !=
+        bed.shard_of_node(static_cast<sim::NodeId>(server_sw))) {
+      ++r.cross_shard_pairs;
+    }
+  }
+  for (auto& c : cps) c->start();
+  bed.run_for(common::milliseconds(300));
+  for (auto& c : cps) c->stop();
+  bed.run_for(common::milliseconds(100));
+
+  for (const auto& c : cps) {
+    r.completed.push_back(c->completed());
+    r.outcome.push_back(c->attempted());
+    r.outcome.push_back(c->completed());
+  }
+  const core::Testbed::NetTotals t = bed.net_totals();
+  r.outcome.insert(r.outcome.end(), {t.sent, t.delivered, t.dropped,
+                                     t.exported, t.imported});
+  return r;
+}
+
+TEST(ShardDeterminism, WorkloadsSharingAVSwitchBothComplete) {
+  // vSwitch 2 hosts pair 0's server and pair 1's client; the other two
+  // endpoints sit on the second shard.
+  const std::vector<std::pair<std::size_t, std::size_t>> pairs = {{13, 2},
+                                                                  {2, 14}};
+  for (const common::Duration window :
+       {common::Duration{0}, support::kTimerWindow}) {
+    SCOPED_TRACE("timer_window " + std::to_string(window));
+    const PairsRun unsharded = run_pairs(pairs, 1, 1, window);
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      EXPECT_GT(unsharded.completed[p], 0u) << "pair " << p << " unsharded";
+    }
+    const PairsRun t1 = run_pairs(pairs, 2, 1, window);
+    const PairsRun t2 = run_pairs(pairs, 2, 2, window);
+    EXPECT_EQ(t1.cross_shard_pairs, 2u);
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      EXPECT_GT(t1.completed[p], 0u) << "pair " << p << " at 2 shards";
+    }
+    EXPECT_EQ(t2.outcome, t1.outcome)
+        << "worker-thread count leaked into the outcome";
+  }
+}
+
+TEST(ShardDeterminism, CrossShardPairWithCoalescedTimersIsThreadInvariant) {
+  // The halves sit on two loops, so each keeps its own timer rings.
+  const std::vector<std::pair<std::size_t, std::size_t>> pair = {{1, 14}};
+  const PairsRun t1 = run_pairs(pair, 2, 1, support::kTimerWindow);
+  const PairsRun t2 = run_pairs(pair, 2, 2, support::kTimerWindow);
+  EXPECT_EQ(t1.cross_shard_pairs, 1u);
+  EXPECT_GT(t1.completed[0], 100u);
+  EXPECT_EQ(t2.outcome, t1.outcome);
 }
 
 TEST(ShardDeterminism, FencesExecuteInDueThenSeqOrderAndStuckOnesKeep) {

@@ -17,6 +17,7 @@
 #include "src/core/invariants.h"
 #include "src/core/testbed.h"
 #include "src/workload/fleet_model.h"
+#include "support/scenarios.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -47,6 +48,7 @@ struct SweepRun {
   std::uint64_t late_tokens = 0;
   std::uint64_t epochs_skipped = 0;
   std::uint64_t failovers = 0;
+  std::size_t stalled_pairs = 0;
   std::size_t violations = 0;
   std::string report;
 };
@@ -98,6 +100,7 @@ SweepRun run_seed(std::uint64_t seed, int threads) {
     r.epochs_skipped = bed.engine()->epochs_skipped();
   }
   r.failovers = bed.controller().failover_events();
+  r.stalled_pairs = support::stalled_pairs(scenario);
   r.violations = checker.violations().size();
   r.report = checker.ok() ? "" : checker.report();
   return r;
@@ -125,6 +128,8 @@ TEST_P(ShardSeedSweep, ChurnRunIsCleanAndThreadInvariant) {
   EXPECT_GT(t1.epochs_skipped, 0u);
   EXPECT_GT(t1.failovers, 0u) << "seed " << seed << ": no failover fired";
   EXPECT_GT(t1.completed, 100u);
+  EXPECT_EQ(t1.stalled_pairs, 0u) << "seed " << seed;
+  EXPECT_EQ(t2.stalled_pairs, 0u) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardSeedSweep, ::testing::ValuesIn(kSeeds),

@@ -252,6 +252,103 @@ TEST_F(LocalPathTest, UnknownDestinationCountsNoRoute) {
   EXPECT_EQ(bed_.vswitch(0).counters().get("drop.no_route"), 1u);
 }
 
+// ---------------------------------------------------------------------------
+// VM sinks: each VM adapter on a vSwitch has its own sink.
+
+/// Sender vNIC 1 on vSwitch 0; vNICs 2 and 3 on vSwitch 1, neither with a
+/// sink yet.
+class VmSinkTest : public ::testing::Test {
+ protected:
+  VmSinkTest() : bed_(make_config()) {
+    bed_.add_vnic(0, make_vnic(1, net::Ipv4Addr(10, 0, 0, 1)));
+    bed_.add_vnic(1, make_vnic(2, net::Ipv4Addr(10, 0, 0, 2)));
+    bed_.add_vnic(1, make_vnic(3, net::Ipv4Addr(10, 0, 0, 3)));
+  }
+
+  /// One SYN from vNIC 1 to 10.0.0.<octet>, run to delivery.
+  void send_to(std::uint8_t octet, std::uint16_t sport) {
+    const net::FiveTuple ft{net::Ipv4Addr(10, 0, 0, 1),
+                            net::Ipv4Addr(10, 0, 0, octet), sport, 80,
+                            net::IpProto::kTcp};
+    bed_.vswitch(0).from_vm(
+        1, net::make_tcp_packet(ft, net::TcpFlags{.syn = true}, 100, kVpc));
+    bed_.run_for(milliseconds(10));
+  }
+  std::uint64_t no_sink_drops() {
+    return bed_.vswitch(1).counters().get("drop.no_vm_sink");
+  }
+  static core::TestbedConfig make_config() {
+    core::TestbedConfig cfg;
+    cfg.num_vswitches = 4;
+    return cfg;
+  }
+
+  core::Testbed bed_;
+};
+
+TEST_F(VmSinkTest, DeliveryWithoutSinkCountsADrop) {
+  send_to(2, 40000);
+  EXPECT_EQ(bed_.vswitch(1).vm_deliveries(), 1u);
+  EXPECT_EQ(no_sink_drops(), 1u);
+}
+
+TEST_F(VmSinkTest, SinkNeverSeesAnotherAdaptersPackets) {
+  std::vector<VnicId> at2, at3;
+  bed_.vswitch(1).set_vm_delivery(
+      2, [&](VnicId v, const net::Packet&) { at2.push_back(v); });
+  bed_.vswitch(1).set_vm_delivery(
+      3, [&](VnicId v, const net::Packet&) { at3.push_back(v); });
+  send_to(3, 40000);
+  send_to(2, 40001);
+  send_to(3, 40002);
+  EXPECT_EQ(at2, (std::vector<VnicId>{2}));
+  EXPECT_EQ(at3, (std::vector<VnicId>{3, 3}));
+  EXPECT_EQ(no_sink_drops(), 0u);
+}
+
+TEST_F(VmSinkTest, ChildPacketsReachTheParentSinkWithTheChildId) {
+  VnicConfig child = make_vnic(4, net::Ipv4Addr(10, 0, 0, 4));
+  child.parent = 2;  // §7.4: shares vNIC 2's adapter
+  child.vlan_tag = 4;
+  bed_.add_vnic(1, child);
+  std::vector<VnicId> at2;
+  bed_.vswitch(1).set_vm_delivery(
+      2, [&](VnicId v, const net::Packet&) { at2.push_back(v); });
+  send_to(4, 40000);
+  send_to(2, 40001);
+  EXPECT_EQ(at2, (std::vector<VnicId>{4, 2}));
+  EXPECT_EQ(bed_.vswitch(1).adapter_deliveries(2), 2u);
+  EXPECT_EQ(bed_.vswitch(1).adapter_deliveries(4), 0u);
+  EXPECT_EQ(no_sink_drops(), 0u);
+}
+
+TEST_F(VmSinkTest, RemoveVnicClearsItsSink) {
+  std::uint64_t seen = 0;
+  bed_.vswitch(1).set_vm_delivery(
+      2, [&](VnicId, const net::Packet&) { ++seen; });
+  send_to(2, 40000);
+  ASSERT_EQ(seen, 1u);
+  // The VM leaves; a new one takes the same vNIC id on the same vSwitch.
+  bed_.vswitch(1).remove_vnic(2);
+  ASSERT_TRUE(
+      bed_.vswitch(1).add_vnic(make_vnic(2, net::Ipv4Addr(10, 0, 0, 2))).ok());
+  send_to(2, 40001);
+  EXPECT_EQ(seen, 1u) << "the departed VM's sink still took packets";
+  EXPECT_EQ(no_sink_drops(), 1u);
+}
+
+TEST_F(VmSinkTest, OneArgumentFormCoversTheAdaptersHostedNow) {
+  std::vector<VnicId> seen;
+  bed_.vswitch(1).set_vm_delivery(
+      [&](VnicId v, const net::Packet&) { seen.push_back(v); });
+  bed_.add_vnic(1, make_vnic(5, net::Ipv4Addr(10, 0, 0, 5)));
+  send_to(2, 40000);
+  send_to(3, 40001);
+  send_to(5, 40002);
+  EXPECT_EQ(seen, (std::vector<VnicId>{2, 3}));
+  EXPECT_EQ(no_sink_drops(), 1u);
+}
+
 TEST(CpuModelTest, UtilizationSamplerExact) {
   vswitch::CpuModel cpu(vswitch::CpuConfig{.cores = 1, .hz_per_core = 1e9});
   vswitch::UtilizationSampler sampler;
