@@ -7,18 +7,20 @@
 namespace nezha::flow {
 
 void SessionState::observe(Direction dir, net::TcpFlags tcp_flags, bool is_tcp,
-                           std::size_t wire_bytes, common::TimePoint now) {
+                           common::TimePoint now) {
   if (first_dir == FirstDirection::kNone) first_dir = to_first_direction(dir);
   if (is_tcp) fsm.on_packet(dir, tcp_flags);
-  if (stats_mode == StatsMode::kPackets ||
-      stats_mode == StatsMode::kPacketsAndBytes) {
+  last_active = now;
+}
+
+void SessionCounters::count(StatsMode mode, Direction dir,
+                            std::size_t wire_bytes) {
+  if (mode == StatsMode::kPackets || mode == StatsMode::kPacketsAndBytes) {
     (dir == Direction::kTx ? pkts_tx : pkts_rx) += 1;
   }
-  if (stats_mode == StatsMode::kBytes ||
-      stats_mode == StatsMode::kPacketsAndBytes) {
+  if (mode == StatsMode::kBytes || mode == StatsMode::kPacketsAndBytes) {
     (dir == Direction::kTx ? bytes_tx : bytes_rx) += wire_bytes;
   }
-  last_active = now;
 }
 
 std::size_t SessionState::used_bytes() const {

@@ -6,6 +6,12 @@
 // production layout; used_bytes() reports the semantically meaningful size,
 // which Fig 15 shows averages only 5–8B — the motivation for the
 // variable-length-state extension (§7.1).
+//
+// The simulator applies that idea to its own host memory: SessionState holds
+// only what every session uses (24 B). The statistics counters a policy
+// keeps (SessionCounters) live in the owning SessionTable's side storage,
+// allocated only once some entry is counted; used_bytes() still charges
+// them whenever a policy is active, so Fig 15 does not change.
 #pragma once
 
 #include <cstdint>
@@ -39,22 +45,18 @@ struct SessionState {
   /// packet so TX responses can be re-encapsulated toward the LB.
   net::Ipv4Addr decap_src_ip;
   /// Flow-statistics policy currently applied (a rule-table-involved state;
-  /// updated via notify packets under Nezha, §3.2.2).
+  /// updated via notify packets under Nezha, §3.2.2). The counters it keeps
+  /// are SessionCounters, held by the owning table.
   StatsMode stats_mode = StatsMode::kNone;
-  /// Ahead of the counters: aging reads it on every visit, the counters
-  /// only matter under a statistics policy.
   common::TimePoint last_active = 0;
-  std::uint64_t pkts_tx = 0;
-  std::uint64_t pkts_rx = 0;
-  std::uint64_t bytes_tx = 0;
-  std::uint64_t bytes_rx = 0;
 
   bool initialized() const { return first_dir != FirstDirection::kNone; }
 
   /// Records a packet: sets first_dir on the first packet, advances the TCP
-  /// FSM, applies the statistics policy, refreshes the aging timestamp.
+  /// FSM, refreshes the aging timestamp. Counting under the statistics
+  /// policy is SessionTable::observe's part.
   void observe(Direction dir, net::TcpFlags tcp_flags, bool is_tcp,
-               std::size_t wire_bytes, common::TimePoint now);
+               common::TimePoint now);
 
   /// Semantically used bytes (Fig 15): first_dir+fsm always, decap IP only
   /// when set, statistics counters only when a stats policy is active.
@@ -70,6 +72,20 @@ struct SessionState {
   std::vector<std::uint8_t> serialize_snapshot() const;
   static common::Result<SessionState> parse_snapshot(
       std::span<const std::uint8_t> bytes);
+};
+
+static_assert(sizeof(SessionState) == 24);
+
+/// Per-session statistics under a StatsMode policy.
+struct SessionCounters {
+  std::uint64_t pkts_tx = 0;
+  std::uint64_t pkts_rx = 0;
+  std::uint64_t bytes_tx = 0;
+  std::uint64_t bytes_rx = 0;
+
+  /// Counts one packet of `wire_bytes` in direction `dir` under `mode`.
+  void count(StatsMode mode, Direction dir, std::size_t wire_bytes);
+  bool operator==(const SessionCounters&) const = default;
 };
 
 /// Session-table key: tenant + canonical (direction-insensitive) 5-tuple.

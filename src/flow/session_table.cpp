@@ -7,20 +7,20 @@
 
 namespace nezha::flow {
 
-bool SessionEntry::qos_admit(std::uint32_t kbps, std::size_t bits,
-                             common::TimePoint now) {
+bool QosBucket::admit(std::uint32_t kbps, std::size_t bits,
+                      common::TimePoint now) {
   if (kbps == 0) return true;
   const double rate_bps = static_cast<double>(kbps) * 1000.0;
   const double burst_bits = rate_bps;  // one-second burst
-  if (qos_refilled_at == 0) {
-    qos_tokens_bits = burst_bits;
+  if (refilled_at == 0) {
+    tokens_bits = burst_bits;
   } else {
-    qos_tokens_bits += rate_bps * common::to_seconds(now - qos_refilled_at);
-    if (qos_tokens_bits > burst_bits) qos_tokens_bits = burst_bits;
+    tokens_bits += rate_bps * common::to_seconds(now - refilled_at);
+    if (tokens_bits > burst_bits) tokens_bits = burst_bits;
   }
-  qos_refilled_at = now;
-  if (qos_tokens_bits < static_cast<double>(bits)) return false;
-  qos_tokens_bits -= static_cast<double>(bits);
+  refilled_at = now;
+  if (tokens_bits < static_cast<double>(bits)) return false;
+  tokens_bits -= static_cast<double>(bits);
   return true;
 }
 
@@ -88,13 +88,13 @@ std::uint64_t SessionTable::hash_of(const SessionKey& key) {
 
 std::uint32_t SessionTable::find_slot(const SessionKey& key,
                                       std::uint64_t h) const {
-  if (index_.empty()) return kEmpty;
+  if (index_.empty()) return kNoSlot;
   const auto tag = static_cast<std::uint32_t>(h);
   const std::size_t mask = index_.size() - 1;
   for (std::size_t i = h & mask;; i = (i + 1) & mask) {
     const Cell& cell = index_[i];
-    if (cell.slot == kEmpty) return kEmpty;
-    if (cell.hash_tag == tag && key_at(cell.slot) == key) {
+    if (cell.slot == kNoSlot) return kNoSlot;
+    if (cell.hash_tag == tag && node_at(cell.slot).key == key) {
       return cell.slot;
     }
   }
@@ -110,16 +110,15 @@ std::uint64_t SessionTable::prefetch_index(const SessionKey& key) const {
 void SessionTable::prefetch_entry(std::uint64_t h) const {
   if (index_.empty()) return;
   const Cell& cell = index_[h & (index_.size() - 1)];
-  if (cell.slot != kEmpty && cell.slot / kChunkSize < chunks_.size()) {
-    __builtin_prefetch(&key_at(cell.slot));
-    __builtin_prefetch(&node_at(cell.slot).entry);
+  if (cell.slot != kNoSlot && cell.slot / kChunkSize < chunks_.size()) {
+    __builtin_prefetch(&node_at(cell.slot));
   }
 }
 
 void SessionTable::cell_insert(std::vector<Cell>& cells, Cell cell) {
   const std::size_t mask = cells.size() - 1;
   std::size_t i = cell.hash_tag & mask;
-  while (cells[i].slot != kEmpty) i = (i + 1) & mask;
+  while (cells[i].slot != kNoSlot) i = (i + 1) & mask;
   cells[i] = cell;
 }
 
@@ -130,7 +129,7 @@ void SessionTable::cell_erase(std::vector<Cell>& cells, std::size_t hole) {
   const std::size_t mask = cells.size() - 1;
   for (std::size_t j = (hole + 1) & mask;; j = (j + 1) & mask) {
     const Cell& cell = cells[j];
-    if (cell.slot == kEmpty) break;
+    if (cell.slot == kNoSlot) break;
     const std::size_t home = cell.hash_tag & mask;
     if (((j - home) & mask) >= ((j - hole) & mask)) {
       cells[hole] = cell;
@@ -145,7 +144,7 @@ void SessionTable::cell_regrow(std::vector<Cell>& cells,
   std::vector<Cell> old(new_size, Cell{});
   old.swap(cells);
   for (const Cell& cell : old) {
-    if (cell.slot != kEmpty) cell_insert(cells, cell);
+    if (cell.slot != kNoSlot) cell_insert(cells, cell);
   }
 }
 
@@ -154,8 +153,8 @@ void SessionTable::index_erase(const SessionKey& key, std::uint64_t h) {
   const std::size_t mask = index_.size() - 1;
   for (std::size_t i = h & mask;; i = (i + 1) & mask) {
     const Cell& cell = index_[i];
-    if (cell.slot == kEmpty) return;  // not present
-    if (cell.hash_tag == tag && key_at(cell.slot) == key) {
+    if (cell.slot == kNoSlot) return;  // not present
+    if (cell.hash_tag == tag && node_at(cell.slot).key == key) {
       cell_erase(index_, i);
       return;
     }
@@ -166,7 +165,7 @@ std::uint32_t SessionTable::intern(const PreActions& value) {
   const std::uint32_t tag = value_tag(value);
   if (!pool_index_.empty()) {
     const std::size_t mask = pool_index_.size() - 1;
-    for (std::size_t i = tag & mask; pool_index_[i].slot != kEmpty;
+    for (std::size_t i = tag & mask; pool_index_[i].slot != kNoSlot;
          i = (i + 1) & mask) {
       const Cell& cell = pool_index_[i];
       if (cell.hash_tag == tag && pooled(cell.slot).value == value) {
@@ -231,21 +230,49 @@ void SessionTable::wheel_enqueue(std::uint32_t slot, std::int64_t bucket) {
 void SessionTable::free_node(std::uint32_t slot) {
   Node& node = node_at(slot);
   clear_pre_actions(node.entry);
-  node.live = false;
-  node.entry = SessionEntry{};
+  node.entry = SessionEntry{};  // table_slot = kNoSlot: the node is free
   ++node.wheel_seq;  // invalidates any wheel refs still pointing here
+  if (find_extras(slot) != nullptr) extras_at(slot) = Extras{};
   free_.push_back(slot);
   --size_;
 }
 
+SessionTable::Extras& SessionTable::extras_at(std::uint32_t slot) {
+  const std::size_t ci = slot / kChunkSize;
+  if (ci >= extras_.size()) extras_.resize(ci + 1);
+  if (extras_[ci] == nullptr) extras_[ci] = std::make_unique<ExtrasChunk>();
+  return (*extras_[ci])[slot % kChunkSize];
+}
+
+void SessionTable::observe(SessionEntry& entry, Direction dir,
+                           net::TcpFlags tcp_flags, bool is_tcp,
+                           std::size_t wire_bytes, common::TimePoint now) {
+  entry.state.observe(dir, tcp_flags, is_tcp, now);
+  if (entry.state.stats_mode != StatsMode::kNone) {
+    extras_at(entry.table_slot)
+        .counters.count(entry.state.stats_mode, dir, wire_bytes);
+  }
+  touch(&entry);
+}
+
+SessionCounters SessionTable::counters(const SessionEntry& entry) const {
+  const Extras* extras = find_extras(entry.table_slot);
+  return extras == nullptr ? SessionCounters{} : extras->counters;
+}
+
+bool SessionTable::qos_admit(SessionEntry& entry, std::uint32_t kbps,
+                             std::size_t bits, common::TimePoint now) {
+  return kbps == 0 || extras_at(entry.table_slot).qos.admit(kbps, bits, now);
+}
+
 SessionEntry* SessionTable::find(const SessionKey& key) {
   const std::uint32_t slot = find_slot(key, hash_of(key));
-  return slot == kEmpty ? nullptr : &node_at(slot).entry;
+  return slot == kNoSlot ? nullptr : &node_at(slot).entry;
 }
 
 const SessionEntry* SessionTable::find(const SessionKey& key) const {
   const std::uint32_t slot = find_slot(key, hash_of(key));
-  return slot == kEmpty ? nullptr : &node_at(slot).entry;
+  return slot == kNoSlot ? nullptr : &node_at(slot).entry;
 }
 
 SessionEntry* SessionTable::find_or_create(const SessionKey& key,
@@ -258,7 +285,7 @@ SessionEntry* SessionTable::find_or_create_gated(const SessionKey& key,
                                                  bool (*gate)(void*),
                                                  void* gate_ctx) {
   const std::uint64_t h = hash_of(key);
-  if (const std::uint32_t slot = find_slot(key, h); slot != kEmpty) {
+  if (const std::uint32_t slot = find_slot(key, h); slot != kNoSlot) {
     return &node_at(slot).entry;
   }
   if (full()) {
@@ -285,17 +312,13 @@ SessionEntry* SessionTable::find_or_create_gated(const SessionKey& key,
     if (chunks_.empty() || chunks_.back()->size() == kChunkSize) {
       chunks_.push_back(std::make_unique<Chunk>());
       chunks_.back()->reserve(kChunkSize);
-      key_chunks_.push_back(std::make_unique<KeyChunk>());
-      key_chunks_.back()->reserve(kChunkSize);
     }
     chunks_.back()->emplace_back();
-    key_chunks_.back()->emplace_back();
     slot = static_cast<std::uint32_t>((chunks_.size() - 1) * kChunkSize +
                                       chunks_.back()->size() - 1);
   }
   Node& node = node_at(slot);
-  key_at(slot) = key;
-  node.live = true;
+  node.key = key;
   node.entry.state.last_active = now;
   node.entry.table_slot = slot;
   cell_insert(index_, Cell{static_cast<std::uint32_t>(h), slot});
@@ -310,7 +333,7 @@ SessionEntry* SessionTable::find_or_create_gated(const SessionKey& key,
 bool SessionTable::erase(const SessionKey& key) {
   const std::uint64_t h = hash_of(key);
   const std::uint32_t slot = find_slot(key, h);
-  if (slot == kEmpty) return false;
+  if (slot == kNoSlot) return false;
   index_erase(key, h);
   free_node(slot);
   return true;
@@ -328,11 +351,9 @@ void SessionTable::invalidate_pre_actions() {
     clear();
     return;
   }
-  for (auto& chunk : chunks_) {
-    for (Node& node : *chunk) {
-      if (node.live) clear_pre_actions(node.entry);
-    }
-  }
+  for_each([this](const SessionKey&, SessionEntry& entry) {
+    clear_pre_actions(entry);
+  });
 }
 
 common::Duration SessionTable::ttl_of(const SessionEntry& entry) const {
@@ -347,8 +368,8 @@ common::Duration SessionTable::ttl_of(const SessionEntry& entry) const {
 
 void SessionTable::touch(const SessionEntry* entry) {
   const std::uint32_t slot = entry->table_slot;
+  if (slot == kNoSlot) return;  // erased
   Node& node = node_at(slot);
-  if (!node.live || &node.entry != entry) return;  // stale pointer
   const std::int64_t b = bucket_of(deadline_of(node));
   // Deadline extensions resolve lazily at the next visit; only a shrink
   // needs an earlier queue position to stay exact across sweeps.
@@ -374,7 +395,7 @@ std::size_t SessionTable::drain_cell(std::vector<Ref>& cell,
     }
     const common::TimePoint deadline = deadline_of(node);
     if (deadline <= now) {
-      const SessionKey& key = key_at(ref.slot);
+      const SessionKey& key = node.key;
       if (on_evict) on_evict(key, node.entry);
       index_erase(key, hash_of(key));
       free_node(ref.slot);

@@ -14,9 +14,20 @@
 // Storage: entries live in fixed-size slab chunks (pointers returned by
 // find/find_or_create stay valid until the entry is erased), indexed by an
 // open-addressing probe table over a precomputed 64-bit flow hash — no
-// per-node allocation or pointer chasing on the lookup hot path. Nothing is
-// allocated until the first insert, so an empty table (most FE caches of a
-// large fleet) costs only its object.
+// per-node allocation or pointer chasing on the lookup hot path. Each slab
+// node is one 64-byte cache line holding the key and every field a packet
+// or an aging visit reads, so a hit costs the index cell plus that line.
+// Nothing is allocated until the first insert, so an empty table (most FE
+// caches of a large fleet) costs only its object.
+//
+// Side storage: the statistics counters (SessionCounters) and the QoS token
+// bucket are only written under a statistics policy or a rate limit, so
+// they live outside the node, in per-chunk arrays parallel to the slab that
+// are allocated when an entry of that chunk is first counted or
+// rate-limited. The table owns them: the datapath records packets through
+// observe(), reads counters(), and rate-limits through qos_admit(). None of
+// this changes the modeled bytes: entry_bytes() and used_bytes() charge
+// what the paper's layout holds.
 //
 // Pre-actions are interned: an entry holds a 4-byte handle into a per-table
 // pool of distinct values with reference counts. The flows of one vNIC
@@ -47,37 +58,45 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/flow/direction.h"
 #include "src/flow/pre_actions.h"
 #include "src/flow/session.h"
+#include "src/net/headers.h"
 
 namespace nezha::flow {
 
 class SessionTable;
 
-/// Hot fields first: the pre-action handle, the slot and the state (with
-/// last_active ahead of its counters) lead, so a lookup or an aging visit
-/// touches the front of the entry; the QoS bucket goes last.
+/// Token bucket for the QoS pre-action (enforcement metadata, not session
+/// state — it never needs to leave the enforcing node).
+struct QosBucket {
+  double tokens_bits = 0;
+  common::TimePoint refilled_at = 0;
+
+  /// Charges `bits` against the rate limit; returns false (drop) when the
+  /// bucket is empty. `kbps` == 0 means unlimited. Burst: one second's
+  /// worth of tokens.
+  bool admit(std::uint32_t kbps, std::size_t bits, common::TimePoint now);
+};
+
+/// The "no slot" sentinel: an empty index cell, and the table_slot of a
+/// free slab node.
+inline constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+/// What a caller holds of a session: its state, plus the table's private
+/// bookkeeping (the pre-action handle and the slot).
 struct SessionEntry {
  private:
   friend class SessionTable;
   /// Handle of the cached pre-actions in the owning table's pool; 0 = none.
   /// The table reads and writes it, counting references.
   std::uint32_t pre_actions_id = 0;
+  /// Slab slot backing this entry (lets touch() reach the aging bookkeeping
+  /// and the side storage in O(1)); kNoSlot on a free node.
+  std::uint32_t table_slot = kNoSlot;
 
  public:
-  /// Slab slot backing this entry; maintained by SessionTable (lets
-  /// touch() reach the aging bookkeeping in O(1)).
-  std::uint32_t table_slot = 0;
   SessionState state;
-  /// Token bucket for the QoS pre-action (enforcement metadata, not session
-  /// state — it never needs to leave the enforcing node).
-  double qos_tokens_bits = 0;
-  common::TimePoint qos_refilled_at = 0;
-
-  /// Charges `bits` against the rate limit; returns false (drop) when the
-  /// bucket is empty. `kbps` == 0 means unlimited. Burst: one second's
-  /// worth of tokens.
-  bool qos_admit(std::uint32_t kbps, std::size_t bits, common::TimePoint now);
 };
 
 struct SessionTableConfig {
@@ -101,7 +120,6 @@ class SessionTable {
 
   std::size_t size() const { return size_; }
   std::size_t memory_bytes() const { return size_ * entry_bytes_; }
-  std::size_t capacity_bytes() const { return config_.capacity_bytes; }
   bool full() const {
     return config_.capacity_bytes != 0 &&
            memory_bytes() + entry_bytes_ > config_.capacity_bytes;
@@ -153,10 +171,22 @@ class SessionTable {
   using EvictFn = std::function<void(const SessionKey&, const SessionEntry&)>;
   std::size_t age_out(common::TimePoint now, const EvictFn& on_evict = {});
 
-  /// Re-syncs the aging wheel after the entry's state was mutated in place
-  /// (the datapath calls this after state.observe()). Only needed when the
-  /// mutation may have *shrunk* the deadline; always safe to call.
+  /// Re-syncs the aging wheel after the entry's state was mutated in place.
+  /// Only needed when the mutation may have *shrunk* the deadline; always
+  /// safe to call, also on an entry since erased (a no-op) or recycled.
   void touch(const SessionEntry* entry);
+
+  /// Records a packet on the entry: state.observe(), then, under the
+  /// entry's statistics policy, counts it in the side storage, then
+  /// touch() (FIN/RST may have shrunk the aging deadline).
+  void observe(SessionEntry& entry, Direction dir, net::TcpFlags tcp_flags,
+               bool is_tcp, std::size_t wire_bytes, common::TimePoint now);
+  /// The entry's statistics counters; all zero if it was never counted.
+  SessionCounters counters(const SessionEntry& entry) const;
+  /// The entry's QoS token bucket (QosBucket::admit). At `kbps` == 0 this
+  /// admits without touching any storage.
+  bool qos_admit(SessionEntry& entry, std::uint32_t kbps, std::size_t bits,
+                 common::TimePoint now);
 
   /// TTL applicable to an entry (embryonic sessions age fast, §7.3).
   common::Duration ttl_of(const SessionEntry& entry) const;
@@ -168,47 +198,54 @@ class SessionTable {
   /// Burst-processing software prefetch (wall-clock only, no behavioral
   /// effect): step 1 computes the probe hash and prefetches the index cell;
   /// step 2 — issued after the other packets' step 1s, so the cell loads
-  /// have landed — prefetches the key and entry the cell points at. A burst
+  /// have landed — prefetches the node (key and entry) it points at. A burst
   /// receiver runs step 1 across the whole burst, then step 2, then the
   /// actual per-packet find()s hit warm lines. On a table that has never
   /// held an entry both steps return at once (step 1 returns 0).
   std::uint64_t prefetch_index(const SessionKey& key) const;
   void prefetch_entry(std::uint64_t h) const;
 
-  /// Iteration support for censuses (e.g. the Fig 15 state-size census).
-  /// Order is slab order (deterministic for a given operation sequence).
+  /// Iteration over the live entries, `fn(const SessionKey&, entry)`, for
+  /// censuses (e.g. the Fig 15 state-size census) and in-place updates:
+  /// `fn` may change an entry (its state, its pre-actions) but must not
+  /// insert or erase. Order is slab order (deterministic for a given
+  /// operation sequence).
   template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t ci = 0; ci < chunks_.size(); ++ci) {
-      const Chunk& chunk = *chunks_[ci];
-      for (std::size_t ni = 0; ni < chunk.size(); ++ni) {
-        if (chunk[ni].live) fn((*key_chunks_[ci])[ni], chunk[ni].entry);
+  void for_each(Fn&& fn) {
+    for (const auto& chunk : chunks_) {
+      for (Node& node : *chunk) {
+        if (node.entry.table_slot == kNoSlot) continue;
+        fn(std::as_const(node.key), node.entry);  // the key stays read-only
       }
     }
   }
 
  private:
   static constexpr std::size_t kChunkSize = 512;
-  static constexpr std::uint32_t kEmpty = 0xffffffffu;
 
-  /// SoA hot-field split: keys live in a dense parallel slab (key_chunks_)
-  /// so the probe loop's compares touch ~20B-stride lines instead of
-  /// pulling whole Nodes; the fat Node (entry/state/aging bookkeeping) is
-  /// only touched once a probe confirms the hit — which real processing
-  /// pays anyway.
-  /// The flow hash is not stored: the index cell's tag holds its low 32
-  /// bits, which is all a home slot needs.
-  struct Node {
+  /// One cache line: the key, the aging bookkeeping and the entry. The
+  /// index cell's 32-bit tag rejects almost every mismatch, so the key
+  /// compare that confirms a hit loads the line the caller reads next. The
+  /// flow hash is not stored: the tag holds its low 32 bits, which is all a
+  /// home slot needs. A free node has entry.table_slot == kNoSlot.
+  struct alignas(64) Node {
+    SessionKey key;
     /// Bumped by every wheel enqueue and by free: only a ref carrying the
     /// current value is live, so refs to an erased or recycled node skip.
     std::uint32_t wheel_seq = 0;
-    bool live = false;
     std::int64_t wheel_bucket = 0;
     SessionEntry entry;
   };
-  static_assert(sizeof(Node) <= 96);
+  static_assert(sizeof(Node) == 64 && alignof(Node) == 64);
   using Chunk = std::vector<Node>;
-  using KeyChunk = std::vector<SessionKey>;
+
+  /// A slot's side storage, value-initialised (zero counters, a bucket
+  /// that fills on first use) until it is first counted or rate-limited.
+  struct Extras {
+    SessionCounters counters;
+    QosBucket qos;
+  };
+  using ExtrasChunk = std::array<Extras, kChunkSize>;
 
   /// Probe cell: cached hash tag for cheap rejection + slab slot or pool id
   /// (or sentinel). The tag is the low 32 bits of the hash, so it also
@@ -220,7 +257,7 @@ class SessionTable {
   /// index share this cell and the three cell_* helpers below.
   struct Cell {
     std::uint32_t hash_tag = 0;
-    std::uint32_t slot = kEmpty;
+    std::uint32_t slot = kNoSlot;
   };
 
   /// One distinct pre-action value; `refs` counts the entries holding its
@@ -248,11 +285,14 @@ class SessionTable {
   const Node& node_at(std::uint32_t slot) const {
     return (*chunks_[slot / kChunkSize])[slot % kChunkSize];
   }
-  SessionKey& key_at(std::uint32_t slot) {
-    return (*key_chunks_[slot / kChunkSize])[slot % kChunkSize];
-  }
-  const SessionKey& key_at(std::uint32_t slot) const {
-    return (*key_chunks_[slot / kChunkSize])[slot % kChunkSize];
+  /// The slot's side storage, allocating its chunk's array on first use.
+  Extras& extras_at(std::uint32_t slot);
+  /// The slot's side storage, or null while its chunk has none.
+  const Extras* find_extras(std::uint32_t slot) const {
+    const std::size_t ci = slot / kChunkSize;
+    return ci < extras_.size() && extras_[ci] != nullptr
+               ? &(*extras_[ci])[slot % kChunkSize]
+               : nullptr;
   }
   PooledPreActions& pooled(std::uint32_t id) {
     return (*pool_[(id - 1) / kPoolChunkSize])[(id - 1) % kPoolChunkSize];
@@ -294,7 +334,9 @@ class SessionTable {
   common::Duration wheel_width_;
 
   std::vector<std::unique_ptr<Chunk>> chunks_;
-  std::vector<std::unique_ptr<KeyChunk>> key_chunks_;  // parallel to chunks_
+  /// Parallel to chunks_, but only as long as the last chunk with side
+  /// storage, and null for a chunk none of whose entries needed it.
+  std::vector<std::unique_ptr<ExtrasChunk>> extras_;
   std::vector<std::uint32_t> free_;
   std::vector<Cell> index_;  // empty until the first insert
   std::size_t size_ = 0;

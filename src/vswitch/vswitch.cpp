@@ -246,14 +246,13 @@ void VSwitch::invalidate_cached_flows(tables::VnicId id) {
   if (v == nullptr) return;
   const tables::OverlayAddr addr = v->addr();
   sessions_.for_each([&](const flow::SessionKey& key,
-                         const flow::SessionEntry& entry) {
+                         flow::SessionEntry& entry) {
     if (key.vpc_id != addr.vpc_id) return;
     if (key.canonical_ft.src_ip != addr.ip && key.canonical_ft.dst_ip != addr.ip) {
       return;
     }
     if (sessions_.pre_actions(entry) != nullptr) {
-      // for_each is const; drop via the non-const find below.
-      sessions_.clear_pre_actions(*sessions_.find(key));
+      sessions_.clear_pre_actions(entry);
       session_pool_.release(kPreActionCacheBytes);
     }
   });
@@ -657,10 +656,9 @@ void VSwitch::local_tx(Vnic& v, net::Packet pkt) {
       ensure_pre_actions(sessions_, *entry, *v.rules(), pkt.inner.ft, &cycles,
                          scratch);
 
-  entry->state.observe(flow::Direction::kTx, pkt.inner.tcp_flags,
-                       pkt.inner.ft.proto == net::IpProto::kTcp,
-                       pkt.inner.wire_size(), loop_.now());
-  sessions_.touch(entry);  // FIN/RST may have shrunk the aging deadline
+  sessions_.observe(*entry, flow::Direction::kTx, pkt.inner.tcp_flags,
+                    pkt.inner.ft.proto == net::IpProto::kTcp,
+                    pkt.inner.wire_size(), loop_.now());
   const flow::Verdict verdict =
       nf::finalize_action(flow::Direction::kTx, pre, entry->state);
   if (verdict == flow::Verdict::kDrop) {
@@ -673,8 +671,8 @@ void VSwitch::local_tx(Vnic& v, net::Packet pkt) {
   // QoS pre-action: VM/flow-level rate limiting enforced at the single
   // node that sees every packet of the flow (no distributed rate-limiting
   // coordination needed, §2.3.3).
-  if (!entry->qos_admit(pre.tx.rate_limit_kbps, pkt.wire_size() * 8,
-                        loop_.now())) {
+  if (!sessions_.qos_admit(*entry, pre.tx.rate_limit_kbps,
+                           pkt.wire_size() * 8, loop_.now())) {
     inc(Ctr::kDropQos);
     local_cycles_ += cycles;
     consume_cpu_noop(cycles, telemetry::Stage::kLocalTx);
@@ -733,10 +731,9 @@ void VSwitch::be_tx(Vnic& v, net::Packet pkt) {
 
   // §5.1 TX workflow: query/initialize the state, then ship a snapshot of
   // it to the FE inside the packet.
-  entry->state.observe(flow::Direction::kTx, pkt.inner.tcp_flags,
-                       pkt.inner.ft.proto == net::IpProto::kTcp,
-                       pkt.inner.wire_size(), loop_.now());
-  sessions_.touch(entry);
+  sessions_.observe(*entry, flow::Direction::kTx, pkt.inner.tcp_flags,
+                    pkt.inner.ft.proto == net::IpProto::kTcp,
+                    pkt.inner.wire_size(), loop_.now());
 
   net::CarrierHeader& carrier = pkt.carrier.emplace();
   add_vnic_id_tlv(carrier, v.id());
@@ -876,10 +873,9 @@ void VSwitch::local_rx(Vnic& v, net::Packet pkt) {
       ensure_pre_actions(sessions_, *entry, *v.rules(), pkt.inner.ft.reversed(),
                          &cycles, scratch);
 
-  entry->state.observe(flow::Direction::kRx, pkt.inner.tcp_flags,
-                       pkt.inner.ft.proto == net::IpProto::kTcp,
-                       pkt.inner.wire_size(), loop_.now());
-  sessions_.touch(entry);
+  sessions_.observe(*entry, flow::Direction::kRx, pkt.inner.tcp_flags,
+                    pkt.inner.ft.proto == net::IpProto::kTcp,
+                    pkt.inner.wire_size(), loop_.now());
   entry->state.stats_mode = pre.rx.stats_mode;
   if (v.stateful_decap() && entry->state.decap_src_ip.value() == 0) {
     entry->state.decap_src_ip = overlay_src;
@@ -927,10 +923,9 @@ void VSwitch::be_rx(Vnic& v, net::Packet pkt) {
 
   // §5.1 RX workflow: initialize/refresh state, adopt the rule-table-derived
   // state carried in the packet (§3.2.2: the FE does not verify, it informs).
-  entry->state.observe(flow::Direction::kRx, pkt.inner.tcp_flags,
-                       pkt.inner.ft.proto == net::IpProto::kTcp,
-                       pkt.inner.wire_size(), loop_.now());
-  sessions_.touch(entry);
+  sessions_.observe(*entry, flow::Direction::kRx, pkt.inner.tcp_flags,
+                    pkt.inner.ft.proto == net::IpProto::kTcp,
+                    pkt.inner.wire_size(), loop_.now());
   entry->state.stats_mode = pre.value().rx.stats_mode;
   if (decap_tlv.has_value() && v.stateful_decap() &&
       entry->state.decap_src_ip.value() == 0) {
@@ -1029,8 +1024,8 @@ void VSwitch::fe_tx(FrontendInstance& fe, net::Packet pkt) {
   }
 
   if (entry != nullptr &&
-      !entry->qos_admit(pre.tx.rate_limit_kbps, pkt.wire_size() * 8,
-                        loop_.now())) {
+      !fe.flow_cache.qos_admit(*entry, pre.tx.rate_limit_kbps,
+                               pkt.wire_size() * 8, loop_.now())) {
     inc(Ctr::kDropQos);
     fe_cycles_ += cycles;
     consume_cpu_noop(cycles, telemetry::Stage::kFeTx);

@@ -12,9 +12,11 @@
 // once slabs are warm, opening a connection must be allocation-free apart
 // from the session-table slab growing toward its TTL equilibrium.
 // The session-table tests pin its host-memory budget: an empty table
-// allocates nothing, a session sharing its pre-actions costs at most 200
-// allocated bytes, a session with a value of its own costs no more than an
-// inline copy did, and aging sweeps at a churn equilibrium allocate nothing.
+// allocates nothing; a session sharing its pre-actions costs at most 120
+// allocated bytes (one 64-B node and its share of the index and the wheel),
+// one with a value of its own at most 240, and one that is also counted and
+// rate-limited no more than a shared session did with the two-line node;
+// aging sweeps at a churn equilibrium allocate nothing.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -201,25 +203,35 @@ TEST(SessionTableAllocTest, EmptyTableAllocatesNothing) {
 }
 
 // Allocated bytes per session when 65,536 sessions, created over one
-// second, each cache value(n); `distinct` is how many values that makes.
-template <typename ValueFn>
-double bytes_per_session(ValueFn value, std::size_t distinct) {
+// second, each cache value(n) and then pass through use(table, entry, now);
+// `distinct` is how many values that makes.
+template <typename ValueFn, typename UseFn>
+double bytes_per_session(ValueFn value, std::size_t distinct, UseFn use) {
   constexpr std::uint32_t kSessions = 65536;
   const std::uint64_t bytes_before = support::alloc_counts().bytes;
   {
     flow::SessionTable table{flow::SessionTableConfig{}};
     for (std::uint32_t n = 0; n < kSessions; ++n) {
-      flow::SessionEntry* e = table.find_or_create(
-          nth_key(n), static_cast<common::TimePoint>(
-                          std::uint64_t{n} * common::kSecond / kSessions));
+      const auto now = static_cast<common::TimePoint>(
+          std::uint64_t{n} * common::kSecond / kSessions);
+      flow::SessionEntry* e = table.find_or_create(nth_key(n), now);
       EXPECT_NE(e, nullptr);
-      if (e != nullptr) table.set_pre_actions(*e, value(n));
+      if (e == nullptr) continue;
+      table.set_pre_actions(*e, value(n));
+      use(table, *e, now);
     }
     EXPECT_EQ(table.size(), kSessions);
     EXPECT_EQ(table.pre_action_pool_size(), distinct);
   }
   return static_cast<double>(support::alloc_counts().bytes - bytes_before) /
          kSessions;
+}
+
+template <typename ValueFn>
+double bytes_per_session(ValueFn value, std::size_t distinct) {
+  return bytes_per_session(
+      value, distinct,
+      [](flow::SessionTable&, flow::SessionEntry&, common::TimePoint) {});
 }
 
 flow::PreActions routed_pre_actions() {
@@ -236,20 +248,60 @@ TEST(SessionTableAllocTest, SharedPreActionsCostUnder200BytesPerSession) {
       << "a session with shared pre-actions allocates " << per_session << " B";
 }
 
+// One 64-B node holds the key and every hot field, and the counters and
+// the QoS bucket stay out of it: a shared-value session pays that line plus
+// its share of the index and the wheel. The 96-B node with a parallel key
+// slab cost 168.2 B here.
+TEST(SessionTableAllocTest, SharedPreActionsCostUnder120BytesPerSession) {
+  const double per_session =
+      bytes_per_session([](std::uint32_t) { return routed_pre_actions(); }, 1);
+  EXPECT_LE(per_session, 120.0)
+      << "a session with shared pre-actions allocates " << per_session << " B";
+}
+
+flow::PreActions unique_pre_actions(std::uint32_t n) {
+  flow::PreActions p = routed_pre_actions();
+  p.tx.nat_enabled = true;
+  p.tx.nat_ip = net::Ipv4Addr(0x64400000u | (n >> 16));
+  p.tx.nat_port = static_cast<std::uint16_t>(n);
+  return p;
+}
+
 // The worst case for interning: a per-tuple NAT endpoint gives every flow
 // its own value, so each session pays a pooled value and its index cell.
-// That must cost no more than the inline copy every entry used to carry:
-// 298.2 B per session on this insert sequence.
+// 298.2 B per session on this insert sequence is what a session cost when
+// every node carried its own inline copy of the pre-actions (a 216-B node
+// plus its key); interning must never cost more than that.
 TEST(SessionTableAllocTest, UniquePreActionsCostNoMoreThanInlineCopies) {
-  const double per_session = bytes_per_session([](std::uint32_t n) {
-    flow::PreActions p = routed_pre_actions();
-    p.tx.nat_enabled = true;
-    p.tx.nat_ip = net::Ipv4Addr(0x64400000u | (n >> 16));
-    p.tx.nat_port = static_cast<std::uint16_t>(n);
-    return p;
-  }, 65536);
+  const double per_session = bytes_per_session(unique_pre_actions, 65536);
   EXPECT_LE(per_session, 298.2)
       << "a session with unique pre-actions allocates " << per_session << " B";
+}
+
+// The same with the one-line node: the two-line node cost 290.2 B here.
+TEST(SessionTableAllocTest, UniquePreActionsCostUnder240BytesPerSession) {
+  const double per_session = bytes_per_session(unique_pre_actions, 65536);
+  EXPECT_LE(per_session, 240.0)
+      << "a session with unique pre-actions allocates " << per_session << " B";
+}
+
+// The worst case for the side storage: every session is counted under a
+// statistics policy and rate-limited, so every chunk gets its 48-B-a-slot
+// array. Even then a session costs no more than a shared-value session did
+// when the counters and the bucket sat in a 96-B node (168.2 B).
+TEST(SessionTableAllocTest, CountedAndRateLimitedSessionsCostUnderTheOldNode) {
+  const double per_session = bytes_per_session(
+      [](std::uint32_t) { return routed_pre_actions(); }, 1,
+      [](flow::SessionTable& table, flow::SessionEntry& e,
+         common::TimePoint now) {
+        e.state.stats_mode = flow::StatsMode::kPacketsAndBytes;
+        table.observe(e, flow::Direction::kTx, net::TcpFlags{.syn = true},
+                      true, 100, now);
+        EXPECT_TRUE(table.qos_admit(e, 1000, 800, now));
+        EXPECT_EQ(table.counters(e).bytes_tx, 100u);
+      });
+  EXPECT_LE(per_session, 168.2)
+      << "a counted, rate-limited session allocates " << per_session << " B";
 }
 
 // 1000 new established sessions and 1000 evictions per 100 ms sweep: an

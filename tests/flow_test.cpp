@@ -154,31 +154,35 @@ TEST(TcpFsmTest, DuplicateSynIsIdempotent) {
 TEST(SessionStateTest, FirstDirectionStickiness) {
   SessionState s;
   EXPECT_FALSE(s.initialized());
-  s.observe(Direction::kRx, TcpFlags{.syn = true}, true, 64, 0);
+  s.observe(Direction::kRx, TcpFlags{.syn = true}, true, 0);
   EXPECT_EQ(s.first_dir, FirstDirection::kRx);
-  s.observe(Direction::kTx, TcpFlags{.syn = true, .ack = true}, true, 64, 1);
+  s.observe(Direction::kTx, TcpFlags{.syn = true, .ack = true}, true, 1);
   EXPECT_EQ(s.first_dir, FirstDirection::kRx);  // first direction is sticky
   EXPECT_TRUE(s.initialized());
 }
 
+// The counters are the table's side storage: SessionTable::observe counts
+// under the entry's policy, and counters() reads them back.
 TEST(SessionStateTest, StatsOnlyWhenPolicyActive) {
-  SessionState s;
-  s.observe(Direction::kTx, TcpFlags{}, true, 100, 0);
-  EXPECT_EQ(s.pkts_tx, 0u);
-  s.stats_mode = StatsMode::kPacketsAndBytes;
-  s.observe(Direction::kTx, TcpFlags{}, true, 100, 1);
-  s.observe(Direction::kRx, TcpFlags{}, true, 200, 2);
-  EXPECT_EQ(s.pkts_tx, 1u);
-  EXPECT_EQ(s.pkts_rx, 1u);
-  EXPECT_EQ(s.bytes_tx, 100u);
-  EXPECT_EQ(s.bytes_rx, 200u);
+  SessionTable t{SessionTableConfig{}};
+  SessionEntry& e =
+      *t.find_or_create(SessionKey::from_packet(1, tx_tuple()), 0);
+  t.observe(e, Direction::kTx, TcpFlags{}, true, 100, 0);
+  EXPECT_EQ(t.counters(e).pkts_tx, 0u);
+  e.state.stats_mode = StatsMode::kPacketsAndBytes;
+  t.observe(e, Direction::kTx, TcpFlags{}, true, 100, 1);
+  t.observe(e, Direction::kRx, TcpFlags{}, true, 200, 2);
+  EXPECT_EQ(t.counters(e).pkts_tx, 1u);
+  EXPECT_EQ(t.counters(e).pkts_rx, 1u);
+  EXPECT_EQ(t.counters(e).bytes_tx, 100u);
+  EXPECT_EQ(t.counters(e).bytes_rx, 200u);
 }
 
 TEST(SessionStateTest, UsedBytesCensus) {
   // Fig 15: most states are far smaller than the fixed 64B allocation.
   SessionState s;
   EXPECT_EQ(s.used_bytes(), 0u);
-  s.observe(Direction::kTx, TcpFlags{.syn = true}, true, 64, 0);
+  s.observe(Direction::kTx, TcpFlags{.syn = true}, true, 0);
   EXPECT_EQ(s.used_bytes(), 2u);  // first_dir + fsm
   s.decap_src_ip = Ipv4Addr(10, 9, 9, 9);
   EXPECT_EQ(s.used_bytes(), 6u);
@@ -189,7 +193,7 @@ TEST(SessionStateTest, UsedBytesCensus) {
 
 TEST(SessionStateTest, SnapshotRoundTrip) {
   SessionState s;
-  s.observe(Direction::kTx, TcpFlags{.syn = true}, true, 64, 0);
+  s.observe(Direction::kTx, TcpFlags{.syn = true}, true, 0);
   s.decap_src_ip = Ipv4Addr(10, 1, 1, 1);
   s.stats_mode = StatsMode::kPackets;
   auto snap = SessionState::parse_snapshot(s.serialize_snapshot());
@@ -250,16 +254,16 @@ TEST(SessionTableTest, AgingRespectsFsmDependentTtl) {
       .established_ttl = seconds(8), .embryonic_ttl = seconds(1)}};
   auto syn_key = SessionKey::from_packet(1, tx_tuple());
   auto* syn_entry = t.find_or_create(syn_key, 0);
-  syn_entry->state.observe(Direction::kTx, TcpFlags{.syn = true}, true, 64, 0);
+  syn_entry->state.observe(Direction::kTx, TcpFlags{.syn = true}, true, 0);
 
   FiveTuple est_ft = tx_tuple();
   est_ft.src_port = 50000;
   auto est_key = SessionKey::from_packet(1, est_ft);
   auto* est_entry = t.find_or_create(est_key, 0);
-  est_entry->state.observe(Direction::kTx, TcpFlags{.syn = true}, true, 64, 0);
+  est_entry->state.observe(Direction::kTx, TcpFlags{.syn = true}, true, 0);
   est_entry->state.observe(Direction::kRx, TcpFlags{.syn = true, .ack = true},
-                           true, 64, 0);
-  est_entry->state.observe(Direction::kTx, TcpFlags{.ack = true}, true, 64, 0);
+                           true, 0);
+  est_entry->state.observe(Direction::kTx, TcpFlags{.ack = true}, true, 0);
 
   // After 2s: the embryonic (SYN-flood-style) session ages out (§7.3), the
   // established one survives.
@@ -275,7 +279,7 @@ TEST(SessionTableTest, ActivityRefreshesAging) {
   SessionTable t{SessionTableConfig{.established_ttl = seconds(8)}};
   auto key = SessionKey::from_packet(1, tx_tuple());
   auto* e = t.find_or_create(key, 0);
-  e->state.observe(Direction::kRx, TcpFlags{.ack = true}, true, 64,
+  e->state.observe(Direction::kRx, TcpFlags{.ack = true}, true,
                    seconds(7));
   EXPECT_EQ(t.age_out(seconds(8)), 0u);  // refreshed at t=7
   EXPECT_EQ(t.age_out(seconds(16)), 1u);
@@ -286,7 +290,7 @@ TEST(SessionTableTest, InvalidatePreActionsKeepsState) {
   auto key = SessionKey::from_packet(1, tx_tuple());
   auto* e = t.find_or_create(key, 0);
   t.set_pre_actions(*e, PreActions{});
-  e->state.observe(Direction::kTx, TcpFlags{.syn = true}, true, 64, 0);
+  e->state.observe(Direction::kTx, TcpFlags{.syn = true}, true, 0);
   t.invalidate_pre_actions();
   ASSERT_NE(t.find(key), nullptr);
   EXPECT_EQ(t.pre_actions(*t.find(key)), nullptr);
@@ -301,11 +305,42 @@ TEST(SessionTableTest, InvalidateOnPureFlowCacheErases) {
   EXPECT_EQ(t.size(), 0u);
 }
 
+// Liveness is the node's slot: erase marks it free, so a touch through a
+// pointer to the erased entry does nothing, and once the slot is recycled
+// the same pointer names the new entry, which a touch merely re-syncs.
+TEST(SessionTableTest, TouchOnErasedOrRecycledEntryIsHarmless) {
+  SessionTable t{SessionTableConfig{.established_ttl = seconds(8),
+                                    .closed_ttl = milliseconds(100)}};
+  const auto key_a = SessionKey::from_packet(1, tx_tuple());
+  FiveTuple ft_b = tx_tuple();
+  ft_b.src_port = 50000;
+  const auto key_b = SessionKey::from_packet(1, ft_b);
+
+  SessionEntry* a = t.find_or_create(key_a, 0);
+  ASSERT_NE(a, nullptr);
+  ASSERT_TRUE(t.erase(key_a));
+  t.touch(a);
+  std::size_t visited = 0;
+  t.for_each([&](const SessionKey&, const SessionEntry&) { ++visited; });
+  EXPECT_EQ(visited, 0u);
+  EXPECT_EQ(t.age_out(seconds(9)), 0u);
+
+  SessionEntry* b = t.find_or_create(key_b, seconds(9));
+  ASSERT_EQ(b, a);  // the freed slot was recycled
+  t.touch(a);
+  EXPECT_EQ(t.age_out(seconds(16)), 0u);  // idle 7 s of 8
+  // A TTL shrink signalled through the old pointer re-queues the new entry.
+  b->state.observe(Direction::kTx, TcpFlags{.rst = true}, true, seconds(16));
+  t.touch(a);
+  EXPECT_EQ(t.age_out(seconds(16) + milliseconds(100)), 1u);
+  EXPECT_EQ(t.find(key_b), nullptr);
+}
+
 TEST(SessionTableTest, ClosedSessionsAgeFastest) {
   SessionTable t{SessionTableConfig{.closed_ttl = milliseconds(100)}};
   auto key = SessionKey::from_packet(1, tx_tuple());
   auto* e = t.find_or_create(key, 0);
-  e->state.observe(Direction::kTx, TcpFlags{.rst = true}, true, 64, 0);
+  e->state.observe(Direction::kTx, TcpFlags{.rst = true}, true, 0);
   EXPECT_EQ(t.age_out(milliseconds(150)), 1u);
 }
 

@@ -336,10 +336,10 @@ TEST(SessionTableProperty, AgeOutRemovesExactlyExpired) {
     const bool established = rng.chance(0.5);
     if (established) {
       e->state.observe(flow::Direction::kTx, net::TcpFlags{.ack = true}, true,
-                       64, last);
+                       last);
     } else {
       e->state.observe(flow::Direction::kTx, net::TcpFlags{.syn = true}, true,
-                       64, last);
+                       last);
     }
     keys.push_back(key);
     expiry[i] = last + (established ? common::seconds(8) : common::seconds(1));
@@ -586,7 +586,7 @@ TEST(SessionTableProperty, IncrementalAgingMatchesFullScanAcrossSweeps) {
       }
       e->state.observe(rng.chance(0.5) ? flow::Direction::kTx
                                        : flow::Direction::kRx,
-                       flags, true, 64, now);
+                       flags, true, now);
       table.touch(e);
     }
     if (rng.chance(0.15) && !live.empty()) {
@@ -727,6 +727,139 @@ TEST(SessionTableProperty, PreActionPoolMatchesReferenceMap) {
     ASSERT_LE(table.pre_action_pool_size(), peak_distinct) << "step " << step;
   }
   EXPECT_GT(max_distinct, 3u);  // unique values were live beside shared ones
+}
+
+// Side storage against a model that keeps each key's counters and QoS
+// bucket inline. Ballast entries fill two slab chunks and are then erased in
+// random order, so the test keys land on slots spread over both chunks,
+// some of whose side arrays exist and some not, and recycle them as they
+// churn. After every step each live entry's counters() equals the model's,
+// every admit verdict matches, and a new entry (often on a recycled slot)
+// reads zero counters and a full bucket.
+TEST(SessionTableProperty, SideStorageMatchesReferenceModel) {
+  common::Rng rng = make_rng(24);
+  flow::SessionTable table{flow::SessionTableConfig{
+      .established_ttl = common::seconds(2),
+      .embryonic_ttl = common::milliseconds(500),
+      .closed_ttl = common::milliseconds(100)}};
+  std::vector<flow::SessionKey> keys;
+  for (int i = 0; i < 64; ++i) {
+    keys.push_back(flow::SessionKey::from_packet(3, random_tuple(rng)));
+  }
+  struct Model {
+    flow::SessionCounters counters;
+    flow::QosBucket qos;
+  };
+  std::map<std::size_t, Model> ref;  // key index → what the table must hold
+  std::size_t ballast = 0;           // live ballast entries
+  common::TimePoint now = 0;
+  const auto add_ballast = [&] {
+    std::vector<flow::SessionKey> added;
+    for (int i = 0; i < 1024; ++i) {
+      added.push_back(flow::SessionKey::from_packet(4, random_tuple(rng)));
+      ASSERT_NE(table.find_or_create(added.back(), now), nullptr);
+    }
+    rng.shuffle(added);
+    for (std::size_t i = 0; i < 768; ++i) ASSERT_TRUE(table.erase(added[i]));
+    ballast += added.size() - 768;
+  };
+  add_ballast();
+  constexpr std::array<flow::StatsMode, 4> kModes = {
+      flow::StatsMode::kNone, flow::StatsMode::kPackets,
+      flow::StatsMode::kBytes, flow::StatsMode::kPacketsAndBytes};
+  constexpr std::array<std::uint32_t, 4> kRates = {0, 8, 16, 64};
+  std::size_t admits = 0;
+  std::size_t drops = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const std::size_t k = rng.uniform_u64(0, keys.size() - 1);
+    flow::SessionEntry* e = table.find(keys[k]);
+    switch (rng.uniform_u64(0, 9)) {
+      case 0: case 1:
+        if (e == nullptr) {
+          e = table.find_or_create(keys[k], now);
+          ASSERT_NE(e, nullptr);
+          ref[k] = Model{};
+          EXPECT_EQ(table.counters(*e), flow::SessionCounters{})
+              << "step " << step;
+          if (rng.chance(0.5)) {  // exactly one full burst must pass
+            const std::uint32_t kbps = kRates[rng.uniform_u64(1, 3)];
+            EXPECT_TRUE(table.qos_admit(*e, kbps, kbps * 1000u, now));
+            ref[k].qos.admit(kbps, kbps * 1000u, now);
+          }
+        }
+        break;
+      case 2: case 3: case 4:
+        if (e != nullptr) {
+          const flow::StatsMode mode = kModes[rng.uniform_u64(0, 3)];
+          const auto dir = rng.chance(0.5) ? flow::Direction::kTx
+                                           : flow::Direction::kRx;
+          const std::size_t bytes = rng.uniform_u64(40, 1500);
+          e->state.stats_mode = mode;
+          table.observe(*e, dir, net::TcpFlags{.ack = true}, true, bytes, now);
+          flow::SessionCounters& c = ref[k].counters;
+          const bool tx = dir == flow::Direction::kTx;
+          if (mode == flow::StatsMode::kPackets ||
+              mode == flow::StatsMode::kPacketsAndBytes) {
+            ++(tx ? c.pkts_tx : c.pkts_rx);
+          }
+          if (mode == flow::StatsMode::kBytes ||
+              mode == flow::StatsMode::kPacketsAndBytes) {
+            (tx ? c.bytes_tx : c.bytes_rx) += bytes;
+          }
+        }
+        break;
+      case 5: case 6:
+        if (e != nullptr) {  // a train of packets, so buckets run dry
+          const std::uint32_t kbps = kRates[rng.uniform_u64(0, 3)];
+          for (std::uint64_t n = rng.uniform_u64(1, 8); n > 0; --n) {
+            const std::size_t bits = rng.uniform_u64(64, 12000);
+            const bool admitted = table.qos_admit(*e, kbps, bits, now);
+            EXPECT_EQ(admitted, ref[k].qos.admit(kbps, bits, now))
+                << "step " << step;
+            ++(admitted ? admits : drops);
+          }
+        }
+        break;
+      case 7:
+        EXPECT_EQ(table.erase(keys[k]), e != nullptr);
+        ref.erase(k);
+        break;
+      case 8:
+        now += static_cast<common::Duration>(
+            rng.uniform_u64(0, common::milliseconds(300)));
+        table.age_out(now, [&](const flow::SessionKey& key,
+                               const flow::SessionEntry& gone) {
+          const auto it = std::find(keys.begin(), keys.end(), key);
+          if (it == keys.end()) {
+            --ballast;
+            return;
+          }
+          const std::size_t idx = static_cast<std::size_t>(it - keys.begin());
+          EXPECT_EQ(table.counters(gone), ref.at(idx).counters);
+          ref.erase(idx);
+        });
+        break;
+      default:
+        if (rng.chance(0.02)) {
+          table.clear();
+          ref.clear();
+          ballast = 0;
+          add_ballast();
+        } else {
+          now += static_cast<common::Duration>(
+              rng.uniform_u64(0, common::milliseconds(20)));
+        }
+        break;
+    }
+    ASSERT_EQ(table.size(), ref.size() + ballast) << "step " << step;
+    for (const auto& [idx, model] : ref) {
+      const flow::SessionEntry* live = table.find(keys[idx]);
+      ASSERT_NE(live, nullptr) << "step " << step;
+      EXPECT_EQ(table.counters(*live), model.counters) << "step " << step;
+    }
+  }
+  EXPECT_GT(admits, 100u);  // both verdicts were exercised
+  EXPECT_GT(drops, 100u);
 }
 
 // ----------------------------------------------------------- determinism

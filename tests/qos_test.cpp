@@ -19,16 +19,16 @@ using vswitch::VnicConfig;
 constexpr std::uint32_t kVpc = 33;
 
 TEST(QosBucketTest, TokenBucketMath) {
-  flow::SessionEntry entry;
+  flow::QosBucket bucket;
   // 8 kbps = 1000 bytes/s; burst = one second = 8000 bits.
-  EXPECT_TRUE(entry.qos_admit(8, 4000, seconds(1)));
-  EXPECT_TRUE(entry.qos_admit(8, 4000, seconds(1)));
-  EXPECT_FALSE(entry.qos_admit(8, 1, seconds(1)));  // bucket drained
+  EXPECT_TRUE(bucket.admit(8, 4000, seconds(1)));
+  EXPECT_TRUE(bucket.admit(8, 4000, seconds(1)));
+  EXPECT_FALSE(bucket.admit(8, 1, seconds(1)));  // bucket drained
   // Half a second refills 4000 bits.
-  EXPECT_TRUE(entry.qos_admit(8, 4000, seconds(1) + milliseconds(500)));
-  EXPECT_FALSE(entry.qos_admit(8, 4000, seconds(1) + milliseconds(500)));
+  EXPECT_TRUE(bucket.admit(8, 4000, seconds(1) + milliseconds(500)));
+  EXPECT_FALSE(bucket.admit(8, 4000, seconds(1) + milliseconds(500)));
   // Unlimited always passes.
-  EXPECT_TRUE(entry.qos_admit(0, 1 << 30, seconds(2)));
+  EXPECT_TRUE(bucket.admit(0, 1 << 30, seconds(2)));
 }
 
 class QosPathTest : public ::testing::Test {
