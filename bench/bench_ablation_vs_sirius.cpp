@@ -21,7 +21,8 @@ int main() {
   // --- CPS capacity of an N-node pool, equal per-node capability ---
   baseline::DeploymentParams p;
   p.vm_kernel_cps_limit = 1e12;  // isolate the pool term
-  const double per_node_cps = p.vswitch_cycles_per_sec / p.conn_cycles_fe;
+  const double per_node_cps =
+      baseline::kVswitchCyclesPerSec / baseline::kConnCyclesFe;
   benchutil::Table t({"#pool nodes", "Nezha pool CPS", "Sirius pool CPS",
                       "Nezha / Sirius"});
   bool cps_ok = true;

@@ -12,33 +12,23 @@
 
 namespace nezha::baseline {
 
+/// vSwitch cycles/second available to virtual networking.
+inline constexpr double kVswitchCyclesPerSec = 5e9;
+/// FE-side cycles per connection (the rule chain now runs there).
+inline constexpr double kConnCyclesFe = 36000.0;
+/// §6.2.1: per-vNIC BE data.
+inline constexpr std::size_t kBeMetadataBytes = 2048;
+
 struct DeploymentParams {
   // --- CPU ---
-  /// vSwitch cycles/second available to virtual networking.
-  double vswitch_cycles_per_sec = 5e9;
-  /// Slow-path cycles to establish one connection locally (rule chain for
-  /// both directions + session setup + connection management).
-  double conn_cycles_local = 40000.0;
-  /// BE-side cycles per connection under Nezha (state init + carrier codec
-  /// + encap for the handful of handshake packets).
-  double conn_cycles_be = 6000.0;
-  /// FE-side cycles per connection (the rule chain now runs there).
-  double conn_cycles_fe = 36000.0;
   /// VM guest-kernel CPS ceiling (the post-Nezha bottleneck, Fig 10).
   double vm_kernel_cps_limit = 400000.0;
 
   // --- memory ---
   std::size_t session_pool_bytes = 1ull << 30;        // local fast path
   std::size_t fe_cache_pool_bytes = 512ull << 20;     // idle memory per FE
-  std::size_t fe_rule_pool_bytes = 2ull << 30;        // idle slow path per FE
   std::size_t local_rule_free_bytes = 256ull << 20;   // free on the hot vSwitch
   std::size_t vnic_rule_bytes = 6ull << 20;           // per-vNIC table bulk
-  std::size_t full_entry_bytes = 128;   // key + pre-actions + state
-  std::size_t state_entry_bytes = 80;   // key + state (BE shape)
-  std::size_t cache_entry_bytes = 64;   // key + pre-actions (FE shape)
-  std::size_t be_metadata_bytes = 2048; // §6.2.1: per-vNIC BE data
-  /// Fraction of the freed rule-table memory the BE repurposes for states.
-  double freed_rule_to_state_fraction = 1.0;
   /// Rule memory freed by offloading (repurposed for states, §6.3.1). The
   /// default lands the Fig 9 #flows knee at 4 FEs with a ≈3.8x plateau.
   std::size_t freed_rule_bytes = 1400ull << 20;

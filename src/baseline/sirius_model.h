@@ -25,8 +25,6 @@ class SiriusModel {
   /// `buckets` flows-hash buckets distributed over `cards` processing cards.
   SiriusModel(std::size_t cards, std::size_t buckets);
 
-  std::size_t cards() const { return cards_; }
-  std::size_t buckets() const { return bucket_to_card_.size(); }
   std::size_t card_of(const net::FiveTuple& ft) const;
   std::size_t bucket_of(const net::FiveTuple& ft) const;
 

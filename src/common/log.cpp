@@ -23,7 +23,6 @@ const char* level_name(LogLevel level) {
 }  // namespace
 
 LogLevel log_level() { return g_level; }
-void set_log_level(LogLevel level) { g_level = level; }
 
 LogTimeSource log_time_source() { return g_time_source; }
 void set_log_time_source(LogTimeSource src) { g_time_source = src; }

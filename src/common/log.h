@@ -1,5 +1,5 @@
-// Minimal leveled logger. Off by default so tests and benches stay quiet;
-// experiments flip the level to Info for timeline narration.
+// Minimal leveled logger. Its runtime level is Off, so tests and benches
+// stay quiet.
 //
 // Two-layer gating:
 //  * NEZHA_LOG_MIN_LEVEL — a compile-time floor. The level check against it
@@ -28,7 +28,6 @@ namespace nezha::common {
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 LogLevel log_level();
-void set_log_level(LogLevel level);
 
 /// Virtual-clock hook: when registered, log_message prefixes the current
 /// simulated time. The EventLoop installs itself here while running (and

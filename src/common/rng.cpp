@@ -48,12 +48,6 @@ std::uint64_t Rng::uniform_u64(std::uint64_t lo, std::uint64_t hi) {
   return lo + (r % span);
 }
 
-std::int64_t Rng::uniform_i64(std::int64_t lo, std::int64_t hi) {
-  return static_cast<std::int64_t>(
-             uniform_u64(0, static_cast<std::uint64_t>(hi - lo))) +
-         lo;
-}
-
 double Rng::uniform() {
   // 53 random mantissa bits.
   return static_cast<double>(next() >> 11) * 0x1.0p-53;

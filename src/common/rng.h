@@ -27,7 +27,6 @@ class Rng {
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::uint64_t uniform_u64(std::uint64_t lo, std::uint64_t hi);
-  std::int64_t uniform_i64(std::int64_t lo, std::int64_t hi);
 
   /// Uniform double in [0, 1).
   double uniform();

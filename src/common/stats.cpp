@@ -36,8 +36,6 @@ void Summary::merge(const Summary& other) {
   count_ += other.count_;
 }
 
-void Summary::reset() { *this = Summary{}; }
-
 double Summary::variance() const {
   return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
 }

@@ -16,7 +16,6 @@ class Summary {
  public:
   void add(double x);
   void merge(const Summary& other);
-  void reset();
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
@@ -91,7 +90,6 @@ class Percentiles {
 
   /// Bounded-memory estimator over [lo, hi) with `buckets` fixed buckets.
   static Percentiles bounded(double lo, double hi, std::size_t buckets);
-  bool is_bounded() const { return hist_.has_value(); }
 
   void add(double x);
   void reserve(std::size_t n) { if (!hist_) samples_.reserve(n); }
@@ -114,6 +112,8 @@ class Percentiles {
 
   /// Raw samples; empty in bounded mode (individual values are not kept).
   const std::vector<double>& samples() const { return samples_; }
+  /// Bucket counts in bounded mode; null in exact mode.
+  const Histogram* histogram() const { return hist_ ? &*hist_ : nullptr; }
   void clear();
 
  private:

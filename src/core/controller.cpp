@@ -9,6 +9,32 @@
 
 namespace nezha::core {
 
+namespace {
+
+/// Offload trigger: vSwitch resource utilization above this (Fig 8).
+constexpr double kOffloadThreshold = 0.70;
+/// Fallback requires projected local utilization below this safe level.
+constexpr double kFallbackSafeLevel = 0.40;
+/// Initial #FEs of an offload (App B.2: init 4).
+constexpr std::size_t kInitialFes = 4;
+/// FEs added per scale-out step (Fig 11 doubles 4 → 8).
+constexpr std::size_t kScaleOutStep = 4;
+/// Minimum spacing between scale decisions for one vNIC's pool —
+/// prevents every alerting FE host from independently growing the same
+/// pool in a single monitoring round.
+constexpr common::Duration kScaleCooldown = common::seconds(2);
+constexpr common::Duration kRttAllowance = common::milliseconds(1);
+/// Lognormal parameters of each config-push latency (seconds scale is via
+/// mean_ms); calibrated so Table 4's activation distribution lands near
+/// avg 1s / P99 2s.
+constexpr double kConfigLatencyMeanMs = 260.0;
+constexpr double kConfigLatencySigma = 0.45;
+/// Minimum spacing between fleet-wide FE weight-book publications
+/// (kLoadAwareWeighted only; recomputed from monitor samples).
+constexpr common::Duration kWeightUpdatePeriod = common::seconds(1);
+
+}  // namespace
+
 Controller::Controller(sim::EventLoop& loop, sim::Network& network,
                        tables::VnicServerMap& gateway,
                        ControllerConfig config)
@@ -63,10 +89,9 @@ void Controller::schedule_monitor_tick(common::TimePoint at) {
 }
 
 common::Duration Controller::sample_config_latency() {
-  // Lognormal with the configured mean: mu = ln(mean) - sigma^2/2.
-  const double sigma = config_.config_latency_sigma;
-  const double mu = std::log(config_.config_latency_mean_ms) -
-                    sigma * sigma / 2.0;
+  // Lognormal with mean kConfigLatencyMeanMs: mu = ln(mean) - sigma^2/2.
+  const double sigma = kConfigLatencySigma;
+  const double mu = std::log(kConfigLatencyMeanMs) - sigma * sigma / 2.0;
   const double ms = rng_.lognormal(mu, sigma);
   return static_cast<common::Duration>(ms * common::kMillisecond);
 }
@@ -227,7 +252,7 @@ void Controller::evict_frontend(tables::VnicId id, sim::NodeId node) {
     publish_placement(rit->second);
   });
   const common::TimePoint remove_at =
-      apply_at + config_.learning_interval + config_.rtt_allowance;
+      apply_at + config_.learning_interval + kRttAllowance;
   auto fe_it = fleet_index_.find(node);
   if (fe_it != fleet_index_.end()) {
     vswitch::VSwitch* fe = fleet_[fe_it->second].vs;
@@ -248,7 +273,7 @@ common::Status Controller::trigger_offload(tables::VnicId id,
   if (v == nullptr || v->mode() != vswitch::VnicMode::kLocal) {
     return common::make_error("vnic not in local mode");
   }
-  if (num_fes == 0) num_fes = config_.initial_fes;
+  if (num_fes == 0) num_fes = kInitialFes;
 
   std::vector<sim::NodeId> exclude;
   auto fes = select_frontends(*rec.home, num_fes, exclude);
@@ -298,10 +323,8 @@ common::Status Controller::trigger_offload(tables::VnicId id,
   // its loop at the same instant (the two touch disjoint state).
   const common::TimePoint be_ready = fe_ready + sample_config_latency();
   vswitch::VSwitch* home = rec.home;
-  const common::TimePoint dual_until =
-      be_ready + config_.learning_interval + config_.rtt_allowance;
-  home->loop().schedule_at(be_ready, [home, id, fe_locations, dual_until]() {
-    (void)home->begin_offload(id, fe_locations, dual_until);
+  home->loop().schedule_at(be_ready, [home, id, fe_locations]() {
+    (void)home->begin_offload(id, fe_locations);
   });
   loop_.schedule_at(be_ready, [this, id]() {
     auto rit = vnics_.find(id);
@@ -325,7 +348,7 @@ common::Status Controller::trigger_offload(tables::VnicId id,
   // the engine is multi-threaded — the table drop MUST run on the home's
   // loop (freeing rule tables under a concurrent lookup was the one data
   // race TSan found in the whole sharded engine).
-  const common::TimePoint drop_at = complete + config_.rtt_allowance;
+  const common::TimePoint drop_at = complete + kRttAllowance;
   home->loop().schedule_at(drop_at,
                            [home, id]() { home->finalize_offload(id); });
   loop_.schedule_at(drop_at, [this, home, id]() {
@@ -351,7 +374,7 @@ common::Status Controller::trigger_fallback(tables::VnicId id) {
   // Estimate: fallback only if the home vSwitch can absorb the load (§4.2.2).
   auto fit = fleet_index_.find(rec.home->id());
   if (fit != fleet_index_.end() &&
-      fleet_[fit->second].last_cpu_util >= config_.fallback_safe_level) {
+      fleet_[fit->second].last_cpu_util >= kFallbackSafeLevel) {
     return common::make_error("home vSwitch too loaded for fallback");
   }
 
@@ -364,10 +387,8 @@ common::Status Controller::trigger_fallback(tables::VnicId id) {
   // BE; FEs keep serving stale senders until learning completes. The
   // local-table restore mutates the home vSwitch → home's loop.
   const common::TimePoint local_ready = t0 + sample_config_latency();
-  const common::TimePoint dual_until =
-      local_ready + config_.learning_interval + config_.rtt_allowance;
-  home->loop().schedule_at(local_ready, [home, id, dual_until]() {
-    (void)home->begin_fallback(id, dual_until);
+  home->loop().schedule_at(local_ready, [home, id]() {
+    (void)home->begin_fallback(id);
   });
   const common::TimePoint gw_done = local_ready + sample_config_latency();
   schedule_ctrl(gw_done, [this, id]() {
@@ -382,7 +403,7 @@ common::Status Controller::trigger_fallback(tables::VnicId id) {
   // loop (fleet membership is fixed after setup, so resolving the FE
   // pointers now is equivalent to resolving them at fire time).
   const common::TimePoint complete =
-      gw_done + config_.learning_interval + config_.rtt_allowance;
+      gw_done + config_.learning_interval + kRttAllowance;
   home->loop().schedule_at(complete,
                            [home, id]() { home->finalize_fallback(id); });
   for (sim::NodeId n : rec.fe_nodes) {
@@ -506,7 +527,7 @@ void Controller::scale_in_vswitch(sim::NodeId node) {
       publish_placement(rit->second);
     });
     const common::TimePoint remove_at =
-        apply_at + config_.learning_interval + config_.rtt_allowance;
+        apply_at + config_.learning_interval + kRttAllowance;
     // Long drain tail → the table drop runs on the FE's own loop.
     auto fe_it = fleet_index_.find(node);
     if (fe_it != fleet_index_.end()) {
@@ -586,7 +607,7 @@ void Controller::handle_link_failure(tables::VnicId id, sim::NodeId fe_node) {
   // The FE instance itself stays configured on the (healthy but
   // unreachable) host; the controller retires it like a scale-in.
   const common::TimePoint remove_at =
-      loop_.now() + config_.learning_interval + config_.rtt_allowance;
+      loop_.now() + config_.learning_interval + kRttAllowance;
   auto fe_it = fleet_index_.find(fe_node);
   if (fe_it != fleet_index_.end()) {
     vswitch::VSwitch* fe = fleet_[fe_it->second].vs;
@@ -602,15 +623,6 @@ void Controller::handle_link_failure(tables::VnicId id, sim::NodeId fe_node) {
 
 void Controller::reseed_fe_hash(std::uint64_t seed) {
   for (auto& state : fleet_) state.vs->set_fe_hash_seed(seed);
-}
-
-void Controller::set_fe_policy(policy::PolicyKind kind) {
-  config_.fe_policy = kind;
-  policy_ = &policy::policy_for(kind);
-  for (auto& state : fleet_) {
-    state.vs->set_fe_policy(policy_);
-    state.vs->set_fe_weights(weight_book_);
-  }
 }
 
 void Controller::refresh_fleet_sample() {
@@ -662,7 +674,7 @@ common::Status Controller::migrate_backend(tables::VnicId id,
       fe_locations.push_back(fleet_[fit->second].vs->location());
     }
   }
-  (void)new_home->begin_offload(id, fe_locations, loop_.now());
+  (void)new_home->begin_offload(id, fe_locations);
   new_home->finalize_offload(id);
 
   // §7.2: only the BE-location config on the FEs changes; this takes effect
@@ -732,13 +744,12 @@ void Controller::monitor_tick() {
     const double mem_util = std::max(vs->rule_memory().utilization(),
                                      vs->session_memory().utilization());
     const double util = std::max(cpu_util, mem_util);
-    if (utilization_hook_) utilization_hook_(now, vs->id(), cpu_util);
 
     const double fe_share = vs->fe_cycles();
     const double local_share = vs->local_cycles();
     vs->reset_cycle_attribution();
 
-    if (util > config_.offload_threshold && config_.auto_offload) {
+    if (util > kOffloadThreshold && config_.auto_offload) {
       // Offload the heaviest local vNICs until utilization is projected to
       // fall to a safe level (§4.2.1). Heaviness here: rule memory (the
       // measurable slow-path footprint) — the CPS share follows the vNIC
@@ -769,10 +780,10 @@ void Controller::monitor_tick() {
           }
           auto lit = last_scale_at_.find(id);
           if (lit != last_scale_at_.end() &&
-              now - lit->second < config_.scale_cooldown) {
+              now - lit->second < kScaleCooldown) {
             continue;
           }
-          if (scale_out(id, config_.scale_out_step).ok()) {
+          if (scale_out(id, kScaleOutStep).ok()) {
             last_scale_at_[id] = now;
           }
         }
@@ -784,7 +795,7 @@ void Controller::monitor_tick() {
   }
 
   if (policy_->kind() == policy::PolicyKind::kLoadAwareWeighted &&
-      now - last_weight_push_ >= config_.weight_update_period) {
+      now - last_weight_push_ >= kWeightUpdatePeriod) {
     publish_fe_weights();
     last_weight_push_ = now;
   }

@@ -31,29 +31,12 @@ class Hub;
 namespace nezha::core {
 
 struct ControllerConfig {
-  /// Offload trigger: vSwitch resource utilization above this (Fig 8).
-  double offload_threshold = 0.70;
   /// Scale-out/-in trigger on FE-hosting vSwitches (Fig 8).
   double scale_threshold = 0.40;
-  /// Fallback requires projected local utilization below this safe level.
-  double fallback_safe_level = 0.40;
-  /// Initial and minimum #FEs (App B.2: init 4; §4.4: maintain ≥ 4).
-  std::size_t initial_fes = 4;
+  /// Minimum #FEs (§4.4: maintain ≥ 4).
   std::size_t min_fes = 4;
-  /// FEs added per scale-out step (Fig 11 doubles 4 → 8).
-  std::size_t scale_out_step = 4;
   common::Duration monitor_period = common::milliseconds(500);
-  /// Minimum spacing between scale decisions for one vNIC's pool —
-  /// prevents every alerting FE host from independently growing the same
-  /// pool in a single monitoring round.
-  common::Duration scale_cooldown = common::seconds(2);
   common::Duration learning_interval = common::milliseconds(200);
-  common::Duration rtt_allowance = common::milliseconds(1);
-  /// Lognormal parameters of each config-push latency (seconds scale is via
-  /// mean_ms); calibrated so Table 4's activation distribution lands near
-  /// avg 1s / P99 2s.
-  double config_latency_mean_ms = 260.0;
-  double config_latency_sigma = 0.45;
   std::uint64_t seed = 0x6e657a6861ULL;  // "nezha"
   bool auto_offload = true;
   bool auto_scale = true;
@@ -61,9 +44,6 @@ struct ControllerConfig {
   /// paper's behavior and keeps the golden fingerprints bit-identical; the
   /// controller pushes the policy to every vSwitch it manages.
   policy::PolicyKind fe_policy = policy::PolicyKind::kStaticHash;
-  /// Minimum spacing between fleet-wide FE weight-book publications
-  /// (kLoadAwareWeighted only; recomputed from monitor samples).
-  common::Duration weight_update_period = common::seconds(1);
 };
 
 class Controller {
@@ -87,8 +67,8 @@ class Controller {
 
   // ---------- explicit operations (monitoring calls these too) ----------
   /// Runs the full offload workflow for a vNIC. num_fes = 0 uses the
-  /// configured initial count. Returns an error when no suitable FE set
-  /// exists or the vNIC is not in local mode.
+  /// initial count of 4 FEs (App B.2). Returns an error when no suitable
+  /// FE set exists or the vNIC is not in local mode.
   common::Status trigger_offload(tables::VnicId id, std::size_t num_fes = 0);
   common::Status trigger_fallback(tables::VnicId id);
   common::Status scale_out(tables::VnicId id, std::size_t additional,
@@ -104,17 +84,12 @@ class Controller {
   /// and BE hashing must agree for session-consistent FE mapping). Used to
   /// redistribute traffic when 5-tuple hashing lands unevenly.
   void reseed_fe_hash(std::uint64_t seed);
-  /// Switches the FE-selection policy (DESIGN.md §14) and pushes it —
-  /// plus the current weight book — to the whole fleet, like a reseed:
-  /// sender and BE selection must agree, and like a reseed it is safe
-  /// mid-traffic (FEs are stateless; rehashed flows cost one rule lookup).
-  void set_fe_policy(policy::PolicyKind kind);
   policy::PolicyKind fe_policy() const { return config_.fe_policy; }
   /// Recomputes per-FE weights from the latest monitor samples (CPU folded
   /// with the port backlog read on the owning shard — the same signals the
   /// telemetry registry's vs<i>.cpu_util / vs<i>.port_q gauges export) and
   /// pushes the book fleet-wide. monitor_tick calls this every
-  /// weight_update_period under kLoadAwareWeighted; tests and benches may
+  /// kWeightUpdatePeriod under kLoadAwareWeighted; tests and benches may
   /// call it directly between quiescent windows.
   void publish_fe_weights();
   const policy::FeWeightBook& fe_weights() const { return weight_book_; }
@@ -166,14 +141,6 @@ class Controller {
   /// the engine is multi-threaded. Null (the default, an unsharded bed)
   /// schedules them on the controller's own loop.
   void set_engine(sim::ShardedEngine* engine) { engine_ = engine; }
-
-  /// Monitoring hook for experiments: called after each monitor tick with
-  /// (node, cpu utilization) samples.
-  using UtilizationHook =
-      std::function<void(common::TimePoint, sim::NodeId, double)>;
-  void set_utilization_hook(UtilizationHook hook) {
-    utilization_hook_ = std::move(hook);
-  }
 
  private:
   struct VnicRecord {
@@ -255,7 +222,6 @@ class Controller {
   policy::FeWeightBook weight_book_;
   common::TimePoint last_weight_push_ = 0;
   common::Percentiles offload_completion_;
-  UtilizationHook utilization_hook_;
   telemetry::Hub* telemetry_ = nullptr;
   sim::ShardedEngine* engine_ = nullptr;
   bool started_ = false;

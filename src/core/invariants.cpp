@@ -7,9 +7,19 @@
 
 namespace nezha::core {
 
+namespace {
+
+/// Stimulus ring capacity (oldest entries overwritten).
+constexpr std::size_t kMaxStimuli = 256;
+/// Stop collecting after this many violations (the first is the one that
+/// matters for replay; the cap keeps a broken run's report readable).
+constexpr std::size_t kMaxViolations = 64;
+
+}  // namespace
+
 InvariantChecker::InvariantChecker(Testbed& bed, InvariantCheckerConfig config)
     : bed_(bed), config_(config) {
-  stimuli_.reserve(config_.max_stimuli);
+  stimuli_.reserve(kMaxStimuli);
 }
 
 void InvariantChecker::attach(common::Duration period) {
@@ -18,16 +28,16 @@ void InvariantChecker::attach(common::Duration period) {
 
 void InvariantChecker::record(std::string stimulus) {
   Stimulus s{bed_.loop().now(), std::move(stimulus)};
-  if (stimuli_.size() < config_.max_stimuli) {
+  if (stimuli_.size() < kMaxStimuli) {
     stimuli_.push_back(std::move(s));
   } else {
-    stimuli_[stimuli_next_ % config_.max_stimuli] = std::move(s);
+    stimuli_[stimuli_next_ % kMaxStimuli] = std::move(s);
   }
   ++stimuli_next_;
 }
 
 void InvariantChecker::violation(const std::string& what) {
-  if (violations_.size() >= config_.max_violations) return;
+  if (violations_.size() >= kMaxViolations) return;
   std::ostringstream os;
   os << "[t=" << bed_.loop().now() << "ns] " << what;
   violations_.push_back(os.str());

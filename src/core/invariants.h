@@ -23,11 +23,6 @@ class Testbed;
 struct InvariantCheckerConfig {
   /// Experiment seed, echoed into the replay report.
   std::uint64_t seed = 0;
-  /// Stimulus ring capacity (oldest entries overwritten).
-  std::size_t max_stimuli = 256;
-  /// Stop collecting after this many violations (the first is the one that
-  /// matters for replay; the cap keeps a broken run's report readable).
-  std::size_t max_violations = 64;
 };
 
 class InvariantChecker {
@@ -70,7 +65,7 @@ class InvariantChecker {
   InvariantCheckerConfig config_;
 
   std::vector<std::string> violations_;
-  std::vector<Stimulus> stimuli_;  // ring of capacity max_stimuli
+  std::vector<Stimulus> stimuli_;  // ring of capacity kMaxStimuli
   std::size_t stimuli_next_ = 0;
   std::uint64_t checks_run_ = 0;
 

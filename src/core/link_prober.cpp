@@ -28,10 +28,6 @@ void LinkProber::watch(tables::VnicId vnic, vswitch::VSwitch* be,
   paths_[PathKey{vnic, fe_node}] = Path{be, fe_ip, 0, 0, false, false};
 }
 
-void LinkProber::unwatch(tables::VnicId vnic, sim::NodeId fe_node) {
-  paths_.erase(PathKey{vnic, fe_node});
-}
-
 void LinkProber::start() {
   if (started_) return;
   started_ = true;

@@ -38,7 +38,6 @@ class LinkProber {
   /// Registers the reply handler on the BE vSwitch.
   void watch(tables::VnicId vnic, vswitch::VSwitch* be, sim::NodeId fe_node,
              net::Ipv4Addr fe_ip);
-  void unwatch(tables::VnicId vnic, sim::NodeId fe_node);
 
   void start();
 

@@ -7,6 +7,10 @@ namespace nezha::core {
 
 namespace {
 
+/// §C.2 guard: suspend auto-removal when more than this fraction of
+/// watched targets appear dead simultaneously.
+constexpr double kWidespreadFailureFraction = 0.5;
+
 void record_probe(telemetry::Hub* hub, common::TimePoint at,
                   std::uint32_t node, telemetry::EventKind kind,
                   std::uint64_t target, std::uint64_t probe_id) {
@@ -32,8 +36,6 @@ HealthMonitor::HealthMonitor(sim::NodeId id, net::Ipv4Addr underlay_ip,
 void HealthMonitor::watch(sim::NodeId node, net::Ipv4Addr ip) {
   targets_.emplace(node, Target{ip, 0, 0, false, false});
 }
-
-void HealthMonitor::unwatch(sim::NodeId node) { targets_.erase(node); }
 
 void HealthMonitor::start() {
   if (started_) return;
@@ -107,7 +109,7 @@ void HealthMonitor::check_probe(sim::NodeId node, std::uint64_t probe_id) {
   const double dead_fraction =
       static_cast<double>(dead_count()) /
       static_cast<double>(targets_.empty() ? 1 : targets_.size());
-  if (dead_fraction > config_.widespread_failure_fraction) {
+  if (dead_fraction > kWidespreadFailureFraction) {
     ++suppressed_;
     record_probe(telemetry_, loop_.now(), id(),
                  telemetry::EventKind::kCrashSuppressed, node, probe_id);

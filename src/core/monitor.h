@@ -29,9 +29,6 @@ struct MonitorConfig {
   common::Duration probe_interval = common::milliseconds(500);
   common::Duration probe_timeout = common::milliseconds(300);
   int miss_threshold = 3;
-  /// §C.2 guard: suspend auto-removal when more than this fraction of
-  /// watched targets appear dead simultaneously.
-  double widespread_failure_fraction = 0.5;
 };
 
 class HealthMonitor : public sim::Node {
@@ -49,8 +46,6 @@ class HealthMonitor : public sim::Node {
 
   /// Starts probing a vSwitch.
   void watch(sim::NodeId node, net::Ipv4Addr ip);
-  void unwatch(sim::NodeId node);
-  std::size_t watched() const { return targets_.size(); }
 
   void start();
 

@@ -1,7 +1,6 @@
 #include "src/core/testbed.h"
 
 #include <cstdio>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -277,13 +276,6 @@ Testbed::NetTotals Testbed::net_totals() const {
     for (std::size_t i = 0; i < sb.size(); ++i) t.spine_bytes[i] += sb[i];
   }
   return t;
-}
-
-void Testbed::dump_merged_trace(std::ostream& os) const {
-  if (shards_[0].hub == nullptr) return;
-  std::vector<const telemetry::FlightRecorder*> recs;
-  for (const Shard& sh : shards_) recs.push_back(&sh.hub->recorder());
-  telemetry::dump_merged(os, recs);
 }
 
 void Testbed::schedule_control(common::TimePoint at,

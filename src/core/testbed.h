@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -60,8 +59,7 @@ struct TestbedConfig {
   /// depth; per-fabric-link queue depth; network delivery counters) and
   /// starts the periodic sampler. NOTE: a running sampler re-arms forever,
   /// so drive a telemetry-enabled testbed with run_for(), not loop().run().
-  /// Sharded beds get one hub per shard (disjoint packet-id streams);
-  /// dump_merged_trace() produces the deterministic combined dump.
+  /// Sharded beds get one hub per shard (disjoint packet-id streams).
   telemetry::TelemetryConfig telemetry;
   /// Sharded engine: number of rack-aligned shard domains (clamped to the
   /// rack count). 1 = single-loop testbed, no engine.
@@ -134,11 +132,6 @@ class Testbed {
     std::vector<std::uint64_t> spine_bytes;
   };
   NetTotals net_totals() const;
-
-  /// Deterministic combined flight-recorder dump across all shard hubs
-  /// (== telemetry()->dump_trace() ordering at shards = 1). No-op without
-  /// telemetry.
-  void dump_merged_trace(std::ostream& os) const;
 
   /// Schedules a control-plane action at sim-time `at`: a fenced section
   /// on a sharded bed, a plain shard-0 loop event otherwise. The hook

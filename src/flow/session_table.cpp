@@ -12,7 +12,7 @@ bool QosBucket::admit(std::uint32_t kbps, std::size_t bits,
   if (kbps == 0) return true;
   const double rate_bps = static_cast<double>(kbps) * 1000.0;
   const double burst_bits = rate_bps;  // one-second burst
-  if (refilled_at == 0) {
+  if (refilled_at < 0) {
     tokens_bits = burst_bits;
   } else {
     tokens_bits += rate_bps * common::to_seconds(now - refilled_at);
@@ -266,11 +266,6 @@ bool SessionTable::qos_admit(SessionEntry& entry, std::uint32_t kbps,
 }
 
 SessionEntry* SessionTable::find(const SessionKey& key) {
-  const std::uint32_t slot = find_slot(key, hash_of(key));
-  return slot == kNoSlot ? nullptr : &node_at(slot).entry;
-}
-
-const SessionEntry* SessionTable::find(const SessionKey& key) const {
   const std::uint32_t slot = find_slot(key, hash_of(key));
   return slot == kNoSlot ? nullptr : &node_at(slot).entry;
 }

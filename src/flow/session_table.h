@@ -71,7 +71,9 @@ class SessionTable;
 /// state — it never needs to leave the enforcing node).
 struct QosBucket {
   double tokens_bits = 0;
-  common::TimePoint refilled_at = 0;
+  /// Time of the last charge; negative until the first (simulated time
+  /// never is), so a bucket first charged at t = 0 still drains.
+  common::TimePoint refilled_at = -1;
 
   /// Charges `bits` against the rate limit; returns false (drop) when the
   /// bucket is empty. `kbps` == 0 means unlimited. Burst: one second's
@@ -126,7 +128,6 @@ class SessionTable {
   }
 
   SessionEntry* find(const SessionKey& key);
-  const SessionEntry* find(const SessionKey& key) const;
 
   /// Finds or creates an entry; returns nullptr when the table is full.
   SessionEntry* find_or_create(const SessionKey& key, common::TimePoint now);
@@ -245,6 +246,7 @@ class SessionTable {
     SessionCounters counters;
     QosBucket qos;
   };
+  static_assert(sizeof(Extras) == 48);
   using ExtrasChunk = std::array<Extras, kChunkSize>;
 
   /// Probe cell: cached hash tag for cheap rejection + slab slot or pool id

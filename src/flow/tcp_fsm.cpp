@@ -2,20 +2,6 @@
 
 namespace nezha::flow {
 
-std::string to_string(TcpFsmState s) {
-  switch (s) {
-    case TcpFsmState::kNone: return "NONE";
-    case TcpFsmState::kSynSent: return "SYN_SENT";
-    case TcpFsmState::kSynReceived: return "SYN_RECEIVED";
-    case TcpFsmState::kEstablished: return "ESTABLISHED";
-    case TcpFsmState::kFinWait: return "FIN_WAIT";
-    case TcpFsmState::kClosing: return "CLOSING";
-    case TcpFsmState::kClosed: return "CLOSED";
-    case TcpFsmState::kReset: return "RESET";
-  }
-  return "?";
-}
-
 void TcpFsm::on_packet(Direction dir, net::TcpFlags flags) {
   if (flags.rst) {
     state_ = TcpFsmState::kReset;

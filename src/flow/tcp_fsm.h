@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "src/flow/direction.h"
 #include "src/net/headers.h"
@@ -23,8 +22,6 @@ enum class TcpFsmState : std::uint8_t {
   kClosed = 6,      // handshake-complete connection fully closed
   kReset = 7,       // RST observed
 };
-
-std::string to_string(TcpFsmState s);
 
 class TcpFsm {
  public:

@@ -190,9 +190,4 @@ void EventLoop::run_until(common::TimePoint t) {
   if (now_ < t) now_ = t;
 }
 
-bool EventLoop::step() {
-  LogTimeScope scope(this);
-  return fire_next();
-}
-
 }  // namespace nezha::sim

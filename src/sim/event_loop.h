@@ -64,9 +64,6 @@ class EventLoop {
   /// t stay queued — cancelled queue heads never cause overshoot.
   void run_until(common::TimePoint t);
 
-  /// Runs exactly one event if any; returns false when the queue is empty.
-  bool step();
-
   /// Sentinel returned by next_event_at() when no live event is queued.
   static constexpr common::TimePoint kNoEvent =
       std::numeric_limits<common::TimePoint>::max();

@@ -383,8 +383,7 @@ void Network::send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt) {
         from, to, net::flow_hash(pkt.inner.ft.canonical(), config_.ecmp_seed));
     // Leaf→spine uplink. Shards are rack-aligned, so the sender's shard
     // owns its leaf's uplinks.
-    const ClosConfig& clos = topology_.config().clos;
-    const common::TimePoint at_leaf = tx_done + clos.host_leaf_latency;
+    const common::TimePoint at_leaf = tx_done + kHostLeafLatency;
     common::TimePoint up_done = 0;
     if (!reserve(fabric_link(false, topology_.leaf_of(from), spine), at_leaf,
                  bytes, fabric_link_bps_, config_.fabric_queue_bytes,
@@ -393,7 +392,7 @@ void Network::send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt) {
                                       HopKind::kFabricDrop));
       return;
     }
-    at = up_done + clos.leaf_spine_latency;
+    at = up_done + kLeafSpineLatency;
   } else {
     at = tx_done + topology_.latency(from, to);
   }
@@ -429,7 +428,6 @@ void Network::downlink(std::uint32_t slot, std::uint32_t spine,
     return;
   }
   // Spine→leaf downlink, owned by the destination leaf's shard.
-  const ClosConfig& clos = topology_.config().clos;
   common::TimePoint down_done = 0;
   if (!reserve(fabric_link(true, topology_.leaf_of(rec.to), spine), at,
                rec.bytes, fabric_link_bps_, config_.fabric_queue_bytes,
@@ -439,8 +437,7 @@ void Network::downlink(std::uint32_t slot, std::uint32_t spine,
     return;
   }
   spine_bytes_[spine] += rec.bytes;
-  schedule_delivery(
-      down_done + clos.leaf_spine_latency + clos.host_leaf_latency, slot);
+  schedule_delivery(down_done + kLeafSpineLatency + kHostLeafLatency, slot);
 }
 
 void Network::crash(NodeId id) {

@@ -103,7 +103,6 @@ class Network {
     engine_ = engine;
     shard_id_ = shard_id;
   }
-  std::uint32_t shard_id() const { return shard_id_; }
 
   /// Injects a token exported by another shard (engine-only; called at
   /// epoch boundaries with every worker quiescent). Runs the same last leg
@@ -155,8 +154,6 @@ class Network {
   std::uint64_t total_bytes_sent() const { return total_bytes_; }
   /// Clos only: bytes carried per spine (ECMP balance observability).
   const std::vector<std::uint64_t>& spine_bytes() const { return spine_bytes_; }
-  /// Effective per-direction fabric link rate (0 when not Clos).
-  double fabric_link_bps() const { return fabric_link_bps_; }
 
   using TraceFn = std::function<void(common::TimePoint, const net::Packet&,
                                      NodeId from, NodeId to)>;
@@ -187,7 +184,6 @@ class Network {
                      backlog(fabric_links_[i], loop_.now(), fabric_link_bps_))
                : 0;
   }
-  std::uint32_t num_spines() const { return num_spines_; }
 
  private:
   /// One direction of a link: a sender port or a Clos fabric link. The

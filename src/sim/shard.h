@@ -103,7 +103,6 @@ class SpscTokenRing {
   std::size_t overflow_size() const { return overflow_.size(); }
 
   std::size_t capacity() const { return mask_ + 1; }
-  std::uint64_t produced() const { return next_seq_; }
 
  private:
   std::uint64_t head_raw() const {

@@ -27,21 +27,20 @@ common::Duration Topology::latency(NodeId a, NodeId b) const {
   if (is_clos()) {
     switch (hop_tier(a, b)) {
       case 0:
-        return config_.same_host_latency;
+        return kSameHostLatency;
       case 1:
         // host → leaf → host.
-        return 2 * config_.clos.host_leaf_latency;
+        return 2 * kHostLeafLatency;
       default:
         // host → leaf → spine → leaf → host.
-        return 2 * config_.clos.host_leaf_latency +
-               2 * config_.clos.leaf_spine_latency;
+        return 2 * kHostLeafLatency + 2 * kLeafSpineLatency;
     }
   }
   switch (hop_tier(a, b)) {
-    case 0: return config_.same_host_latency;
-    case 1: return config_.same_tor_latency;
-    case 2: return config_.same_agg_latency;
-    default: return config_.core_latency;
+    case 0: return kSameHostLatency;
+    case 1: return kSameTorLatency;
+    case 2: return kSameAggLatency;
+    default: return kCoreLatency;
   }
 }
 

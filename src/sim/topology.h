@@ -19,6 +19,17 @@
 
 namespace nezha::sim {
 
+/// One-way host↔leaf and leaf↔spine hop latencies (propagation +
+/// switching); a cross-leaf Clos path pays host→leaf→spine→leaf→host.
+inline constexpr common::Duration kHostLeafLatency = common::microseconds(2);
+inline constexpr common::Duration kLeafSpineLatency = common::microseconds(8);
+/// One-way latency between two nodes on the same host, in either fabric.
+inline constexpr common::Duration kSameHostLatency = common::microseconds(1);
+/// One-way per-tier latencies of the tiered fabric.
+inline constexpr common::Duration kSameTorLatency = common::microseconds(5);
+inline constexpr common::Duration kSameAggLatency = common::microseconds(15);
+inline constexpr common::Duration kCoreLatency = common::microseconds(30);
+
 /// 2-tier Clos parameters. Leaf switching capacity is assumed non-blocking
 /// within a rack; only the leaf↔spine tier carries the oversubscription.
 struct ClosConfig {
@@ -29,10 +40,6 @@ struct ClosConfig {
   /// non-blocking). Used by sim::Network to derive per-spine link bandwidth
   /// when NetworkConfig::fabric_link_bps is 0.
   double oversubscription = 2.0;
-  /// One-way host↔leaf and leaf↔spine hop latencies (propagation +
-  /// switching); a cross-leaf path pays host→leaf→spine→leaf→host.
-  common::Duration host_leaf_latency = common::microseconds(2);
-  common::Duration leaf_spine_latency = common::microseconds(8);
 };
 
 enum class FabricKind : std::uint8_t { kTiered = 0, kClos = 1 };
@@ -40,10 +47,6 @@ enum class FabricKind : std::uint8_t { kTiered = 0, kClos = 1 };
 struct TopologyConfig {
   std::uint32_t servers_per_tor = 40;
   std::uint32_t tors_per_agg = 16;
-  common::Duration same_host_latency = common::microseconds(1);
-  common::Duration same_tor_latency = common::microseconds(5);
-  common::Duration same_agg_latency = common::microseconds(15);
-  common::Duration core_latency = common::microseconds(30);
   FabricKind kind = FabricKind::kTiered;
   ClosConfig clos;
 };
@@ -94,8 +97,7 @@ class Topology {
   /// uplink still has at least that long before it can reach another
   /// rack); for the tiered fabric, the cheapest cross-ToR path.
   common::Duration min_cross_rack_latency() const {
-    return is_clos() ? config_.clos.leaf_spine_latency
-                     : config_.same_agg_latency;
+    return is_clos() ? kLeafSpineLatency : kSameAggLatency;
   }
 
   /// ECMP: the spine a cross-leaf flow with the given entropy traverses.

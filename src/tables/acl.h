@@ -68,7 +68,6 @@ class AclTable {
   flow::Verdict lookup_probed(const net::FiveTuple& ft, flow::Direction dir,
                               AclLookupProbe& probe) const;
 
-  flow::Verdict default_verdict() const { return default_verdict_; }
   void set_default_verdict(flow::Verdict v) {
     default_verdict_ = v;
     ++mutations_;

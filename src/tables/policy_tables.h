@@ -87,10 +87,6 @@ class NatTable {
 /// session state, via notify packets on the TX path.
 class StatsPolicyTable {
  public:
-  void set_default_mode(flow::StatsMode mode) {
-    default_mode_ = mode;
-    ++version_;
-  }
   void add_policy(Prefix dst, flow::StatsMode mode) {
     policies_.insert(dst, mode);
     ++version_;
@@ -102,7 +98,7 @@ class StatsPolicyTable {
 
   flow::StatsMode lookup(net::Ipv4Addr dst) const {
     const flow::StatsMode* v = policies_.lookup(dst);
-    return v != nullptr ? *v : default_mode_;
+    return v != nullptr ? *v : flow::StatsMode::kNone;
   }
 
   /// Bumped on every policy change so notify logic can detect divergence.
@@ -113,7 +109,6 @@ class StatsPolicyTable {
 
  private:
   LpmTable<flow::StatsMode> policies_;
-  flow::StatsMode default_mode_ = flow::StatsMode::kNone;
   std::uint32_t version_ = 0;
 };
 

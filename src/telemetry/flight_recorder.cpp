@@ -7,11 +7,9 @@ namespace nezha::telemetry {
 
 FlightRecorder::FlightRecorder(std::size_t num_nodes,
                                std::size_t events_per_node)
-    : num_nodes_(num_nodes),
-      events_per_node_(events_per_node == 0 ? 1 : events_per_node) {
-  rings_.resize(num_nodes_ + 1);
+    : num_nodes_(num_nodes), rings_(num_nodes + 1) {
   for (Ring& r : rings_) {
-    r.buf.resize(events_per_node_);
+    r.buf.resize(events_per_node == 0 ? 1 : events_per_node);
   }
 }
 
@@ -45,65 +43,6 @@ std::vector<TraceEvent> FlightRecorder::merged() const {
 
 void FlightRecorder::dump(std::ostream& os) const {
   const std::vector<TraceEvent> events = merged();
-  const std::uint64_t magic = kTraceMagic;
-  const std::uint32_t version = kTraceFormatVersion;
-  const std::uint32_t record_size = sizeof(TraceEvent);
-  const std::uint64_t count = events.size();
-  os.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  os.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  os.write(reinterpret_cast<const char*>(&record_size), sizeof(record_size));
-  os.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  if (!events.empty()) {
-    os.write(reinterpret_cast<const char*>(events.data()),
-             static_cast<std::streamsize>(events.size() * sizeof(TraceEvent)));
-  }
-}
-
-void FlightRecorder::clear() {
-  for (Ring& r : rings_) {
-    r.head = 0;
-    r.count = 0;
-    r.overwritten = 0;
-  }
-  next_seq_ = 1;
-}
-
-std::vector<TraceEvent> merge_recorders(
-    const std::vector<const FlightRecorder*>& recorders) {
-  struct Tagged {
-    TraceEvent e;
-    std::uint32_t shard;
-  };
-  std::vector<Tagged> all;
-  for (std::uint32_t s = 0; s < recorders.size(); ++s) {
-    if (recorders[s] == nullptr) continue;
-    for (const TraceEvent& e : recorders[s]->merged()) {
-      all.push_back(Tagged{e, s});
-    }
-  }
-  // (at, shard, seq): `at` is nondecreasing within a shard's record order,
-  // so the sort interleaves shards chronologically and keeps each shard's
-  // own order intact — a deterministic total order for any thread count.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const Tagged& a, const Tagged& b) {
-                     if (a.e.at != b.e.at) return a.e.at < b.e.at;
-                     if (a.shard != b.shard) return a.shard < b.shard;
-                     return a.e.seq < b.e.seq;
-                   });
-  std::vector<TraceEvent> out;
-  out.reserve(all.size());
-  std::uint64_t seq = 1;
-  for (Tagged& t : all) {
-    t.e.seq = seq++;
-    t.e.reserved = static_cast<std::uint16_t>(t.shard);
-    out.push_back(t.e);
-  }
-  return out;
-}
-
-void dump_merged(std::ostream& os,
-                 const std::vector<const FlightRecorder*>& recorders) {
-  const std::vector<TraceEvent> events = merge_recorders(recorders);
   const std::uint64_t magic = kTraceMagic;
   const std::uint32_t version = kTraceFormatVersion;
   const std::uint32_t record_size = sizeof(TraceEvent);

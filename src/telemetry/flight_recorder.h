@@ -42,7 +42,6 @@ class FlightRecorder {
   }
 
   std::size_t num_nodes() const { return num_nodes_; }
-  std::size_t ring_capacity() const { return events_per_node_; }
   /// Events currently retained in node's ring (spillover = num_nodes()).
   std::size_t ring_count(std::size_t node) const;
   /// Events lost to wraparound in node's ring.
@@ -58,8 +57,6 @@ class FlightRecorder {
   /// merged() records byte-for-byte. Byte-identical across same-seed runs.
   void dump(std::ostream& os) const;
 
-  void clear();
-
  private:
   struct Ring {
     std::vector<TraceEvent> buf;
@@ -69,26 +66,11 @@ class FlightRecorder {
   };
 
   std::size_t num_nodes_;
-  std::size_t events_per_node_;
   std::vector<Ring> rings_;  // [0, num_nodes_) per node; [num_nodes_] spill
   std::uint64_t next_seq_ = 1;
 };
 
 /// Dump header magic: "NZTRACE\0" little-endian.
 inline constexpr std::uint64_t kTraceMagic = 0x0045434152545a4eULL;
-
-/// Deterministic post-run merge of several shards' recorders (DESIGN.md
-/// §13): events are ordered by (at, shard, per-shard seq) — each shard's
-/// `at` is nondecreasing in its own record order, so this is a total order
-/// that two same-seed runs reproduce exactly regardless of thread count —
-/// then renumbered with a fresh global seq. The originating shard index is
-/// carried in TraceEvent::reserved. With one recorder this reproduces its
-/// own record order.
-std::vector<TraceEvent> merge_recorders(
-    const std::vector<const FlightRecorder*>& recorders);
-
-/// Binary dump of merge_recorders() in the standard dump format.
-void dump_merged(std::ostream& os,
-                 const std::vector<const FlightRecorder*>& recorders);
 
 }  // namespace nezha::telemetry

@@ -45,7 +45,6 @@ class Hub {
   void record(TraceEvent e) {
     if (trace_on_) recorder_.record(e);
   }
-  bool trace_on() const { return trace_on_; }
 
   /// Assigns a globally unique packet id (from 2^32 up, clear of the
   /// monitor's probe ids) unless the packet already has one. Returns the

@@ -50,8 +50,8 @@ MetricsRegistry::Id MetricsRegistry::histogram(std::string name, double lo,
                                                std::size_t buckets) {
   const Id existing = find_histogram(name);
   if (existing != kInvalidId) return existing;
-  hists_.push_back(
-      HistSlot{std::move(name), common::Histogram(lo, hi, buckets)});
+  hists_.push_back(HistSlot{std::move(name),
+                            common::Percentiles::bounded(lo, hi, buckets)});
   return static_cast<Id>(hists_.size() - 1);
 }
 
@@ -76,23 +76,6 @@ MetricsRegistry::Id MetricsRegistry::find_histogram(
     if (hists_[i].name == name) return static_cast<Id>(i);
   }
   return kInvalidId;
-}
-
-double MetricsRegistry::hist_mean(Id h) const {
-  const HistSlot& s = hists_[h];
-  const std::uint64_t n = s.hist.total();
-  return n == 0 ? 0.0 : s.sum / static_cast<double>(n);
-}
-
-double MetricsRegistry::hist_quantile(Id h, double p) const {
-  const HistSlot& s = hists_[h];
-  if (s.hist.total() == 0) return 0.0;
-  if (p <= 0.0) return s.min;
-  if (p >= 100.0) return s.max;
-  double q = s.hist.quantile(p);
-  if (q < s.min) q = s.min;
-  if (q > s.max) q = s.max;
-  return q;
 }
 
 void MetricsRegistry::start_sampler(sim::EventLoop& loop,
@@ -145,11 +128,6 @@ void MetricsRegistry::tick(common::TimePoint now) {
     ++rows_used_;
   }
   if (tick_observer_) tick_observer_(now);
-}
-
-double MetricsRegistry::last_sample_counter(Id c) const {
-  if (!have_sample_ || c >= series_counters_) return 0.0;
-  return last_row_[1 + c];
 }
 
 double MetricsRegistry::last_sample_gauge(Id g) const {
@@ -214,42 +192,43 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   out += counters_.empty() ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
   for (std::size_t h = 0; h < hists_.size(); ++h) {
-    const HistSlot& s = hists_[h];
+    const common::Percentiles& d = hists_[h].dist;
+    const common::Histogram& b = *d.histogram();
     out += h == 0 ? "\n    " : ",\n    ";
-    append_json_string(out, s.name);
+    append_json_string(out, hists_[h].name);
     out += ": {\"lo\": ";
-    append_double(out, s.hist.lo());
+    append_double(out, b.lo());
     out += ", \"hi\": ";
-    append_double(out, s.hist.hi());
+    append_double(out, b.hi());
     out += ", \"count\": ";
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, s.hist.total());
+    std::snprintf(buf, sizeof(buf), "%" PRIu64, b.total());
     out += buf;
     out += ", \"underflow\": ";
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, s.hist.underflow());
+    std::snprintf(buf, sizeof(buf), "%" PRIu64, b.underflow());
     out += buf;
     out += ", \"overflow\": ";
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, s.hist.overflow());
+    std::snprintf(buf, sizeof(buf), "%" PRIu64, b.overflow());
     out += buf;
     out += ",\n      \"buckets\": [";
-    for (std::size_t i = 0; i < s.hist.bucket_count(); ++i) {
+    for (std::size_t i = 0; i < b.bucket_count(); ++i) {
       if (i != 0) out += ", ";
-      std::snprintf(buf, sizeof(buf), "%" PRIu64, s.hist.bucket(i));
+      std::snprintf(buf, sizeof(buf), "%" PRIu64, b.bucket(i));
       out += buf;
     }
     out += "],\n      \"mean\": ";
-    append_double(out, hist_mean(static_cast<Id>(h)));
+    append_double(out, d.mean());
     out += ", \"min\": ";
-    append_double(out, s.hist.total() ? s.min : 0.0);
+    append_double(out, d.min());
     out += ", \"max\": ";
-    append_double(out, s.hist.total() ? s.max : 0.0);
+    append_double(out, d.max());
     out += ", \"p50\": ";
-    append_double(out, hist_quantile(static_cast<Id>(h), 50.0));
+    append_double(out, d.percentile(50.0));
     out += ", \"p90\": ";
-    append_double(out, hist_quantile(static_cast<Id>(h), 90.0));
+    append_double(out, d.percentile(90.0));
     out += ", \"p99\": ";
-    append_double(out, hist_quantile(static_cast<Id>(h), 99.0));
+    append_double(out, d.percentile(99.0));
     out += ", \"p999\": ";
-    append_double(out, hist_quantile(static_cast<Id>(h), 99.9));
+    append_double(out, d.percentile(99.9));
     out += "}";
   }
   out += hists_.empty() ? "}" : "\n  }";

@@ -33,8 +33,8 @@ class MetricsRegistry {
 
   // ---- registration (cold; idempotent by name) ----
   Id counter(std::string name);
-  /// Pull-gauge: `fn` is invoked at each sampler tick (and by
-  /// gauge_value()); it must read simulation state without mutating it.
+  /// Pull-gauge: `fn` is invoked once per sampler tick; it must read
+  /// simulation state without mutating it.
   Id gauge(std::string name, std::function<double()> fn);
   Id histogram(std::string name, double lo, double hi, std::size_t buckets);
 
@@ -44,37 +44,26 @@ class MetricsRegistry {
 
   // ---- hot path ----
   void add(Id c, std::uint64_t by = 1) { counters_[c].value += by; }
-  void observe(Id h, double x) {
-    HistSlot& s = hists_[h];
-    if (s.hist.total() == 0) {
-      s.min = s.max = x;
-    } else {
-      if (x < s.min) s.min = x;
-      if (x > s.max) s.max = x;
-    }
-    s.sum += x;
-    s.hist.add(x);
-  }
+  void observe(Id h, double x) { hists_[h].dist.add(x); }
 
   // ---- reads ----
   std::uint64_t counter_value(Id c) const { return counters_[c].value; }
-  double gauge_value(Id g) const { return gauges_[g].fn(); }
-  std::uint64_t hist_count(Id h) const { return hists_[h].hist.total(); }
-  double hist_mean(Id h) const;
-  /// Interpolated quantile (p in [0,100]) from the fixed buckets.
-  double hist_quantile(Id h, double p) const;
+  std::uint64_t hist_count(Id h) const { return hists_[h].dist.count(); }
+  double hist_mean(Id h) const { return hists_[h].dist.mean(); }
+  /// Interpolated quantile (p in [0,100]) from the fixed buckets, clamped
+  /// to the exact observed [min, max].
+  double hist_quantile(Id h, double p) const {
+    return hists_[h].dist.percentile(p);
+  }
   /// Raw bucket access for consumers (SLO tracker) that window histogram
   /// deltas between sampler ticks without re-deriving quantiles downstream.
-  const common::Histogram& hist_data(Id h) const { return hists_[h].hist; }
-  double hist_tracked_min(Id h) const { return hists_[h].min; }
-  double hist_tracked_max(Id h) const { return hists_[h].max; }
+  const common::Histogram& hist_data(Id h) const {
+    return *hists_[h].dist.histogram();
+  }
 
   std::size_t counter_count() const { return counters_.size(); }
   std::size_t gauge_count() const { return gauges_.size(); }
-  std::size_t histogram_count() const { return hists_.size(); }
-  std::string_view counter_name(Id c) const { return counters_[c].name; }
   std::string_view gauge_name(Id g) const { return gauges_[g].name; }
-  std::string_view histogram_name(Id h) const { return hists_[h].name; }
 
   // ---- sampler ----
   /// Starts the periodic snapshot series on `loop`. The series set is
@@ -86,17 +75,14 @@ class MetricsRegistry {
   void start_sampler(sim::EventLoop& loop, common::Duration period,
                      std::size_t max_samples);
   void stop_sampler();
-  bool sampling() const { return sampler_loop_ != nullptr; }
-  common::Duration sample_period() const { return period_; }
   std::size_t samples_taken() const { return rows_used_; }
   std::uint64_t dropped_ticks() const { return dropped_ticks_; }
 
-  /// Most recent sampled value of a series (0 when no tick yet). Benches
+  /// Most recent sampled value of a gauge (0 when no tick yet). Benches
   /// read these instead of keeping private accumulators. Values stay fresh
   /// even after the row store fills: every tick refreshes a scratch row and
   /// gauges are invoked exactly once per tick (some gauges — e.g. the CPU
   /// utilization sampler — advance an internal checkpoint when read).
-  double last_sample_counter(Id c) const;
   double last_sample_gauge(Id g) const;
 
   /// Called at the end of every sampler tick (including dropped ticks),
@@ -127,10 +113,7 @@ class MetricsRegistry {
   };
   struct HistSlot {
     std::string name;
-    common::Histogram hist;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
+    common::Percentiles dist;  // always bounded
   };
 
   struct JsonSection {

@@ -9,6 +9,11 @@ namespace nezha::telemetry {
 
 namespace {
 
+/// Fleet-max session-memory utilization threshold.
+constexpr double kMaxSessionMem = 0.95;
+/// EWMA smoothing for baselines.
+constexpr double kEwmaAlpha = 0.2;
+
 // Mirrors the registry's deterministic double rendering.
 void append_double(std::string& out, double v) {
   char buf[40];
@@ -109,7 +114,7 @@ SloTracker::SloTracker(Hub& hub, const SloConfig& cfg, const SloWiring& wiring)
   rules_[static_cast<std::size_t>(SloRule::kCpuHeadroom)].threshold =
       cfg_.max_cpu_util;
   rules_[static_cast<std::size_t>(SloRule::kSessionMem)].threshold =
-      cfg_.max_session_mem;
+      kMaxSessionMem;
 
   m.set_tick_observer([this](common::TimePoint now) { on_tick(now); });
   m.add_json_section("slo", [this](std::string& out) { write_json(out); });
@@ -164,7 +169,7 @@ void SloTracker::evaluate(SloRule r, double value, std::uint32_t node,
   } else {
     if (value < s.min) s.min = value;
     if (value > s.max) s.max = value;
-    s.ewma += cfg_.ewma_alpha * (value - s.ewma);
+    s.ewma += kEwmaAlpha * (value - s.ewma);
   }
   s.last = value;
   ++s.ticks;
@@ -265,7 +270,7 @@ double SloTracker::burn_rate(SloRule r) const {
 
 void SloTracker::write_json(std::string& out) const {
   out += "{\n    \"config\": {\"ewma_alpha\": ";
-  append_double(out, cfg_.ewma_alpha);
+  append_double(out, kEwmaAlpha);
   out += ", \"burn_window\": ";
   append_u64(out, cfg_.burn_window);
   out += ", \"probe_lag_ticks\": ";

@@ -50,8 +50,6 @@ struct SloConfig {
   double p99_be_rx_us = 1900.0;     // windowed p99, be_rx hop class
   double max_probe_loss = 0.05;     // lagged probe loss fraction [0,1]
   double max_cpu_util = 0.95;       // fleet-max vswitch CPU utilization
-  double max_session_mem = 0.95;    // fleet-max session-memory utilization
-  double ewma_alpha = 0.2;          // EWMA smoothing for baselines
   std::uint32_t burn_window = 16;   // burn-rate window, in evaluated ticks
 };
 

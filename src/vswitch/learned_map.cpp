@@ -9,7 +9,6 @@ const tables::VnicServerMap::Entry* LearnedVnicMap::resolve(
     return &it->second.entry;
   }
   const tables::VnicServerMap::Entry* fresh = gateway_.lookup(addr);
-  ++fetches_;
   if (fresh == nullptr) {
     cache_.erase(addr);
     return nullptr;

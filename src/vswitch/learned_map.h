@@ -32,7 +32,6 @@ class LearnedVnicMap {
   void invalidate(const tables::OverlayAddr& addr);
 
   std::size_t size() const { return cache_.size(); }
-  std::uint64_t gateway_fetches() const { return fetches_; }
 
  private:
   struct Learned {
@@ -44,7 +43,6 @@ class LearnedVnicMap {
   common::Duration interval_;
   std::unordered_map<tables::OverlayAddr, Learned, tables::OverlayAddrHash>
       cache_;
-  std::uint64_t fetches_ = 0;
 };
 
 }  // namespace nezha::vswitch

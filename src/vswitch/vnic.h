@@ -94,11 +94,6 @@ class Vnic {
     fe_locations_ = std::move(locations);
   }
 
-  /// Deadline until which retained local tables must keep serving stale
-  /// senders (dual-running stage; learning interval + RTT, §4.2.1).
-  common::TimePoint dual_running_until() const { return dual_running_until_; }
-  void set_dual_running_until(common::TimePoint t) { dual_running_until_ = t; }
-
   /// This vNIC's VM adapter (its parent's for a §7.4 child), resolved once
   /// by the hosting vSwitch (the adapter map's nodes are stable) so the
   /// per-packet delivery path does not hash the adapter id.
@@ -111,7 +106,6 @@ class Vnic {
   bool stateful_decap_ = false;
   std::unique_ptr<tables::RuleTableSet> rules_;
   std::vector<tables::Location> fe_locations_;
-  common::TimePoint dual_running_until_ = 0;
   VmAdapter* adapter_ = nullptr;
 };
 

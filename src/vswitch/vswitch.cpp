@@ -9,11 +9,14 @@
 namespace nezha::vswitch {
 namespace {
 
+/// Average §7.1 variable-length state allocation: most sessions use 5–8B.
+constexpr std::size_t kVariableStateAvgBytes = 8;
+
 // Per-session-entry bytes: key + state allocation (fixed, or the §7.1
 // variable-length average when enabled).
 std::size_t state_entry_bytes(const VSwitchConfig& config) {
   const std::size_t state = config.variable_length_states
-                                ? config.variable_state_avg_bytes
+                                ? kVariableStateAvgBytes
                                 : flow::kStateAllocBytes;
   return flow::kSessionKeyBytes + state;
 }
@@ -38,12 +41,13 @@ tables::VnicId decode_vnic_id(std::span<const std::uint8_t> bytes) {
   return r.u64();
 }
 
-flow::SessionTableConfig with_shape(flow::SessionTableConfig base,
-                                    bool pre_actions, bool state) {
-  base.store_pre_actions = pre_actions;
-  base.store_state = state;
-  base.capacity_bytes = 0;  // capacity enforced by the vSwitch memory pool
-  return base;
+/// Session tables keep SessionTableConfig's default TTLs; capacity is
+/// enforced by the vSwitch memory pools, not the table.
+flow::SessionTableConfig table_shape(bool pre_actions, bool state) {
+  flow::SessionTableConfig c;
+  c.store_pre_actions = pre_actions;
+  c.store_state = state;
+  return c;
 }
 
 }  // namespace
@@ -60,7 +64,7 @@ VSwitch::VSwitch(sim::NodeId id, std::string name, net::Ipv4Addr underlay_ip,
       rule_pool_(config.rule_memory_bytes),
       session_pool_(config.session_memory_bytes),
       learned_map_(gateway_map, config.learning_interval),
-      sessions_(with_shape(config.session_config, true, true)) {
+      sessions_(table_shape(true, true)) {
   counters_.register_ids(kCounterNames);
 }
 
@@ -132,8 +136,7 @@ common::Status VSwitch::install_frontend(const VnicConfig& vnic_config,
   FrontendInstance fe{vnic_config.id,
                       vnic_config.addr,
                       rules,  // full copy: every FE holds the whole table set
-                      flow::SessionTable(
-                          with_shape(config_.session_config, true, false)),
+                      flow::SessionTable(table_shape(true, false)),
                       be_location,
                       stateful_decap};
   auto [it, inserted] = frontends_.emplace(vnic_config.id, std::move(fe));
@@ -162,8 +165,7 @@ FrontendInstance* VSwitch::frontend(tables::VnicId id) {
 // ------------------------------------------------------- BE transitions
 
 common::Status VSwitch::begin_offload(tables::VnicId id,
-                                      std::vector<tables::Location> fes,
-                                      common::TimePoint dual_running_until) {
+                                      std::vector<tables::Location> fes) {
   Vnic* v = vnic(id);
   if (v == nullptr) return common::make_error("unknown vnic");
   if (v->mode() != VnicMode::kLocal) {
@@ -175,7 +177,6 @@ common::Status VSwitch::begin_offload(tables::VnicId id,
     return common::make_error("no memory for BE metadata");
   }
   v->set_fe_locations(std::move(fes));
-  v->set_dual_running_until(dual_running_until);
   v->set_mode(VnicMode::kOffloadDualRunning);
   record_mode(id, VnicMode::kLocal, VnicMode::kOffloadDualRunning);
   return common::Status::ok_status();
@@ -191,8 +192,7 @@ void VSwitch::finalize_offload(tables::VnicId id) {
   record_mode(id, VnicMode::kOffloadDualRunning, VnicMode::kOffloaded);
 }
 
-common::Status VSwitch::begin_fallback(tables::VnicId id,
-                                       common::TimePoint dual_running_until) {
+common::Status VSwitch::begin_fallback(tables::VnicId id) {
   Vnic* v = vnic(id);
   if (v == nullptr) return common::make_error("unknown vnic");
   if (v->mode() != VnicMode::kOffloaded) {
@@ -206,7 +206,6 @@ common::Status VSwitch::begin_fallback(tables::VnicId id,
     return common::make_error("fallback would exceed local rule memory");
   }
   v->restore_local_tables();
-  v->set_dual_running_until(dual_running_until);
   v->set_mode(VnicMode::kFallbackDualRunning);
   record_mode(id, VnicMode::kOffloaded, VnicMode::kFallbackDualRunning);
   return common::Status::ok_status();

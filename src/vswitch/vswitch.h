@@ -69,7 +69,6 @@ struct VSwitchConfig {
   std::size_t session_memory_bytes = 1ull * 1024 * 1024 * 1024;
   tables::CostModel cost;
   common::Duration learning_interval = common::milliseconds(200);
-  flow::SessionTableConfig session_config;  // TTLs; capacity comes from pools
   /// Period of the background aging sweep.
   common::Duration aging_period = common::seconds(1);
   /// FE selection hash. Nezha's state-locality means bidirectional flows
@@ -84,7 +83,6 @@ struct VSwitchConfig {
   /// average-sized variable allocation instead of the fixed one, raising
   /// #concurrent-flows capacity by up to 64B/8B = 8x.
   bool variable_length_states = false;
-  std::size_t variable_state_avg_bytes = 8;
   /// CPU completion coalescing (DESIGN.md §11): when > 0, per-packet CPU
   /// completions are queued and drained in batches at multiples of this
   /// window (up to kCpuBurst per drain event) instead of one event each.
@@ -178,11 +176,9 @@ class VSwitch : public sim::Node {
 
   /// BE transitions (§4.2).
   common::Status begin_offload(tables::VnicId id,
-                               std::vector<tables::Location> fes,
-                               common::TimePoint dual_running_until);
+                               std::vector<tables::Location> fes);
   void finalize_offload(tables::VnicId id);
-  common::Status begin_fallback(tables::VnicId id,
-                                common::TimePoint dual_running_until);
+  common::Status begin_fallback(tables::VnicId id);
   void finalize_fallback(tables::VnicId id);
   /// Scale-out/-in and failover adjust the FE set (§4.3/§4.4).
   void update_fe_locations(tables::VnicId id,

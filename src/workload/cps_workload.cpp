@@ -6,6 +6,13 @@ namespace nezha::workload {
 
 namespace {
 constexpr std::size_t kInitialConnSlots = 256;  // power of two
+/// Destination ports cycled to widen the 5-tuple space.
+constexpr std::uint16_t kServerPorts = 16;
+/// TCP-style SYN retransmission: lost handshake packets (vSwitch overload
+/// drops) are retried with exponential backoff, so completed CPS degrades
+/// to the bottleneck capacity instead of collapsing.
+constexpr int kMaxSynRetries = 8;
+constexpr common::Duration kSynRto = common::milliseconds(25);
 
 std::size_t conn_hash(std::uint32_t ports) {
   return static_cast<std::size_t>(
@@ -131,7 +138,7 @@ net::FiveTuple CpsWorkload::next_tuple() {
   const auto src_port =
       static_cast<std::uint16_t>(1024 + seq % 63488);
   const auto dst_port = static_cast<std::uint16_t>(
-      config_.base_port + (seq / 63488) % config_.server_ports);
+      config_.base_port + (seq / 63488) % kServerPorts);
   return net::FiveTuple{client_ip_, server_ip_, src_port, dst_port,
                         net::IpProto::kTcp};
 }
@@ -190,9 +197,7 @@ void CpsWorkload::timer_push(std::uint8_t kind, common::TimePoint at,
   const std::size_t ri = kind == kTimerSynAck && &server_loop_ != &client_loop_;
   TimerRings& r = timers_[ri];
   if (r.qs.empty()) {
-    const int rto_levels =
-        config_.max_syn_retries > 0 ? config_.max_syn_retries : 0;
-    r.qs.resize(4 + static_cast<std::size_t>(rto_levels));
+    r.qs.resize(4 + static_cast<std::size_t>(kMaxSynRetries));
   }
   TimerQ& q =
       r.qs[kind == kTimerRto ? 4 + static_cast<std::size_t>(attempt) : kind];
@@ -300,8 +305,8 @@ void CpsWorkload::send_syn(const net::FiveTuple& ft, int attempt) {
                                          vpc_);
   syn.created_at = client_loop_.now();
   client_switch_.from_vm(client_vnic_, std::move(syn));
-  const common::Duration rto = config_.syn_rto << attempt;
-  if (attempt >= config_.max_syn_retries) {
+  const common::Duration rto = kSynRto << attempt;
+  if (attempt >= kMaxSynRetries) {
     // Give up after one final RTO (frees the tracking entry and, in closed
     // loop mode, the concurrency slot).
     if (config_.timer_window > 0) {
@@ -406,16 +411,14 @@ void CpsWorkload::on_client_delivery(const net::Packet& pkt) {
   completions_.push_back(client_loop_.now());
   latency_.add(common::to_micros(client_loop_.now() - c->syn_sent));
 
-  // Complete the handshake; optionally close.
+  // Complete the handshake, then close with a FIN.
   client_switch_.from_vm(
       client_vnic_, net::make_tcp_packet(ft, net::TcpFlags{.ack = true}, 0,
                                          vpc_));
-  if (config_.close_connections) {
-    client_switch_.from_vm(
-        client_vnic_,
-        net::make_tcp_packet(ft, net::TcpFlags{.ack = true, .fin = true}, 0,
-                             vpc_));
-  }
+  client_switch_.from_vm(
+      client_vnic_,
+      net::make_tcp_packet(ft, net::TcpFlags{.ack = true, .fin = true}, 0,
+                           vpc_));
   // Re-find: from_vm can recurse into deliveries that mutate the table.
   if (Conn* again = conn_find(ports_key(ft))) conn_erase(again);
   if (config_.concurrency > 0) release_slot();

@@ -27,16 +27,7 @@ struct CpsWorkloadConfig {
   int concurrency = 0;
   VmKernelConfig client_kernel;
   VmKernelConfig server_kernel;
-  /// Destination ports cycled to widen the 5-tuple space.
-  std::uint16_t server_ports = 16;
   std::uint16_t base_port = 2000;
-  /// Whether to close connections with a FIN exchange after establishment.
-  bool close_connections = true;
-  /// TCP-style SYN retransmission: lost handshake packets (vSwitch overload
-  /// drops) are retried with exponential backoff, so completed CPS degrades
-  /// to the bottleneck capacity instead of collapsing.
-  int max_syn_retries = 8;
-  common::Duration syn_rto = common::milliseconds(25);
   /// When > 0, per-connection timers (kernel-admit completions, SYN RTOs,
   /// give-ups) are kept in a workload-local heap and drained by one event
   /// loop entry per window multiple, instead of one scheduled closure per

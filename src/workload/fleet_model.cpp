@@ -159,6 +159,8 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
 
 constexpr std::size_t kServerIdBase = 1000;
 constexpr std::size_t kClientIdBase = 2000;
+/// FEs per offloaded vNIC (the paper's minimum pool is 4).
+constexpr std::size_t kFesPerVnic = 4;
 
 /// vNIC id of pair i's server (kServerIdBase) or client (kClientIdBase).
 /// Pairs take ids in blocks of 1000 that alternate server, client, server,
@@ -233,8 +235,7 @@ std::size_t FleetScenario::offload_all(std::size_t holdback) {
   const std::size_t n =
       servers_.size() > holdback ? servers_.size() - holdback : 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (bed_.controller().trigger_offload(servers_[i], config_.fes_per_vnic)
-            .ok()) {
+    if (bed_.controller().trigger_offload(servers_[i], kFesPerVnic).ok()) {
       ++accepted;
     }
   }
@@ -253,7 +254,7 @@ void FleetScenario::schedule_churn(common::Duration offload_at,
           bed_.controller().transition_pending(id)) {
         continue;
       }
-      (void)bed_.controller().trigger_offload(id, config_.fes_per_vnic);
+      (void)bed_.controller().trigger_offload(id, kFesPerVnic);
     }
   });
   // (2) FE crash, detected the honest way: the monitor watches every FE

@@ -88,8 +88,6 @@ struct FleetScenarioConfig {
   /// Server (heavy, offloadable) vNICs; each gets a client vNIC placed in a
   /// different rack, so client→server traffic crosses the spine tier.
   std::size_t num_pairs = 8;
-  /// FEs per offloaded vNIC (the paper's minimum pool is 4).
-  std::size_t fes_per_vnic = 4;
   /// Baseline offered load per pair; scaled per pair by the Table-1 CPS
   /// usage distribution so the fleet has realistic heavy hitters.
   double base_attempts_per_sec = 5000.0;
@@ -114,7 +112,7 @@ class FleetScenario {
   /// id is distinct.
   void deploy();
 
-  /// Offloads the server vNICs to fes_per_vnic FEs each, skipping the last
+  /// Offloads the server vNICs to 4 FEs each, skipping the last
   /// `holdback` servers (left local so a mid-window churn push has work to
   /// do); returns how many offload workflows were accepted.
   std::size_t offload_all(std::size_t holdback = 0);

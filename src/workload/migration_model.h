@@ -14,33 +14,13 @@
 
 namespace nezha::workload {
 
-struct MigrationModelConfig {
-  /// Base downtime for a tiny VM (final stop-and-copy floor).
-  common::Duration base_downtime = common::milliseconds(80);
-  /// Downtime grows ~ mem^alpha (dirty-page resend tail).
-  double mem_alpha = 0.55;
-  /// vCPU dirtying pressure multiplier per 64 vCPUs.
-  double vcpu_factor = 0.35;
-  /// Completion time ≈ copy passes over memory at this effective rate.
-  double copy_gbps = 6.0;
-  double copy_passes = 2.2;
-  /// Multiplicative lognormal jitter sigma.
-  double jitter_sigma = 0.25;
-};
-
 class MigrationModel {
  public:
-  explicit MigrationModel(MigrationModelConfig config = {})
-      : config_(config) {}
-
   /// Service downtime during live migration of a VM.
   common::Duration downtime(int vcpus, double mem_gb, common::Rng& rng) const;
 
   /// End-to-end migration completion time.
   common::Duration completion_time(double mem_gb, common::Rng& rng) const;
-
- private:
-  MigrationModelConfig config_;
 };
 
 }  // namespace nezha::workload

@@ -2,6 +2,13 @@
 
 namespace nezha::workload {
 
+namespace {
+
+/// Per-connection kernel/app latency before the reply is issued.
+constexpr common::Duration kServiceLatency = common::microseconds(30);
+
+}  // namespace
+
 VmKernel::VmKernel(VmKernelConfig config) : config_(config) {
   const double n = static_cast<double>(config_.vcpus);
   max_cps_ = config_.cps_per_core * n / (1.0 + config_.contention * (n - 1.0));
@@ -19,7 +26,7 @@ VmKernel::Outcome VmKernel::admit(common::TimePoint now) {
   busy_until_ += per_conn_;
   ++accepted_;
   out.accepted = true;
-  out.done = busy_until_ + config_.service_latency;
+  out.done = busy_until_ + kServiceLatency;
   return out;
 }
 

@@ -20,8 +20,6 @@ struct VmKernelConfig {
   /// Lock-contention discount: capacity = cps_per_core * vcpus /
   /// (1 + contention * (vcpus - 1)). Higher values flatten Fig 10 earlier.
   double contention = 0.045;
-  /// Per-connection kernel/app latency before the reply is issued.
-  common::Duration service_latency = common::microseconds(30);
   /// Longest tolerated accept backlog before connections are refused.
   common::Duration max_backlog = common::milliseconds(20);
 };

@@ -57,12 +57,12 @@ TEST(CapacityModelTest, VnicGainProportionalUntilMetadataBound) {
   // growth far out — consistent with the paper's theoretical 1000x
   // (rule table bytes / 2KB). With enough FEs, that bound binds.
   const auto be_bound =
-      (p.local_rule_free_bytes + p.freed_rule_bytes) / p.be_metadata_bytes;
+      (p.local_rule_free_bytes + p.freed_rule_bytes) / kBeMetadataBytes;
   const auto cap = CapacityModel::nezha_max_vnics(p, 100000);
   EXPECT_EQ(cap, be_bound);
   // And the theoretical per-vNIC ratio matches §6.2.1's 1000x arithmetic:
   // a 2MB rule table vs 2KB BE metadata.
-  EXPECT_EQ((2u << 20) / p.be_metadata_bytes, 1024u);
+  EXPECT_EQ((2u << 20) / kBeMetadataBytes, 1024u);
 }
 
 TEST(CapacityModelTest, SiriusReplicationHalvesCps) {
@@ -70,7 +70,7 @@ TEST(CapacityModelTest, SiriusReplicationHalvesCps) {
   DeploymentParams p;
   // For equal per-node capacity and enough nodes, Nezha's active-active
   // pool beats Sirius' ping-pong pool until the VM kernel binds.
-  const double per_node_cps = p.vswitch_cycles_per_sec / p.conn_cycles_fe;
+  const double per_node_cps = kVswitchCyclesPerSec / kConnCyclesFe;
   EXPECT_GT(CapacityModel::nezha_cps(p, 2),
             CapacityModel::sirius_cps(per_node_cps, 2));
 }

@@ -31,6 +31,16 @@ TEST(QosBucketTest, TokenBucketMath) {
   EXPECT_TRUE(bucket.admit(0, 1 << 30, seconds(2)));
 }
 
+TEST(QosBucketTest, FullBurstsAtTimeZeroAdmitOnlyOne) {
+  // A bucket first charged at t = 0 must drain like one charged later:
+  // back-to-back full 8-kbps bursts (8000 bits each) at one instant admit
+  // exactly one.
+  flow::QosBucket bucket;
+  int admitted = 0;
+  for (int i = 0; i < 5; ++i) admitted += bucket.admit(8, 8000, 0) ? 1 : 0;
+  EXPECT_EQ(admitted, 1);
+}
+
 class QosPathTest : public ::testing::Test {
  protected:
   QosPathTest() : bed_(make_config()) {

@@ -193,6 +193,66 @@ TEST(MetricsRegistryTest, TicksBeyondCapacityAreDroppedNotGrown) {
   EXPECT_EQ(m.dropped_ticks(), 15u);
 }
 
+TEST(MetricsRegistryTest, HistogramReadsAndJson) {
+  MetricsRegistry m;
+  // [0, 100) in 10-wide buckets. -5 underflows and 150 overflows; the
+  // others land in buckets 1 (12, 18) and 3 (35).
+  const auto h = m.histogram("lat_us", 0.0, 100.0, 10);
+  for (double x : {12.0, -5.0, 35.0, 150.0, 18.0}) m.observe(h, x);
+  const auto idle = m.histogram("idle", 0.0, 10.0, 2);
+  // Both samples in bucket 1 ([10, 20)): interpolation spreads them over
+  // the whole bucket, and the exact [12, 14] clamps it.
+  const auto narrow = m.histogram("narrow_us", 0.0, 100.0, 10);
+  m.observe(narrow, 14.0);
+  m.observe(narrow, 12.0);
+
+  EXPECT_EQ(m.hist_count(h), 5u);
+  EXPECT_DOUBLE_EQ(m.hist_mean(h), 42.0);  // 210 / 5
+  EXPECT_DOUBLE_EQ(m.hist_quantile(h, 0.0), -5.0);    // exact min
+  EXPECT_DOUBLE_EQ(m.hist_quantile(h, 50.0), 17.5);   // 10 + 0.75 * 10
+  EXPECT_DOUBLE_EQ(m.hist_quantile(h, 99.0), 100.0);  // overflow maps to hi
+  EXPECT_DOUBLE_EQ(m.hist_quantile(h, 100.0), 150.0);  // exact max
+
+  EXPECT_EQ(m.hist_count(narrow), 2u);
+  EXPECT_DOUBLE_EQ(m.hist_mean(narrow), 13.0);
+  EXPECT_DOUBLE_EQ(m.hist_quantile(narrow, 0.0), 12.0);
+  EXPECT_DOUBLE_EQ(m.hist_quantile(narrow, 1.0), 12.0);   // 10.1 clamped up
+  EXPECT_DOUBLE_EQ(m.hist_quantile(narrow, 50.0), 14.0);  // 15 clamped down
+  EXPECT_DOUBLE_EQ(m.hist_quantile(narrow, 99.0), 14.0);  // 19.9 clamped
+  EXPECT_DOUBLE_EQ(m.hist_quantile(narrow, 100.0), 14.0);
+
+  EXPECT_EQ(m.hist_count(idle), 0u);
+  EXPECT_EQ(m.hist_mean(idle), 0.0);
+  for (double p : {0.0, 50.0, 99.0, 100.0}) {
+    EXPECT_EQ(m.hist_quantile(idle, p), 0.0) << p;
+  }
+
+  std::ostringstream os;
+  m.write_json(os);
+  const std::string json = os.str();
+  const std::size_t at = json.find("  \"histograms\"");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(json.substr(at),
+            "  \"histograms\": {\n"
+            "    \"lat_us\": {\"lo\": 0, \"hi\": 100, \"count\": 5, "
+            "\"underflow\": 1, \"overflow\": 1,\n"
+            "      \"buckets\": [0, 2, 0, 1, 0, 0, 0, 0, 0, 0],\n"
+            "      \"mean\": 42, \"min\": -5, \"max\": 150, \"p50\": 17.5, "
+            "\"p90\": 100, \"p99\": 100, \"p999\": 100},\n"
+            "    \"idle\": {\"lo\": 0, \"hi\": 10, \"count\": 0, "
+            "\"underflow\": 0, \"overflow\": 0,\n"
+            "      \"buckets\": [0, 0],\n"
+            "      \"mean\": 0, \"min\": 0, \"max\": 0, \"p50\": 0, "
+            "\"p90\": 0, \"p99\": 0, \"p999\": 0},\n"
+            "    \"narrow_us\": {\"lo\": 0, \"hi\": 100, \"count\": 2, "
+            "\"underflow\": 0, \"overflow\": 0,\n"
+            "      \"buckets\": [0, 2, 0, 0, 0, 0, 0, 0, 0, 0],\n"
+            "      \"mean\": 13, \"min\": 12, \"max\": 14, \"p50\": 14, "
+            "\"p90\": 14, \"p99\": 14, \"p999\": 14}\n"
+            "  }\n"
+            "}\n");
+}
+
 // -------------------------------------------------------------- trace query
 
 TEST(TraceQueryTest, SlowestSetupsRanksByLatency) {
