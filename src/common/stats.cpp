@@ -162,7 +162,7 @@ void Percentiles::clear() {
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
+      buckets_(buckets) {
   if (!(hi > lo) || buckets == 0) {
     throw std::invalid_argument("Histogram requires hi > lo and buckets > 0");
   }
@@ -176,8 +176,21 @@ void Histogram::add(double x) {
     ++overflow_;
   } else {
     auto idx = static_cast<std::size_t>((x - lo_) / width_);
-    if (idx >= counts_.size()) idx = counts_.size() - 1;
-    ++counts_[idx];
+    if (idx >= buckets_) idx = buckets_ - 1;
+    if (idx - first_ >= counts_.size()) widen(idx);
+    ++counts_[idx - first_];
+  }
+}
+
+void Histogram::widen(std::size_t i) {
+  if (counts_.empty()) {
+    first_ = i;
+    counts_.push_back(0);
+  } else if (i < first_) {
+    counts_.insert(counts_.begin(), first_ - i, 0);
+    first_ = i;
+  } else if (i - first_ >= counts_.size()) {
+    counts_.resize(i - first_ + 1, 0);
   }
 }
 
@@ -192,7 +205,9 @@ double Histogram::bucket_hi(std::size_t i) const {
 double Histogram::cdf_at(std::size_t i) const {
   if (total_ == 0) return 0.0;
   std::uint64_t below = underflow_;
-  for (std::size_t k = 0; k <= i && k < counts_.size(); ++k) below += counts_[k];
+  for (std::size_t k = 0; k < counts_.size() && first_ + k <= i; ++k) {
+    below += counts_[k];
+  }
   return static_cast<double>(below) / static_cast<double>(total_);
 }
 
@@ -202,11 +217,13 @@ double Histogram::quantile(double p) const {
       std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(total_);
   double below = static_cast<double>(underflow_);
   if (target <= below) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto mass = static_cast<double>(counts_[i]);
+  // Buckets outside the span hold no mass, so skipping them changes
+  // neither `below` nor where the walk stops.
+  for (std::size_t k = 0; k < counts_.size(); ++k) {
+    const auto mass = static_cast<double>(counts_[k]);
     if (below + mass >= target && mass > 0.0) {
       const double frac = (target - below) / mass;
-      return bucket_lo(i) + frac * width_;
+      return bucket_lo(first_ + k) + frac * width_;
     }
     below += mass;
   }
@@ -214,18 +231,24 @@ double Histogram::quantile(double p) const {
 }
 
 void Histogram::merge(const Histogram& other) {
-  if (other.lo_ != lo_ || other.hi_ != hi_ ||
-      other.counts_.size() != counts_.size()) {
+  if (other.lo_ != lo_ || other.hi_ != hi_ || other.buckets_ != buckets_) {
     throw std::invalid_argument("Histogram::merge: shape mismatch");
   }
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  if (!other.counts_.empty()) {
+    widen(other.first_);
+    widen(other.first_ + other.counts_.size() - 1);
+    const std::size_t base = other.first_ - first_;
+    for (std::size_t k = 0; k < other.counts_.size(); ++k) {
+      counts_[base + k] += other.counts_[k];
+    }
+  }
   underflow_ += other.underflow_;
   overflow_ += other.overflow_;
   total_ += other.total_;
 }
 
 void Histogram::clear() {
-  std::fill(counts_.begin(), counts_.end(), 0);
+  counts_.clear();  // keeps the capacity: re-adds over the span reuse it
   underflow_ = 0;
   overflow_ = 0;
   total_ = 0;

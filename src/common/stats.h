@@ -34,13 +34,19 @@ class Summary {
 };
 
 /// Fixed-bucket histogram over [lo, hi) with overflow/underflow buckets.
+/// Counters are stored only for the span of buckets that samples have
+/// touched, grown at either end by add() and merge(); every read sees the
+/// nominal `buckets` buckets, and a bucket outside the span reads 0.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t buckets);
 
   void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
+  std::size_t bucket_count() const { return buckets_; }
+  std::uint64_t bucket(std::size_t i) const {
+    const std::size_t k = i - first_;  // wraps below the span
+    return k < counts_.size() ? counts_[k] : 0;
+  }
   std::uint64_t underflow() const { return underflow_; }
   std::uint64_t overflow() const { return overflow_; }
   std::uint64_t total() const { return total_; }
@@ -64,10 +70,15 @@ class Histogram {
   void clear();
 
  private:
+  /// Extends the stored span to cover bucket `i` (no-op inside it).
+  void widen(std::size_t i);
+
   double lo_;
   double hi_;
   double width_;
-  std::vector<std::uint64_t> counts_;
+  std::size_t buckets_;
+  std::size_t first_ = 0;  // bucket index of counts_[0]
+  std::vector<std::uint64_t> counts_;  // buckets [first_, first_ + size)
   std::uint64_t underflow_ = 0;
   std::uint64_t overflow_ = 0;
   std::uint64_t total_ = 0;
@@ -78,8 +89,8 @@ class Histogram {
 ///  * exact (default) — stores every sample; fine for test-scale counts.
 ///  * bounded — construct via bounded(lo, hi, buckets); samples land in a
 ///    fixed-bucket Histogram and percentiles are interpolated from bucket
-///    mass. Memory is O(buckets) regardless of sample count, which is what
-///    fleet-scale benches need.
+///    mass. Memory is the span of buckets the samples touched, regardless
+///    of sample count, which is what fleet-scale benches need.
 ///
 /// percentile(p) with p in [0,100]. merge() combines two estimators; when
 /// either side is bounded the result is bounded (an exact target adopts the

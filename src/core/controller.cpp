@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/log.h"
 #include "src/sim/shard.h"
 #include "src/telemetry/hub.h"
 
@@ -214,9 +213,6 @@ std::vector<vswitch::VSwitch*> Controller::displace_frontends(
     ++displacement_events_;
     record_ctrl(telemetry::EventKind::kCtrlDisplace, host->id(), requester,
                 donor);
-    NEZHA_LOG_INFO("displaced vnic " + std::to_string(donor) + " FE on node " +
-                   std::to_string(host->id()) + " for vnic " +
-                   std::to_string(requester));
     out.push_back(host);
     exclude.push_back(host->id());
   }
@@ -359,8 +355,6 @@ common::Status Controller::trigger_offload(tables::VnicId id,
   });
 
   ++offload_events_;
-  NEZHA_LOG_INFO("offload vnic " + std::to_string(id) + " to " +
-                 std::to_string(fes.size()) + " FEs");
   return common::Status::ok_status();
 }
 
@@ -581,8 +575,6 @@ void Controller::handle_fe_crash(sim::NodeId node) {
   if (any) {
     ++failover_events_;
     record_ctrl(telemetry::EventKind::kCtrlFeCrash, node, node);
-    NEZHA_LOG_WARN("failover: removed crashed FE node " +
-                   std::to_string(node));
   }
 }
 

@@ -2,33 +2,7 @@
 
 #include <utility>
 
-#include "src/common/log.h"
-
 namespace nezha::sim {
-
-namespace {
-
-long long loop_now_thunk(void* ctx) {
-  return static_cast<long long>(static_cast<const EventLoop*>(ctx)->now());
-}
-
-/// Registers the loop as the logger's virtual-clock source for the duration
-/// of a run; restores the previous source on exit so nested loops (a
-/// callback running its own sub-loop) stamp with the innermost clock.
-class LogTimeScope {
- public:
-  explicit LogTimeScope(EventLoop* loop) : prev_(common::log_time_source()) {
-    common::set_log_time_source({&loop_now_thunk, loop});
-  }
-  ~LogTimeScope() { common::set_log_time_source(prev_); }
-  LogTimeScope(const LogTimeScope&) = delete;
-  LogTimeScope& operator=(const LogTimeScope&) = delete;
-
- private:
-  common::LogTimeSource prev_;
-};
-
-}  // namespace
 
 std::uint32_t EventLoop::alloc_slot() {
   if (!free_.empty()) {
@@ -171,13 +145,11 @@ common::TimePoint EventLoop::next_event_at() {
 }
 
 void EventLoop::run() {
-  LogTimeScope scope(this);
   while (fire_next()) {
   }
 }
 
 void EventLoop::run_until(common::TimePoint t) {
-  LogTimeScope scope(this);
   for (;;) {
     // Look past cancelled heads so a dead entry at <= t never lets an event
     // with a timestamp > t fire (the pre-slab implementation had exactly

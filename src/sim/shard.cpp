@@ -13,8 +13,10 @@
 namespace nezha::sim {
 
 namespace {
-// Per-(src, dst) token ring capacity.
-constexpr std::size_t kRingCapacity = 1024;
+// Per-(src, dst) token ring capacity. The largest backlog one pair has
+// held at a snapshot on the 10240-vSwitch macro is 380 tokens; a larger
+// exchange spills to the overflow vector, which restores order by seq.
+constexpr std::size_t kRingCapacity = 512;
 // Seeds the fixed source-shard merge permutation.
 constexpr std::uint64_t kMergeSeed = 0x5eedfab1ccafeULL;
 
@@ -70,7 +72,8 @@ ShardedEngine::ShardedEngine(std::vector<Shard> shards,
   const std::size_t k = shards_.size();
   rings_.reserve(k * k);
   for (std::size_t i = 0; i < k * k; ++i) {
-    rings_.emplace_back(kRingCapacity);
+    // A shard never exports to itself: its own ring keeps one slot.
+    rings_.emplace_back(i / k == i % k ? 1 : kRingCapacity);
   }
   snap_.assign(k * k, 0);
   staged_.resize(k * k);

@@ -71,7 +71,7 @@ struct ShardToken {
 /// merging the ring prefix and the overflow batch on seq.
 class SpscTokenRing {
  public:
-  explicit SpscTokenRing(std::size_t capacity = 1024);
+  explicit SpscTokenRing(std::size_t capacity);
 
   /// Setup-time only (vector growth); never used while threads run.
   SpscTokenRing(SpscTokenRing&& o) noexcept

@@ -7,9 +7,13 @@
 // contiguous probes with no per-probe bit-scan or mask arithmetic. The list
 // stores lengths, not level pointers, so the table stays trivially
 // copyable/movable (RuleTableSet is full-copied on FE installation).
+//
+// The 33 levels are allocated on the first insert: a table that never held
+// a prefix is a few empty members, so copying it copies nothing. Most
+// rule-table sets leave their QoS, NAT, statistics, mirror and policy-route
+// tables empty.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -25,6 +29,7 @@ template <typename V>
 class LpmTable {
  public:
   void insert(Prefix prefix, V value) {
+    if (levels_.empty()) levels_.resize(33);
     auto& level = levels_[prefix.length];
     auto [it, inserted] = level.insert_or_assign(prefix.network(),
                                                  std::move(value));
@@ -38,6 +43,7 @@ class LpmTable {
   }
 
   bool erase(Prefix prefix) {
+    if (levels_.empty()) return false;
     auto& level = levels_[prefix.length];
     const bool removed = level.erase(prefix.network()) > 0;
     if (removed) {
@@ -71,6 +77,7 @@ class LpmTable {
 
   /// Exact lookup of a specific prefix entry.
   const V* find_exact(Prefix prefix) const {
+    if (levels_.empty()) return nullptr;
     const auto& level = levels_[prefix.length];
     auto it = level.find(prefix.network());
     return it == level.end() ? nullptr : &it->second;
@@ -98,7 +105,8 @@ class LpmTable {
     }
   }
 
-  std::array<std::unordered_map<std::uint32_t, V>, 33> levels_;
+  /// One map per prefix length 0..32; empty until the first insert.
+  std::vector<std::unordered_map<std::uint32_t, V>> levels_;
   /// Bit L set ⇔ levels_[L] is non-empty.
   std::uint64_t populated_ = 0;
   /// Populated levels, longest first; what lookup() actually walks.

@@ -5,7 +5,7 @@
 namespace nezha::tables {
 
 namespace {
-constexpr std::size_t kSetupCacheInitial = 64;  // power of two
+constexpr std::size_t kSetupCacheInitial = 4;  // power of two
 constexpr std::uint64_t kSetupCacheSeed = 0x6e657a68612d6663ull;  // "nezha-fc"
 }  // namespace
 

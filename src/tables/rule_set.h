@@ -19,7 +19,10 @@
 // the committed rule version, so ANY table change — committed or not —
 // invalidates the whole cache. Cached PreActions are bit-identical to what
 // lookup() would produce (same rule_version included); the cache is a pure
-// wall-clock optimization and charges no simulated cycles or memory.
+// wall-clock optimization and charges no simulated cycles or memory. It
+// starts at 4 entries on the first miss and doubles at half load, and the
+// five LPM policy tables allocate nothing until their first insert, so a
+// set holding only an ACL copies cheaply (FE install, offload closures).
 #pragma once
 
 #include <cstdint>

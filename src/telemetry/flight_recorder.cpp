@@ -7,14 +7,14 @@ namespace nezha::telemetry {
 
 FlightRecorder::FlightRecorder(std::size_t num_nodes,
                                std::size_t events_per_node)
-    : num_nodes_(num_nodes), rings_(num_nodes + 1) {
-  for (Ring& r : rings_) {
-    r.buf.resize(events_per_node == 0 ? 1 : events_per_node);
-  }
+    : num_nodes_(num_nodes),
+      capacity_(events_per_node == 0 ? 1 : events_per_node),
+      rings_(num_nodes + 1) {
+  for (Ring& r : rings_) r.buf.reserve(capacity_);
 }
 
 std::size_t FlightRecorder::ring_count(std::size_t node) const {
-  return node < rings_.size() ? rings_[node].count : 0;
+  return node < rings_.size() ? rings_[node].buf.size() : 0;
 }
 
 std::uint64_t FlightRecorder::ring_overwritten(std::size_t node) const {
@@ -24,15 +24,12 @@ std::uint64_t FlightRecorder::ring_overwritten(std::size_t node) const {
 std::vector<TraceEvent> FlightRecorder::merged() const {
   std::vector<TraceEvent> out;
   std::size_t total = 0;
-  for (const Ring& r : rings_) total += r.count;
+  for (const Ring& r : rings_) total += r.buf.size();
   out.reserve(total);
   for (const Ring& r : rings_) {
-    // Ring order: oldest retained event first.
-    const std::size_t start =
-        r.count < r.buf.size() ? 0 : r.head;  // head == oldest when full
-    for (std::size_t i = 0; i < r.count; ++i) {
-      out.push_back(r.buf[(start + i) % r.buf.size()]);
-    }
+    // Ring order: oldest retained event first (head stays 0 until full).
+    out.insert(out.end(), r.buf.begin() + r.head, r.buf.end());
+    out.insert(out.end(), r.buf.begin(), r.buf.begin() + r.head);
   }
   std::sort(out.begin(), out.end(),
             [](const TraceEvent& a, const TraceEvent& b) {

@@ -1,8 +1,10 @@
-// Flight recorder: preallocated per-node ring buffers of TraceEvents.
+// Flight recorder: per-node ring buffers of TraceEvents.
 //
-// Design constraints (the tentpole's hard requirements):
-//  * record() on the datapath is allocation-free — every ring is sized at
-//    construction and wraparound overwrites the oldest events in place.
+// Design constraints:
+//  * record() on the datapath is allocation-free — every ring reserves its
+//    capacity at construction, appends until full, then overwrites the
+//    oldest events in place. Reserved pages are committed only as events
+//    land, so a node that records little costs little host memory.
 //  * The dump is deterministic — events carry a global sequence number
 //    assigned at record time, and merged()/dump() order strictly by it, so
 //    two runs of the same seed produce byte-identical dumps.
@@ -32,13 +34,13 @@ class FlightRecorder {
   void record(TraceEvent e) {
     Ring& r = rings_[e.node < num_nodes_ ? e.node : num_nodes_];
     e.seq = next_seq_++;
-    r.buf[r.head] = e;
-    r.head = r.head + 1 == r.buf.size() ? 0 : r.head + 1;
-    if (r.count < r.buf.size()) {
-      ++r.count;
-    } else {
-      ++r.overwritten;
+    if (r.buf.size() < capacity_) {
+      r.buf.push_back(e);  // within the reserved capacity
+      return;
     }
+    r.buf[r.head] = e;
+    r.head = r.head + 1 == capacity_ ? 0 : r.head + 1;
+    ++r.overwritten;
   }
 
   std::size_t num_nodes() const { return num_nodes_; }
@@ -59,13 +61,13 @@ class FlightRecorder {
 
  private:
   struct Ring {
-    std::vector<TraceEvent> buf;
-    std::size_t head = 0;   // next write position
-    std::size_t count = 0;  // retained events (<= buf.size())
+    std::vector<TraceEvent> buf;  // retained events; capacity_ reserved
+    std::size_t head = 0;         // oldest event (next overwrite) when full
     std::uint64_t overwritten = 0;
   };
 
   std::size_t num_nodes_;
+  std::size_t capacity_;  // events per ring
   std::vector<Ring> rings_;  // [0, num_nodes_) per node; [num_nodes_] spill
   std::uint64_t next_seq_ = 1;
 };

@@ -86,7 +86,9 @@ void MetricsRegistry::start_sampler(sim::EventLoop& loop,
   series_gauges_ = gauges_.size();
   row_width_ = 1 + series_counters_ + series_gauges_;
   max_rows_ = max_samples;
-  rows_.assign(max_rows_ * row_width_, 0.0);
+  // Reserved, not filled: pages are committed only as ticks append rows.
+  rows_.clear();
+  rows_.reserve(max_rows_ * row_width_);
   last_row_.assign(row_width_, 0.0);
   have_sample_ = false;
   rows_used_ = 0;
@@ -123,8 +125,7 @@ void MetricsRegistry::tick(common::TimePoint now) {
   if (rows_used_ == max_rows_) {
     ++dropped_ticks_;
   } else {
-    double* dst = rows_.data() + rows_used_ * row_width_;
-    for (std::size_t c = 0; c < row_width_; ++c) dst[c] = row[c];
+    rows_.insert(rows_.end(), row, row + row_width_);  // within capacity
     ++rows_used_;
   }
   if (tick_observer_) tick_observer_(now);

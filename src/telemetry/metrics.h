@@ -4,9 +4,10 @@
 //
 // Hot-path contract: add()/observe() are array operations on interned ids —
 // no string work, no allocation. The sampler tick only *reads* simulation
-// state (gauges are pull functions) and writes into a row buffer sized at
-// start_sampler(), so telemetry-on steady state stays allocation-free and
-// the simulation outcome is bit-identical to a telemetry-off run.
+// state (gauges are pull functions) and appends to a row buffer whose
+// capacity start_sampler() reserves, so telemetry-on steady state stays
+// allocation-free and the simulation outcome is bit-identical to a
+// telemetry-off run.
 //
 // Determinism: series are ordered by registration, sampler ticks by virtual
 // time, and the JSON writer formats numbers with fixed printf conversions —
@@ -69,9 +70,10 @@ class MetricsRegistry {
   /// Starts the periodic snapshot series on `loop`. The series set is
   /// frozen at this call (counters/gauges registered later are still
   /// readable and appear in the JSON footer, but not in the time series);
-  /// row storage for `max_samples` ticks is preallocated here so the tick
-  /// itself never allocates. Ticks beyond max_samples are counted as
-  /// dropped instead of growing memory.
+  /// row capacity for `max_samples` ticks is reserved here, so the tick
+  /// itself never allocates and memory is committed only as rows are
+  /// written. Ticks beyond max_samples are counted as dropped instead of
+  /// growing memory.
   void start_sampler(sim::EventLoop& loop, common::Duration period,
                      std::size_t max_samples);
   void stop_sampler();

@@ -17,13 +17,18 @@
 // one with a value of its own at most 240, and one that is also counted and
 // rate-limited no more than a shared session did with the two-line node;
 // aging sweeps at a churn equilibrium allocate nothing.
+// The fixed-cost tests pin what holds nothing: a rule-table set with empty
+// policy tables, a first setup-cache miss, a bounded estimator's buckets.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "src/common/rng.h"
+#include "src/common/stats.h"
 #include "src/core/testbed.h"
 #include "src/flow/session_table.h"
+#include "src/tables/rule_set.h"
 #include "src/vswitch/vswitch.h"
 #include "src/workload/cps_workload.h"
 #include "support/alloc_hook.h"
@@ -333,6 +338,55 @@ TEST(SessionTableAllocTest, AgingSweepsAtEquilibriumAllocateNothing) {
   EXPECT_EQ(table.size(), 80000u);
   EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / kSweeps
                         << " allocations per sweep";
+}
+
+// The five LPM policy tables of a rule-table set allocate their levels on
+// the first insert, so a set that holds no policy prefixes is small and
+// copying it (FE install, the offload closure) allocates nothing.
+TEST(RuleTableSetAllocTest, EmptyPolicyTablesCostNothing) {
+  EXPECT_LE(sizeof(tables::RuleTableSet), 1024u);
+  const tables::RuleTableSet set;
+  const support::AllocCounts before = support::alloc_counts();
+  {
+    const tables::RuleTableSet copy = set;
+    EXPECT_EQ(copy.memory_bytes(), set.memory_bytes());
+  }
+  EXPECT_EQ(support::alloc_counts().bytes - before.bytes, 0u);
+}
+
+// The flow-setup cache starts at four entries: the first miss pays for
+// those, not for a 64-entry table.
+TEST(RuleTableSetAllocTest, FirstSetupMissAllocatesUnder600Bytes) {
+  tables::RuleTableSet set;
+  const net::FiveTuple ft{net::Ipv4Addr(10, 0, 0, 1),
+                          net::Ipv4Addr(10, 0, 0, 2), 40000, 80,
+                          net::IpProto::kTcp};
+  (void)set.lookup(ft);  // builds the ACL index outside the window
+  const std::uint64_t bytes_before = support::alloc_counts().bytes;
+  (void)set.lookup_cached(ft);
+  const std::uint64_t bytes = support::alloc_counts().bytes - bytes_before;
+  EXPECT_EQ(set.setup_cache_misses(), 1u);
+  EXPECT_LE(bytes, 600u) << "the first setup-cache miss allocated " << bytes
+                         << " B";
+}
+
+// A bounded estimator stores counters only for the buckets its samples
+// touch: 2,000 nominal buckets, 20 of them used.
+TEST(PercentilesAllocTest, BoundedEstimatorCostsItsSpan) {
+  const support::AllocCounts before = support::alloc_counts();
+  std::uint64_t news_at_span = 0;
+  {
+    common::Percentiles p = common::Percentiles::bounded(0, 20000, 2000);
+    common::Rng rng(7);
+    p.add(100.0);  // first and last bucket of the span
+    p.add(299.9);
+    news_at_span = support::alloc_counts().news;
+    for (int i = 2; i < 10000; ++i) p.add(rng.uniform(100.0, 300.0));
+    EXPECT_EQ(support::alloc_counts().news - news_at_span, 0u);
+    EXPECT_EQ(p.count(), 10000u);
+  }
+  const std::uint64_t bytes = support::alloc_counts().bytes - before.bytes;
+  EXPECT_LE(bytes, 1024u) << "the estimator allocated " << bytes << " B";
 }
 
 }  // namespace

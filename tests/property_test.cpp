@@ -6,13 +6,17 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/stats.h"
 #include "src/core/testbed.h"
 #include "src/flow/session_table.h"
 #include "src/net/packet.h"
@@ -35,6 +39,196 @@ net::FiveTuple random_tuple(common::Rng& rng) {
       static_cast<std::uint16_t>(rng.uniform_u64(0, 65535)),
       static_cast<std::uint16_t>(rng.uniform_u64(0, 65535)),
       rng.chance(0.5) ? net::IpProto::kTcp : net::IpProto::kUdp};
+}
+
+// -------------------------------------------------------------- histogram
+
+// The all-buckets histogram: every bucket allocated up front and every
+// read a plain index. The sparse common::Histogram must give exactly these
+// answers.
+struct DenseHistogram {
+  double lo, hi, width;
+  std::vector<std::uint64_t> counts;
+  std::uint64_t underflow = 0, overflow = 0, total = 0;
+  double sum = 0.0, min = 0.0, max = 0.0;  // bounded Percentiles' extras
+
+  DenseHistogram(double l, double h, std::size_t buckets)
+      : lo(l), hi(h), width((h - l) / static_cast<double>(buckets)),
+        counts(buckets, 0) {}
+
+  void add(double x) {
+    if (total == 0) {
+      min = max = x;
+    } else {
+      min = std::min(min, x);
+      max = std::max(max, x);
+    }
+    sum += x;
+    ++total;
+    if (x < lo) {
+      ++underflow;
+    } else if (x >= hi) {
+      ++overflow;
+    } else {
+      auto idx = static_cast<std::size_t>((x - lo) / width);
+      if (idx >= counts.size()) idx = counts.size() - 1;
+      ++counts[idx];
+    }
+  }
+  void merge(const DenseHistogram& o) {
+    for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += o.counts[i];
+    if (o.total != 0) {
+      min = total == 0 ? o.min : std::min(min, o.min);
+      max = total == 0 ? o.max : std::max(max, o.max);
+    }
+    sum += o.sum;
+    underflow += o.underflow;
+    overflow += o.overflow;
+    total += o.total;
+  }
+  double cdf_at(std::size_t i) const {
+    if (total == 0) return 0.0;
+    std::uint64_t below = underflow;
+    for (std::size_t k = 0; k <= i && k < counts.size(); ++k) {
+      below += counts[k];
+    }
+    return static_cast<double>(below) / static_cast<double>(total);
+  }
+  double quantile(double p) const {
+    if (total == 0) return 0.0;
+    const double target =
+        std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(total);
+    double below = static_cast<double>(underflow);
+    if (target <= below) return lo;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      const auto mass = static_cast<double>(counts[i]);
+      if (below + mass >= target && mass > 0.0) {
+        return lo + width * static_cast<double>(i) +
+               (target - below) / mass * width;
+      }
+      below += mass;
+    }
+    return hi;
+  }
+  // Percentiles::bounded's answer over these buckets.
+  double percentile(double p) const {
+    if (total == 0) return 0.0;
+    if (p <= 0.0) return min;
+    if (p >= 100.0) return max;
+    return std::clamp(quantile(p), min, max);
+  }
+};
+
+constexpr double kProbes[] = {0, 0.1, 1, 5, 25, 50, 75, 95, 99, 99.9, 100};
+
+void expect_dense(const common::Histogram& h, const DenseHistogram& ref) {
+  ASSERT_EQ(h.bucket_count(), ref.counts.size());
+  EXPECT_EQ(h.total(), ref.total);
+  EXPECT_EQ(h.underflow(), ref.underflow);
+  EXPECT_EQ(h.overflow(), ref.overflow);
+  for (std::size_t i = 0; i < ref.counts.size(); ++i) {
+    ASSERT_EQ(h.bucket(i), ref.counts[i]) << "bucket " << i;
+    ASSERT_EQ(h.cdf_at(i), ref.cdf_at(i)) << "cdf_at " << i;
+  }
+  for (const double p : kProbes) {
+    EXPECT_EQ(h.quantile(p), ref.quantile(p)) << "p" << p;
+  }
+}
+
+void expect_dense(const common::Percentiles& p, const DenseHistogram& ref) {
+  ASSERT_NE(p.histogram(), nullptr);
+  expect_dense(*p.histogram(), ref);
+  for (const double q : kProbes) {
+    EXPECT_EQ(p.percentile(q), ref.percentile(q)) << "p" << q;
+  }
+  EXPECT_EQ(p.mean(), ref.total == 0 ? 0.0 : ref.sum / ref.total);
+  EXPECT_EQ(p.min(), ref.percentile(0));
+  EXPECT_EQ(p.max(), ref.percentile(100));
+}
+
+// `n` samples with in-range values in [in_lo, in_hi): clustered around one
+// point or scattered, plus about 5% below lo, 5% at or above hi, and the
+// range edges themselves.
+std::vector<double> histogram_samples(common::Rng& rng, double lo, double hi,
+                                      double in_lo, double in_hi,
+                                      bool clustered, std::size_t n) {
+  const double centre = rng.uniform(in_lo, in_hi);
+  const double spread = (in_hi - in_lo) * rng.uniform(0.001, 0.1);
+  std::vector<double> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double u = rng.uniform();
+    double x;
+    if (u < 0.05) {
+      x = lo - rng.uniform(0.0, hi - lo);
+    } else if (u < 0.10) {
+      x = hi + rng.uniform(0.0, hi - lo);
+    } else if (u < 0.11) {
+      x = rng.chance(0.5) ? lo : hi;
+    } else if (clustered) {
+      x = std::clamp(centre + rng.uniform(-spread, spread), in_lo,
+                     std::nextafter(in_hi, in_lo));
+    } else {
+      x = rng.uniform(in_lo, in_hi);
+    }
+    out.push_back(x);
+  }
+  return out;
+}
+
+TEST(HistogramProperty, SparseBucketsMatchDenseReference) {
+  common::Rng rng = make_rng(31);
+  for (int c = 0; c < 200; ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const auto buckets = static_cast<std::size_t>(rng.uniform_u64(1, 300));
+    const double lo = rng.uniform(-1000.0, 1000.0);
+    const double hi = lo + rng.uniform(1.0, 5000.0);
+    const double mid = lo + (hi - lo) * rng.uniform(0.2, 0.8);
+    const bool clustered = rng.chance(0.5);
+    const auto n = static_cast<std::size_t>(rng.uniform_u64(0, 400));
+
+    // One histogram over the whole range.
+    common::Percentiles p = common::Percentiles::bounded(lo, hi, buckets);
+    DenseHistogram ref(lo, hi, buckets);
+    for (double x : histogram_samples(rng, lo, hi, lo, hi, clustered, n)) {
+      p.add(x);
+      ref.add(x);
+    }
+    expect_dense(p, ref);
+
+    // Two histograms whose in-range samples sit on either side of `mid`,
+    // merged in both orders.
+    common::Percentiles below = common::Percentiles::bounded(lo, hi, buckets);
+    common::Percentiles above = common::Percentiles::bounded(lo, hi, buckets);
+    DenseHistogram ref_below(lo, hi, buckets), ref_above(lo, hi, buckets);
+    for (double x : histogram_samples(rng, lo, hi, lo, mid, clustered, n)) {
+      below.add(x);
+      ref_below.add(x);
+    }
+    for (double x : histogram_samples(rng, lo, hi, mid, hi, !clustered, n)) {
+      above.add(x);
+      ref_above.add(x);
+    }
+    DenseHistogram ref_merged = ref_below;
+    ref_merged.merge(ref_above);
+    common::Percentiles below_then_above = below;
+    below_then_above.merge(above);
+    expect_dense(below_then_above, ref_merged);
+    ref_merged = ref_above;
+    ref_merged.merge(ref_below);
+    common::Percentiles above_then_below = above;
+    above_then_below.merge(below);
+    expect_dense(above_then_below, ref_merged);
+
+    // clear() forgets every sample; re-adds build a new span.
+    p.clear();
+    DenseHistogram ref_cleared(lo, hi, buckets);
+    expect_dense(p, ref_cleared);
+    for (double x : histogram_samples(rng, lo, hi, mid, hi, clustered, n)) {
+      p.add(x);
+      ref_cleared.add(x);
+    }
+    expect_dense(p, ref_cleared);
+  }
 }
 
 // ---------------------------------------------------------------- packets

@@ -128,6 +128,34 @@ TEST(FlightRecorderTest, DumpRoundTripsThroughLoadTrace) {
   EXPECT_EQ(events[1].kind, EventKind::kVmDeliver);
 }
 
+// Rings reserve their capacity up front and fill it in place: record()
+// never allocates, before or after the ring wraps, and what a ring keeps
+// matches a model that retains the newest `capacity` events.
+TEST(FlightRecorderTest, FillsInPlaceWithoutAllocating) {
+  constexpr std::size_t kCapacity = 8;
+  for (const std::size_t n : {7u, 8u, 9u, 24u}) {
+    FlightRecorder rec(/*num_nodes=*/1, kCapacity);
+    const std::uint64_t news_before = support::alloc_counts().news;
+    for (std::size_t i = 0; i < n; ++i) {
+      TraceEvent e = make_event(0, static_cast<common::TimePoint>(i),
+                                EventKind::kPktEnqueue);
+      e.a = i;
+      rec.record(e);
+    }
+    EXPECT_EQ(support::alloc_counts().news - news_before, 0u) << n;
+
+    const std::size_t kept = n < kCapacity ? n : kCapacity;
+    EXPECT_EQ(rec.ring_count(0), kept) << n;
+    EXPECT_EQ(rec.ring_overwritten(0), n - kept) << n;
+    const auto events = rec.merged();
+    ASSERT_EQ(events.size(), kept) << n;
+    for (std::size_t j = 0; j < kept; ++j) {
+      EXPECT_EQ(events[j].a, n - kept + j) << n;
+      EXPECT_EQ(events[j].seq, n - kept + j + 1) << n;
+    }
+  }
+}
+
 TEST(FlightRecorderTest, LoadTraceRejectsCorruptHeader) {
   std::stringstream ss;
   ss << "not a trace dump at all";
