@@ -1,5 +1,7 @@
 #include "src/core/monitor.h"
 
+#include <algorithm>
+
 #include "src/telemetry/hub.h"
 #include "src/vswitch/vswitch.h"
 
@@ -34,7 +36,7 @@ HealthMonitor::HealthMonitor(sim::NodeId id, net::Ipv4Addr underlay_ip,
       loop_(loop), network_(network), config_(config) {}
 
 void HealthMonitor::watch(sim::NodeId node, net::Ipv4Addr ip) {
-  targets_.emplace(node, Target{ip, 0, 0, false, false});
+  targets_.emplace(node, Target{.ip = ip});
 }
 
 void HealthMonitor::start() {
@@ -57,21 +59,62 @@ void HealthMonitor::send_probe(sim::NodeId node, Target& target) {
   probe.id = probe_id;
   target.outstanding_probe = probe_id;
   target.reply_seen = false;
-  probe_owner_[probe_id] = node;
+  own(probe_id, node);
   ++probes_sent_;
   record_probe(telemetry_, loop_.now(), id(),
                telemetry::EventKind::kProbeSent, node, probe_id);
   network_.send(id(), target.ip, std::move(probe));
-  loop_.schedule_after(config_.probe_timeout, [this, node, probe_id]() {
-    check_probe(node, probe_id);
-  });
+  ++target.timeouts_pending;
+  loop_.schedule_raw_at(
+      loop_.now() + std::max<common::Duration>(config_.probe_timeout, 0),
+      &HealthMonitor::check_probe_thunk, this, node);
+}
+
+void HealthMonitor::own(std::uint64_t probe_id, sim::NodeId node) {
+  if ((owned_ + 1) * 4 > owners_.size() * 3) {
+    std::vector<Owner> old(std::max<std::size_t>(16, owners_.size() * 2));
+    old.swap(owners_);
+    for (const Owner& o : old) {
+      if (o.probe_id != 0) place(o);
+    }
+  }
+  place(Owner{probe_id, node});
+  ++owned_;
+}
+
+void HealthMonitor::place(const Owner& owner) {
+  const std::size_t mask = owners_.size() - 1;
+  std::size_t i = owner.probe_id & mask;
+  while (owners_[i].probe_id != 0) i = (i + 1) & mask;
+  owners_[i] = owner;
+}
+
+bool HealthMonitor::disown(std::uint64_t probe_id, sim::NodeId& node) {
+  if (probe_id == 0 || owners_.empty()) return false;
+  const std::size_t mask = owners_.size() - 1;
+  std::size_t hole = probe_id & mask;
+  for (; owners_[hole].probe_id != probe_id; hole = (hole + 1) & mask) {
+    if (owners_[hole].probe_id == 0) return false;
+  }
+  node = owners_[hole].node;
+  // Pull back every later cluster member whose home is at or before the
+  // hole, so no tombstone is left.
+  for (std::size_t j = (hole + 1) & mask; owners_[j].probe_id != 0;
+       j = (j + 1) & mask) {
+    const std::size_t home = owners_[j].probe_id & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      owners_[hole] = owners_[j];
+      hole = j;
+    }
+  }
+  owners_[hole] = Owner{};
+  --owned_;
+  return true;
 }
 
 void HealthMonitor::receive(net::Packet pkt) {
-  auto it = probe_owner_.find(pkt.id);
-  if (it == probe_owner_.end()) return;
-  const sim::NodeId node = it->second;
-  probe_owner_.erase(it);
+  sim::NodeId node = 0;
+  if (!disown(pkt.id, node)) return;
   auto tit = targets_.find(node);
   if (tit == targets_.end()) return;
   ++replies_;
@@ -94,12 +137,14 @@ std::size_t HealthMonitor::dead_count() const {
   return n;
 }
 
-void HealthMonitor::check_probe(sim::NodeId node, std::uint64_t probe_id) {
+void HealthMonitor::check_probe(sim::NodeId node) {
   auto it = targets_.find(node);
   if (it == targets_.end()) return;
   Target& target = it->second;
-  if (target.outstanding_probe != probe_id) return;  // superseded
-  probe_owner_.erase(probe_id);
+  if (--target.timeouts_pending != 0) return;  // superseded by a later probe
+  const std::uint64_t probe_id = target.outstanding_probe;
+  sim::NodeId owner = 0;
+  disown(probe_id, owner);
   if (target.reply_seen || target.declared_dead) return;
   ++target.consecutive_misses;
   if (target.consecutive_misses < config_.miss_threshold) return;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/time.h"
 #include "src/sim/network.h"
@@ -62,20 +63,46 @@ class HealthMonitor : public sim::Node {
     net::Ipv4Addr ip;
     int consecutive_misses = 0;
     std::uint64_t outstanding_probe = 0;  // probe id awaiting a reply
+    /// Probe timeouts scheduled and not yet fired. They fire in send order
+    /// (every probe waits probe_timeout), so only the last of them can
+    /// find its probe still outstanding.
+    std::uint32_t timeouts_pending = 0;
     bool reply_seen = false;
     bool declared_dead = false;
   };
 
+  /// A probe a reply may still answer. Probe ids start at 1, so id 0 marks
+  /// a free cell.
+  struct Owner {
+    std::uint64_t probe_id = 0;
+    sim::NodeId node = 0;
+  };
+
   void probe_all();
   void send_probe(sim::NodeId node, Target& target);
-  void check_probe(sim::NodeId node, std::uint64_t probe_id);
+  void check_probe(sim::NodeId node);
+  static void check_probe_thunk(void* self, std::uint64_t node) {
+    static_cast<HealthMonitor*>(self)->check_probe(
+        static_cast<sim::NodeId>(node));
+  }
   std::size_t dead_count() const;
+
+  /// Probe ownership: open addressing over one flat array keyed by probe
+  /// id (ids are sequential, so a round's probes take adjacent cells), with
+  /// backward-shift erase. Once it has held a round's probes, a round
+  /// allocates nothing.
+  void own(std::uint64_t probe_id, sim::NodeId node);
+  void place(const Owner& owner);
+  /// Drops the probe's owner and returns true with its node in `node`, or
+  /// returns false when no owner is left.
+  bool disown(std::uint64_t probe_id, sim::NodeId& node);
 
   sim::EventLoop& loop_;
   sim::Network& network_;
   MonitorConfig config_;
   std::unordered_map<sim::NodeId, Target> targets_;
-  std::unordered_map<std::uint64_t, sim::NodeId> probe_owner_;
+  std::vector<Owner> owners_;  // power-of-two size; empty until a probe
+  std::size_t owned_ = 0;
   CrashFn on_crash_;
   telemetry::Hub* telemetry_ = nullptr;
   std::uint64_t next_probe_id_ = 1;

@@ -110,9 +110,7 @@ std::uint64_t SessionTable::prefetch_index(const SessionKey& key) const {
 void SessionTable::prefetch_entry(std::uint64_t h) const {
   if (index_.empty()) return;
   const Cell& cell = index_[h & (index_.size() - 1)];
-  if (cell.slot != kNoSlot && cell.slot / kChunkSize < chunks_.size()) {
-    __builtin_prefetch(&node_at(cell.slot));
-  }
+  if (cell.slot != kNoSlot) __builtin_prefetch(&node_at(cell.slot));
 }
 
 void SessionTable::cell_insert(std::vector<Cell>& cells, Cell cell) {
@@ -217,31 +215,80 @@ void SessionTable::clear_pre_actions(SessionEntry& entry) {
   pool_free_.push_back(id);
 }
 
-void SessionTable::wheel_enqueue(std::uint32_t slot, std::int64_t bucket) {
+void SessionTable::list_append(WheelList& list, std::uint32_t slot,
+                               Node& node) {
+  node.wheel_prev = list.tail;
+  node.wheel_next = kNoSlot;
+  if (list.tail == kNoSlot) {
+    list.head = slot;
+  } else {
+    node_at(list.tail).wheel_next = slot;
+  }
+  list.tail = slot;
+}
+
+void SessionTable::list_unlink(WheelList& list, const Node& node) {
+  if (node.wheel_prev == kNoSlot) {
+    list.head = node.wheel_next;
+  } else {
+    node_at(node.wheel_prev).wheel_next = node.wheel_next;
+  }
+  if (node.wheel_next == kNoSlot) {
+    list.tail = node.wheel_prev;
+  } else {
+    node_at(node.wheel_next).wheel_prev = node.wheel_prev;
+  }
+}
+
+void SessionTable::wheel_link(std::uint32_t slot, std::int64_t bucket) {
   Node& node = node_at(slot);
-  node.wheel_bucket = bucket;
-  ++node.wheel_seq;
+  node.wheel_bucket = static_cast<std::uint32_t>(bucket);
   // A shrink below the drain cursor (touch() after FIN/RST) re-opens that
   // bucket; lowering the floor keeps the next sweep exact.
   if (bucket < wheel_floor_) wheel_floor_ = bucket;
-  wheel_cell(bucket).push_back(Ref{slot, node.wheel_seq});
+  list_append(wheel_cell(node.wheel_bucket), slot, node);
+}
+
+std::uint32_t SessionTable::take_slot() {
+  if (free_head_ != kNoSlot) {
+    const std::uint32_t slot = free_head_;
+    free_head_ = node_at(slot).wheel_next;
+    return slot;
+  }
+  const std::uint32_t slot = slots_++;
+  const SlotPos p = locate(slot);
+  if (p.offset == 0) {
+    chunks_.emplace_back(static_cast<Node*>(
+        ::operator new(chunk_capacity(p.chunk) * sizeof(Node),
+                       std::align_val_t{alignof(Node)})));
+  }
+  ::new (chunks_[p.chunk].get() + p.offset) Node{};
+  return slot;
 }
 
 void SessionTable::free_node(std::uint32_t slot) {
   Node& node = node_at(slot);
+  list_unlink(wheel_cell(node.wheel_bucket), node);
+  release_node(slot);
+}
+
+void SessionTable::release_node(std::uint32_t slot) {
+  Node& node = node_at(slot);
   clear_pre_actions(node.entry);
   node.entry = SessionEntry{};  // table_slot = kNoSlot: the node is free
-  ++node.wheel_seq;  // invalidates any wheel refs still pointing here
+  node.wheel_next = free_head_;
+  free_head_ = slot;
   if (find_extras(slot) != nullptr) extras_at(slot) = Extras{};
-  free_.push_back(slot);
   --size_;
 }
 
 SessionTable::Extras& SessionTable::extras_at(std::uint32_t slot) {
-  const std::size_t ci = slot / kChunkSize;
-  if (ci >= extras_.size()) extras_.resize(ci + 1);
-  if (extras_[ci] == nullptr) extras_[ci] = std::make_unique<ExtrasChunk>();
-  return (*extras_[ci])[slot % kChunkSize];
+  const SlotPos p = locate(slot);
+  if (p.chunk >= extras_.size()) extras_.resize(p.chunk + 1);
+  if (extras_[p.chunk] == nullptr) {
+    extras_[p.chunk] = std::make_unique<Extras[]>(chunk_capacity(p.chunk));
+  }
+  return extras_[p.chunk][p.offset];
 }
 
 void SessionTable::observe(SessionEntry& entry, Direction dir,
@@ -290,7 +337,7 @@ SessionEntry* SessionTable::find_or_create_gated(const SessionKey& key,
   if (gate != nullptr && !gate(gate_ctx)) return nullptr;
   if (index_.empty()) {
     index_.assign(kInitialIndexSize, Cell{});
-    wheel_ring_.resize(wheel_mask_ + 1);
+    wheel_.resize(wheel_mask_ + 1);
   }
   // Keep live load below 3/4 so probe chains stay short. Backward-shift
   // erases leave no tombstones, so rebuilds happen only on genuine growth
@@ -299,19 +346,7 @@ SessionEntry* SessionTable::find_or_create_gated(const SessionKey& key,
     cell_regrow(index_, index_.size() * 2);
   }
 
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-  } else {
-    if (chunks_.empty() || chunks_.back()->size() == kChunkSize) {
-      chunks_.push_back(std::make_unique<Chunk>());
-      chunks_.back()->reserve(kChunkSize);
-    }
-    chunks_.back()->emplace_back();
-    slot = static_cast<std::uint32_t>((chunks_.size() - 1) * kChunkSize +
-                                      chunks_.back()->size() - 1);
-  }
+  const std::uint32_t slot = take_slot();
   Node& node = node_at(slot);
   node.key = key;
   node.entry.state.last_active = now;
@@ -321,7 +356,7 @@ SessionEntry* SessionTable::find_or_create_gated(const SessionKey& key,
   // Conservative first wheel visit: the entry's TTL may shrink to min_ttl_
   // via direct state mutation before the first sweep sees it; the visit
   // recomputes the exact deadline and re-queues.
-  wheel_enqueue(slot, bucket_of(now + min_ttl_));
+  wheel_link(slot, bucket_of(now + min_ttl_));
   return &node.entry;
 }
 
@@ -368,41 +403,42 @@ void SessionTable::touch(const SessionEntry* entry) {
   const std::int64_t b = bucket_of(deadline_of(node));
   // Deadline extensions resolve lazily at the next visit; only a shrink
   // needs an earlier queue position to stay exact across sweeps.
-  if (b < node.wheel_bucket) wheel_enqueue(slot, b);
+  if (static_cast<std::int32_t>(static_cast<std::uint32_t>(b) -
+                                node.wheel_bucket) < 0) {
+    list_unlink(wheel_cell(node.wheel_bucket), node);
+    wheel_link(slot, b);
+  }
 }
 
-std::size_t SessionTable::drain_cell(std::vector<Ref>& cell,
-                                     common::TimePoint now,
+std::size_t SessionTable::drain_cell(WheelList& cell, common::TimePoint now,
                                      const EvictFn& on_evict) {
   std::size_t removed = 0;
-  for (std::size_t i = 0; i < cell.size(); ++i) {
-    // Slide a prefetch ahead of the walk: each ref hits a random slab node,
-    // and the visit logic below is long enough to hide most of the miss.
-    if (i + 8 < cell.size() &&
-        cell[i + 8].slot / kChunkSize < chunks_.size()) {
-      __builtin_prefetch(&node_at(cell[i + 8].slot));
-    }
-    const Ref& ref = cell[i];
-    if (ref.slot / kChunkSize >= chunks_.size()) continue;
-    Node& node = node_at(ref.slot);
-    if (node.wheel_seq != ref.seq) {
-      continue;  // erased, recycled, or superseded by a later enqueue
-    }
+  // The sweep takes the whole list: every node on it is either freed or
+  // parked in requeue_, so no link inside it needs mending on the way.
+  std::uint32_t slot = cell.head;
+  cell = WheelList{};
+  while (slot != kNoSlot) {
+    Node& node = node_at(slot);
+    const std::uint32_t next = node.wheel_next;
+    // The walk follows the links: start loading the next node now, so its
+    // miss overlaps this visit.
+    if (next != kNoSlot) __builtin_prefetch(&node_at(next));
     const common::TimePoint deadline = deadline_of(node);
     if (deadline <= now) {
       const SessionKey& key = node.key;
       if (on_evict) on_evict(key, node.entry);
       index_erase(key, hash_of(key));
-      free_node(ref.slot);
+      release_node(slot);
       ++removed;
     } else {
-      // Survivor (or a ring collision from a future bucket): defer the
-      // re-queue so the drain loop never mutates the cell it iterates; a
-      // deadline still in a drained bucket is revisited by the next sweep.
-      requeue_.emplace_back(bucket_of(deadline), ref.slot);
+      // Survivor (or a ring collision from a future bucket): park it so
+      // the sweep never revisits it; a deadline still in a drained bucket
+      // is revisited by the next sweep.
+      node.wheel_bucket = static_cast<std::uint32_t>(bucket_of(deadline));
+      list_append(requeue_, slot, node);
     }
+    slot = next;
   }
-  cell.clear();  // retains capacity — steady-state sweeps allocate nothing
   return removed;
 }
 
@@ -410,27 +446,36 @@ std::size_t SessionTable::age_out(common::TimePoint now,
                                   const EvictFn& on_evict) {
   const std::int64_t now_bucket = bucket_of(now);
   if (now_bucket < wheel_floor_) return 0;  // nothing can be due yet
-  if (wheel_ring_.empty()) {  // never held an entry
+  if (wheel_.empty()) {  // never held an entry
     wheel_floor_ = now_bucket + 1;
     return 0;
   }
   std::size_t removed = 0;
-  requeue_.clear();
   const std::size_t span =
       static_cast<std::size_t>(now_bucket - wheel_floor_) + 1;
-  if (span >= wheel_ring_.size()) {
+  if (span >= wheel_.size()) {
     // Sweep gap exceeded the ring: every cell is potentially due. A single
-    // full pass visits each ref once (future ones just re-queue).
-    for (auto& cell : wheel_ring_) {
-      removed += drain_cell(cell, now, on_evict);
-    }
+    // full pass visits each node once (future ones just re-queue).
+    for (WheelList& cell : wheel_) removed += drain_cell(cell, now, on_evict);
   } else {
     for (std::int64_t b = wheel_floor_; b <= now_bucket; ++b) {
-      removed += drain_cell(wheel_cell(b), now, on_evict);
+      removed += drain_cell(wheel_cell(static_cast<std::uint32_t>(b)), now,
+                            on_evict);
     }
   }
   wheel_floor_ = now_bucket + 1;
-  for (const auto& [bucket, slot] : requeue_) wheel_enqueue(slot, bucket);
+  // Survivors lie at or after now_bucket, within a TTL of it: their full
+  // bucket is now_bucket plus the 32-bit difference.
+  for (std::uint32_t slot = requeue_.head; slot != kNoSlot;) {
+    Node& node = node_at(slot);
+    const std::uint32_t next = node.wheel_next;
+    if (next != kNoSlot) __builtin_prefetch(&node_at(next));
+    wheel_link(slot, now_bucket + static_cast<std::int32_t>(
+                                      node.wheel_bucket -
+                                      static_cast<std::uint32_t>(now_bucket)));
+    slot = next;
+  }
+  requeue_ = WheelList{};
   return removed;
 }
 

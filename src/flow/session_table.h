@@ -11,23 +11,30 @@
 // #concurrent-flows bottleneck. That is the *modeled* footprint; the host
 // bytes this simulator spends per session are a separate matter (below).
 //
-// Storage: entries live in fixed-size slab chunks (pointers returned by
-// find/find_or_create stay valid until the entry is erased), indexed by an
-// open-addressing probe table over a precomputed 64-bit flow hash — no
-// per-node allocation or pointer chasing on the lookup hot path. Each slab
-// node is one 64-byte cache line holding the key and every field a packet
-// or an aging visit reads, so a hit costs the index cell plus that line.
-// Nothing is allocated until the first insert, so an empty table (most FE
-// caches of a large fleet) costs only its object.
+// Storage: entries live in slab chunks that grow with the table: chunk k
+// holds 16 << k nodes up to 512 (16, 32, 64, 128, 256, then 512 a chunk),
+// so a table holding a few dozen sessions pays for a few dozen nodes, not
+// for a 512-node chunk. Slots are numbered in allocation order; a slot's
+// chunk and offset come from a bit scan, and each chunk is a plain node
+// array the table points at directly. Pointers returned by
+// find/find_or_create stay valid until the entry is erased. An
+// open-addressing probe table over a precomputed 64-bit flow hash indexes
+// the slab — no per-node allocation or pointer chasing on the lookup hot
+// path. Each slab node is one 64-byte cache line holding the key and every
+// field a packet or an aging visit reads, so a hit costs the index cell
+// plus that line. Freed slots are reused last-freed first, through a free
+// list threaded through the free nodes. Nothing is allocated until the
+// first insert, so an empty table (most FE caches of a large fleet) costs
+// only its object.
 //
 // Side storage: the statistics counters (SessionCounters) and the QoS token
 // bucket are only written under a statistics policy or a rate limit, so
-// they live outside the node, in per-chunk arrays parallel to the slab that
-// are allocated when an entry of that chunk is first counted or
-// rate-limited. The table owns them: the datapath records packets through
-// observe(), reads counters(), and rate-limits through qos_admit(). None of
-// this changes the modeled bytes: entry_bytes() and used_bytes() charge
-// what the paper's layout holds.
+// they live outside the node, in per-chunk arrays parallel to the slab (same
+// chunk sizes) that are allocated when an entry of that chunk is first
+// counted or rate-limited. The table owns them: the datapath records packets
+// through observe(), reads counters(), and rate-limits through qos_admit().
+// None of this changes the modeled bytes: entry_bytes() and used_bytes()
+// charge what the paper's layout holds.
 //
 // Pre-actions are interned: an entry holds a 4-byte handle into a per-table
 // pool of distinct values with reference counts. The flows of one vNIC
@@ -43,17 +50,26 @@
 // earliest *possible* deadline (TTLs are FSM-dependent, so that is
 // last_active + min TTL at creation); age_out drains only buckets at or
 // before `now`, recomputes each visited entry's exact deadline, and
-// re-queues survivors at that deadline's bucket. Evictions are therefore
-// exact while a sweep touches only expired candidates, not the whole table.
-// External code that mutates an entry's state directly should call touch()
-// afterwards so a TTL that *shrank* (e.g. FIN/RST → closed) re-queues the
-// entry earlier; refreshes that extend the deadline need no notification.
+// re-queues survivors at that deadline's bucket once the sweep is done, in
+// visit order. Evictions are therefore exact while a sweep touches only
+// expired candidates, not the whole table. Each bucket is a FIFO list
+// threaded through the nodes (prev/next slot links and the bucket in the
+// node's line), as in Varghese and Lauck's hashed timing wheels: the wheel
+// costs one head/tail pair per bucket and nothing per entry, and freeing an
+// entry unlinks it. External code that mutates an entry's state directly
+// should call touch() afterwards so a TTL that *shrank* (e.g. FIN/RST →
+// closed) re-queues the entry earlier; refreshes that extend the deadline
+// need no notification.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -168,7 +184,8 @@ class SessionTable {
 
   /// Removes entries idle beyond their FSM-dependent TTL; returns the count.
   /// `on_evict` (optional) observes each removed entry — used by the
-  /// vSwitch to release per-entry memory-pool reservations.
+  /// vSwitch to release per-entry memory-pool reservations. It must not
+  /// change this table.
   using EvictFn = std::function<void(const SessionKey&, const SessionEntry&)>;
   std::size_t age_out(common::TimePoint now, const EvictFn& on_evict = {});
 
@@ -209,36 +226,78 @@ class SessionTable {
   /// Iteration over the live entries, `fn(const SessionKey&, entry)`, for
   /// censuses (e.g. the Fig 15 state-size census) and in-place updates:
   /// `fn` may change an entry (its state, its pre-actions) but must not
-  /// insert or erase. Order is slab order (deterministic for a given
+  /// insert or erase. Order is slot order (deterministic for a given
   /// operation sequence).
   template <typename Fn>
   void for_each(Fn&& fn) {
-    for (const auto& chunk : chunks_) {
-      for (Node& node : *chunk) {
-        if (node.entry.table_slot == kNoSlot) continue;
-        fn(std::as_const(node.key), node.entry);  // the key stays read-only
+    std::uint32_t left = slots_;
+    for (std::size_t k = 0; left > 0; ++k) {
+      const std::uint32_t n = std::min(left, chunk_capacity(k));
+      for (Node* node = chunks_[k].get(); node != chunks_[k].get() + n;
+           ++node) {
+        if (node->entry.table_slot == kNoSlot) continue;
+        fn(std::as_const(node->key), node->entry);  // the key stays read-only
       }
+      left -= n;
     }
   }
 
  private:
-  static constexpr std::size_t kChunkSize = 512;
-
-  /// One cache line: the key, the aging bookkeeping and the entry. The
-  /// index cell's 32-bit tag rejects almost every mismatch, so the key
-  /// compare that confirms a hit loads the line the caller reads next. The
-  /// flow hash is not stored: the tag holds its low 32 bits, which is all a
-  /// home slot needs. A free node has entry.table_slot == kNoSlot.
+  /// One cache line: the key, the aging links and the entry. The index
+  /// cell's 32-bit tag rejects almost every mismatch, so the key compare
+  /// that confirms a hit loads the line the caller reads next. The flow
+  /// hash is not stored: the tag holds its low 32 bits, which is all a home
+  /// slot needs. A free node has entry.table_slot == kNoSlot.
   struct alignas(64) Node {
     SessionKey key;
-    /// Bumped by every wheel enqueue and by free: only a ref carrying the
-    /// current value is live, so refs to an erased or recycled node skip.
-    std::uint32_t wheel_seq = 0;
-    std::int64_t wheel_bucket = 0;
+    /// Neighbours in the node's wheel bucket list (kNoSlot at either end).
+    /// A free node is on no list, and its wheel_next links the free list.
+    std::uint32_t wheel_prev = kNoSlot;
+    std::uint32_t wheel_next = kNoSlot;
+    /// The bucket the node is queued in, modulo 2^32. Its low bits pick the
+    /// ring cell; two buckets compare by signed difference, exact while
+    /// they lie within 2^31 buckets of each other (a TTL span and a sweep
+    /// gap are far shorter).
+    std::uint32_t wheel_bucket = 0;
     SessionEntry entry;
   };
   static_assert(sizeof(Node) == 64 && alignof(Node) == 64);
-  using Chunk = std::vector<Node>;
+  static_assert(std::is_trivially_destructible_v<Node>);
+
+  /// Slab chunk k holds 16 << k nodes up to 512: slots [0, 16) are chunk 0,
+  /// [16, 48) chunk 1, ..., [240, 496) chunk 4, then 512 slots a chunk.
+  static constexpr std::uint32_t kFirstChunkSlots = 16;
+  static constexpr std::uint32_t kMaxChunkSlots = 512;
+  static constexpr std::size_t kGrowingChunks =
+      std::countr_zero(kMaxChunkSlots) - std::countr_zero(kFirstChunkSlots);
+  static constexpr std::uint32_t kGrowingSlots =
+      kMaxChunkSlots - kFirstChunkSlots;  // slots of chunks 0..4
+  static constexpr std::uint32_t chunk_capacity(std::size_t k) {
+    return k < kGrowingChunks ? kFirstChunkSlots << k : kMaxChunkSlots;
+  }
+  struct SlotPos {
+    std::uint32_t chunk;
+    std::uint32_t offset;
+  };
+  static SlotPos locate(std::uint32_t slot) {
+    if (slot < kGrowingSlots) {
+      // Chunk k holds the slots with slot + 16 in [16 << k, 32 << k).
+      const std::uint32_t shifted = slot + kFirstChunkSlots;
+      const auto top = static_cast<std::uint32_t>(std::bit_width(shifted)) - 1;
+      return {top - std::countr_zero(kFirstChunkSlots), shifted - (1u << top)};
+    }
+    const std::uint32_t rest = slot - kGrowingSlots;
+    return {static_cast<std::uint32_t>(kGrowingChunks) + rest / kMaxChunkSlots,
+            rest % kMaxChunkSlots};
+  }
+  /// A chunk is raw storage: each node is constructed when its slot is first
+  /// handed out, so a chunk's pages are touched only as it fills.
+  struct ChunkFree {
+    void operator()(Node* chunk) const {
+      ::operator delete(chunk, std::align_val_t{alignof(Node)});
+    }
+  };
+  using NodeChunk = std::unique_ptr<Node[], ChunkFree>;
 
   /// A slot's side storage, value-initialised (zero counters, a bucket
   /// that fills on first use) until it is first counted or rate-limited.
@@ -247,7 +306,6 @@ class SessionTable {
     QosBucket qos;
   };
   static_assert(sizeof(Extras) == 48);
-  using ExtrasChunk = std::array<Extras, kChunkSize>;
 
   /// Probe cell: cached hash tag for cheap rejection + slab slot or pool id
   /// (or sentinel). The tag is the low 32 bits of the hash, so it also
@@ -274,26 +332,31 @@ class SessionTable {
   static constexpr std::size_t kPoolChunkSize = 8;
   using PoolChunk = std::array<PooledPreActions, kPoolChunkSize>;
 
-  /// Wheel reference; stale once the node's wheel_seq moves on.
-  struct Ref {
-    std::uint32_t slot;
-    std::uint32_t seq;
+  /// A FIFO of nodes threaded through their wheel links.
+  struct WheelList {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
   };
 
   static std::uint64_t hash_of(const SessionKey& key);
   Node& node_at(std::uint32_t slot) {
-    return (*chunks_[slot / kChunkSize])[slot % kChunkSize];
+    const SlotPos p = locate(slot);
+    return chunks_[p.chunk][p.offset];
   }
   const Node& node_at(std::uint32_t slot) const {
-    return (*chunks_[slot / kChunkSize])[slot % kChunkSize];
+    const SlotPos p = locate(slot);
+    return chunks_[p.chunk][p.offset];
   }
+  /// Hands out a slot: the last one freed, else a new one at the end of the
+  /// slab (allocating its chunk when it is the chunk's first).
+  std::uint32_t take_slot();
   /// The slot's side storage, allocating its chunk's array on first use.
   Extras& extras_at(std::uint32_t slot);
   /// The slot's side storage, or null while its chunk has none.
   const Extras* find_extras(std::uint32_t slot) const {
-    const std::size_t ci = slot / kChunkSize;
-    return ci < extras_.size() && extras_[ci] != nullptr
-               ? &(*extras_[ci])[slot % kChunkSize]
+    const SlotPos p = locate(slot);
+    return p.chunk < extras_.size() && extras_[p.chunk] != nullptr
+               ? &extras_[p.chunk][p.offset]
                : nullptr;
   }
   PooledPreActions& pooled(std::uint32_t id) {
@@ -318,16 +381,25 @@ class SessionTable {
   std::int64_t bucket_of(common::TimePoint deadline) const {
     return deadline / wheel_width_;
   }
-  std::vector<Ref>& wheel_cell(std::int64_t bucket) {
-    return wheel_ring_[static_cast<std::size_t>(bucket) & wheel_mask_];
+  WheelList& wheel_cell(std::uint32_t bucket) {
+    return wheel_[bucket & wheel_mask_];
   }
-  std::size_t drain_cell(std::vector<Ref>& cell, common::TimePoint now,
+  /// Appends the node at `slot` (on no list) to `list`.
+  void list_append(WheelList& list, std::uint32_t slot, Node& node);
+  /// Takes `node` off `list`, which holds it.
+  void list_unlink(WheelList& list, const Node& node);
+  /// Queues the node at `slot` (on no list) in `bucket`.
+  void wheel_link(std::uint32_t slot, std::int64_t bucket);
+  std::size_t drain_cell(WheelList& cell, common::TimePoint now,
                          const EvictFn& on_evict);
   common::TimePoint deadline_of(const Node& node) const {
     return node.entry.state.last_active + ttl_of(node.entry);
   }
-  void wheel_enqueue(std::uint32_t slot, std::int64_t bucket);
+  /// Unlinks the node at `slot` from its wheel bucket, then releases it.
   void free_node(std::uint32_t slot);
+  /// Frees the node at `slot`, which is on no wheel list: its pre-action
+  /// handle and side storage are reset and the slot heads the free list.
+  void release_node(std::uint32_t slot);
 
   SessionTableConfig config_;
   std::size_t entry_bytes_;
@@ -335,25 +407,28 @@ class SessionTable {
   common::Duration min_ttl_;
   common::Duration wheel_width_;
 
-  std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::vector<NodeChunk> chunks_;
+  /// Slots handed out so far: [0, slots_) are constructed nodes.
+  std::uint32_t slots_ = 0;
+  /// Last freed slot, whose wheel_next names the one freed before it.
+  std::uint32_t free_head_ = kNoSlot;
   /// Parallel to chunks_, but only as long as the last chunk with side
   /// storage, and null for a chunk none of whose entries needed it.
-  std::vector<std::unique_ptr<ExtrasChunk>> extras_;
-  std::vector<std::uint32_t> free_;
+  std::vector<std::unique_ptr<Extras[]>> extras_;
   std::vector<Cell> index_;  // empty until the first insert
   std::size_t size_ = 0;
-  /// TTL wheel as a flat ring of bucket cells (power-of-two size covering
-  /// the longest TTL plus slack). A cell may transiently hold refs for a
+  /// TTL wheel as a flat ring of bucket lists (power-of-two size covering
+  /// the longest TTL plus slack). A cell may transiently hold nodes of a
   /// bucket `ring_size` ahead of the drain cursor — an early visit merely
   /// recomputes the deadline and re-queues, so collisions cost work, never
   /// correctness. `wheel_floor_` is the lowest bucket that may still hold
-  /// refs; touch() shrinking a deadline below it lowers it back.
-  std::vector<std::vector<Ref>> wheel_ring_;  // empty until the first insert
+  /// nodes; touch() shrinking a deadline below it lowers it back.
+  std::vector<WheelList> wheel_;  // empty until the first insert
   std::size_t wheel_mask_ = 0;
   std::int64_t wheel_floor_ = 0;
-  /// age_out's deferred re-queues (bucket, slot); a member so steady-state
-  /// sweeps reuse its capacity instead of regrowing it.
-  std::vector<std::pair<std::int64_t, std::uint32_t>> requeue_;
+  /// A sweep's survivors in visit order, each with its new bucket in
+  /// wheel_bucket, queued there once the sweep is done.
+  WheelList requeue_;
   std::uint64_t insert_failures_ = 0;
 
   std::vector<std::unique_ptr<PoolChunk>> pool_;  // id - 1 → value

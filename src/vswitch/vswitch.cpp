@@ -301,20 +301,6 @@ void VSwitch::record_mode(tables::VnicId vnic, VnicMode from, VnicMode to) {
   telemetry_->record(e);
 }
 
-bool VSwitch::consume_cpu(double cycles, telemetry::Stage stage,
-                          std::function<void()> then) {
-  const CpuModel::Outcome out = cpu_.consume(cycles, loop_.now());
-  if (!out.accepted) {
-    inc(Ctr::kDropCpuOverload);
-    record_cpu(telemetry::EventKind::kCpuReject, stage, nullptr, cycles, 0);
-    return false;
-  }
-  record_cpu(telemetry::EventKind::kCpuOpStart, stage, nullptr, cycles,
-             out.done);
-  loop_.schedule_at(out.done, std::move(then));
-  return true;
-}
-
 void VSwitch::consume_cpu_noop(double cycles, telemetry::Stage stage) {
   const CpuModel::Outcome out = cpu_.consume(cycles, loop_.now());
   if (!out.accepted) {
@@ -1119,13 +1105,31 @@ void VSwitch::fe_rx(FrontendInstance& fe, net::Packet pkt) {
 
 void VSwitch::health_probe_reply(const net::Packet& pkt) {
   // Flow-direct rule: probes bypass the normal pipeline (§4.4).
+  constexpr double kCycles = 100.0;
   net::Packet reply = net::make_udp_packet(pkt.inner.ft.reversed(), 0, 0);
   reply.id = pkt.id;  // echo the probe id so the monitor can match it
   inc(Ctr::kProbeReplied);
-  consume_cpu(100.0, telemetry::Stage::kProbe,
-              [this, reply = std::move(reply)]() mutable {
-    network_.send(id(), reply.inner.ft.dst_ip, std::move(reply));
-  });
+  const CpuModel::Outcome out = cpu_.consume(kCycles, loop_.now());
+  if (!out.accepted) {
+    inc(Ctr::kDropCpuOverload);
+    record_cpu(telemetry::EventKind::kCpuReject, telemetry::Stage::kProbe,
+               nullptr, kCycles, 0);
+    return;
+  }
+  record_cpu(telemetry::EventKind::kCpuOpStart, telemetry::Stage::kProbe,
+             nullptr, kCycles, out.done);
+  // The reply waits in an op slot and leaves at completion, outside the
+  // burst-mode op queue (probe replies were never batched).
+  const std::uint32_t slot = alloc_op_slot();
+  op_slab_[slot].pkt = std::move(reply);
+  loop_.schedule_raw_at(out.done, &VSwitch::send_probe_reply_thunk, this,
+                        slot);
+}
+
+void VSwitch::send_probe_reply(std::uint32_t slot) {
+  net::Packet reply = std::move(op_slab_[slot].pkt);
+  op_free_.push_back(slot);
+  network_.send(id(), reply.inner.ft.dst_ip, std::move(reply));
 }
 
 }  // namespace nezha::vswitch

@@ -295,17 +295,10 @@ class VSwitch : public sim::Node {
   // --- helpers ---
   void inc(Ctr c) { counters_.inc(static_cast<std::size_t>(c)); }
 
-  /// Charges `cycles`; on acceptance schedules `then` at completion and
-  /// returns true, otherwise counts an overload drop. Cold paths only —
-  /// capturing a Packet in `then` heap-allocates; the datapath uses the
-  /// pooled variants below.
-  bool consume_cpu(double cycles, telemetry::Stage stage,
-                   std::function<void()> then);
-
-  /// Datapath variants: the deferred work lives in a pooled PendingOp slab
-  /// and the scheduled closure captures only {this, slot} (fits
-  /// std::function's inline buffer — no heap allocation per packet).
-  /// Charges cycles and, at completion, sends `pkt` encapped toward `dst`.
+  /// CPU charging: the deferred work lives in a pooled PendingOp slab and
+  /// the completion event carries only the slot (no heap allocation per
+  /// packet). Charges cycles and, at completion, sends `pkt` encapped
+  /// toward `dst`.
   void consume_cpu_send(double cycles, net::Packet pkt,
                         const tables::Location& dst, telemetry::Stage stage);
   /// Charges cycles and, at completion, hands `pkt` to `adapter` (a
@@ -328,6 +321,12 @@ class VSwitch : public sim::Node {
   /// avoids a std::function per switched packet.
   static void run_op_thunk(void* self, std::uint64_t slot) {
     static_cast<VSwitch*>(self)->run_op(static_cast<std::uint32_t>(slot));
+  }
+  /// Sends the probe reply parked in op slot `slot` (health_probe_reply).
+  void send_probe_reply(std::uint32_t slot);
+  static void send_probe_reply_thunk(void* self, std::uint64_t slot) {
+    static_cast<VSwitch*>(self)->send_probe_reply(
+        static_cast<std::uint32_t>(slot));
   }
 
   /// Session-entry creation with pool accounting (key + state bytes); null

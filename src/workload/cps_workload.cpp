@@ -1,11 +1,12 @@
 #include "src/workload/cps_workload.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace nezha::workload {
 
 namespace {
-constexpr std::size_t kInitialConnSlots = 256;  // power of two
+constexpr std::size_t kInitialConnSlots = 16;  // power of two
 /// Destination ports cycled to widen the 5-tuple space.
 constexpr std::uint16_t kServerPorts = 16;
 /// TCP-style SYN retransmission: lost handshake packets (vSwitch overload
@@ -408,8 +409,9 @@ void CpsWorkload::on_client_delivery(const net::Packet& pkt) {
   if (c == nullptr || c->established != 0) return;
   c->established = 1;
   ++completed_;
-  completions_.push_back(client_loop_.now());
-  latency_.add(common::to_micros(client_loop_.now() - c->syn_sent));
+  const common::TimePoint now = client_loop_.now();
+  if (now >= window_start_ && now < window_end_) ++window_completed_;
+  latency_.add(common::to_micros(now - c->syn_sent));
 
   // Complete the handshake, then close with a FIN.
   client_switch_.from_vm(
@@ -424,14 +426,19 @@ void CpsWorkload::on_client_delivery(const net::Packet& pkt) {
   if (config_.concurrency > 0) release_slot();
 }
 
-double CpsWorkload::cps_over(common::TimePoint t0,
-                             common::TimePoint t1) const {
-  if (t1 <= t0) return 0.0;
-  std::uint64_t n = 0;
-  for (common::TimePoint t : completions_) {
-    if (t >= t0 && t < t1) ++n;
+void CpsWorkload::measure_window(common::TimePoint t0, common::TimePoint t1) {
+  if (t0 < client_loop_.now()) {
+    throw std::logic_error("CpsWorkload::measure_window: window already open");
   }
-  return static_cast<double>(n) / common::to_seconds(t1 - t0);
+  window_start_ = t0;
+  window_end_ = t1;
+  window_completed_ = 0;
+}
+
+double CpsWorkload::window_cps() const {
+  if (window_end_ <= window_start_) return 0.0;
+  return static_cast<double>(window_completed_) /
+         common::to_seconds(window_end_ - window_start_);
 }
 
 }  // namespace nezha::workload

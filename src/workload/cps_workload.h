@@ -69,8 +69,12 @@ class CpsWorkload {
   std::uint64_t server_kernel_rejects() const {
     return server_kernel_.rejected();
   }
-  /// Completed connections per second over [t0, t1].
-  double cps_over(common::TimePoint t0, common::TimePoint t1) const;
+  /// Names the window [t0, t1) whose completed connections window_cps()
+  /// reports. Completions are counted as they land, not kept, so the
+  /// window must be named before t0 (throws std::logic_error otherwise).
+  void measure_window(common::TimePoint t0, common::TimePoint t1);
+  /// Completed connections per second over the named window.
+  double window_cps() const;
   const common::Percentiles& connect_latency_us() const { return latency_; }
 
 
@@ -232,7 +236,10 @@ class CpsWorkload {
   // Mean/min/max stay exact; percentiles interpolate within one bucket.
   common::Percentiles latency_ =
       common::Percentiles::bounded(0.0, 20000.0, 2000);
-  std::vector<common::TimePoint> completions_;
+  // The measured window [window_start_, window_end_) and its completions.
+  common::TimePoint window_start_ = 0;
+  common::TimePoint window_end_ = 0;
+  std::uint64_t window_completed_ = 0;
   bool running_ = false;
 };
 

@@ -6,14 +6,14 @@
 // the site table is static, so recording a block never allocates. Each time
 // the total of live bytes passes the last snapshot by 1 MB, the live bytes
 // and block counts of every site are copied into a snapshot, so the last
-// snapshot lies within 1 MB of the process's peak. At exit the snapshot's
-// largest sites are written as
+// snapshot lies within 1 MB of the process's peak. At exit every site that
+// held bytes in the snapshot is written, largest first, as
 //
 //   peak_live_bytes N
 //   site BYTES BLOCKS ADDR ADDR ...
 //
-// to the file named by NEZHA_HEAP_PROFILE (stderr when unset), largest
-// first; tools/heap_profile.sh symbolizes the addresses. Link this object
+// to the file named by NEZHA_HEAP_PROFILE (stderr when unset);
+// tools/heap_profile.sh symbolizes the addresses. Link this object
 // into one binary built for profiling and into nothing else.
 #include <execinfo.h>
 
@@ -29,7 +29,6 @@ namespace {
 constexpr int kDepth = 24;          // return addresses kept per site
 constexpr int kSkip = 2;            // profiled_alloc and operator new
 constexpr std::size_t kSites = 1 << 14;  // power of two
-constexpr std::size_t kReport = 50;
 constexpr std::int64_t kSnapshotStep = 1 << 20;
 constexpr std::size_t kHeader = 16;
 
@@ -163,7 +162,7 @@ struct Reporter {
     });
     std::fprintf(out, "peak_live_bytes %lld\n",
                  static_cast<long long>(g_snap_live));
-    for (std::size_t i = 0; i < n && i < kReport; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       const Site& s = g_sites[order[i]];
       if (s.snap_bytes <= 0) break;
       std::fprintf(out, "site %lld %lld", static_cast<long long>(s.snap_bytes),

@@ -172,11 +172,12 @@ double run_hot_server(CpsBed& s, std::size_t fes, common::Duration warmup,
     bed.run_for(common::seconds(4));  // activation completes
   }
   const common::TimePoint t0 = bed.loop().now();
+  for (auto& c : s.clients) c->measure_window(t0 + warmup, t0 + window);
   s.start();
   bed.run_for(window);
   s.stop();
   double cps = 0;
-  for (auto& c : s.clients) cps += c->cps_over(t0 + warmup, t0 + window);
+  for (auto& c : s.clients) cps += c->window_cps();
   return cps;
 }
 

@@ -185,6 +185,36 @@ TEST(CpsSetupPhaseAllocTest, WarmSetupPathAllocatesNearZeroPerConnection) {
       << window_conns << " connections (" << per_conn << "/connection)";
 }
 
+// A health-probe round — the monitor's probe to every watched vSwitch, each
+// vSwitch's reply after its CPU charge, and the probe's timeout check —
+// allocates nothing once the monitor's ownership table and the vSwitches'
+// op slabs have held a round.
+TEST(HealthProbeAllocTest, SteadyProbeRoundsAllocateNothing) {
+  core::TestbedConfig cfg;
+  cfg.num_vswitches = 16;
+  cfg.controller.auto_offload = false;
+  cfg.controller.auto_scale = false;
+  core::Testbed bed(cfg);
+  for (std::size_t i = 0; i < bed.size(); ++i) {
+    bed.monitor().watch(bed.vswitch(i).id(), bed.vswitch(i).underlay_ip());
+  }
+  bed.monitor().start();
+  bed.run_for(seconds(2));  // four rounds size every slab and table
+
+  const std::uint64_t sent_before = bed.monitor().probes_sent();
+  const std::uint64_t replies_before = bed.monitor().replies_received();
+  const std::uint64_t allocs_before = support::alloc_counts().news;
+  bed.run_for(seconds(10));  // 20 rounds
+  const std::uint64_t allocs = support::alloc_counts().news - allocs_before;
+
+  EXPECT_EQ(bed.monitor().probes_sent() - sent_before, 20u * bed.size());
+  EXPECT_EQ(bed.monitor().replies_received() - replies_before,
+            20u * bed.size());
+  EXPECT_EQ(bed.monitor().crashes_declared(), 0u);
+  EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / 20.0
+                        << " allocations per probe round";
+}
+
 // Session n of the table tests below: distinct, allocation-free keys.
 flow::SessionKey nth_key(std::uint32_t n) {
   return flow::SessionKey::from_packet(
@@ -307,6 +337,32 @@ TEST(SessionTableAllocTest, CountedAndRateLimitedSessionsCostUnderTheOldNode) {
       });
   EXPECT_LE(per_session, 168.2)
       << "a counted, rate-limited session allocates " << per_session << " B";
+}
+
+// A table holding a few dozen sessions pays for a few dozen nodes: 30
+// stateful sessions sharing one pre-action value, each observed once and
+// then swept (every one survives its first visit), cost two slab chunks
+// (16 + 32 nodes), the 64-cell index, 128 wheel heads and one pool chunk:
+// 5,408 B. With a 512-node first chunk and a ref vector per wheel bucket
+// they cost 39,176 B.
+TEST(SessionTableAllocTest, ThirtySessionTableAllocatesUnder6KB) {
+  const std::uint64_t bytes_before = support::alloc_counts().bytes;
+  std::uint64_t bytes = 0;
+  {
+    flow::SessionTable table{flow::SessionTableConfig{}};
+    for (std::uint32_t n = 0; n < 30; ++n) {
+      const common::TimePoint now = milliseconds(n);
+      flow::SessionEntry* e = table.find_or_create(nth_key(n), now);
+      ASSERT_NE(e, nullptr);
+      table.set_pre_actions(*e, routed_pre_actions());
+      table.observe(*e, flow::Direction::kTx, net::TcpFlags{.syn = true},
+                    true, 100, now);
+    }
+    EXPECT_EQ(table.age_out(milliseconds(500)), 0u);  // embryonic TTL: 1 s
+    EXPECT_EQ(table.size(), 30u);
+    bytes = support::alloc_counts().bytes - bytes_before;
+  }
+  EXPECT_LE(bytes, 6144u) << "a 30-session table allocated " << bytes << " B";
 }
 
 // 1000 new established sessions and 1000 evictions per 100 ms sweep: an

@@ -5,6 +5,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <vector>
 
 #include "src/flow/pre_actions.h"
 #include "src/flow/session.h"
@@ -334,6 +338,87 @@ TEST(SessionTableTest, TouchOnErasedOrRecycledEntryIsHarmless) {
   t.touch(a);
   EXPECT_EQ(t.age_out(seconds(16) + milliseconds(100)), 1u);
   EXPECT_EQ(t.find(key_b), nullptr);
+}
+
+// The slab grows in chunks of 16, 32, 64, 128 and 256 nodes, then 512 a
+// chunk. Grown from 0 to 5,000 entries and back (twice, the second time on
+// recycled slots): every pointer stays put while its entry lives, for_each
+// visits each live entry once in slot order, and slots run contiguously
+// inside a chunk and break exactly at the chunk boundaries (15/16, 47/48,
+// 111/112, 239/240, 495/496, 1007/1008, ...).
+TEST(SessionTableTest, SlabGrowsInDoublingChunksWithStablePointers) {
+  constexpr std::uint32_t kEntries = 5000;
+  SessionTable t{SessionTableConfig{}};
+  const auto key = [](std::uint32_t n) {
+    FiveTuple ft = tx_tuple();
+    ft.src_ip = Ipv4Addr(0x0a000000u | (n >> 16));
+    ft.src_port = static_cast<std::uint16_t>(n);
+    return SessionKey::from_packet(1, ft);
+  };
+  std::vector<SessionEntry*> by_slot;  // slot → entry, in allocation order
+  for (std::uint32_t n = 0; n < kEntries; ++n) {
+    by_slot.push_back(t.find_or_create(key(n), 0));
+    ASSERT_NE(by_slot.back(), nullptr);
+  }
+
+  // Chunk boundaries: a slot's node sits right after its predecessor's
+  // unless the slot opens a chunk.
+  std::vector<std::uint32_t> opens = {0};
+  for (std::uint32_t size = 16; opens.back() + size < kEntries;
+       size = std::min(size * 2, 512u)) {
+    opens.push_back(opens.back() + size);
+  }
+  ASSERT_EQ(opens[1], 16u);
+  ASSERT_EQ(opens[5], 496u);
+  ASSERT_EQ(opens[6], 1008u);
+  for (std::uint32_t slot = 1; slot < kEntries; ++slot) {
+    const bool opens_chunk =
+        std::find(opens.begin(), opens.end(), slot) != opens.end();
+    const auto gap = reinterpret_cast<std::uintptr_t>(by_slot[slot]) -
+                     reinterpret_cast<std::uintptr_t>(by_slot[slot - 1]);
+    EXPECT_EQ(gap == 64, !opens_chunk) << "slot " << slot;
+  }
+
+  std::map<const SessionEntry*, std::uint32_t> slot_of;
+  for (std::uint32_t slot = 0; slot < kEntries; ++slot) {
+    slot_of[by_slot[slot]] = slot;
+  }
+  const auto expect_walk = [&](const std::vector<std::uint32_t>& live_keys) {
+    // for_each in slot order, each live entry once, with its own key.
+    std::vector<std::uint32_t> slots;
+    t.for_each([&](const SessionKey& k, SessionEntry& e) {
+      slots.push_back(slot_of.at(&e));
+      EXPECT_EQ(t.find(k), &e);
+    });
+    ASSERT_EQ(slots.size(), live_keys.size());
+    EXPECT_TRUE(std::adjacent_find(slots.begin(), slots.end(),
+                                   std::greater_equal<>()) == slots.end());
+  };
+  std::vector<std::uint32_t> live(kEntries);
+  for (std::uint32_t n = 0; n < kEntries; ++n) live[n] = n;
+  expect_walk(live);
+
+  // Shrink to 0 in a scattered order; the survivors never move.
+  for (std::uint32_t step = 0; step < kEntries; ++step) {
+    const std::uint32_t n = step * 761 % kEntries;  // 761 is prime to 5,000
+    ASSERT_TRUE(t.erase(key(n)));
+    live.erase(std::find(live.begin(), live.end(), n));
+    if (step % 500 == 0) {
+      for (const std::uint32_t m : live) ASSERT_EQ(t.find(key(m)), by_slot[m]);
+      expect_walk(live);
+    }
+  }
+  EXPECT_EQ(t.size(), 0u);
+  expect_walk({});
+
+  // Regrow on recycled slots: last freed, first reused, no slot past 5,000.
+  for (std::uint32_t n = 0; n < kEntries; ++n) {
+    const std::uint32_t last_freed = (kEntries - 1 - n) * 761 % kEntries;
+    ASSERT_EQ(t.find_or_create(key(kEntries + n), 0), by_slot[last_freed]);
+  }
+  std::size_t visited = 0;
+  t.for_each([&](const SessionKey&, SessionEntry&) { ++visited; });
+  EXPECT_EQ(visited, kEntries);
 }
 
 TEST(SessionTableTest, ClosedSessionsAgeFastest) {

@@ -816,6 +816,238 @@ TEST(SessionTableProperty, IncrementalAgingMatchesFullScanAcrossSweeps) {
   }
 }
 
+// The TTL wheel as it stood before its buckets became lists threaded
+// through the nodes: one vector of (slot, seq) refs per ring cell, a
+// per-slot seq that every enqueue and every free bumps so older refs skip,
+// a last-freed-first slot stack, and survivors re-queued once the sweep is
+// done, in visit order. It reads deadlines off the table's own entries, so
+// it models the wheel and the slots and nothing else.
+class RefVectorWheel {
+ public:
+  RefVectorWheel(const flow::SessionTable& table, common::Duration min_ttl,
+                 std::size_t ring)
+      : table_(table), width_(min_ttl), ring_(ring) {}
+
+  std::uint32_t create(const flow::SessionEntry* entry, common::TimePoint now) {
+    std::uint32_t s = static_cast<std::uint32_t>(slots_.size());
+    if (free_.empty()) {
+      slots_.emplace_back();
+    } else {
+      s = free_.back();
+      free_.pop_back();
+    }
+    slots_[s].entry = entry;
+    enqueue(s, (now + width_) / width_);  // the first visit: now + min TTL
+    return s;
+  }
+  void release(std::uint32_t s) {
+    ++slots_[s].seq;
+    free_.push_back(s);
+  }
+  void touch(std::uint32_t s) {
+    const std::int64_t b = deadline(s) / width_;
+    if (b < slots_[s].bucket) enqueue(s, b);
+  }
+  /// The slots a sweep at `now` evicts, in eviction order.
+  std::vector<std::uint32_t> age_out(common::TimePoint now) {
+    std::vector<std::uint32_t> evicted;
+    const std::int64_t now_bucket = now / width_;
+    if (now_bucket < floor_) return evicted;
+    std::vector<std::pair<std::int64_t, std::uint32_t>> requeue;
+    const auto drain = [&](std::vector<Ref>& cell) {
+      for (const Ref ref : cell) {
+        if (slots_[ref.slot].seq != ref.seq) continue;  // stale
+        const common::TimePoint d = deadline(ref.slot);
+        if (d <= now) {
+          evicted.push_back(ref.slot);
+          release(ref.slot);
+        } else {
+          requeue.emplace_back(d / width_, ref.slot);
+        }
+      }
+      cell.clear();
+    };
+    if (static_cast<std::size_t>(now_bucket - floor_) + 1 >= ring_.size()) {
+      for (auto& cell : ring_) drain(cell);
+    } else {
+      for (std::int64_t b = floor_; b <= now_bucket; ++b) drain(cell_of(b));
+    }
+    floor_ = now_bucket + 1;
+    for (const auto& [bucket, slot] : requeue) enqueue(slot, bucket);
+    return evicted;
+  }
+
+ private:
+  struct Ref {
+    std::uint32_t slot;
+    std::uint32_t seq;
+  };
+  struct Slot {
+    const flow::SessionEntry* entry = nullptr;
+    std::uint32_t seq = 0;
+    std::int64_t bucket = 0;
+  };
+  common::TimePoint deadline(std::uint32_t s) const {
+    const flow::SessionEntry& e = *slots_[s].entry;
+    return e.state.last_active + table_.ttl_of(e);
+  }
+  std::vector<Ref>& cell_of(std::int64_t b) {
+    return ring_[static_cast<std::size_t>(b) % ring_.size()];
+  }
+  void enqueue(std::uint32_t s, std::int64_t b) {
+    slots_[s].bucket = b;
+    floor_ = std::min(floor_, b);
+    cell_of(b).push_back(Ref{s, ++slots_[s].seq});
+  }
+
+  const flow::SessionTable& table_;
+  common::Duration width_;
+  std::vector<std::vector<Ref>> ring_;
+  std::int64_t floor_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+};
+
+// Random create / observe / touch / erase / age_out sequences against the
+// reference wheel: every sweep evicts the same entries in the same order,
+// and every new entry lands on the slot the reference hands out (so the
+// free-list order and slot reuse match). The sequences shrink deadlines
+// with FIN and RST, touch through pointers whose slot was freed or
+// recycled, and sweep after gaps shorter than a bucket, up to a TTL, and
+// longer than the whole ring.
+TEST(SessionTableProperty, ListWheelMatchesRefVectorWheel) {
+  struct Shape {
+    flow::SessionTableConfig config;
+    common::Duration min_ttl;
+    std::size_t ring;  // as the table sizes it: the TTL span plus 4, in 2^k
+  };
+  const Shape shapes[] = {
+      {flow::SessionTableConfig{}, common::milliseconds(100), 128},
+      {flow::SessionTableConfig{.established_ttl = common::seconds(2),
+                                .embryonic_ttl = common::milliseconds(500),
+                                .closed_ttl = common::milliseconds(100)},
+       common::milliseconds(100), 32},
+      {flow::SessionTableConfig{.store_pre_actions = true,
+                                .store_state = false,
+                                .established_ttl = common::seconds(1)},
+       common::seconds(1), 8},
+  };
+  for (std::size_t shape = 0; shape < std::size(shapes); ++shape) {
+    const Shape& sh = shapes[shape];
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+      SCOPED_TRACE(testing::Message() << "shape " << shape << " seed " << seed);
+      common::Rng rng = make_rng(300 + shape * 16 + seed);
+      flow::SessionTable table{sh.config};
+      RefVectorWheel model(table, sh.min_ttl, sh.ring);
+      std::vector<flow::SessionKey> keys;
+      for (int i = 0; i < 160; ++i) {
+        net::FiveTuple ft = random_tuple(rng);
+        ft.proto = net::IpProto::kTcp;
+        keys.push_back(flow::SessionKey::from_packet(1, ft));
+      }
+      std::map<std::size_t, std::uint32_t> live;    // key index → slot
+      std::vector<flow::SessionEntry*> entry_of;    // slot → table entry
+      std::vector<std::size_t> key_of;              // slot → key index
+      common::TimePoint now = 0;
+      std::size_t sweeps = 0, evictions = 0, long_gaps = 0;
+      for (int op = 0; op < 4000; ++op) {
+        if (rng.chance(0.3)) {
+          now += static_cast<common::Duration>(
+              rng.uniform_u64(0, static_cast<std::uint64_t>(sh.min_ttl / 3)));
+        }
+        const std::uint64_t pick = rng.uniform_u64(0, 99);
+        const std::size_t k = rng.uniform_u64(0, keys.size() - 1);
+        const auto it = live.find(k);
+        if (pick < 35) {  // create, or find the live entry
+          flow::SessionEntry* e = table.find_or_create(keys[k], now);
+          ASSERT_NE(e, nullptr);
+          if (it != live.end()) {
+            ASSERT_EQ(e, entry_of[it->second]);
+            continue;
+          }
+          const std::uint32_t s = model.create(e, now);
+          if (s == entry_of.size()) {
+            entry_of.push_back(e);
+            key_of.push_back(k);
+          }
+          ASSERT_EQ(e, entry_of[s]) << "a different slot was reused";
+          key_of[s] = k;
+          live[k] = s;
+        } else if (pick < 70) {  // a packet, through observe() or by hand
+          if (it == live.end()) continue;
+          flow::SessionEntry* e = entry_of[it->second];
+          net::TcpFlags flags;
+          switch (rng.uniform_u64(0, 5)) {
+            case 0: flags.syn = true; break;
+            case 1: flags.syn = true; flags.ack = true; break;
+            case 2: flags.fin = true; flags.ack = true; break;
+            case 3: flags.rst = true; break;
+            default: flags.ack = true; break;
+          }
+          const auto dir = rng.chance(0.5) ? flow::Direction::kTx
+                                           : flow::Direction::kRx;
+          if (rng.chance(0.5)) {
+            table.observe(*e, dir, flags, true, 100, now);
+          } else {
+            e->state.observe(dir, flags, true, now);
+            table.touch(e);
+          }
+          model.touch(it->second);
+        } else if (pick < 78) {  // erase
+          if (it == live.end()) continue;
+          ASSERT_TRUE(table.erase(keys[k]));
+          model.release(it->second);
+          live.erase(it);
+        } else if (pick < 82) {  // touch through any pointer ever handed out
+          if (entry_of.empty()) continue;
+          const auto s = static_cast<std::uint32_t>(
+              rng.uniform_u64(0, entry_of.size() - 1));
+          table.touch(entry_of[s]);
+          const auto holder = live.find(key_of[s]);
+          if (holder != live.end() && holder->second == s) model.touch(s);
+        } else {  // sweep after a gap
+          const std::uint64_t gap_kind = rng.uniform_u64(0, 9);
+          const std::uint64_t ring_span =
+              static_cast<std::uint64_t>(sh.min_ttl) * sh.ring;
+          common::Duration gap = static_cast<common::Duration>(
+              rng.uniform_u64(0, static_cast<std::uint64_t>(sh.min_ttl)));
+          if (gap_kind >= 6) {
+            gap = static_cast<common::Duration>(rng.uniform_u64(
+                0, static_cast<std::uint64_t>(sh.config.established_ttl)));
+          }
+          if (gap_kind == 9) {
+            gap = static_cast<common::Duration>(
+                ring_span + rng.uniform_u64(0, ring_span));
+            ++long_gaps;
+          }
+          now += gap;
+          const std::vector<std::uint32_t> expected = model.age_out(now);
+          std::vector<const flow::SessionEntry*> evicted;
+          const std::size_t removed = table.age_out(
+              now, [&](const flow::SessionKey& key,
+                       const flow::SessionEntry& e) {
+                EXPECT_EQ(table.find(key), &e);
+                evicted.push_back(&e);
+              });
+          ASSERT_EQ(removed, evicted.size());
+          ASSERT_EQ(evicted.size(), expected.size()) << "sweep " << sweeps;
+          for (std::size_t i = 0; i < expected.size(); ++i) {
+            ASSERT_EQ(evicted[i], entry_of[expected[i]])
+                << "sweep " << sweeps << ", eviction " << i;
+            live.erase(key_of[expected[i]]);
+          }
+          ++sweeps;
+          evictions += removed;
+        }
+        ASSERT_EQ(table.size(), live.size());
+      }
+      EXPECT_GT(sweeps, 300u);
+      EXPECT_GT(evictions, 300u);
+      EXPECT_GT(long_gaps, 20u);
+    }
+  }
+}
+
 // Pre-action interning against a reference map: after every operation each
 // live entry reads back exactly the value last cached on it (or none), and
 // the pool never holds more slots than the most distinct values ever live

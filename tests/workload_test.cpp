@@ -114,10 +114,11 @@ TEST_F(CpsWorkloadTest, CpsOverWindow) {
   CpsWorkloadConfig cfg;
   cfg.attempts_per_sec = 1000;
   CpsWorkload wl(bed_, 0, 1, 1, 2, cfg);
+  wl.measure_window(seconds(1), seconds(2));
   wl.start();
   bed_.run_for(seconds(2));
   wl.stop();
-  const double cps = wl.cps_over(seconds(1), seconds(2));
+  const double cps = wl.window_cps();
   EXPECT_GT(cps, 700.0);
   EXPECT_LT(cps, 1300.0);
 }
