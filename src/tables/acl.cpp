@@ -61,8 +61,12 @@ void AclTable::rebuild() const {
   dirty_ = false;
 }
 
-flow::Verdict AclTable::lookup(const net::FiveTuple& ft,
-                               flow::Direction dir) const {
+// Both scans start on a cache line, so their loops sit at the same offsets
+// whatever code the linker places before this file: with the function 16 B
+// past a line, the scan loop's back-edge branch straddles the line boundary
+// and a 1k-rule lookup runs at about half its rate.
+[[gnu::aligned(64)]] flow::Verdict AclTable::lookup(const net::FiveTuple& ft,
+                                                    flow::Direction dir) const {
   if (dirty_) rebuild();
   const std::vector<Compiled>& cands = classes_[class_of(ft.proto, dir)];
   const std::uint32_t src = ft.src_ip.value();
@@ -77,9 +81,9 @@ flow::Verdict AclTable::lookup(const net::FiveTuple& ft,
   return default_verdict_;
 }
 
-flow::Verdict AclTable::lookup_probed(const net::FiveTuple& ft,
-                                      flow::Direction dir,
-                                      AclLookupProbe& probe) const {
+[[gnu::aligned(64)]] flow::Verdict AclTable::lookup_probed(
+    const net::FiveTuple& ft, flow::Direction dir,
+    AclLookupProbe& probe) const {
   if (dirty_) rebuild();
   const std::vector<Compiled>& cands = classes_[class_of(ft.proto, dir)];
   const std::uint32_t src = ft.src_ip.value();
