@@ -59,7 +59,6 @@ class Status {
   static Status ok_status() { return Status{}; }
 
   bool ok() const { return !failed_; }
-  explicit operator bool() const { return ok(); }
   const Error& error() const { return error_; }
 
  private:

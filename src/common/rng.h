@@ -14,14 +14,7 @@ namespace nezha::common {
 
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
-
-  /// UniformRandomBitGenerator interface (usable with <random> if needed).
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~0ULL; }
-  result_type operator()() { return next(); }
 
   std::uint64_t next();
 

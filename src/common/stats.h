@@ -103,7 +103,6 @@ class Percentiles {
   static Percentiles bounded(double lo, double hi, std::size_t buckets);
 
   void add(double x);
-  void reserve(std::size_t n) { if (!hist_) samples_.reserve(n); }
   std::size_t count() const;
   bool empty() const { return count() == 0; }
 
@@ -121,8 +120,6 @@ class Percentiles {
   double min() const { return percentile(0.0); }
   double max() const { return percentile(100.0); }
 
-  /// Raw samples; empty in bounded mode (individual values are not kept).
-  const std::vector<double>& samples() const { return samples_; }
   /// Bucket counts in bounded mode; null in exact mode.
   const Histogram* histogram() const { return hist_ ? &*hist_ : nullptr; }
   void clear();

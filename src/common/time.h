@@ -22,7 +22,6 @@ inline constexpr Duration kMicrosecond = 1'000;
 inline constexpr Duration kMillisecond = 1'000'000;
 inline constexpr Duration kSecond = 1'000'000'000;
 
-constexpr Duration nanoseconds(std::int64_t n) { return n; }
 constexpr Duration microseconds(std::int64_t n) { return n * kMicrosecond; }
 constexpr Duration milliseconds(std::int64_t n) { return n * kMillisecond; }
 constexpr Duration seconds(std::int64_t n) { return n * kSecond; }

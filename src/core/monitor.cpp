@@ -32,7 +32,7 @@ void record_probe(telemetry::Hub* hub, common::TimePoint at,
 HealthMonitor::HealthMonitor(sim::NodeId id, net::Ipv4Addr underlay_ip,
                              sim::EventLoop& loop, sim::Network& network,
                              MonitorConfig config)
-    : Node(id, "health-monitor", underlay_ip, net::MacAddr(0xfeedULL)),
+    : Node(id, underlay_ip, net::MacAddr(0xfeedULL)),
       loop_(loop), network_(network), config_(config) {}
 
 void HealthMonitor::watch(sim::NodeId node, net::Ipv4Addr ip) {
@@ -59,7 +59,7 @@ void HealthMonitor::send_probe(sim::NodeId node, Target& target) {
   probe.id = probe_id;
   target.outstanding_probe = probe_id;
   target.reply_seen = false;
-  own(probe_id, node);
+  owners_.insert(Owner{probe_id, node});
   ++probes_sent_;
   record_probe(telemetry_, loop_.now(), id(),
                telemetry::EventKind::kProbeSent, node, probe_id);
@@ -70,45 +70,13 @@ void HealthMonitor::send_probe(sim::NodeId node, Target& target) {
       &HealthMonitor::check_probe_thunk, this, node);
 }
 
-void HealthMonitor::own(std::uint64_t probe_id, sim::NodeId node) {
-  if ((owned_ + 1) * 4 > owners_.size() * 3) {
-    std::vector<Owner> old(std::max<std::size_t>(16, owners_.size() * 2));
-    old.swap(owners_);
-    for (const Owner& o : old) {
-      if (o.probe_id != 0) place(o);
-    }
-  }
-  place(Owner{probe_id, node});
-  ++owned_;
-}
-
-void HealthMonitor::place(const Owner& owner) {
-  const std::size_t mask = owners_.size() - 1;
-  std::size_t i = owner.probe_id & mask;
-  while (owners_[i].probe_id != 0) i = (i + 1) & mask;
-  owners_[i] = owner;
-}
-
 bool HealthMonitor::disown(std::uint64_t probe_id, sim::NodeId& node) {
-  if (probe_id == 0 || owners_.empty()) return false;
-  const std::size_t mask = owners_.size() - 1;
-  std::size_t hole = probe_id & mask;
-  for (; owners_[hole].probe_id != probe_id; hole = (hole + 1) & mask) {
-    if (owners_[hole].probe_id == 0) return false;
-  }
-  node = owners_[hole].node;
-  // Pull back every later cluster member whose home is at or before the
-  // hole, so no tombstone is left.
-  for (std::size_t j = (hole + 1) & mask; owners_[j].probe_id != 0;
-       j = (j + 1) & mask) {
-    const std::size_t home = owners_[j].probe_id & mask;
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      owners_[hole] = owners_[j];
-      hole = j;
-    }
-  }
-  owners_[hole] = Owner{};
-  --owned_;
+  // No held cell has id 0, so an unstamped packet finds no owner.
+  Owner* owner = owners_.find(
+      probe_id, [probe_id](const Owner& o) { return o.probe_id == probe_id; });
+  if (owner == nullptr) return false;
+  node = owner->node;
+  owners_.erase(owner);
   return true;
 }
 

@@ -14,8 +14,8 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <vector>
 
+#include "src/common/flat_table.h"
 #include "src/common/time.h"
 #include "src/sim/network.h"
 #include "src/sim/node.h"
@@ -71,11 +71,16 @@ class HealthMonitor : public sim::Node {
     bool declared_dead = false;
   };
 
-  /// A probe a reply may still answer. Probe ids start at 1, so id 0 marks
-  /// a free cell.
+  /// A probe a reply may still answer, held inline in a common::FlatTable.
+  /// Probe ids start at 1, so id 0 marks an empty cell. Ids are sequential
+  /// and hash to themselves, so a round's probes take adjacent cells.
   struct Owner {
     std::uint64_t probe_id = 0;
     sim::NodeId node = 0;
+  };
+  struct OwnerTraits {
+    static bool empty(const Owner& o) { return o.probe_id == 0; }
+    static std::uint64_t hash(const Owner& o) { return o.probe_id; }
   };
 
   void probe_all();
@@ -87,12 +92,6 @@ class HealthMonitor : public sim::Node {
   }
   std::size_t dead_count() const;
 
-  /// Probe ownership: open addressing over one flat array keyed by probe
-  /// id (ids are sequential, so a round's probes take adjacent cells), with
-  /// backward-shift erase. Once it has held a round's probes, a round
-  /// allocates nothing.
-  void own(std::uint64_t probe_id, sim::NodeId node);
-  void place(const Owner& owner);
   /// Drops the probe's owner and returns true with its node in `node`, or
   /// returns false when no owner is left.
   bool disown(std::uint64_t probe_id, sim::NodeId& node);
@@ -101,8 +100,8 @@ class HealthMonitor : public sim::Node {
   sim::Network& network_;
   MonitorConfig config_;
   std::unordered_map<sim::NodeId, Target> targets_;
-  std::vector<Owner> owners_;  // power-of-two size; empty until a probe
-  std::size_t owned_ = 0;
+  /// Once it has held a round's probes, a round allocates nothing.
+  common::FlatTable<Owner, OwnerTraits> owners_;
   CrashFn on_crash_;
   telemetry::Hub* telemetry_ = nullptr;
   std::uint64_t next_probe_id_ = 1;

@@ -56,9 +56,8 @@ Testbed::Testbed(TestbedConfig config) : topology_(config.topology) {
   for (std::size_t i = 0; i < config.num_vswitches; ++i) {
     const std::uint32_t s = shard_of_node(static_cast<sim::NodeId>(i));
     auto vs = std::make_unique<vswitch::VSwitch>(
-        static_cast<sim::NodeId>(i), "vswitch-" + std::to_string(i),
-        underlay_ip(i), loop_of_shard(s), network_of_shard(s), gateway_,
-        config.vswitch);
+        static_cast<sim::NodeId>(i), underlay_ip(i), loop_of_shard(s),
+        network_of_shard(s), gateway_, config.vswitch);
     network_of_shard(s).attach(*vs);
     if (engine_ != nullptr) engine_->map_ip(underlay_ip(i), s, vs->id());
     switches_.push_back(std::move(vs));

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace nezha::flow {
 
@@ -13,10 +12,6 @@ enum class Direction : std::uint8_t { kTx = 0, kRx = 1 };
 
 inline Direction reverse(Direction d) {
   return d == Direction::kTx ? Direction::kRx : Direction::kTx;
-}
-
-inline std::string to_string(Direction d) {
-  return d == Direction::kTx ? "TX" : "RX";
 }
 
 }  // namespace nezha::flow

@@ -33,9 +33,6 @@ std::size_t compute_entry_bytes(const SessionTableConfig& config) {
   return n;
 }
 
-constexpr std::size_t kInitialIndexSize = 64;      // power of two
-constexpr std::size_t kInitialPoolIndexSize = 8;   // power of two
-
 /// Probe-cell tag of a pre-action value: its fields packed into 64-bit
 /// words, folded by multiply and mixed once. It must be cheap: every new
 /// flow interns a value, nearly always one its table already holds. A field
@@ -86,109 +83,42 @@ std::uint64_t SessionTable::hash_of(const SessionKey& key) {
                         0x9e3779b97f4a7c15ull ^ key.vpc_id);
 }
 
-std::uint32_t SessionTable::find_slot(const SessionKey& key,
-                                      std::uint64_t h) const {
-  if (index_.empty()) return kNoSlot;
-  const auto tag = static_cast<std::uint32_t>(h);
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-    const Cell& cell = index_[i];
-    if (cell.slot == kNoSlot) return kNoSlot;
-    if (cell.hash_tag == tag && node_at(cell.slot).key == key) {
-      return cell.slot;
-    }
-  }
-}
-
 std::uint64_t SessionTable::prefetch_index(const SessionKey& key) const {
-  if (index_.empty()) return 0;
+  if (index_.size() == 0) return 0;
   const std::uint64_t h = hash_of(key);
-  __builtin_prefetch(&index_[h & (index_.size() - 1)]);
+  __builtin_prefetch(index_.home(h));
   return h;
 }
 
 void SessionTable::prefetch_entry(std::uint64_t h) const {
-  if (index_.empty()) return;
-  const Cell& cell = index_[h & (index_.size() - 1)];
-  if (cell.slot != kNoSlot) __builtin_prefetch(&node_at(cell.slot));
-}
-
-void SessionTable::cell_insert(std::vector<Cell>& cells, Cell cell) {
-  const std::size_t mask = cells.size() - 1;
-  std::size_t i = cell.hash_tag & mask;
-  while (cells[i].slot != kNoSlot) i = (i + 1) & mask;
-  cells[i] = cell;
-}
-
-void SessionTable::cell_erase(std::vector<Cell>& cells, std::size_t hole) {
-  // Backward-shift deletion: walk the cluster after the hole and pull back
-  // every cell whose home position lies at or before the hole. Leaves no
-  // tombstones, so churn never degrades probes or forces a rebuild.
-  const std::size_t mask = cells.size() - 1;
-  for (std::size_t j = (hole + 1) & mask;; j = (j + 1) & mask) {
-    const Cell& cell = cells[j];
-    if (cell.slot == kNoSlot) break;
-    const std::size_t home = cell.hash_tag & mask;
-    if (((j - home) & mask) >= ((j - hole) & mask)) {
-      cells[hole] = cell;
-      hole = j;
-    }
-  }
-  cells[hole] = Cell{};
-}
-
-void SessionTable::cell_regrow(std::vector<Cell>& cells,
-                               std::size_t new_size) {
-  std::vector<Cell> old(new_size, Cell{});
-  old.swap(cells);
-  for (const Cell& cell : old) {
-    if (cell.slot != kNoSlot) cell_insert(cells, cell);
-  }
-}
-
-void SessionTable::index_erase(const SessionKey& key, std::uint64_t h) {
-  const auto tag = static_cast<std::uint32_t>(h);
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-    const Cell& cell = index_[i];
-    if (cell.slot == kNoSlot) return;  // not present
-    if (cell.hash_tag == tag && node_at(cell.slot).key == key) {
-      cell_erase(index_, i);
-      return;
-    }
+  const Cell* cell = index_.home(h);
+  if (cell != nullptr && cell->slot != kNoSlot) {
+    __builtin_prefetch(&node_at(cell->slot));
   }
 }
 
 std::uint32_t SessionTable::intern(const PreActions& value) {
   const std::uint32_t tag = value_tag(value);
-  if (!pool_index_.empty()) {
-    const std::size_t mask = pool_index_.size() - 1;
-    for (std::size_t i = tag & mask; pool_index_[i].slot != kNoSlot;
-         i = (i + 1) & mask) {
-      const Cell& cell = pool_index_[i];
-      if (cell.hash_tag == tag && pooled(cell.slot).value == value) {
-        ++pooled(cell.slot).refs;
-        return cell.slot;
-      }
-    }
-  }
-  const std::size_t distinct = pool_slots_ - pool_free_.size();
-  if ((distinct + 1) * 4 > pool_index_.size() * 3) {
-    cell_regrow(pool_index_, std::max(kInitialPoolIndexSize,
-                                      pool_index_.size() * 2));
+  if (const Cell* cell = pool_index_.find(tag, [&](const Cell& c) {
+        return c.hash_tag == tag && pooled(c.slot).value == value;
+      })) {
+    ++pooled(cell->slot).refs;
+    return cell->slot;
   }
   std::uint32_t id;
   if (!pool_free_.empty()) {
     id = pool_free_.back();
     pool_free_.pop_back();
   } else {
-    if (pool_slots_ % kPoolChunkSize == 0) {
-      pool_.push_back(std::make_unique<PoolChunk>());
+    const SlotPos p = PoolChunks::locate(pool_slots_);
+    if (p.offset == 0) {
+      pool_.push_back(std::make_unique<PooledPreActions[]>(
+          PoolChunks::capacity(p.chunk)));
     }
     id = ++pool_slots_;
   }
   pooled(id) = PooledPreActions{value, 1};
-  cell_insert(pool_index_, Cell{tag, id});
+  pool_index_.insert(Cell{tag, id});
   return id;
 }
 
@@ -208,10 +138,8 @@ void SessionTable::clear_pre_actions(SessionEntry& entry) {
   entry.pre_actions_id = 0;
   PooledPreActions& held = pooled(id);
   if (--held.refs != 0) return;
-  const std::size_t mask = pool_index_.size() - 1;
-  std::size_t i = value_tag(held.value) & mask;
-  while (pool_index_[i].slot != id) i = (i + 1) & mask;
-  cell_erase(pool_index_, i);
+  pool_index_.erase(pool_index_.find(
+      value_tag(held.value), [id](const Cell& c) { return c.slot == id; }));
   pool_free_.push_back(id);
 }
 
@@ -256,10 +184,10 @@ std::uint32_t SessionTable::take_slot() {
     return slot;
   }
   const std::uint32_t slot = slots_++;
-  const SlotPos p = locate(slot);
+  const SlotPos p = SlabChunks::locate(slot);
   if (p.offset == 0) {
     chunks_.emplace_back(static_cast<Node*>(
-        ::operator new(chunk_capacity(p.chunk) * sizeof(Node),
+        ::operator new(SlabChunks::capacity(p.chunk) * sizeof(Node),
                        std::align_val_t{alignof(Node)})));
   }
   ::new (chunks_[p.chunk].get() + p.offset) Node{};
@@ -279,14 +207,14 @@ void SessionTable::release_node(std::uint32_t slot) {
   node.wheel_next = free_head_;
   free_head_ = slot;
   if (find_extras(slot) != nullptr) extras_at(slot) = Extras{};
-  --size_;
 }
 
 SessionTable::Extras& SessionTable::extras_at(std::uint32_t slot) {
-  const SlotPos p = locate(slot);
+  const SlotPos p = SlabChunks::locate(slot);
   if (p.chunk >= extras_.size()) extras_.resize(p.chunk + 1);
   if (extras_[p.chunk] == nullptr) {
-    extras_[p.chunk] = std::make_unique<Extras[]>(chunk_capacity(p.chunk));
+    extras_[p.chunk] =
+        std::make_unique<Extras[]>(SlabChunks::capacity(p.chunk));
   }
   return extras_[p.chunk][p.offset];
 }
@@ -313,8 +241,8 @@ bool SessionTable::qos_admit(SessionEntry& entry, std::uint32_t kbps,
 }
 
 SessionEntry* SessionTable::find(const SessionKey& key) {
-  const std::uint32_t slot = find_slot(key, hash_of(key));
-  return slot == kNoSlot ? nullptr : &node_at(slot).entry;
+  const Cell* cell = index_cell(key, hash_of(key));
+  return cell == nullptr ? nullptr : &node_at(cell->slot).entry;
 }
 
 SessionEntry* SessionTable::find_or_create(const SessionKey& key,
@@ -327,32 +255,20 @@ SessionEntry* SessionTable::find_or_create_gated(const SessionKey& key,
                                                  bool (*gate)(void*),
                                                  void* gate_ctx) {
   const std::uint64_t h = hash_of(key);
-  if (const std::uint32_t slot = find_slot(key, h); slot != kNoSlot) {
-    return &node_at(slot).entry;
-  }
+  if (const Cell* cell = index_cell(key, h)) return &node_at(cell->slot).entry;
   if (full()) {
     ++insert_failures_;
     return nullptr;
   }
   if (gate != nullptr && !gate(gate_ctx)) return nullptr;
-  if (index_.empty()) {
-    index_.assign(kInitialIndexSize, Cell{});
-    wheel_.resize(wheel_mask_ + 1);
-  }
-  // Keep live load below 3/4 so probe chains stay short. Backward-shift
-  // erases leave no tombstones, so rebuilds happen only on genuine growth
-  // of the concurrent working set — churn never triggers one.
-  if ((size_ + 1) * 4 > index_.size() * 3) {
-    cell_regrow(index_, index_.size() * 2);
-  }
+  if (wheel_.empty()) wheel_.resize(wheel_mask_ + 1);
 
   const std::uint32_t slot = take_slot();
   Node& node = node_at(slot);
   node.key = key;
   node.entry.state.last_active = now;
   node.entry.table_slot = slot;
-  cell_insert(index_, Cell{static_cast<std::uint32_t>(h), slot});
-  ++size_;
+  index_.insert(Cell{static_cast<std::uint32_t>(h), slot});
   // Conservative first wheel visit: the entry's TTL may shrink to min_ttl_
   // via direct state mutation before the first sweep sees it; the visit
   // recomputes the exact deadline and re-queues.
@@ -361,10 +277,10 @@ SessionEntry* SessionTable::find_or_create_gated(const SessionKey& key,
 }
 
 bool SessionTable::erase(const SessionKey& key) {
-  const std::uint64_t h = hash_of(key);
-  const std::uint32_t slot = find_slot(key, h);
-  if (slot == kNoSlot) return false;
-  index_erase(key, h);
+  const Cell* cell = index_cell(key, hash_of(key));
+  if (cell == nullptr) return false;
+  const std::uint32_t slot = cell->slot;
+  index_.erase(cell);
   free_node(slot);
   return true;
 }
@@ -425,9 +341,10 @@ std::size_t SessionTable::drain_cell(WheelList& cell, common::TimePoint now,
     if (next != kNoSlot) __builtin_prefetch(&node_at(next));
     const common::TimePoint deadline = deadline_of(node);
     if (deadline <= now) {
-      const SessionKey& key = node.key;
-      if (on_evict) on_evict(key, node.entry);
-      index_erase(key, hash_of(key));
+      if (on_evict) on_evict(node.key, node.entry);
+      index_.erase(index_.find(hash_of(node.key), [slot](const Cell& cell) {
+        return cell.slot == slot;
+      }));
       release_node(slot);
       ++removed;
     } else {

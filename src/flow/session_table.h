@@ -17,12 +17,12 @@
 // for a 512-node chunk. Slots are numbered in allocation order; a slot's
 // chunk and offset come from a bit scan, and each chunk is a plain node
 // array the table points at directly. Pointers returned by
-// find/find_or_create stay valid until the entry is erased. An
-// open-addressing probe table over a precomputed 64-bit flow hash indexes
-// the slab — no per-node allocation or pointer chasing on the lookup hot
-// path. Each slab node is one 64-byte cache line holding the key and every
-// field a packet or an aging visit reads, so a hit costs the index cell
-// plus that line. Freed slots are reused last-freed first, through a free
+// find/find_or_create stay valid until the entry is erased. A
+// common::FlatTable of 8-byte {hash tag, slot} cells over the 64-bit flow
+// hash indexes the slab — no per-node allocation or pointer chasing on the
+// lookup hot path. Each slab node is one 64-byte cache line holding the key
+// and every field a packet or an aging visit reads, so a hit costs the
+// index cell plus that line. Freed slots are reused last-freed first, through a free
 // list threaded through the free nodes. Nothing is allocated until the
 // first insert, so an empty table (most FE caches of a large fleet) costs
 // only its object.
@@ -42,7 +42,9 @@
 // 37 live handles per distinct value), so a shared value costs each session
 // only its handle. A value unique to one flow (a per-tuple NAT endpoint)
 // costs about what an inline copy would: the pooled value plus its index
-// cell. Read and write them through pre_actions() / set_pre_actions() /
+// cell. The pool grows in chunks like the slab's, from one value up to 8
+// (1, 2, 4, then 8 a chunk), so a flow cache holding one value pays for
+// one. Read and write them through pre_actions() / set_pre_actions() /
 // clear_pre_actions(); erase, aging, clear() and invalidate_pre_actions()
 // release the handles they drop.
 //
@@ -63,7 +65,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -73,6 +74,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/flat_table.h"
 #include "src/common/time.h"
 #include "src/flow/direction.h"
 #include "src/flow/pre_actions.h"
@@ -136,8 +138,8 @@ class SessionTable {
   /// Per-entry footprint under this table's configuration.
   std::size_t entry_bytes() const { return entry_bytes_; }
 
-  std::size_t size() const { return size_; }
-  std::size_t memory_bytes() const { return size_ * entry_bytes_; }
+  std::size_t size() const { return index_.size(); }
+  std::size_t memory_bytes() const { return size() * entry_bytes_; }
   bool full() const {
     return config_.capacity_bytes != 0 &&
            memory_bytes() + entry_bytes_ > config_.capacity_bytes;
@@ -218,8 +220,8 @@ class SessionTable {
   /// step 2 — issued after the other packets' step 1s, so the cell loads
   /// have landed — prefetches the node (key and entry) it points at. A burst
   /// receiver runs step 1 across the whole burst, then step 2, then the
-  /// actual per-packet find()s hit warm lines. On a table that has never
-  /// held an entry both steps return at once (step 1 returns 0).
+  /// actual per-packet find()s hit warm lines. On an empty table both
+  /// steps return at once (step 1 returns 0).
   std::uint64_t prefetch_index(const SessionKey& key) const;
   void prefetch_entry(std::uint64_t h) const;
 
@@ -232,7 +234,7 @@ class SessionTable {
   void for_each(Fn&& fn) {
     std::uint32_t left = slots_;
     for (std::size_t k = 0; left > 0; ++k) {
-      const std::uint32_t n = std::min(left, chunk_capacity(k));
+      const std::uint32_t n = std::min(left, SlabChunks::capacity(k));
       for (Node* node = chunks_[k].get(); node != chunks_[k].get() + n;
            ++node) {
         if (node->entry.table_slot == kNoSlot) continue;
@@ -264,32 +266,37 @@ class SessionTable {
   static_assert(sizeof(Node) == 64 && alignof(Node) == 64);
   static_assert(std::is_trivially_destructible_v<Node>);
 
-  /// Slab chunk k holds 16 << k nodes up to 512: slots [0, 16) are chunk 0,
-  /// [16, 48) chunk 1, ..., [240, 496) chunk 4, then 512 slots a chunk.
-  static constexpr std::uint32_t kFirstChunkSlots = 16;
-  static constexpr std::uint32_t kMaxChunkSlots = 512;
-  static constexpr std::size_t kGrowingChunks =
-      std::countr_zero(kMaxChunkSlots) - std::countr_zero(kFirstChunkSlots);
-  static constexpr std::uint32_t kGrowingSlots =
-      kMaxChunkSlots - kFirstChunkSlots;  // slots of chunks 0..4
-  static constexpr std::uint32_t chunk_capacity(std::size_t k) {
-    return k < kGrowingChunks ? kFirstChunkSlots << k : kMaxChunkSlots;
-  }
   struct SlotPos {
     std::uint32_t chunk;
     std::uint32_t offset;
   };
-  static SlotPos locate(std::uint32_t slot) {
-    if (slot < kGrowingSlots) {
-      // Chunk k holds the slots with slot + 16 in [16 << k, 32 << k).
-      const std::uint32_t shifted = slot + kFirstChunkSlots;
-      const auto top = static_cast<std::uint32_t>(std::bit_width(shifted)) - 1;
-      return {top - std::countr_zero(kFirstChunkSlots), shifted - (1u << top)};
+  /// Chunk numbering shared by the slab (with its side storage) and the
+  /// pre-action pool: chunk k holds kFirst << k slots up to kMax. With
+  /// kFirst = 16 and kMax = 512, slots [0, 16) are chunk 0, [16, 48) chunk
+  /// 1, ..., [240, 496) chunk 4, then 512 slots a chunk.
+  template <std::uint32_t kFirst, std::uint32_t kMax>
+  struct Chunks {
+    static constexpr std::size_t kGrowing =
+        std::countr_zero(kMax) - std::countr_zero(kFirst);
+    static constexpr std::uint32_t kGrowingSlots = kMax - kFirst;
+    static constexpr std::uint32_t capacity(std::size_t k) {
+      return k < kGrowing ? kFirst << k : kMax;
     }
-    const std::uint32_t rest = slot - kGrowingSlots;
-    return {static_cast<std::uint32_t>(kGrowingChunks) + rest / kMaxChunkSlots,
-            rest % kMaxChunkSlots};
-  }
+    static SlotPos locate(std::uint32_t slot) {
+      if (slot < kGrowingSlots) {
+        // Chunk k holds the slots with slot + kFirst in
+        // [kFirst << k, kFirst << (k + 1)).
+        const std::uint32_t shifted = slot + kFirst;
+        const auto top =
+            static_cast<std::uint32_t>(std::bit_width(shifted)) - 1;
+        return {top - std::countr_zero(kFirst), shifted - (1u << top)};
+      }
+      const std::uint32_t rest = slot - kGrowingSlots;
+      return {static_cast<std::uint32_t>(kGrowing) + rest / kMax,
+              rest % kMax};
+    }
+  };
+  using SlabChunks = Chunks<16, 512>;
   /// A chunk is raw storage: each node is constructed when its slot is first
   /// handed out, so a chunk's pages are touched only as it fills.
   struct ChunkFree {
@@ -307,18 +314,21 @@ class SessionTable {
   };
   static_assert(sizeof(Extras) == 48);
 
-  /// Probe cell: cached hash tag for cheap rejection + slab slot or pool id
-  /// (or sentinel). The tag is the low 32 bits of the hash, so it also
-  /// names the home cell of any index up to 2^32 cells; a tag collision
-  /// merely falls through to the key (or value) compare. 8 bytes/cell keeps
-  /// the index cache-resident. Erases use backward-shift deletion (no
-  /// tombstones), so churn never forces a rebuild and probe chains stay as
-  /// short as the live load. The session index and the pre-action pool
-  /// index share this cell and the three cell_* helpers below.
+  /// Index cell: cached hash tag for cheap rejection + slab slot or pool id
+  /// (kNoSlot when empty). The tag is the low 32 bits of the hash, so it
+  /// also names the home cell of any index up to 2^32 cells; a tag
+  /// collision merely falls through to the key (or value) compare. 8
+  /// bytes/cell keeps the index cache-resident. The session index and the
+  /// pre-action pool index share this cell.
   struct Cell {
     std::uint32_t hash_tag = 0;
     std::uint32_t slot = kNoSlot;
   };
+  struct CellTraits {
+    static bool empty(const Cell& cell) { return cell.slot == kNoSlot; }
+    static std::uint64_t hash(const Cell& cell) { return cell.hash_tag; }
+  };
+  using Index = common::FlatTable<Cell, CellTraits>;
 
   /// One distinct pre-action value; `refs` counts the entries holding its
   /// id. An id whose count reaches 0 goes to the free list and is reused.
@@ -326,11 +336,10 @@ class SessionTable {
     PreActions value;
     std::uint32_t refs = 0;
   };
-  /// The pool grows in fixed chunks, like the slab: a value never moves, and
+  /// The pool grows in chunks, like the slab: a value never moves, and
   /// growth never holds an old and a new copy of the pool at once. Chunks
-  /// are small because most tables hold one value or a few.
-  static constexpr std::size_t kPoolChunkSize = 8;
-  using PoolChunk = std::array<PooledPreActions, kPoolChunkSize>;
+  /// start at one value because most tables hold one value or a few.
+  using PoolChunks = Chunks<1, 8>;
 
   /// A FIFO of nodes threaded through their wheel links.
   struct WheelList {
@@ -340,12 +349,19 @@ class SessionTable {
 
   static std::uint64_t hash_of(const SessionKey& key);
   Node& node_at(std::uint32_t slot) {
-    const SlotPos p = locate(slot);
+    const SlotPos p = SlabChunks::locate(slot);
     return chunks_[p.chunk][p.offset];
   }
   const Node& node_at(std::uint32_t slot) const {
-    const SlotPos p = locate(slot);
+    const SlotPos p = SlabChunks::locate(slot);
     return chunks_[p.chunk][p.offset];
+  }
+  /// The index cell of `key`, whose flow hash is `h`, or null.
+  const Cell* index_cell(const SessionKey& key, std::uint64_t h) const {
+    return index_.find(h, [&](const Cell& cell) {
+      return cell.hash_tag == static_cast<std::uint32_t>(h) &&
+             node_at(cell.slot).key == key;
+    });
   }
   /// Hands out a slot: the last one freed, else a new one at the end of the
   /// slab (allocating its chunk when it is the chunk's first).
@@ -354,26 +370,19 @@ class SessionTable {
   Extras& extras_at(std::uint32_t slot);
   /// The slot's side storage, or null while its chunk has none.
   const Extras* find_extras(std::uint32_t slot) const {
-    const SlotPos p = locate(slot);
+    const SlotPos p = SlabChunks::locate(slot);
     return p.chunk < extras_.size() && extras_[p.chunk] != nullptr
                ? &extras_[p.chunk][p.offset]
                : nullptr;
   }
   PooledPreActions& pooled(std::uint32_t id) {
-    return (*pool_[(id - 1) / kPoolChunkSize])[(id - 1) % kPoolChunkSize];
+    const SlotPos p = PoolChunks::locate(id - 1);
+    return pool_[p.chunk][p.offset];
   }
   const PooledPreActions& pooled(std::uint32_t id) const {
-    return (*pool_[(id - 1) / kPoolChunkSize])[(id - 1) % kPoolChunkSize];
+    const SlotPos p = PoolChunks::locate(id - 1);
+    return pool_[p.chunk][p.offset];
   }
-
-  static void cell_insert(std::vector<Cell>& cells, Cell cell);
-  /// Backward-shift delete of the occupied cell at `hole`.
-  static void cell_erase(std::vector<Cell>& cells, std::size_t hole);
-  /// Re-inserts the occupied cells into a fresh index of `new_size` cells.
-  static void cell_regrow(std::vector<Cell>& cells, std::size_t new_size);
-
-  std::uint32_t find_slot(const SessionKey& key, std::uint64_t h) const;
-  void index_erase(const SessionKey& key, std::uint64_t h);
 
   /// Returns the id of `value` with one more reference, adding it on miss.
   std::uint32_t intern(const PreActions& value);
@@ -415,8 +424,7 @@ class SessionTable {
   /// Parallel to chunks_, but only as long as the last chunk with side
   /// storage, and null for a chunk none of whose entries needed it.
   std::vector<std::unique_ptr<Extras[]>> extras_;
-  std::vector<Cell> index_;  // empty until the first insert
-  std::size_t size_ = 0;
+  Index index_;
   /// TTL wheel as a flat ring of bucket lists (power-of-two size covering
   /// the longest TTL plus slack). A cell may transiently hold nodes of a
   /// bucket `ring_size` ahead of the drain cursor — an early visit merely
@@ -431,10 +439,10 @@ class SessionTable {
   WheelList requeue_;
   std::uint64_t insert_failures_ = 0;
 
-  std::vector<std::unique_ptr<PoolChunk>> pool_;  // id - 1 → value
+  std::vector<std::unique_ptr<PooledPreActions[]>> pool_;  // id - 1 → value
   std::uint32_t pool_slots_ = 0;  // ids 1..pool_slots_ have been handed out
   std::vector<std::uint32_t> pool_free_;
-  std::vector<Cell> pool_index_;
+  Index pool_index_;
 };
 
 }  // namespace nezha::flow

@@ -32,20 +32,12 @@ class ByteWriter {
     p[2] = static_cast<std::uint8_t>(v >> 8);
     p[3] = static_cast<std::uint8_t>(v);
   }
-  void u64(std::uint64_t v) {
-    std::uint8_t* p = grow(8);
-    for (int i = 0; i < 8; ++i) {
-      p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-    }
-  }
   void bytes(std::span<const std::uint8_t> data) {
     if (data.empty()) return;
     std::uint8_t* p = grow(data.size());
     std::memcpy(p, data.data(), data.size());
   }
   void zeros(std::size_t n) { out_.resize(out_.size() + n); }
-
-  std::size_t size() const { return out_.size(); }
 
  private:
   std::uint8_t* grow(std::size_t n) {

@@ -76,7 +76,6 @@ class CarrierHeader {
   std::span<const std::uint8_t> tlv_value(std::size_t i) const {
     return {arena_.data() + descs_[i].offset, descs_[i].len};
   }
-  bool empty() const { return count_ == 0; }
 
   /// Serialized size in bytes (base + sum of TLVs).
   std::size_t wire_size() const;

@@ -85,7 +85,6 @@ class FeSelectionPolicy {
   virtual ~FeSelectionPolicy() = default;
 
   virtual PolicyKind kind() const = 0;
-  const char* name() const { return to_string(kind()); }
 
   /// Hot path: index of the FE serving `hash_ft` out of `fes[0..n)`.
   /// Callers canonicalize the tuple first when session_consistent_fe_hash

@@ -35,49 +35,16 @@ Network::Network(EventLoop& loop, Topology topology, NetworkConfig config)
     }
     fabric_links_.resize(2 * num_spines_ * clos.num_leaves);
   }
-  ip_slots_.assign(64, {0, nullptr});
 }
 
-void Network::ip_insert(std::uint32_t ip, Node* node) {
-  if (ip == 0) {
-    if (ip_zero_node_ == nullptr) ++ip_count_;
-    ip_zero_node_ = node;
-    return;
-  }
-  const std::size_t mask = ip_slots_.size() - 1;
-  std::size_t i = (ip * 2654435761u) & mask;
-  while (ip_slots_[i].first != 0) {
-    if (ip_slots_[i].first == ip) {
-      ip_slots_[i].second = node;
-      return;
-    }
-    i = (i + 1) & mask;
-  }
-  ip_slots_[i] = {ip, node};
-  ++ip_count_;
-}
-
-void Network::rebuild_ip_table() {
-  std::size_t cap = ip_slots_.size();
-  while (cap < 2 * (ip_count_ + 1)) cap *= 2;
-  ip_slots_.assign(cap, {0, nullptr});
-  ip_count_ = 0;
-  ip_zero_node_ = nullptr;
-  for (Node* node : nodes_) {
-    if (node != nullptr) ip_insert(node->underlay_ip().value(), node);
-  }
+const Network::IpCell* Network::ip_cell(std::uint32_t ip) const {
+  return ips_.find(IpTraits::hash(IpCell{ip, nullptr}),
+                   [ip](const IpCell& cell) { return cell.ip == ip; });
 }
 
 Node* Network::find_by_ip(net::Ipv4Addr ip) const {
-  const std::uint32_t key = ip.value();
-  if (key == 0) return ip_zero_node_;
-  const std::size_t mask = ip_slots_.size() - 1;
-  std::size_t i = (key * 2654435761u) & mask;
-  while (ip_slots_[i].first != 0) {
-    if (ip_slots_[i].first == key) return ip_slots_[i].second;
-    i = (i + 1) & mask;
-  }
-  return nullptr;
+  const IpCell* cell = ip_cell(ip.value());
+  return cell == nullptr ? nullptr : cell->node;
 }
 
 void Network::attach(Node& node) {
@@ -89,19 +56,19 @@ void Network::attach(Node& node) {
   }
   nodes_[id] = &node;
   ports_[id] = Link{};
-  // Probe-table growth keeps the load factor ≤ 1/2.
-  if (2 * (ip_count_ + 1) > ip_slots_.size()) {
-    rebuild_ip_table();
-  }
-  ip_insert(node.underlay_ip().value(), &node);
+  // A node attached at an IP already held takes it over.
+  const std::uint32_t ip = node.underlay_ip().value();
+  if (const IpCell* held = ip_cell(ip)) ips_.erase(held);
+  ips_.insert(IpCell{ip, &node});
 }
 
 void Network::detach(NodeId id) {
   if (id >= nodes_.size() || nodes_[id] == nullptr) return;
+  const IpCell* cell = ip_cell(nodes_[id]->underlay_ip().value());
+  if (cell != nullptr && cell->node == nodes_[id]) ips_.erase(cell);
   nodes_[id] = nullptr;
   ports_[id] = Link{};
   crashed_[id] = 0;
-  rebuild_ip_table();
 }
 
 std::uint32_t Network::alloc_slot() {

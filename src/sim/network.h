@@ -20,7 +20,8 @@
 // buffer, so forwarding a packet performs no heap allocation. All per-packet
 // lookups are dense-vector indexed: nodes/ports/crash bits by NodeId, fabric
 // links by a precomputed (leaf, spine, direction) index, and the IP→node map
-// is a flat open-addressed probe table.
+// is a common::FlatTable of inline {ip, node} cells. A detached node's IP
+// leaves the map, unless a later node attached at the same IP took it over.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/flat_table.h"
 #include "src/common/stats.h"
 #include "src/common/time.h"
 #include "src/sim/event_loop.h"
@@ -75,7 +77,6 @@ class Network {
 
   Network(EventLoop& loop, Topology topology, NetworkConfig config = {});
 
-  EventLoop& loop() { return loop_; }
   const Topology& topology() const { return topology_; }
 
   /// Registers a node; the network does not take ownership.
@@ -193,6 +194,19 @@ class Network {
     common::TimePoint busy_until = 0;
   };
 
+  /// IP→node cell of the IP table. A cell is empty when its node is null,
+  /// so every IP, 0.0.0.0 included, is an ordinary key.
+  struct IpCell {
+    std::uint32_t ip = 0;
+    Node* node = nullptr;
+  };
+  struct IpTraits {
+    static bool empty(const IpCell& cell) { return cell.node == nullptr; }
+    static std::uint64_t hash(const IpCell& cell) {
+      return cell.ip * 2654435761u;  // Knuth's multiplicative hash
+    }
+  };
+
   /// What a scheduled completion does with its in-flight record.
   enum class HopKind : std::uint8_t {
     kDeliver = 0,          // hand the packet to the destination node
@@ -274,8 +288,8 @@ class Network {
   static void complete_thunk(void* self, std::uint64_t slot) {
     static_cast<Network*>(self)->complete(static_cast<std::uint32_t>(slot));
   }
-  void rebuild_ip_table();
-  void ip_insert(std::uint32_t ip, Node* node);
+  /// The IP table cell holding `ip`, or null.
+  const IpCell* ip_cell(std::uint32_t ip) const;
 
   static std::uint64_t pair_key(NodeId a, NodeId b) {
     if (a > b) std::swap(a, b);
@@ -293,11 +307,7 @@ class Network {
   std::vector<Link> ports_;
   std::vector<std::uint8_t> crashed_;
 
-  // Flat open-addressed IP→node probe table (key 0 = empty slot; a node
-  // with underlay IP 0.0.0.0 gets the dedicated side slot).
-  std::vector<std::pair<std::uint32_t, Node*>> ip_slots_;
-  std::size_t ip_count_ = 0;
-  Node* ip_zero_node_ = nullptr;
+  common::FlatTable<IpCell, IpTraits> ips_;
 
   // Directed Clos fabric links, indexed (leaf * num_spines + spine) * 2 +
   // (downlink ? 1 : 0).

@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <utility>
 
 #include "src/net/addr.h"
@@ -17,17 +16,14 @@ inline constexpr NodeId kInvalidNode = 0xffffffff;
 
 class Node {
  public:
-  Node(NodeId id, std::string name, net::Ipv4Addr underlay_ip,
-       net::MacAddr mac)
-      : id_(id), name_(std::move(name)), underlay_ip_(underlay_ip),
-        mac_(mac) {}
+  Node(NodeId id, net::Ipv4Addr underlay_ip, net::MacAddr mac)
+      : id_(id), underlay_ip_(underlay_ip), mac_(mac) {}
   virtual ~Node() = default;
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
   NodeId id() const { return id_; }
-  const std::string& name() const { return name_; }
   net::Ipv4Addr underlay_ip() const { return underlay_ip_; }
   net::MacAddr mac() const { return mac_; }
 
@@ -45,7 +41,6 @@ class Node {
 
  private:
   NodeId id_;
-  std::string name_;
   net::Ipv4Addr underlay_ip_;
   net::MacAddr mac_;
 };

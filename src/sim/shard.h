@@ -102,8 +102,6 @@ class SpscTokenRing {
   std::vector<ShardToken> take_overflow() { return std::move(overflow_); }
   std::size_t overflow_size() const { return overflow_.size(); }
 
-  std::size_t capacity() const { return mask_ + 1; }
-
  private:
   std::uint64_t head_raw() const {
     return head_.load(std::memory_order_relaxed);
@@ -164,8 +162,6 @@ class ShardedEngine {
   };
 
   ShardedEngine(std::vector<Shard> shards, ShardedEngineConfig config);
-
-  std::size_t shard_count() const { return shards_.size(); }
 
   /// Registers a node's underlay IP so other shards can route to it.
   void map_ip(net::Ipv4Addr ip, std::uint32_t shard, NodeId node);

@@ -35,7 +35,6 @@ class QosTable {
     return v != nullptr ? *v : default_kbps_;
   }
 
-  std::size_t size() const { return rates_.size(); }
   std::size_t memory_bytes() const { return rates_.memory_bytes(); }
 
  private:
@@ -59,10 +58,6 @@ class NatTable {
     pools_.insert(dst, pool);
     ++mutations_;
   }
-  void clear() {
-    pools_.clear();
-    ++mutations_;
-  }
   std::uint64_t mutations() const { return mutations_; }
 
   struct NatResult {
@@ -74,7 +69,6 @@ class NatTable {
   /// same flow always maps to the same external endpoint.
   std::optional<NatResult> lookup(const net::FiveTuple& ft) const;
 
-  std::size_t size() const { return pools_.size(); }
   std::size_t memory_bytes() const { return pools_.memory_bytes(); }
 
  private:
@@ -104,7 +98,6 @@ class StatsPolicyTable {
   /// Bumped on every policy change so notify logic can detect divergence.
   std::uint32_t version() const { return version_; }
 
-  std::size_t size() const { return policies_.size(); }
   std::size_t memory_bytes() const { return policies_.memory_bytes(); }
 
  private:
@@ -121,10 +114,6 @@ class MirrorTable {
     collectors_.insert(dst, collector);
     ++mutations_;
   }
-  void clear() {
-    collectors_.clear();
-    ++mutations_;
-  }
   std::uint64_t mutations() const { return mutations_; }
 
   std::optional<flow::NextHop> lookup(net::Ipv4Addr dst) const {
@@ -132,7 +121,6 @@ class MirrorTable {
     return v != nullptr ? std::optional(*v) : std::nullopt;
   }
 
-  std::size_t size() const { return collectors_.size(); }
   std::size_t memory_bytes() const { return collectors_.memory_bytes(); }
 
  private:
@@ -147,10 +135,6 @@ class PolicyRouteTable {
     hops_.insert(dst, hop);
     ++mutations_;
   }
-  void clear() {
-    hops_.clear();
-    ++mutations_;
-  }
   std::uint64_t mutations() const { return mutations_; }
 
   std::optional<flow::NextHop> lookup(net::Ipv4Addr dst) const {
@@ -158,7 +142,6 @@ class PolicyRouteTable {
     return v != nullptr ? std::optional(*v) : std::nullopt;
   }
 
-  std::size_t size() const { return hops_.size(); }
   std::size_t memory_bytes() const { return hops_.memory_bytes(); }
 
  private:

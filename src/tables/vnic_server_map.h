@@ -24,7 +24,6 @@ using VnicId = std::uint64_t;
 struct Location {
   net::Ipv4Addr ip;
   net::MacAddr mac;
-  bool valid() const { return ip.value() != 0; }
   bool operator==(const Location&) const = default;
 };
 
@@ -66,14 +65,6 @@ class VnicServerMap {
 
   const Entry* lookup(const OverlayAddr& addr) const;
   bool erase(const OverlayAddr& addr);
-  std::size_t size() const { return entries_.size(); }
-  void clear() { entries_.clear(); }
-
-  /// Entry footprint (overlay addr + a few locations + metadata). The paper
-  /// notes large VPCs force O(100K) entries ⇒ >200MB, i.e. ≈2KB+/entry
-  /// including indexes; we model the raw entry.
-  static constexpr std::size_t kEntryBytes = 64;
-  std::size_t memory_bytes() const { return entries_.size() * kEntryBytes; }
 
  private:
   std::unordered_map<OverlayAddr, Entry, OverlayAddrHash> entries_;

@@ -43,8 +43,8 @@ class FlightRecorder {
     ++r.overwritten;
   }
 
-  std::size_t num_nodes() const { return num_nodes_; }
-  /// Events currently retained in node's ring (spillover = num_nodes()).
+  /// Events currently retained in node's ring (the spillover ring is node
+  /// `num_nodes`).
   std::size_t ring_count(std::size_t node) const;
   /// Events lost to wraparound in node's ring.
   std::uint64_t ring_overwritten(std::size_t node) const;

@@ -62,8 +62,6 @@ class Hub {
   FlightRecorder& recorder() { return recorder_; }
   const FlightRecorder& recorder() const { return recorder_; }
   MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
-  const TelemetryConfig& config() const { return cfg_; }
 
   void start_sampler(sim::EventLoop& loop) {
     metrics_.start_sampler(loop, cfg_.sample_period, cfg_.max_samples);

@@ -102,7 +102,6 @@ class SloTracker {
     return rules_[static_cast<std::size_t>(r)].active;
   }
   double burn_rate(SloRule r) const;
-  const SloConfig& config() const { return cfg_; }
 
  private:
   struct RuleState {

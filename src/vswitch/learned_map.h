@@ -31,8 +31,6 @@ class LearnedVnicMap {
   /// Drops the cached entry so the next resolve re-learns immediately.
   void invalidate(const tables::OverlayAddr& addr);
 
-  std::size_t size() const { return cache_.size(); }
-
  private:
   struct Learned {
     tables::VnicServerMap::Entry entry;

@@ -29,7 +29,6 @@ class CpuModel {
   explicit CpuModel(CpuConfig config = {});
 
   double cycles_per_second() const { return rate_; }
-  const CpuConfig& config() const { return config_; }
 
   struct Outcome {
     bool accepted = false;
@@ -46,11 +45,6 @@ class CpuModel {
   /// current simulation time). Utilization over an interval is computed by
   /// a UtilizationSampler from snapshots of this integral.
   common::Duration busy_integral(common::TimePoint now) const;
-
-  /// Instantaneous backlog (how far busy_until is ahead of now).
-  common::Duration backlog(common::TimePoint now) const {
-    return busy_until_ > now ? busy_until_ - now : 0;
-  }
 
   std::uint64_t accepted() const { return accepted_; }
   std::uint64_t rejected() const { return rejected_; }
@@ -85,7 +79,6 @@ class MemoryPool {
 
   std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return used_; }
-  std::size_t free() const { return capacity_ - used_; }
   double utilization() const {
     return capacity_ == 0 ? 0.0
                           : static_cast<double>(used_) /

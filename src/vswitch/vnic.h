@@ -71,7 +71,6 @@ class Vnic {
 
   /// Rule tables; null once the vNIC reaches the offloaded final stage.
   tables::RuleTableSet* rules() { return rules_.get(); }
-  const tables::RuleTableSet* rules() const { return rules_.get(); }
 
   /// Drops the local tables (offload final stage); returns bytes released.
   std::size_t release_local_tables() {

@@ -52,11 +52,11 @@ flow::SessionTableConfig table_shape(bool pre_actions, bool state) {
 
 }  // namespace
 
-VSwitch::VSwitch(sim::NodeId id, std::string name, net::Ipv4Addr underlay_ip,
+VSwitch::VSwitch(sim::NodeId id, net::Ipv4Addr underlay_ip,
                  sim::EventLoop& loop, sim::Network& network,
                  const tables::VnicServerMap& gateway_map,
                  VSwitchConfig config)
-    : Node(id, std::move(name), underlay_ip, net::MacAddr(0x020000000000ULL | id)),
+    : Node(id, underlay_ip, net::MacAddr(0x020000000000ULL | id)),
       config_(config),
       loop_(loop),
       network_(network),

@@ -115,12 +115,11 @@ struct FrontendInstance {
 
 class VSwitch : public sim::Node {
  public:
-  VSwitch(sim::NodeId id, std::string name, net::Ipv4Addr underlay_ip,
-          sim::EventLoop& loop, sim::Network& network,
+  VSwitch(sim::NodeId id, net::Ipv4Addr underlay_ip, sim::EventLoop& loop,
+          sim::Network& network,
           const tables::VnicServerMap& gateway_map,
           VSwitchConfig config = {});
 
-  const VSwitchConfig& config() const { return config_; }
   tables::Location location() const {
     return tables::Location{underlay_ip(), mac()};
   }
@@ -231,9 +230,7 @@ class VSwitch : public sim::Node {
   CpuModel& cpu() { return cpu_; }
   const CpuModel& cpu() const { return cpu_; }
   MemoryPool& rule_memory() { return rule_pool_; }
-  const MemoryPool& rule_memory() const { return rule_pool_; }
   MemoryPool& session_memory() { return session_pool_; }
-  const MemoryPool& session_memory() const { return session_pool_; }
   common::Counter& counters() { return counters_; }
   const common::Counter& counters() const { return counters_; }
   std::uint64_t slow_path_lookups() const { return slow_lookups_; }
@@ -264,7 +261,6 @@ class VSwitch : public sim::Node {
   /// processed locally, so offloaded vNICs' entries are smaller — the
   /// memory margin behind the #concurrent-flows gain.
   flow::SessionTable& sessions() { return sessions_; }
-  const flow::SessionTable& sessions() const { return sessions_; }
 
   /// Starts the periodic aging sweep (optional; benches that only measure
   /// steady-state throughput can skip it).

@@ -6,7 +6,6 @@
 namespace nezha::workload {
 
 namespace {
-constexpr std::size_t kInitialConnSlots = 16;  // power of two
 /// Destination ports cycled to widen the 5-tuple space.
 constexpr std::uint16_t kServerPorts = 16;
 /// TCP-style SYN retransmission: lost handshake packets (vSwitch overload
@@ -14,74 +13,20 @@ constexpr std::uint16_t kServerPorts = 16;
 /// to the bottleneck capacity instead of collapsing.
 constexpr int kMaxSynRetries = 8;
 constexpr common::Duration kSynRto = common::milliseconds(25);
-
-std::size_t conn_hash(std::uint32_t ports) {
-  return static_cast<std::size_t>(
-      net::flow_hash_mix64(static_cast<std::uint64_t>(ports)));
-}
 }  // namespace
 
 CpsWorkload::Conn* CpsWorkload::conn_find(std::uint32_t ports) {
-  if (conns_.empty()) return nullptr;
-  const std::size_t mask = conns_.size() - 1;
-  for (std::size_t i = conn_hash(ports) & mask;; i = (i + 1) & mask) {
-    Conn& c = conns_[i];
-    if (c.ports == kConnEmpty) return nullptr;
-    if (c.ports == ports) return &c;
-  }
-}
-
-void CpsWorkload::conn_rehash(std::size_t new_size) {
-  std::vector<Conn> old;
-  old.swap(conns_);
-  conns_.assign(new_size, Conn{});
-  const std::size_t mask = conns_.size() - 1;
-  for (const Conn& c : old) {
-    if (c.ports == kConnEmpty) continue;
-    std::size_t i = conn_hash(c.ports) & mask;
-    while (conns_[i].ports != kConnEmpty) i = (i + 1) & mask;
-    conns_[i] = c;
-  }
+  return conns_.find(ConnTraits::hash(Conn{.ports = ports}),
+                     [ports](const Conn& c) { return c.ports == ports; });
 }
 
 CpsWorkload::Conn* CpsWorkload::conn_insert(std::uint32_t ports) {
-  if (conns_.empty()) {
-    conns_.assign(kInitialConnSlots, Conn{});
-  } else if ((conn_count_ + 1) * 4 > conns_.size() * 3) {
-    // Backward-shift erases leave no tombstones, so a rehash only ever
-    // means the concurrent working set genuinely grew.
-    conn_rehash(conns_.size() * 2);
+  const Conn fresh{.ports = ports};
+  if (Conn* c = conn_find(ports)) {  // reuse (port-space wrap)
+    *c = fresh;
+    return c;
   }
-  const std::size_t mask = conns_.size() - 1;
-  std::size_t i = conn_hash(ports) & mask;
-  for (;; i = (i + 1) & mask) {
-    Conn& c = conns_[i];
-    if (c.ports == ports) return &c;  // reuse (port-space wrap)
-    if (c.ports == kConnEmpty) break;
-  }
-  Conn* slot = &conns_[i];
-  *slot = Conn{};
-  slot->ports = ports;
-  ++conn_count_;
-  return slot;
-}
-
-void CpsWorkload::conn_erase(Conn* c) {
-  // Backward-shift deletion: pull every cluster member whose home position
-  // is at or before the hole back over it, leaving no tombstone.
-  const std::size_t mask = conns_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(c - conns_.data());
-  for (std::size_t j = (i + 1) & mask;; j = (j + 1) & mask) {
-    Conn& n = conns_[j];
-    if (n.ports == kConnEmpty) break;
-    const std::size_t home = conn_hash(n.ports) & mask;
-    if (((j - home) & mask) >= ((j - i) & mask)) {
-      conns_[i] = n;
-      i = j;
-    }
-  }
-  conns_[i] = Conn{};
-  --conn_count_;
+  return conns_.insert(fresh);
 }
 
 CpsWorkload::CpsWorkload(core::Testbed& bed, std::size_t client_switch,
@@ -249,7 +194,7 @@ void CpsWorkload::timer_fire(const Timer& t) {
     case kTimerGiveUp: {
       Conn* rc = conn_find(t.ports);
       if (rc != nullptr && rc->established == 0) {
-        conn_erase(rc);
+        conns_.erase(rc);
         if (config_.concurrency > 0) release_slot();
       }
       break;
@@ -316,7 +261,7 @@ void CpsWorkload::send_syn(const net::FiveTuple& ft, int attempt) {
       client_loop_.schedule_after(rto, [this, ports]() {
         Conn* rc = conn_find(ports);
         if (rc != nullptr && rc->established == 0) {
-          conn_erase(rc);
+          conns_.erase(rc);
           if (config_.concurrency > 0) release_slot();
         }
       });
@@ -422,7 +367,7 @@ void CpsWorkload::on_client_delivery(const net::Packet& pkt) {
       net::make_tcp_packet(ft, net::TcpFlags{.ack = true, .fin = true}, 0,
                            vpc_));
   // Re-find: from_vm can recurse into deliveries that mutate the table.
-  if (Conn* again = conn_find(ports_key(ft))) conn_erase(again);
+  if (Conn* again = conn_find(ports_key(ft))) conns_.erase(again);
   if (config_.concurrency > 0) release_slot();
 }
 

@@ -10,9 +10,11 @@
 
 #include <cstdint>
 
+#include "src/common/flat_table.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/core/testbed.h"
+#include "src/net/five_tuple.h"
 #include "src/workload/vm_model.h"
 
 namespace nezha::workload {
@@ -79,27 +81,29 @@ class CpsWorkload {
 
 
  private:
-  /// Tracked connection, stored inline in a flat open-addressed table keyed
-  /// by the 32-bit port pair (see ports_key). `ports` doubles as the slot
-  /// marker: 0 = empty (workload ports are always ≥ 1024<<16, so it never
-  /// collides with a real key); erases backward-shift the probe cluster, so
-  /// there are no tombstones and churn never forces a rehash. No node
-  /// allocation per connection — the table array is the only storage, and
-  /// it only grows when the number of simultaneously tracked connections
-  /// does. Entries move on erase, so Conn pointers are only valid until the
-  /// next table mutation.
+  /// Tracked connection, stored inline in a common::FlatTable keyed by the
+  /// 32-bit port pair (see ports_key). `ports` doubles as the empty marker:
+  /// 0 = empty (workload ports are always ≥ 1024<<16, so it never collides
+  /// with a real key). No node allocation per connection — the table array
+  /// is the only storage, and it only grows when the number of
+  /// simultaneously tracked connections does. Entries move on erase, so
+  /// Conn pointers are only valid until the next table mutation.
   struct Conn {
     std::uint32_t ports = 0;
     std::uint8_t established = 0;
     std::uint8_t retries = 0;
     common::TimePoint syn_sent = 0;
   };
-  static constexpr std::uint32_t kConnEmpty = 0;
+  struct ConnTraits {
+    static bool empty(const Conn& c) { return c.ports == 0; }
+    static std::uint64_t hash(const Conn& c) {
+      return net::flow_hash_mix64(c.ports);
+    }
+  };
 
   Conn* conn_find(std::uint32_t ports);
+  /// The connection on `ports`, reset to a fresh one if it was tracked.
   Conn* conn_insert(std::uint32_t ports);
-  void conn_erase(Conn* c);
-  void conn_rehash(std::size_t new_size);
 
   /// Coalesced per-connection timer (timer_window > 0): a POD entry in a
   /// per-loop store drained by one event-loop entry per window.
@@ -223,9 +227,7 @@ class CpsWorkload {
   common::Rng rng_;
   VmKernel client_kernel_;
   std::uint32_t conn_seq_ = 0;
-  // Flat open-addressed connection table (power-of-two size; see Conn).
-  std::vector<Conn> conns_;
-  std::size_t conn_count_ = 0;
+  common::FlatTable<Conn, ConnTraits> conns_;  // see Conn
   // Closed-loop admission batching state.
   int pending_slots_ = 0;
   bool round_scheduled_ = false;

@@ -75,8 +75,6 @@ class FleetModel {
   };
   std::vector<HighCpsPair> sample_high_cps_pairs(std::size_t n);
 
-  common::Rng& rng() { return rng_; }
-
  private:
   FleetModelConfig config_;
   common::Rng rng_;

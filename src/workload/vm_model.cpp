@@ -24,7 +24,6 @@ VmKernel::Outcome VmKernel::admit(common::TimePoint now) {
     return out;
   }
   busy_until_ += per_conn_;
-  ++accepted_;
   out.accepted = true;
   out.done = busy_until_ + kServiceLatency;
   return out;

@@ -28,8 +28,6 @@ class VmKernel {
  public:
   explicit VmKernel(VmKernelConfig config = {});
 
-  const VmKernelConfig& config() const { return config_; }
-
   /// Sustainable connections/second given the contention law.
   double max_cps() const { return max_cps_; }
 
@@ -42,7 +40,6 @@ class VmKernel {
   /// limit (SYN queue overflow).
   Outcome admit(common::TimePoint now);
 
-  std::uint64_t accepted() const { return accepted_; }
   std::uint64_t rejected() const { return rejected_; }
 
  private:
@@ -50,7 +47,6 @@ class VmKernel {
   double max_cps_;
   common::Duration per_conn_;  // service time per connection
   common::TimePoint busy_until_ = 0;
-  std::uint64_t accepted_ = 0;
   std::uint64_t rejected_ = 0;
 };
 

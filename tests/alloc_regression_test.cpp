@@ -342,9 +342,9 @@ TEST(SessionTableAllocTest, CountedAndRateLimitedSessionsCostUnderTheOldNode) {
 // A table holding a few dozen sessions pays for a few dozen nodes: 30
 // stateful sessions sharing one pre-action value, each observed once and
 // then swept (every one survives its first visit), cost two slab chunks
-// (16 + 32 nodes), the 64-cell index, 128 wheel heads and one pool chunk:
-// 5,408 B. With a 512-node first chunk and a ref vector per wheel bucket
-// they cost 39,176 B.
+// (16 + 32 nodes), the index as it doubles from 8 cells to 64, 128 wheel
+// heads and a one-value pool chunk: 5,240 B. With a 512-node first chunk
+// and a ref vector per wheel bucket they cost 39,176 B.
 TEST(SessionTableAllocTest, ThirtySessionTableAllocatesUnder6KB) {
   const std::uint64_t bytes_before = support::alloc_counts().bytes;
   std::uint64_t bytes = 0;
@@ -363,6 +363,26 @@ TEST(SessionTableAllocTest, ThirtySessionTableAllocatesUnder6KB) {
     bytes = support::alloc_counts().bytes - bytes_before;
   }
   EXPECT_LE(bytes, 6144u) << "a 30-session table allocated " << bytes << " B";
+}
+
+// An FE flow cache pays for the values it holds: 3 flows sharing one value
+// cost the first slab chunk (16 nodes), an 8-cell index, 8 wheel heads and
+// a one-value pool chunk with its 8-cell index: 1,320 B. With 8-value pool
+// chunks and a 64-cell first index they cost 2,384 B.
+TEST(SessionTableAllocTest, ThreeFlowCacheAllocatesUnder1536B) {
+  const std::uint64_t bytes_before = support::alloc_counts().bytes;
+  std::uint64_t bytes = 0;
+  {
+    flow::SessionTable table{flow::SessionTableConfig{.store_state = false}};
+    for (std::uint32_t n = 0; n < 3; ++n) {
+      flow::SessionEntry* e = table.find_or_create(nth_key(n), milliseconds(n));
+      ASSERT_NE(e, nullptr);
+      table.set_pre_actions(*e, routed_pre_actions());
+    }
+    EXPECT_EQ(table.pre_action_pool_size(), 1u);
+    bytes = support::alloc_counts().bytes - bytes_before;
+  }
+  EXPECT_LE(bytes, 1536u) << "a 3-flow cache allocated " << bytes << " B";
 }
 
 // 1000 new established sessions and 1000 evictions per 100 ms sweep: an

@@ -13,8 +13,10 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "src/common/flat_table.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/core/testbed.h"
@@ -1046,6 +1048,96 @@ TEST(SessionTableProperty, ListWheelMatchesRefVectorWheel) {
       EXPECT_GT(long_gaps, 20u);
     }
   }
+}
+
+// common::FlatTable against a std::unordered_map model. The hash sends
+// every key to one of the last four cells of the array, so clusters are
+// long and wrap past its end, and 300 keys take the array through every
+// doubling from 8 cells to 512. Key 0 is an ordinary key: a cell is empty
+// when its value is 0, as an IP table cell is when its node is null. After
+// every step each live key is found with its value, each erased key is
+// not, size() agrees, and no live cell has an empty cell between its home
+// and itself.
+TEST(FlatTableProperty, MatchesReferenceMap) {
+  struct Cell {
+    std::uint32_t key = 0;
+    std::uint32_t value = 0;  // 0 = empty
+  };
+  struct Traits {
+    static bool empty(const Cell& c) { return c.value == 0; }
+    static std::uint64_t hash(const Cell& c) {
+      return ~std::uint64_t{c.key % 4};
+    }
+  };
+  common::FlatTable<Cell, Traits> table;
+  const auto find = [&table](std::uint32_t key) {
+    return table.find(Traits::hash(Cell{key, 1}),
+                      [key](const Cell& c) { return c.key == key; });
+  };
+  EXPECT_EQ(table.home(0), nullptr);
+  EXPECT_EQ(find(0), nullptr);
+
+  common::Rng rng = make_rng(25);
+  constexpr std::uint32_t kKeys = 300;
+  std::unordered_map<std::uint32_t, std::uint32_t> ref;
+  std::set<std::uint32_t> erased;
+  std::size_t max_cells = 0;
+  for (std::uint32_t step = 1; step <= 6000; ++step) {
+    const auto key = static_cast<std::uint32_t>(rng.uniform_u64(0, kKeys - 1));
+    Cell* cell = find(key);
+    ASSERT_EQ(cell != nullptr, ref.contains(key)) << "step " << step;
+    // Inserts outweigh erases for the first half, then erases do.
+    const double insert_share = step <= 3000 ? 0.7 : 0.3;
+    if (rng.chance(insert_share)) {
+      if (cell != nullptr) {
+        cell->value = step;
+      } else {
+        const Cell* put = table.insert(Cell{key, step});
+        ASSERT_EQ(put->key, key);
+        ASSERT_EQ(put->value, step);
+      }
+      ref[key] = step;
+      erased.erase(key);
+    } else if (cell != nullptr) {
+      table.erase(cell);
+      ref.erase(key);
+      erased.insert(key);
+    }
+
+    ASSERT_EQ(table.size(), ref.size()) << "step " << step;
+    for (const auto& [k, v] : ref) {
+      const Cell* live = find(k);
+      ASSERT_NE(live, nullptr) << "step " << step << " key " << k;
+      ASSERT_EQ(live->value, v) << "step " << step << " key " << k;
+    }
+    for (const std::uint32_t k : erased) {
+      ASSERT_EQ(find(k), nullptr) << "step " << step << " key " << k;
+    }
+    // The array runs from home(0) to home(~0): walk it cyclically from each
+    // live cell's home to the cell.
+    const Cell* first = table.home(0);
+    if (first == nullptr) {  // nothing inserted yet
+      ASSERT_TRUE(ref.empty());
+      continue;
+    }
+    const auto cells =
+        static_cast<std::size_t>(table.home(~std::uint64_t{0}) - first) + 1;
+    max_cells = std::max(max_cells, cells);
+    std::size_t held = 0;
+    for (std::size_t i = 0; i < cells; ++i) {
+      if (Traits::empty(first[i])) continue;
+      ++held;
+      for (std::size_t j = Traits::hash(first[i]) & (cells - 1); j != i;
+           j = (j + 1) & (cells - 1)) {
+        ASSERT_FALSE(Traits::empty(first[j]))
+            << "step " << step << ": a gap before key " << first[i].key;
+      }
+    }
+    ASSERT_EQ(held, ref.size()) << "step " << step;
+    ASSERT_LE(held * 4, cells * 3) << "step " << step;
+  }
+  EXPECT_EQ(max_cells, 512u);  // grew 8, 16, ..., 512
+  EXPECT_TRUE(ref.contains(0) || erased.contains(0));  // key 0 was used
 }
 
 // Pre-action interning against a reference map: after every operation each

@@ -470,8 +470,7 @@ TEST(ShardDeterminism, FencesExecuteInDueThenSeqOrderAndStuckOnesKeep) {
 class SinkHost : public sim::Node {
  public:
   explicit SinkHost(sim::NodeId id)
-      : Node(id, "host" + std::to_string(id),
-             net::Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(id + 1)),
+      : Node(id, net::Ipv4Addr(10, 0, 0, static_cast<std::uint8_t>(id + 1)),
              net::MacAddr(id + 1)) {}
   void receive(net::Packet) override {}
 };

@@ -275,7 +275,7 @@ TEST(TopologyTest, LatencyIncreasesWithTier) {
 class SinkNode : public Node {
  public:
   SinkNode(NodeId id, net::Ipv4Addr ip)
-      : Node(id, "sink" + std::to_string(id), ip, net::MacAddr(id + 1)) {}
+      : Node(id, ip, net::MacAddr(id + 1)) {}
   void receive(net::Packet pkt) override {
     received.push_back(std::move(pkt));
   }
@@ -542,6 +542,24 @@ TEST(NetworkTest, DetachRemovesRouting) {
   f.net.detach(f.b.id());
   f.net.send(f.a.id(), net::Ipv4Addr(172, 16, 0, 2), test_packet());
   f.loop.run();
+  EXPECT_EQ(f.net.dropped_no_route(), 1u);
+}
+
+// 0.0.0.0 is an ordinary key of the IP table: a node there receives, and
+// once detached its IP routes nowhere.
+TEST(NetworkTest, NodeAtUnderlayIpZeroIsRoutable) {
+  NetworkFixture f;
+  SinkNode zero{2, net::Ipv4Addr(0)};
+  f.net.attach(zero);
+  f.net.send(f.a.id(), net::Ipv4Addr(0), test_packet());
+  f.loop.run();
+  EXPECT_EQ(zero.received.size(), 1u);
+  EXPECT_EQ(f.net.dropped_no_route(), 0u);
+
+  f.net.detach(zero.id());
+  f.net.send(f.a.id(), net::Ipv4Addr(0), test_packet());
+  f.loop.run();
+  EXPECT_EQ(zero.received.size(), 1u);
   EXPECT_EQ(f.net.dropped_no_route(), 1u);
 }
 

@@ -75,9 +75,9 @@ echo
 # By structure: every site's frames, symbolized in one addr2line pass
 # (-a starts each address's group, and groups come back in input order).
 # A site's structure comes from its frames from operator new's caller
-# outward, up to the first nezha:: frame outside flow::SessionTable: the
-# element types of the containers they grow and the table members they
-# run in.
+# outward, up to the first nezha:: frame outside flow::SessionTable and
+# the common::FlatTable it indexes with: the element types of the
+# containers they grow and the table members they run in.
 grep '^site ' "$profile" >"$out/sites_${workload}_${seed}.txt"
 awk '{ for (i = 4; i <= NF; ++i) print $i }' "$out/sites_${workload}_${seed}.txt" |
   while read -r a; do printf '0x%x\n' $((a - 1)); done |
@@ -99,7 +99,11 @@ awk '
       stop = 0
       for (j = 1; j <= nf[a]; ++j) {
         f = fn[a, j]
-        if (f ~ /^nezha::/ && f !~ /^nezha::flow::SessionTable::/) { stop = 1; break }
+        if (f ~ /^nezha::/ &&
+            f !~ /^nezha::(flow::SessionTable::|common::FlatTable<)/) {
+          stop = 1
+          break
+        }
         text = text " " f
       }
       if (stop) { a += NF - i; break }
