@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "src/sim/shard.h"
 #include "src/telemetry/hub.h"
@@ -42,8 +43,12 @@ Controller::Controller(sim::EventLoop& loop, sim::Network& network,
       policy_(&policy::policy_for(config.fe_policy)) {}
 
 void Controller::add_vswitch(vswitch::VSwitch* vs) {
-  fleet_index_[vs->id()] = fleet_.size();
-  fleet_.push_back(SwitchState{vs, vs->id(), &vs->network(), {}, 0.0});
+  if (vs->id() != fleet_.size()) {
+    throw std::invalid_argument("vSwitches join the fleet in NodeId order");
+  }
+  const sim::Topology& topo = network_.topology();
+  fleet_.push_back(SwitchState{vs, &vs->network(), {}});
+  hosts_.push_back(Host{topo.tor_of(vs->id()), topo.agg_of(vs->id()), 0.0});
   vs->set_fe_policy(policy_);
 }
 
@@ -95,21 +100,34 @@ common::Duration Controller::sample_config_latency() {
   return static_cast<common::Duration>(ms * common::kMillisecond);
 }
 
+std::vector<tables::Location> Controller::fe_locations(
+    const std::vector<sim::NodeId>& nodes, tables::VnicId id,
+    bool installed) const {
+  std::vector<tables::Location> locations;
+  for (sim::NodeId n : nodes) {
+    vswitch::VSwitch* vs = switch_of(n);
+    if (vs == nullptr || (installed && vs->frontend(id) == nullptr)) continue;
+    locations.push_back(vs->location());
+  }
+  return locations;
+}
+
+void Controller::apply_fe_locations(vswitch::VSwitch* home, tables::VnicId id) {
+  auto rit = vnics_.find(id);
+  if (rit == vnics_.end()) return;
+  home->update_fe_locations(id, fe_locations(rit->second.fe_nodes, id, false));
+  publish_placement(rit->second);
+}
+
 void Controller::publish_placement(const VnicRecord& rec) {
   std::vector<tables::Location> locations;
-  if (rec.offloaded && !rec.fe_nodes.empty()) {
-    for (sim::NodeId n : rec.fe_nodes) {
-      auto it = fleet_index_.find(n);
-      if (it == fleet_index_.end()) continue;
-      // Publish only FEs whose instance install has completed. fe_nodes may
-      // list FEs still being configured (a crash can force a republish in
-      // the middle of a scale-out); advertising those would blackhole the
-      // share of traffic hashed to them. The scale-out's own apply event
-      // republishes the full list once the installs land.
-      vswitch::VSwitch* vs = fleet_[it->second].vs;
-      if (vs->frontend(rec.config.id) == nullptr) continue;
-      locations.push_back(vs->location());
-    }
+  if (rec.offloaded) {
+    // Publish only FEs whose instance install has completed. fe_nodes may
+    // list FEs still being configured (a crash can force a republish in
+    // the middle of a scale-out); advertising those would blackhole the
+    // share of traffic hashed to them. The scale-out's own apply event
+    // republishes the full list once the installs land.
+    locations = fe_locations(rec.fe_nodes, rec.config.id, true);
   }
   if (locations.empty()) locations.push_back(rec.home->location());
   gateway_.set_placement(rec.config.addr, rec.config.id,
@@ -119,32 +137,36 @@ void Controller::publish_placement(const VnicRecord& rec) {
 std::vector<vswitch::VSwitch*> Controller::select_frontends(
     const vswitch::VSwitch& home, std::size_t count,
     const std::vector<sim::NodeId>& exclude) const {
-  std::vector<policy::PlacementCandidate> candidates;
-  candidates.reserve(fleet_.size());
-  const auto& topo = network_.topology();
+  // One pass over the dense host array. A host's tier compares cached
+  // racks, its backlog is read only when the policy's key uses it, and the
+  // rarer tests run only for a host that would enter the shortlist.
   const sim::NodeId home_id = home.id();
-  for (const SwitchState& state : fleet_) {
-    const sim::NodeId node = state.node;
-    if (node == home_id) continue;
-    if (network_.crashed(node)) continue;
-    if (std::find(exclude.begin(), exclude.end(), node) != exclude.end()) {
+  const sim::Topology& topo = network_.topology();
+  const std::uint32_t home_rack = topo.tor_of(home_id);
+  const std::uint32_t home_block = topo.agg_of(home_id);
+  const policy::LoadKey load_key = policy_->load_key();
+  policy::Shortlist best(std::min(count, hosts_.size()));
+  for (sim::NodeId node = 0; node < hosts_.size(); ++node) {
+    const Host& h = hosts_[node];
+    // Idle enough to take load without becoming a bottleneck (App B.1).
+    if (h.cpu >= config_.scale_threshold) continue;
+    const double queue =
+        load_key.backlog
+            ? static_cast<double>(fleet_[node].net->port_queued_bytes(node))
+            : 0.0;
+    const policy::PlacementKey key{
+        h.rack == home_rack ? 1 : h.block == home_block ? 2 : 3, node,
+        load_key(h.cpu, queue)};
+    if (!best.admits(key) || node == home_id || network_.crashed(node) ||
+        std::find(exclude.begin(), exclude.end(), node) != exclude.end()) {
       continue;
     }
-    // Idle enough to take load without becoming a bottleneck (App B.1), and
-    // with spare rule memory for the table copy.
-    if (state.last_cpu_util >= config_.scale_threshold) continue;
-    candidates.push_back(policy::PlacementCandidate{
-        node, topo.hop_tier(home_id, node), state.last_cpu_util,
-        static_cast<double>(state.net->port_queued_bytes(node))});
+    best.take(key);
   }
-  // The policy moves the best `count` to the front; the default rank is the
-  // paper's App B.1 preference (same ToR, then least-loaded).
-  count = std::min(count, candidates.size());
-  policy_->rank(candidates, count);
   std::vector<vswitch::VSwitch*> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(fleet_[fleet_index_.at(candidates[i].node)].vs);
+  out.reserve(best.best().size());
+  for (const policy::PlacementKey& key : best.best()) {
+    out.push_back(fleet_[key.node].vs);
   }
   return out;
 }
@@ -158,28 +180,23 @@ std::vector<vswitch::VSwitch*> Controller::displace_frontends(
   // displaced pool the least. A donor pool must stay >= min_fes after the
   // eviction, which also rules out two pools endlessly displacing each
   // other's last spare FE.
-  struct Victim {
-    std::size_t fleet_idx;
-    double util;
-    std::uint32_t node;
-  };
-  std::vector<Victim> victims;
-  for (std::size_t i = 0; i < fleet_.size(); ++i) {
-    const SwitchState& state = fleet_[i];
-    vswitch::VSwitch* vs = state.vs;
-    if (vs->id() == home.id()) continue;
-    if (network_.crashed(vs->id())) continue;
-    if (std::find(exclude.begin(), exclude.end(), vs->id()) != exclude.end()) {
+  std::vector<sim::NodeId> victims;
+  for (sim::NodeId node = 0; node < fleet_.size(); ++node) {
+    if (node == home.id()) continue;
+    if (network_.crashed(node)) continue;
+    if (std::find(exclude.begin(), exclude.end(), node) != exclude.end()) {
       continue;
     }
-    if (state.last_cpu_util < config_.scale_threshold) continue;  // idle →
-    if (vs->frontend_count() == 0) continue;  // select_frontends territory
-    victims.push_back(Victim{i, state.last_cpu_util, vs->id()});
+    if (hosts_[node].cpu < config_.scale_threshold) continue;  // idle →
+    if (fleet_[node].vs->frontend_count() == 0) continue;  // select_frontends
+    victims.push_back(node);
   }
   std::sort(victims.begin(), victims.end(),
-            [](const Victim& a, const Victim& b) {
-              if (a.util != b.util) return a.util < b.util;
-              return a.node < b.node;
+            [this](sim::NodeId a, sim::NodeId b) {
+              if (hosts_[a].cpu != hosts_[b].cpu) {
+                return hosts_[a].cpu < hosts_[b].cpu;
+              }
+              return a < b;
             });
 
   // Deterministic donor choice: iterate vNIC ids sorted (vnics_ is
@@ -187,9 +204,9 @@ std::vector<vswitch::VSwitch*> Controller::displace_frontends(
   // sorted copy serves every victim.
   const std::vector<tables::VnicId> ids = vnic_ids();
   std::vector<vswitch::VSwitch*> out;
-  for (const Victim& victim : victims) {
+  for (sim::NodeId victim : victims) {
     if (out.size() >= count) break;
-    vswitch::VSwitch* host = fleet_[victim.fleet_idx].vs;
+    vswitch::VSwitch* host = fleet_[victim].vs;
     // The donor on this host: the vNIC with the largest pool that can spare
     // an FE (ties → smallest vNIC id).
     tables::VnicId donor = 0;
@@ -227,31 +244,17 @@ void Controller::evict_frontend(tables::VnicId id, sim::NodeId node) {
   if (pos == rec.fe_nodes.end()) return;
   rec.fe_nodes.erase(pos);
 
-  // Same shape as scale_in_vswitch: update BE config + gateway after one
-  // config push; retain the FE's tables until stale senders drain
-  // (learning interval + RTT, §4.3).
+  // Update BE config + gateway after one config push; retain the FE's
+  // tables until stale senders drain (learning interval + RTT, §4.3).
   vswitch::VSwitch* home = rec.home;
   const common::TimePoint apply_at = loop_.now() + sample_config_latency();
   // The apply touches the home vSwitch (possibly another shard's) and the
   // gateway senders read fleet-wide → fenced under a threaded engine.
-  schedule_ctrl(apply_at, [this, home, id]() {
-    auto rit = vnics_.find(id);
-    if (rit == vnics_.end()) return;
-    std::vector<tables::Location> locations;
-    for (sim::NodeId n : rit->second.fe_nodes) {
-      auto fit = fleet_index_.find(n);
-      if (fit != fleet_index_.end()) {
-        locations.push_back(fleet_[fit->second].vs->location());
-      }
-    }
-    home->update_fe_locations(id, locations);
-    publish_placement(rit->second);
-  });
+  schedule_ctrl(apply_at,
+                [this, home, id]() { apply_fe_locations(home, id); });
   const common::TimePoint remove_at =
       apply_at + config_.learning_interval + kRttAllowance;
-  auto fe_it = fleet_index_.find(node);
-  if (fe_it != fleet_index_.end()) {
-    vswitch::VSwitch* fe = fleet_[fe_it->second].vs;
+  if (vswitch::VSwitch* fe = switch_of(node)) {
     // Long drain tail → the table drop runs on the FE's own loop.
     fe->loop().schedule_at(remove_at, [fe, id]() { fe->remove_frontend(id); });
   }
@@ -366,9 +369,8 @@ common::Status Controller::trigger_fallback(tables::VnicId id) {
     return common::make_error("vnic not offloaded / transition in flight");
   }
   // Estimate: fallback only if the home vSwitch can absorb the load (§4.2.2).
-  auto fit = fleet_index_.find(rec.home->id());
-  if (fit != fleet_index_.end() &&
-      fleet_[fit->second].last_cpu_util >= kFallbackSafeLevel) {
+  if (switch_of(rec.home->id()) != nullptr &&
+      hosts_[rec.home->id()].cpu >= kFallbackSafeLevel) {
     return common::make_error("home vSwitch too loaded for fallback");
   }
 
@@ -401,9 +403,8 @@ common::Status Controller::trigger_fallback(tables::VnicId id) {
   home->loop().schedule_at(complete,
                            [home, id]() { home->finalize_fallback(id); });
   for (sim::NodeId n : rec.fe_nodes) {
-    auto fit2 = fleet_index_.find(n);
-    if (fit2 == fleet_index_.end()) continue;
-    vswitch::VSwitch* fe = fleet_[fit2->second].vs;
+    vswitch::VSwitch* fe = switch_of(n);
+    if (fe == nullptr) continue;
     fe->loop().schedule_at(complete, [fe, id]() { fe->remove_frontend(id); });
   }
   loop_.schedule_at(complete, [this, home, id]() {
@@ -443,9 +444,9 @@ common::Status Controller::scale_out(
   // The BE no longer holds the rule tables; clone from an existing FE.
   const tables::RuleTableSet* source = nullptr;
   for (sim::NodeId n : rec.fe_nodes) {
-    auto fit = fleet_index_.find(n);
-    if (fit == fleet_index_.end()) continue;
-    if (auto* fe = fleet_[fit->second].vs->frontend(id)) {
+    vswitch::VSwitch* vs = switch_of(n);
+    if (vs == nullptr) continue;
+    if (auto* fe = vs->frontend(id)) {
       source = &fe->rules;
       break;
     }
@@ -472,19 +473,8 @@ common::Status Controller::scale_out(
   // gateway's vNIC-server table (§4.3).
   const common::TimePoint apply_at = fe_ready + sample_config_latency();
   vswitch::VSwitch* home = rec.home;
-  schedule_ctrl(apply_at, [this, home, id]() {
-    auto rit = vnics_.find(id);
-    if (rit == vnics_.end()) return;
-    std::vector<tables::Location> locations;
-    for (sim::NodeId n : rit->second.fe_nodes) {
-      auto fit = fleet_index_.find(n);
-      if (fit != fleet_index_.end()) {
-        locations.push_back(fleet_[fit->second].vs->location());
-      }
-    }
-    home->update_fe_locations(id, locations);
-    publish_placement(rit->second);
-  });
+  schedule_ctrl(apply_at,
+                [this, home, id]() { apply_fe_locations(home, id); });
 
   ++scale_out_events_;
   record_ctrl(telemetry::EventKind::kCtrlScaleOut, rec.home->id(), id,
@@ -493,51 +483,21 @@ common::Status Controller::scale_out(
 }
 
 void Controller::scale_in_vswitch(sim::NodeId node) {
-  bool any = false;
   std::uint64_t removed = 0;
   for (auto& [id, rec] : vnics_) {
-    auto pos = std::find(rec.fe_nodes.begin(), rec.fe_nodes.end(), node);
-    if (pos == rec.fe_nodes.end()) continue;
-    any = true;
-    ++removed;
-    rec.fe_nodes.erase(pos);
-
-    // Update BE config + gateway now; retain the FE's tables until stale
-    // senders drain (learning interval + RTT, §4.3).
-    vswitch::VSwitch* home = rec.home;
-    const tables::VnicId vnic_id = id;
-    const common::TimePoint apply_at = loop_.now() + sample_config_latency();
-    schedule_ctrl(apply_at, [this, home, vnic_id]() {
-      auto rit = vnics_.find(vnic_id);
-      if (rit == vnics_.end()) return;
-      std::vector<tables::Location> locations;
-      for (sim::NodeId n : rit->second.fe_nodes) {
-        auto fit = fleet_index_.find(n);
-        if (fit != fleet_index_.end()) {
-          locations.push_back(fleet_[fit->second].vs->location());
-        }
-      }
-      home->update_fe_locations(vnic_id, locations);
-      publish_placement(rit->second);
-    });
-    const common::TimePoint remove_at =
-        apply_at + config_.learning_interval + kRttAllowance;
-    // Long drain tail → the table drop runs on the FE's own loop.
-    auto fe_it = fleet_index_.find(node);
-    if (fe_it != fleet_index_.end()) {
-      vswitch::VSwitch* fe = fleet_[fe_it->second].vs;
-      fe->loop().schedule_at(remove_at, [fe, vnic_id]() {
-        fe->remove_frontend(vnic_id);
-      });
+    if (std::find(rec.fe_nodes.begin(), rec.fe_nodes.end(), node) ==
+        rec.fe_nodes.end()) {
+      continue;
     }
-
+    ++removed;
+    evict_frontend(id, node);
     // Scale-in may trigger scale-out elsewhere if the pool is now too small;
     // the vSwitch that just prioritized local traffic is not re-selected.
     if (rec.fe_nodes.size() < config_.min_fes) {
       (void)scale_out(id, config_.min_fes - rec.fe_nodes.size(), {node});
     }
   }
-  if (any) {
+  if (removed > 0) {
     ++scale_in_events_;
     record_ctrl(telemetry::EventKind::kCtrlScaleIn, node, removed);
   }
@@ -554,18 +514,9 @@ void Controller::handle_fe_crash(sim::NodeId node) {
     // Failover (§4.4): delete the faulty FE from the BE's config and the
     // gateway immediately (one config push); add a replacement only when
     // the pool would drop below the minimum.
-    vswitch::VSwitch* home = rec.home;
-    std::vector<tables::Location> locations;
-    for (sim::NodeId n : rec.fe_nodes) {
-      auto fit = fleet_index_.find(n);
-      if (fit == fleet_index_.end()) continue;
-      // Same filter as publish_placement: an FE from an in-flight scale-out
-      // has no instance yet and must not receive sprayed traffic.
-      vswitch::VSwitch* vs = fleet_[fit->second].vs;
-      if (vs->frontend(id) == nullptr) continue;
-      locations.push_back(vs->location());
-    }
-    home->update_fe_locations(id, locations);
+    // Same filter as publish_placement: an FE from an in-flight scale-out
+    // has no instance yet and must not receive sprayed traffic.
+    rec.home->update_fe_locations(id, fe_locations(rec.fe_nodes, id, true));
     publish_placement(rec);
 
     if (rec.fe_nodes.size() < config_.min_fes) {
@@ -586,23 +537,13 @@ void Controller::handle_link_failure(tables::VnicId id, sim::NodeId fe_node) {
   if (pos == rec.fe_nodes.end()) return;
   rec.fe_nodes.erase(pos);
 
-  std::vector<tables::Location> locations;
-  for (sim::NodeId n : rec.fe_nodes) {
-    auto fit = fleet_index_.find(n);
-    if (fit == fleet_index_.end()) continue;
-    vswitch::VSwitch* vs = fleet_[fit->second].vs;
-    if (vs->frontend(id) == nullptr) continue;
-    locations.push_back(vs->location());
-  }
-  rec.home->update_fe_locations(id, locations);
+  rec.home->update_fe_locations(id, fe_locations(rec.fe_nodes, id, true));
   publish_placement(rec);
   // The FE instance itself stays configured on the (healthy but
   // unreachable) host; the controller retires it like a scale-in.
   const common::TimePoint remove_at =
       loop_.now() + config_.learning_interval + kRttAllowance;
-  auto fe_it = fleet_index_.find(fe_node);
-  if (fe_it != fleet_index_.end()) {
-    vswitch::VSwitch* fe = fleet_[fe_it->second].vs;
+  if (vswitch::VSwitch* fe = switch_of(fe_node)) {
     fe->loop().schedule_at(remove_at,
                            [fe, id]() { fe->remove_frontend(id); });
   }
@@ -619,28 +560,28 @@ void Controller::reseed_fe_hash(std::uint64_t seed) {
 
 void Controller::refresh_fleet_sample() {
   const common::TimePoint now = loop_.now();
-  for (auto& state : fleet_) {
-    if (network_.crashed(state.vs->id())) continue;
-    state.last_cpu_util = state.sampler.sample(state.vs->cpu(), now);
+  for (sim::NodeId node = 0; node < fleet_.size(); ++node) {
+    if (network_.crashed(node)) continue;
+    SwitchState& state = fleet_[node];
+    hosts_[node].cpu = state.sampler.sample(state.vs->cpu(), now);
   }
 }
 
 void Controller::publish_fe_weights() {
   ++weight_book_.version;
-  for (const auto& state : fleet_) {
-    const vswitch::VSwitch* vs = state.vs;
+  for (sim::NodeId node = 0; node < fleet_.size(); ++node) {
+    const SwitchState& state = fleet_[node];
     // Fold CPU with the egress-port backlog so either saturated resource
     // downweights the host. The backlog is read on the owning shard; on a
     // sharded bed this runs in a fence or between runs, with every shard
     // quiescent. Quantize to [1, kMaxWeight]: never 0, so an FE still
     // serving stale senders keeps draining.
     const double queue = std::min(
-        1.0, state.net->port_queued_bytes(state.node) /
-                 policy::LoadAwareWeightedPolicy::kQueueNormBytes);
-    const double load = std::min(1.0, std::max(state.last_cpu_util, queue));
+        1.0, state.net->port_queued_bytes(node) / policy::kQueueNormBytes);
+    const double load = std::min(1.0, std::max(hosts_[node].cpu, queue));
     const auto weight = static_cast<std::uint16_t>(
         1 + std::lround((policy::FeWeightBook::kMaxWeight - 1) * (1.0 - load)));
-    weight_book_.set(vs->location().ip, weight);
+    weight_book_.set(state.vs->location().ip, weight);
   }
   for (auto& state : fleet_) state.vs->set_fe_weights(weight_book_);
 }
@@ -659,22 +600,15 @@ common::Status Controller::migrate_backend(tables::VnicId id,
 
   // Create the vNIC at the new home in offloaded (BE) shape.
   (void)new_home->add_vnic(rec.config, rec.stateful_decap);
-  std::vector<tables::Location> fe_locations;
-  for (sim::NodeId n : rec.fe_nodes) {
-    auto fit = fleet_index_.find(n);
-    if (fit != fleet_index_.end()) {
-      fe_locations.push_back(fleet_[fit->second].vs->location());
-    }
-  }
-  (void)new_home->begin_offload(id, fe_locations);
+  (void)new_home->begin_offload(id, fe_locations(rec.fe_nodes, id, false));
   new_home->finalize_offload(id);
 
   // §7.2: only the BE-location config on the FEs changes; this takes effect
   // in <1ms, independent of VM size.
   for (sim::NodeId n : rec.fe_nodes) {
-    auto fit = fleet_index_.find(n);
-    if (fit == fleet_index_.end()) continue;
-    if (auto* fe = fleet_[fit->second].vs->frontend(id)) {
+    vswitch::VSwitch* vs = switch_of(n);
+    if (vs == nullptr) continue;
+    if (auto* fe = vs->frontend(id)) {
       fe->be_location = new_home->location();
     }
   }
@@ -728,11 +662,12 @@ void Controller::start() {
 
 void Controller::monitor_tick() {
   const common::TimePoint now = loop_.now();
-  for (auto& state : fleet_) {
+  for (sim::NodeId node = 0; node < fleet_.size(); ++node) {
+    SwitchState& state = fleet_[node];
     vswitch::VSwitch* vs = state.vs;
-    if (network_.crashed(vs->id())) continue;
+    if (network_.crashed(node)) continue;
     const double cpu_util = state.sampler.sample(vs->cpu(), now);
-    state.last_cpu_util = cpu_util;
+    hosts_[node].cpu = cpu_util;
     const double mem_util = std::max(vs->rule_memory().utilization(),
                                      vs->session_memory().utilization());
     const double util = std::max(cpu_util, mem_util);

@@ -54,7 +54,8 @@ class Controller {
   const ControllerConfig& config() const { return config_; }
 
   /// Adds a vSwitch to the managed fleet (usable as FE pool and monitored
-  /// for overload).
+  /// for overload). vSwitches join in NodeId order from 0, as Testbed
+  /// numbers them; any other id throws std::invalid_argument.
   void add_vswitch(vswitch::VSwitch* vs);
 
   /// Registers a tenant vNIC already hosted on `home` (home is its BE) and
@@ -154,12 +155,16 @@ class Controller {
 
   struct SwitchState {
     vswitch::VSwitch* vs = nullptr;
-    /// vs->id(), cached so fleet-wide scans stay inside this dense vector.
-    sim::NodeId node = 0;
     /// vs->network(): the owning shard's Network, which holds the port.
     const sim::Network* net = nullptr;
     vswitch::UtilizationSampler sampler;
-    double last_cpu_util = 0.0;
+  };
+  /// What a placement pass reads of one host, 16 B so the pass streams
+  /// through a dense array.
+  struct Host {
+    std::uint32_t rack = 0;   // Topology::tor_of
+    std::uint32_t block = 0;  // Topology::agg_of (0 for every Clos host)
+    double cpu = 0.0;         // last sampled CPU utilization
   };
 
   common::Duration sample_config_latency();
@@ -177,9 +182,14 @@ class Controller {
   /// (periodic loop events cannot cross the quiesce protocol).
   void schedule_monitor_tick(common::TimePoint at);
 
-  /// Picks `count` idle vSwitches for a vNIC homed at `home`, preferring
-  /// the same ToR, then the same aggregation block (App B.1), excluding
-  /// nodes in `exclude`.
+  /// The managed vSwitch with this NodeId, or null.
+  vswitch::VSwitch* switch_of(sim::NodeId node) const {
+    return node < fleet_.size() ? fleet_[node].vs : nullptr;
+  }
+
+  /// Picks the best `count` idle vSwitches for a vNIC homed at `home`, best
+  /// first, in policy::PlacementKey order (App B.1: same ToR, then the same
+  /// aggregation block, then least-loaded), excluding nodes in `exclude`.
   std::vector<vswitch::VSwitch*> select_frontends(
       const vswitch::VSwitch& home, std::size_t count,
       const std::vector<sim::NodeId>& exclude) const;
@@ -197,6 +207,13 @@ class Controller {
   /// after a config push, retire the FE instance after the drain interval.
   void evict_frontend(tables::VnicId id, sim::NodeId node);
 
+  /// The locations of the managed hosts in `nodes`, in order; with
+  /// `installed`, only those whose FE instance of vNIC `id` is installed.
+  std::vector<tables::Location> fe_locations(
+      const std::vector<sim::NodeId>& nodes, tables::VnicId id,
+      bool installed) const;
+  /// Pushes a vNIC's current FE set to its home BE and the gateway.
+  void apply_fe_locations(vswitch::VSwitch* home, tables::VnicId id);
   /// Pushes the current placement (FE set or BE) to the gateway.
   void publish_placement(const VnicRecord& rec);
 
@@ -206,8 +223,9 @@ class Controller {
   ControllerConfig config_;
   common::Rng rng_;
 
+  // Both indexed by NodeId: vSwitches join the fleet in id order from 0.
   std::vector<SwitchState> fleet_;
-  std::unordered_map<sim::NodeId, std::size_t> fleet_index_;
+  std::vector<Host> hosts_;
   std::unordered_map<tables::VnicId, VnicRecord> vnics_;
   std::unordered_map<tables::VnicId, common::TimePoint> last_scale_at_;
 

@@ -1,7 +1,5 @@
 #include "src/policy/fe_policy.h"
 
-#include <algorithm>
-
 namespace nezha::policy {
 
 const char* to_string(PolicyKind kind) {
@@ -13,33 +11,11 @@ const char* to_string(PolicyKind kind) {
   return "unknown";
 }
 
-void FeSelectionPolicy::rank(std::vector<PlacementCandidate>& candidates,
-                             std::size_t count) const {
-  // App B.1: prefer close (same ToR first) then least-loaded, so the
-  // selected set has similar performance-affecting attributes. Node id is
-  // the deterministic tie-break. This comparator is byte-for-byte the
-  // pre-policy Controller::select_frontends order. Only the best `count`
-  // are ordered: O(n log count), not a full sort of the fleet.
-  const auto mid = candidates.begin() + std::min(count, candidates.size());
-  std::partial_sort(
-      candidates.begin(), mid, candidates.end(),
-      [](const PlacementCandidate& a, const PlacementCandidate& b) {
-        if (a.tier != b.tier) return a.tier < b.tier;
-        if (a.cpu_util != b.cpu_util) return a.cpu_util < b.cpu_util;
-        return a.node < b.node;
-      });
-}
-
 std::size_t StaticHashPolicy::pick(const net::FiveTuple& hash_ft,
                                    const tables::Location* /*fes*/,
                                    std::size_t n, std::uint64_t seed,
                                    const FeWeightBook& /*weights*/) const {
   return static_cast<std::size_t>(net::flow_hash(hash_ft, seed) % n);
-}
-
-double LoadAwareWeightedPolicy::load_score(const PlacementCandidate& c) {
-  const double queue = c.queue_bytes / kQueueNormBytes;
-  return std::min(1.0, c.cpu_util) + std::min(1.0, queue);
 }
 
 std::size_t LoadAwareWeightedPolicy::pick(const net::FiveTuple& hash_ft,
@@ -69,23 +45,6 @@ std::size_t LoadAwareWeightedPolicy::pick(const net::FiveTuple& hash_ft,
     }
   }
   return best;
-}
-
-void LoadAwareWeightedPolicy::rank(std::vector<PlacementCandidate>& candidates,
-                                   std::size_t count) const {
-  // Same structure as the default (locality first, deterministic tie-break)
-  // but the load key folds queue backlog into CPU so a host with an idle
-  // CPU and a saturated port ranks behind a genuinely idle one.
-  const auto mid = candidates.begin() + std::min(count, candidates.size());
-  std::partial_sort(
-      candidates.begin(), mid, candidates.end(),
-      [](const PlacementCandidate& a, const PlacementCandidate& b) {
-        if (a.tier != b.tier) return a.tier < b.tier;
-        const double la = load_score(a);
-        const double lb = load_score(b);
-        if (la != lb) return la < lb;
-        return a.node < b.node;
-      });
 }
 
 std::size_t PushAsideDisplacementPolicy::pick(

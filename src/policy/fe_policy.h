@@ -3,8 +3,8 @@
 //
 //  * the per-flow hot path: which FE of an offloaded vNIC's published pool
 //    serves a given 5-tuple (sender-side resolve_dst and BE-side be_tx), and
-//  * the control-plane placement path: which vSwitches the controller ranks
-//    as FE hosts for offload / scale-out / failover replacement.
+//  * the control-plane placement path: the load key by which the controller
+//    orders FE hosts for offload / scale-out / failover replacement.
 //
 // Contract: a policy is a stateless pure function. pick() must be
 // deterministic in (tuple, FE list, seed, weight book), allocation-free, and
@@ -20,8 +20,10 @@
 // layer sits below vswitch/ and core/ (both include it; no cycle).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -71,13 +73,71 @@ struct FeWeightBook {
   }
 };
 
-/// One FE-host candidate as the controller sees it when ranking placement:
-/// a POD snapshot so the policy layer never touches vswitch/ types.
-struct PlacementCandidate {
-  std::uint32_t node = 0;     // sim::NodeId of the candidate vSwitch
-  int tier = 0;               // topology hop tier from the vNIC's home
-  double cpu_util = 0.0;      // controller's last sampled CPU utilization
-  double queue_bytes = 0.0;   // egress port backlog (owning shard's view)
+/// Port backlog the load-aware signals count as fully congested (~1000 MTU
+/// packets): the placement key and the FE weight book saturate there.
+inline constexpr double kQueueNormBytes = 1.5e6;
+
+/// The load part of a host's PlacementKey, lower first: the sampled CPU
+/// (App B.1's least-loaded), or, with `backlog`, CPU plus the port backlog
+/// over kQueueNormBytes, each saturating at 1, so a host with an idle CPU
+/// and a saturated port ranks behind a genuinely idle one.
+struct LoadKey {
+  bool backlog = false;
+
+  double operator()(double cpu_util, double queue_bytes) const {
+    if (!backlog) return cpu_util;
+    return std::min(1.0, cpu_util) +
+           std::min(1.0, queue_bytes / kQueueNormBytes);
+  }
+};
+
+/// A host's place in the order every policy ranks FE hosts by (App B.1):
+/// hop tier from the vNIC's home (same ToR first), then the policy's load
+/// key (least-loaded first), then node id. The order is total, so the best
+/// `count` hosts, and their order, do not depend on the order a placement
+/// visits the fleet in. (Laid out in 16 B: a pass compares one per host.)
+struct PlacementKey {
+  int tier = 0;
+  std::uint32_t node = 0;
+  double load = 0.0;
+
+  bool operator<(const PlacementKey& o) const {
+    if (tier != o.tier) return tier < o.tier;
+    if (load != o.load) return load < o.load;
+    return node < o.node;
+  }
+};
+
+/// The best `count` keys offered so far, best first. A placement is one
+/// pass over the fleet that offers each idle host's key, so it holds
+/// O(count) state and sorts only the keys that enter the list.
+class Shortlist {
+ public:
+  explicit Shortlist(std::size_t count)
+      : count_(count),
+        bar_{count == 0 ? std::numeric_limits<int>::min()
+                        : std::numeric_limits<int>::max()} {
+    best_.reserve(count);
+  }
+
+  /// True when `key` would enter the list now; a pass asks this before a
+  /// host's costlier eligibility tests.
+  bool admits(const PlacementKey& key) const { return key < bar_; }
+  /// Inserts an admitted key in order, dropping the worst once `count` are
+  /// held.
+  void take(const PlacementKey& key) {
+    if (best_.size() == count_) best_.pop_back();
+    best_.insert(std::upper_bound(best_.begin(), best_.end(), key), key);
+    if (best_.size() == count_) bar_ = best_.back();
+  }
+  const std::vector<PlacementKey>& best() const { return best_; }
+
+ private:
+  std::size_t count_;
+  // What a key must beat: any key while the list has room (every tier is
+  // below INT_MAX), none when count is 0, the worst held once full.
+  PlacementKey bar_;
+  std::vector<PlacementKey> best_;
 };
 
 class FeSelectionPolicy {
@@ -95,14 +155,10 @@ class FeSelectionPolicy {
                            std::uint64_t seed,
                            const FeWeightBook& weights) const = 0;
 
-  /// Control path: moves the best `count` placement candidates to the
-  /// front, best-first; the rest of the vector is left in no particular
-  /// order. Every comparator ends on the node id, so the order is total and
-  /// the prefix equals that of a full sort. The default is the paper's App
-  /// B.1 preference — same ToR, then least-loaded, then lowest node id —
-  /// exactly the pre-policy Controller::select_frontends comparator.
-  virtual void rank(std::vector<PlacementCandidate>& candidates,
-                    std::size_t count) const;
+  /// Control path: how placement weighs a host's load. The default is the
+  /// sampled CPU; the controller reads each host's port only for a key
+  /// that counts backlog.
+  virtual LoadKey load_key() const { return {}; }
 
   /// True when the controller may displace a neighbor's FE to satisfy this
   /// policy's placement when no idle host remains.
@@ -123,14 +179,7 @@ class LoadAwareWeightedPolicy final : public FeSelectionPolicy {
   std::size_t pick(const net::FiveTuple& hash_ft, const tables::Location* fes,
                    std::size_t n, std::uint64_t seed,
                    const FeWeightBook& weights) const override;
-  void rank(std::vector<PlacementCandidate>& candidates,
-            std::size_t count) const override;
-
-  /// Combined load signal used for ranking: CPU utilization plus the port
-  /// backlog normalized against kQueueNormBytes, saturating at 1 each.
-  static double load_score(const PlacementCandidate& c);
-  /// Backlog considered "fully congested" (~1000 MTU packets).
-  static constexpr double kQueueNormBytes = 1.5e6;
+  LoadKey load_key() const override { return LoadKey{true}; }
 };
 
 class PushAsideDisplacementPolicy final : public FeSelectionPolicy {

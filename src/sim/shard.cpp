@@ -97,13 +97,15 @@ ShardedEngine::ShardedEngine(std::vector<Shard> shards,
 
 void ShardedEngine::map_ip(net::Ipv4Addr ip, std::uint32_t shard,
                            NodeId node) {
-  ip_map_[ip.value()] = Remote{shard, node};
+  ip_map_.insert(IpCell{ip.value(), true, Remote{shard, node}});
 }
 
 const ShardedEngine::Remote* ShardedEngine::lookup_remote(
     net::Ipv4Addr ip) const {
-  const auto it = ip_map_.find(ip.value());
-  return it == ip_map_.end() ? nullptr : &it->second;
+  const IpCell* cell = ip_map_.find(
+      net::flow_hash_mix64(ip.value()),
+      [&](const IpCell& c) { return c.ip == ip.value(); });
+  return cell == nullptr ? nullptr : &cell->remote;
 }
 
 void ShardedEngine::export_token(std::uint32_t src_shard,

@@ -35,10 +35,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/flat_table.h"
 #include "src/common/time.h"
+#include "src/net/five_tuple.h"
 #include "src/net/packet.h"
 #include "src/sim/node.h"
 
@@ -163,7 +164,8 @@ class ShardedEngine {
 
   ShardedEngine(std::vector<Shard> shards, ShardedEngineConfig config);
 
-  /// Registers a node's underlay IP so other shards can route to it.
+  /// Registers a node's underlay IP, once per IP, so other shards can route
+  /// to it.
   void map_ip(net::Ipv4Addr ip, std::uint32_t shard, NodeId node);
 
   /// Advances every shard loop to `t` in lockstep epochs using `threads`
@@ -310,7 +312,21 @@ class ShardedEngine {
   std::vector<std::size_t> snap_;            // per-ring snapshot counts
   std::vector<std::vector<ShardToken>> staged_;  // per-ring overflow batches
   std::vector<std::uint32_t> merge_order_;   // fixed source permutation
-  std::unordered_map<std::uint32_t, Remote> ip_map_;
+  // Every node's underlay IP, probed on each cross-shard send and never
+  // iterated. The cell is picked from the hash's low bits, and IPs differ
+  // in their high bits too, hence the 64-bit mixer.
+  struct IpCell {
+    std::uint32_t ip = 0;
+    bool held = false;
+    Remote remote;
+  };
+  struct IpTraits {
+    static bool empty(const IpCell& cell) { return !cell.held; }
+    static std::uint64_t hash(const IpCell& cell) {
+      return net::flow_hash_mix64(cell.ip);
+    }
+  };
+  common::FlatTable<IpCell, IpTraits> ip_map_;
   std::uint64_t epochs_run_ = 0;
   std::vector<std::uint64_t> late_;          // per-shard, summed on read
   // Phase profiler: profile_[s] is written only by shard s's owning

@@ -51,23 +51,41 @@ struct TopologyConfig {
   ClosConfig clos;
 };
 
+/// n / d for 32-bit n and a d fixed at construction, as one multiply
+/// (Lemire, Kaser & Kurz, SPE 2019): with m = floor((2^64 - 1) / d), n / d
+/// is the high word of (m + 1) * n, taken as m * n + n since m + 1 = 2^64
+/// for d = 1.
+class Divisor {
+ public:
+  explicit Divisor(std::uint32_t d) : m_(~std::uint64_t{0} / d) {}
+  std::uint32_t divide(std::uint32_t n) const {
+    return static_cast<std::uint32_t>(
+        (static_cast<unsigned __int128>(m_) * n + n) >> 64);
+  }
+
+ private:
+  std::uint64_t m_;
+};
+
 class Topology {
  public:
-  explicit Topology(TopologyConfig config = {}) : config_(config) {}
+  explicit Topology(TopologyConfig config = {})
+      : config_(config),
+        rack_(config.kind == FabricKind::kClos ? config.clos.hosts_per_leaf
+                                               : config.servers_per_tor),
+        block_(config.tors_per_agg) {}
 
   const TopologyConfig& config() const { return config_; }
   bool is_clos() const { return config_.kind == FabricKind::kClos; }
 
   /// Rack of a server: ToR index (tiered) or leaf index (Clos). Under Clos
   /// the same-rack test drives the controller's FE locality preference just
-  /// as same-ToR does in the tiered model.
-  std::uint32_t tor_of(NodeId node) const {
-    return is_clos() ? node / config_.clos.hosts_per_leaf
-                     : node / config_.servers_per_tor;
-  }
+  /// as same-ToR does in the tiered model. Every packet that may cross a
+  /// leaf asks for racks, so the divisions are reciprocal multiplies.
+  std::uint32_t tor_of(NodeId node) const { return rack_.divide(node); }
   std::uint32_t agg_of(NodeId node) const {
     // A 2-tier Clos has a single spine block above all leaves.
-    return is_clos() ? 0 : tor_of(node) / config_.tors_per_agg;
+    return is_clos() ? 0 : block_.divide(tor_of(node));
   }
   std::uint32_t leaf_of(NodeId node) const { return tor_of(node); }
 
@@ -107,6 +125,8 @@ class Topology {
 
  private:
   TopologyConfig config_;
+  Divisor rack_;   // hosts per rack
+  Divisor block_;  // racks per aggregation block
 };
 
 }  // namespace nezha::sim

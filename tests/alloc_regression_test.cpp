@@ -18,7 +18,8 @@
 // rate-limited no more than a shared session did with the two-line node;
 // aging sweeps at a churn equilibrium allocate nothing.
 // The fixed-cost tests pin what holds nothing: a rule-table set with empty
-// policy tables, a first setup-cache miss, a bounded estimator's buckets.
+// policy tables, a first setup-cache miss, a bounded estimator's buckets,
+// and an offload's FE placement, whose bytes do not grow with the fleet.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -213,6 +214,29 @@ TEST(HealthProbeAllocTest, SteadyProbeRoundsAllocateNothing) {
   EXPECT_EQ(bed.monitor().crashes_declared(), 0u);
   EXPECT_EQ(allocs, 0u) << static_cast<double>(allocs) / 20.0
                         << " allocations per probe round";
+}
+
+// One offload's placement keeps the best four hosts in one pass over the
+// fleet and holds nothing per host, so trigger_offload allocates the same
+// bytes on a 64-vSwitch and a 1,024-vSwitch Clos bed.
+TEST(PlacementAllocTest, OffloadBytesDoNotGrowWithTheFleet) {
+  const auto offload_bytes = [](std::size_t vswitches) {
+    core::TestbedConfig cfg = core::make_clos_testbed_config(vswitches);
+    cfg.controller.auto_offload = false;
+    cfg.controller.auto_scale = false;
+    core::Testbed bed(cfg);
+    VnicConfig v;
+    v.id = 7;
+    v.addr = OverlayAddr{kVpc, net::Ipv4Addr(10, 0, 0, 7)};
+    bed.add_vnic(5, v);
+    const std::uint64_t before = support::alloc_counts().bytes;
+    EXPECT_TRUE(bed.controller().trigger_offload(7).ok());
+    const std::uint64_t bytes = support::alloc_counts().bytes - before;
+    EXPECT_EQ(bed.controller().fe_nodes_of(7),
+              (std::vector<sim::NodeId>{4, 6, 7, 0}));
+    return bytes;
+  };
+  EXPECT_EQ(offload_bytes(64), offload_bytes(1024));
 }
 
 // Session n of the table tests below: distinct, allocation-free keys.

@@ -7,8 +7,8 @@
 // all three policies. Plus the unit properties each implementation leans
 // on: StaticHashPolicy is exactly flow_hash % n (the pre-policy code),
 // weighted rendezvous moves only the removed FE's flows and honors the
-// weight book, and the placement rank orders match the documented
-// comparators.
+// weight book, and one-pass placement orders hosts exactly as a full sort
+// under the documented comparators does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,7 +29,7 @@ namespace nezha {
 namespace {
 
 using policy::FeWeightBook;
-using policy::PlacementCandidate;
+using policy::PlacementKey;
 using policy::PolicyKind;
 
 net::FiveTuple random_tuple(common::Rng& rng) {
@@ -175,13 +175,42 @@ TEST(PolicySelectionTest, RendezvousHonorsTheWeightBook) {
   }
 }
 
+// The reference placement: a vector of every eligible host, fully sorted
+// by one of the comparators below.
+struct Candidate {
+  std::uint32_t node = 0;
+  int tier = 0;
+  double cpu_util = 0.0;
+  double queue_bytes = 0.0;
+};
+
+// The reference comparators: the default (App B.1: same ToR, then
+// least-loaded, then node id) and load-aware's, whose load folds the port
+// backlog into CPU, each saturating at 1.
+bool default_less(const Candidate& a, const Candidate& b) {
+  if (a.tier != b.tier) return a.tier < b.tier;
+  if (a.cpu_util != b.cpu_util) return a.cpu_util < b.cpu_util;
+  return a.node < b.node;
+}
+double reference_load_score(const Candidate& c) {
+  const double queue = c.queue_bytes / policy::kQueueNormBytes;
+  return std::min(1.0, c.cpu_util) + std::min(1.0, queue);
+}
+bool load_aware_less(const Candidate& a, const Candidate& b) {
+  if (a.tier != b.tier) return a.tier < b.tier;
+  const double la = reference_load_score(a);
+  const double lb = reference_load_score(b);
+  if (la != lb) return la < lb;
+  return a.node < b.node;
+}
+
 // Tie-heavy candidate set: few tiers, few CPU levels and several queue
 // levels, so most comparisons fall through to the node-id tie-break.
-std::vector<PlacementCandidate> tied_candidates(std::size_t n) {
+std::vector<Candidate> tied_candidates(std::size_t n) {
   common::Rng rng(19);
-  std::vector<PlacementCandidate> cands;
+  std::vector<Candidate> cands;
   for (std::uint32_t i = 0; i < n; ++i) {
-    cands.push_back(PlacementCandidate{
+    cands.push_back(Candidate{
         i, static_cast<int>(rng.uniform_u64(0, 2)),
         static_cast<double>(rng.uniform_u64(0, 4)) * 0.1,
         static_cast<double>(rng.uniform_u64(0, 4)) * 0.75e6});
@@ -189,46 +218,58 @@ std::vector<PlacementCandidate> tied_candidates(std::size_t n) {
   return cands;
 }
 
-// rank(c, k) puts the best min(k, n) candidates first, in the order a full
-// sort by `less` gives them, and keeps every candidate exactly once. k runs
-// over none, one, a default pool, and the edges around n.
+// The nodes one pass keeps when it offers every candidate's key, in
+// candidate order, to a shortlist of `k`.
+std::vector<std::uint32_t> one_pass(PolicyKind kind,
+                                    const std::vector<Candidate>& cands,
+                                    std::size_t k) {
+  const policy::LoadKey load_key = policy::policy_for(kind).load_key();
+  policy::Shortlist best(k);
+  for (const Candidate& c : cands) {
+    const PlacementKey key{c.tier, c.node,
+                           load_key(c.cpu_util, c.queue_bytes)};
+    if (best.admits(key)) best.take(key);
+  }
+  std::vector<std::uint32_t> nodes;
+  for (const PlacementKey& key : best.best()) nodes.push_back(key.node);
+  return nodes;
+}
+
+// The first min(k, n) nodes of a full sort by `less`.
 template <typename Less>
-void expect_rank_prefix(PolicyKind kind,
-                        const std::vector<PlacementCandidate>& cands,
-                        Less less) {
+std::vector<std::uint32_t> sorted_prefix(std::vector<Candidate> cands,
+                                         std::size_t k, Less less) {
+  std::sort(cands.begin(), cands.end(), less);
+  std::vector<std::uint32_t> nodes;
+  for (std::size_t i = 0; i < std::min(k, cands.size()); ++i) {
+    nodes.push_back(cands[i].node);
+  }
+  return nodes;
+}
+
+// One pass keeps the best min(k, n) candidates in the order a full sort by
+// `less` gives them. k runs over none, one, a default pool, and the edges
+// around n.
+template <typename Less>
+void expect_one_pass_prefix(PolicyKind kind,
+                            const std::vector<Candidate>& cands, Less less) {
   const std::size_t n = cands.size();
-  auto expected = cands;
-  std::sort(expected.begin(), expected.end(), less);
   for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{4}, n - 1,
                         n, n + 3}) {
     SCOPED_TRACE(std::string(policy::to_string(kind)) +
                  " k=" + std::to_string(k));
-    auto got = cands;
-    policy::policy_for(kind).rank(got, k);
-    ASSERT_EQ(got.size(), n);
-    for (std::size_t i = 0; i < std::min(k, n); ++i) {
-      ASSERT_EQ(got[i].node, expected[i].node) << "rank " << i;
-    }
-    std::vector<std::uint32_t> nodes;
-    for (const PlacementCandidate& c : got) nodes.push_back(c.node);
-    std::sort(nodes.begin(), nodes.end());
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(nodes[i], cands[i].node);
+    EXPECT_EQ(one_pass(kind, cands, k), sorted_prefix(cands, k, less));
   }
 }
 
-// The default rank (static + push-aside) must order exactly like the
-// pre-policy Controller::select_frontends comparator.
+// The default key (static + push-aside) must order exactly like the
+// pre-policy Controller::select_frontends comparator, and reads no port.
 TEST(PolicySelectionTest, DefaultRankMatchesLegacyComparator) {
   const auto cands = tied_candidates(40);
   for (PolicyKind kind :
        {PolicyKind::kStaticHash, PolicyKind::kPushAsideDisplacement}) {
-    expect_rank_prefix(
-        kind, cands,
-        [](const PlacementCandidate& a, const PlacementCandidate& b) {
-          if (a.tier != b.tier) return a.tier < b.tier;
-          if (a.cpu_util != b.cpu_util) return a.cpu_util < b.cpu_util;
-          return a.node < b.node;
-        });
+    EXPECT_FALSE(policy::policy_for(kind).load_key().backlog);
+    expect_one_pass_prefix(kind, cands, default_less);
   }
 }
 
@@ -236,22 +277,155 @@ TEST(PolicySelectionTest, DefaultRankMatchesLegacyComparator) {
 // host with a saturated egress port ranks behind a moderately busy host
 // with an empty queue (same tier).
 TEST(PolicySelectionTest, LoadAwareRankFoldsQueueBacklog) {
-  std::vector<PlacementCandidate> cands;
-  cands.push_back(PlacementCandidate{1, 0, 0.1, 3e6});  // queue-saturated
-  cands.push_back(PlacementCandidate{2, 0, 0.3, 0.0});
-  policy::policy_for(PolicyKind::kLoadAwareWeighted).rank(cands, 2);
-  EXPECT_EQ(cands[0].node, 2u);
-  EXPECT_EQ(cands[1].node, 1u);
+  const std::vector<Candidate> cands{
+      Candidate{1, 0, 0.1, 3e6},  // queue-saturated
+      Candidate{2, 0, 0.3, 0.0}};
+  EXPECT_EQ(one_pass(PolicyKind::kLoadAwareWeighted, cands, 2),
+            (std::vector<std::uint32_t>{2, 1}));
+  EXPECT_TRUE(
+      policy::policy_for(PolicyKind::kLoadAwareWeighted).load_key().backlog);
 
-  expect_rank_prefix(
-      PolicyKind::kLoadAwareWeighted, tied_candidates(40),
-      [](const PlacementCandidate& a, const PlacementCandidate& b) {
-        if (a.tier != b.tier) return a.tier < b.tier;
-        const double la = policy::LoadAwareWeightedPolicy::load_score(a);
-        const double lb = policy::LoadAwareWeightedPolicy::load_score(b);
-        if (la != lb) return la < lb;
-        return a.node < b.node;
-      });
+  expect_one_pass_prefix(PolicyKind::kLoadAwareWeighted, tied_candidates(40),
+                         load_aware_less);
+}
+
+// Placement on random fleets, Clos and tiered: every host but the home
+// and the crashed, excluded and busy ones is a candidate, at its
+// Topology::hop_tier from the home, with the CPU the controller sampled
+// (drawn from a few levels, so ties are common) and its port backlog. The
+// controller's one pass over its dense host array must pick exactly the
+// hosts, in exactly the order, of a full sort of that candidate vector.
+// The pass is observed through scale_out, which appends its picks to the
+// pool in order, excludes the pool and the extra hosts given, and installs
+// a short pick as it is. Returns how many hosts it picked and how many
+// candidates share their CPU with another.
+struct CaseStats {
+  std::size_t picked = 0;
+  std::size_t cpu_ties = 0;
+};
+CaseStats placement_case(bool clos, PolicyKind kind, std::size_t count_pick,
+                         std::uint64_t seed) {
+  common::Rng rng(seed);
+  const std::size_t n = rng.uniform_u64(12, 40);
+  core::TestbedConfig cfg;
+  if (clos) {
+    cfg = core::make_clos_testbed_config(n, /*hosts_per_leaf=*/4,
+                                         /*num_spines=*/2);
+  } else {
+    cfg.num_vswitches = n;
+    cfg.topology.servers_per_tor = 4;
+    cfg.topology.tors_per_agg = 2;
+  }
+  cfg.controller.auto_offload = false;
+  cfg.controller.auto_scale = false;
+  cfg.controller.fe_policy = kind;
+  core::Testbed bed(cfg);
+  const auto home = static_cast<sim::NodeId>(rng.uniform_u64(0, n - 1));
+  vswitch::VnicConfig v;
+  v.id = 7;
+  v.addr = tables::OverlayAddr{5, net::Ipv4Addr(10, 0, 0, 7)};
+  bed.add_vnic(home, v);
+  EXPECT_TRUE(bed.controller().trigger_offload(7).ok());
+
+  // CPU: busy for a share of the next 3 s drawn from five levels, the
+  // last above the 0.40 busy threshold.
+  const common::Duration window = common::seconds(3);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double share = 0.1 * static_cast<double>(rng.uniform_u64(0, 3)) +
+                         (rng.chance(0.15) ? 0.5 : 0.0);
+    vswitch::CpuModel& cpu = bed.vswitch(i).cpu();
+    cpu.consume(share * common::to_seconds(window) * cpu.cycles_per_second(),
+                bed.loop().now());
+  }
+  bed.run_for(window);
+  EXPECT_TRUE(bed.controller().is_offloaded(7));
+  bed.controller().refresh_fleet_sample();
+
+  // Port backlogs of 0 to 48 jumbo frames (up to ~2 kQueueNormBytes), then
+  // crashes and the extra exclusions.
+  const net::FiveTuple ft{net::Ipv4Addr(10, 0, 0, 1),
+                          net::Ipv4Addr(10, 0, 0, 2), 1000, 80,
+                          net::IpProto::kUdp};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t frames = 12 * rng.uniform_u64(0, 4);
+    for (std::uint64_t f = 0; f < frames; ++f) {
+      bed.network().send(static_cast<sim::NodeId>(i),
+                         bed.vswitch(home).underlay_ip(),
+                         net::make_udp_packet(ft, 60000));
+    }
+  }
+  std::vector<sim::NodeId> extra;
+  for (sim::NodeId i = 0; i < n; ++i) {
+    if (rng.chance(0.1)) bed.network().crash(i);
+    if (rng.chance(0.1)) extra.push_back(i);
+  }
+
+  const std::vector<sim::NodeId> pool = bed.controller().fe_nodes_of(7);
+  std::vector<Candidate> cands;
+  for (sim::NodeId i = 0; i < n; ++i) {
+    vswitch::UtilizationSampler sampler;  // the controller's first sample
+    const double cpu = sampler.sample(bed.vswitch(i).cpu(), bed.loop().now());
+    if (i == home || bed.network().crashed(i) ||
+        std::find(pool.begin(), pool.end(), i) != pool.end() ||
+        std::find(extra.begin(), extra.end(), i) != extra.end() ||
+        cpu >= cfg.controller.scale_threshold) {
+      continue;
+    }
+    cands.push_back(Candidate{
+        i, bed.network().topology().hop_tier(home, i), cpu,
+        static_cast<double>(bed.network().port_queued_bytes(i))});
+  }
+  const std::size_t count =
+      std::vector<std::size_t>{0, 1, 4, n - 1, n, n + 3}[count_pick];
+  const std::vector<std::uint32_t> expected =
+      kind == PolicyKind::kLoadAwareWeighted
+          ? sorted_prefix(cands, count, load_aware_less)
+          : sorted_prefix(cands, count, default_less);
+
+  (void)bed.controller().scale_out(7, count, extra);
+  const std::vector<sim::NodeId> grown = bed.controller().fe_nodes_of(7);
+  EXPECT_EQ(std::vector<sim::NodeId>(grown.begin(), grown.begin() +
+                                                        static_cast<long>(
+                                                            pool.size())),
+            pool);
+  const std::vector<std::uint32_t> picked(
+      grown.begin() + static_cast<long>(pool.size()), grown.end());
+  EXPECT_EQ(picked, expected);
+
+  CaseStats stats;
+  stats.picked = picked.size();
+  for (const Candidate& a : cands) {
+    for (const Candidate& b : cands) {
+      if (a.node != b.node && a.cpu_util == b.cpu_util) {
+        ++stats.cpu_ties;
+        break;
+      }
+    }
+  }
+  return stats;
+}
+
+TEST(PlacementPropertyTest, OnePassEqualsAFullSortOfTheCandidates) {
+  CaseStats total;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (bool clos : {false, true}) {
+      for (PolicyKind kind :
+           {PolicyKind::kStaticHash, PolicyKind::kLoadAwareWeighted}) {
+        for (std::size_t count_pick = 0; count_pick < 6; ++count_pick) {
+          SCOPED_TRACE(std::string(clos ? "clos " : "tiered ") +
+                       policy::to_string(kind) + " seed " +
+                       std::to_string(seed) + " count pick " +
+                       std::to_string(count_pick));
+          const CaseStats stats =
+              placement_case(clos, kind, count_pick, seed);
+          total.picked += stats.picked;
+          total.cpu_ties += stats.cpu_ties;
+        }
+      }
+    }
+  }
+  EXPECT_GT(total.picked, 0u);
+  EXPECT_GT(total.cpu_ties, 0u);
 }
 
 // ---------------------------------------------------------------- bed level

@@ -1,12 +1,14 @@
 // Unit tests for the discrete-event simulator: event loop ordering and
-// cancellation, topology tiers, network delivery/latency/faults, and the
-// FIFO tail-drop arithmetic of ports and Clos fabric links.
+// cancellation, topology tiers and rack arithmetic, network
+// delivery/latency/faults, and the FIFO tail-drop arithmetic of ports and
+// Clos fabric links.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/network.h"
 #include "src/sim/node.h"
@@ -269,6 +271,48 @@ TEST(TopologyTest, LatencyIncreasesWithTier) {
   EXPECT_LT(topo.latency(0, 0), topo.latency(0, 1));
   EXPECT_LT(topo.latency(0, 1), topo.latency(0, 4));
   EXPECT_LT(topo.latency(0, 4), topo.latency(0, 8));
+}
+
+// Racks and blocks are reciprocal multiplies, not divisions: for every
+// divisor 1-4,096 and random 32-bit ids (plus the ids around multiples of
+// the divisor and the largest id), tor_of/leaf_of/agg_of equal `/` in both
+// fabrics. Divisor 1 is its own case: its reciprocal 2^64 does not fit in
+// 64 bits.
+TEST(TopologyTest, ReciprocalRacksMatchDivision) {
+  common::Rng rng(41);
+  std::size_t mismatches = 0;
+  for (std::uint32_t d = 1; d <= 4096; ++d) {
+    const auto block = static_cast<std::uint32_t>(rng.uniform_u64(1, 4096));
+    TopologyConfig tiered_config;
+    tiered_config.servers_per_tor = d;
+    tiered_config.tors_per_agg = block;
+    const Topology tiered(tiered_config);
+    TopologyConfig clos_config;
+    clos_config.kind = FabricKind::kClos;
+    clos_config.clos.hosts_per_leaf = d;
+    const Topology clos(clos_config);
+    std::vector<NodeId> ids{0, d - 1, d, 0xffffffffu,
+                            0xffffffffu / d * d, 0xffffffffu / d * d - 1};
+    for (int i = 0; i < 64; ++i) {
+      ids.push_back(static_cast<NodeId>(rng.next()));
+    }
+    for (const NodeId id : ids) {
+      mismatches += tiered.tor_of(id) != id / d;
+      mismatches += tiered.agg_of(id) != id / d / block;
+      mismatches += clos.leaf_of(id) != id / d;
+      mismatches += clos.agg_of(id) != 0;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  TopologyConfig one;
+  one.servers_per_tor = 1;
+  one.tors_per_agg = 1;
+  const Topology unit(one);
+  for (const NodeId id : {0u, 1u, 0x80000000u, 0xfffffffeu, 0xffffffffu}) {
+    EXPECT_EQ(unit.tor_of(id), id);
+    EXPECT_EQ(unit.agg_of(id), id);
+  }
 }
 
 /// Minimal sink node recording arrivals.
