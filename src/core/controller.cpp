@@ -40,15 +40,15 @@ Controller::Controller(sim::EventLoop& loop, sim::Network& network,
                        ControllerConfig config)
     : loop_(loop), network_(network), gateway_(gateway), config_(config),
       rng_(config.seed),
-      policy_(&policy::policy_for(config.fe_policy)) {}
+      policy_(&policy::policy_for(config.fe_policy)),
+      weight_book_(policy::empty_weight_book()) {}
 
 void Controller::add_vswitch(vswitch::VSwitch* vs) {
   if (vs->id() != fleet_.size()) {
     throw std::invalid_argument("vSwitches join the fleet in NodeId order");
   }
-  const sim::Topology& topo = network_.topology();
   fleet_.push_back(SwitchState{vs, &vs->network(), {}});
-  hosts_.push_back(Host{topo.tor_of(vs->id()), topo.agg_of(vs->id()), 0.0});
+  loads_.push_back(0.0);
   vs->set_fe_policy(policy_);
 }
 
@@ -137,31 +137,60 @@ void Controller::publish_placement(const VnicRecord& rec) {
 std::vector<vswitch::VSwitch*> Controller::select_frontends(
     const vswitch::VSwitch& home, std::size_t count,
     const std::vector<sim::NodeId>& exclude) const {
-  // One pass over the dense host array. A host's tier compares cached
-  // racks, its backlog is read only when the policy's key uses it, and the
-  // rarer tests run only for a host that would enter the shortlist.
+  // Each hop tier is at most two node ranges: the home rack, the rest of
+  // its aggregation block, the rest of the fleet. The index offers a host,
+  // or a whole subtree through its least-loaded host, only while that
+  // host's least possible key would still enter the shortlist. A sample
+  // lies in [0, 1], where load_key(cpu, 0) is the CPU itself, so that
+  // bound follows the index order; a backlog only adds to it.
   const sim::NodeId home_id = home.id();
   const sim::Topology& topo = network_.topology();
-  const std::uint32_t home_rack = topo.tor_of(home_id);
-  const std::uint32_t home_block = topo.agg_of(home_id);
+  const std::uint64_t n = loads_.size();
+  const auto clip = [n](std::uint64_t id) {
+    return static_cast<sim::NodeId>(std::min(id, n));
+  };
+  const sim::Topology::Span rack = topo.rack_span(home_id);
+  const sim::Topology::Span block = topo.block_span(home_id);
+  const sim::NodeId rack_first = clip(rack.first), rack_last = clip(rack.last);
+  const sim::NodeId block_first = clip(block.first);
+  const sim::NodeId block_last = clip(block.last);
+  struct Range {
+    int tier;
+    sim::NodeId first, last;
+  };
+  const Range ranges[] = {{1, rack_first, rack_last},
+                          {2, block_first, rack_first},
+                          {2, rack_last, block_last},
+                          {3, 0, block_first},
+                          {3, block_last, clip(n)}};
   const policy::LoadKey load_key = policy_->load_key();
-  policy::Shortlist best(std::min(count, hosts_.size()));
-  for (sim::NodeId node = 0; node < hosts_.size(); ++node) {
-    const Host& h = hosts_[node];
-    // Idle enough to take load without becoming a bottleneck (App B.1).
-    if (h.cpu >= config_.scale_threshold) continue;
-    const double queue =
-        load_key.backlog
-            ? static_cast<double>(fleet_[node].net->port_queued_bytes(node))
-            : 0.0;
-    const policy::PlacementKey key{
-        h.rack == home_rack ? 1 : h.block == home_block ? 2 : 3, node,
-        load_key(h.cpu, queue)};
-    if (!best.admits(key) || node == home_id || network_.crashed(node) ||
-        std::find(exclude.begin(), exclude.end(), node) != exclude.end()) {
-      continue;
-    }
-    best.take(key);
+  policy::Shortlist best(std::min<std::uint64_t>(count, n));
+  for (const Range& range : ranges) {
+    loads_.search(
+        range.first, range.last,
+        [&](double cpu, sim::NodeId node) {
+          // Idle enough to take load without becoming a bottleneck (App
+          // B.1), and not yet beaten by `count` better hosts.
+          return cpu < config_.scale_threshold &&
+                 best.admits(policy::PlacementKey{range.tier, node,
+                                                  load_key(cpu, 0.0)});
+        },
+        [&](sim::NodeId node, double cpu) {
+          const double queue =
+              load_key.backlog
+                  ? static_cast<double>(
+                        fleet_[node].net->port_queued_bytes(node))
+                  : 0.0;
+          const policy::PlacementKey key{range.tier, node,
+                                         load_key(cpu, queue)};
+          if (!best.admits(key) || node == home_id ||
+              network_.crashed(node) ||
+              std::find(exclude.begin(), exclude.end(), node) !=
+                  exclude.end()) {
+            return;
+          }
+          best.take(key);
+        });
   }
   std::vector<vswitch::VSwitch*> out;
   out.reserve(best.best().size());
@@ -187,14 +216,14 @@ std::vector<vswitch::VSwitch*> Controller::displace_frontends(
     if (std::find(exclude.begin(), exclude.end(), node) != exclude.end()) {
       continue;
     }
-    if (hosts_[node].cpu < config_.scale_threshold) continue;  // idle →
+    if (loads_.load(node) < config_.scale_threshold) continue;  // idle →
     if (fleet_[node].vs->frontend_count() == 0) continue;  // select_frontends
     victims.push_back(node);
   }
   std::sort(victims.begin(), victims.end(),
             [this](sim::NodeId a, sim::NodeId b) {
-              if (hosts_[a].cpu != hosts_[b].cpu) {
-                return hosts_[a].cpu < hosts_[b].cpu;
+              if (loads_.load(a) != loads_.load(b)) {
+                return loads_.load(a) < loads_.load(b);
               }
               return a < b;
             });
@@ -370,7 +399,7 @@ common::Status Controller::trigger_fallback(tables::VnicId id) {
   }
   // Estimate: fallback only if the home vSwitch can absorb the load (§4.2.2).
   if (switch_of(rec.home->id()) != nullptr &&
-      hosts_[rec.home->id()].cpu >= kFallbackSafeLevel) {
+      loads_.load(rec.home->id()) >= kFallbackSafeLevel) {
     return common::make_error("home vSwitch too loaded for fallback");
   }
 
@@ -563,12 +592,14 @@ void Controller::refresh_fleet_sample() {
   for (sim::NodeId node = 0; node < fleet_.size(); ++node) {
     if (network_.crashed(node)) continue;
     SwitchState& state = fleet_[node];
-    hosts_[node].cpu = state.sampler.sample(state.vs->cpu(), now);
+    loads_.set(node, state.sampler.sample(state.vs->cpu(), now));
   }
 }
 
 void Controller::publish_fe_weights() {
-  ++weight_book_.version;
+  auto book = std::make_shared<policy::FeWeightBook>();
+  book->version = weight_book_->version + 1;
+  book->weight_by_ip.reserve(fleet_.size());
   for (sim::NodeId node = 0; node < fleet_.size(); ++node) {
     const SwitchState& state = fleet_[node];
     // Fold CPU with the egress-port backlog so either saturated resource
@@ -578,11 +609,13 @@ void Controller::publish_fe_weights() {
     // serving stale senders keeps draining.
     const double queue = std::min(
         1.0, state.net->port_queued_bytes(node) / policy::kQueueNormBytes);
-    const double load = std::min(1.0, std::max(hosts_[node].cpu, queue));
+    const double load = std::min(1.0, std::max(loads_.load(node), queue));
     const auto weight = static_cast<std::uint16_t>(
         1 + std::lround((policy::FeWeightBook::kMaxWeight - 1) * (1.0 - load)));
-    weight_book_.set(state.vs->location().ip, weight);
+    book->set(state.vs->location().ip, weight);
   }
+  // Replaced whole, with every shard quiescent: the fleet shares one book.
+  weight_book_ = std::move(book);
   for (auto& state : fleet_) state.vs->set_fe_weights(weight_book_);
 }
 
@@ -667,7 +700,7 @@ void Controller::monitor_tick() {
     vswitch::VSwitch* vs = state.vs;
     if (network_.crashed(node)) continue;
     const double cpu_util = state.sampler.sample(vs->cpu(), now);
-    hosts_[node].cpu = cpu_util;
+    loads_.set(node, cpu_util);
     const double mem_util = std::max(vs->rule_memory().utilization(),
                                      vs->session_memory().utilization());
     const double util = std::max(cpu_util, mem_util);

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "src/common/stats.h"
 #include "src/common/time.h"
 #include "src/policy/fe_policy.h"
+#include "src/policy/load_index.h"
 #include "src/sim/network.h"
 #include "src/tables/vnic_server_map.h"
 #include "src/telemetry/trace_event.h"
@@ -91,9 +93,10 @@ class Controller {
   /// telemetry registry's vs<i>.cpu_util / vs<i>.port_q gauges export) and
   /// pushes the book fleet-wide. monitor_tick calls this every
   /// kWeightUpdatePeriod under kLoadAwareWeighted; tests and benches may
-  /// call it directly between quiescent windows.
+  /// call it directly between quiescent windows. The book is built once and
+  /// shared: every vSwitch points at the same immutable copy.
   void publish_fe_weights();
-  const policy::FeWeightBook& fe_weights() const { return weight_book_; }
+  const policy::FeWeightBook& fe_weights() const { return *weight_book_; }
   /// Samples every vSwitch's CPU utilization now (what monitor_tick does
   /// before deciding) without taking any scaling action — for driving
   /// publish_fe_weights from a bench that never start()s the controller.
@@ -159,13 +162,9 @@ class Controller {
     const sim::Network* net = nullptr;
     vswitch::UtilizationSampler sampler;
   };
-  /// What a placement pass reads of one host, 16 B so the pass streams
-  /// through a dense array.
-  struct Host {
-    std::uint32_t rack = 0;   // Topology::tor_of
-    std::uint32_t block = 0;  // Topology::agg_of (0 for every Clos host)
-    double cpu = 0.0;         // last sampled CPU utilization
-  };
+  // Tests read the sampled loads, place directly, and watch placements
+  // start through a forwarding policy.
+  friend struct ControllerTestPeer;
 
   common::Duration sample_config_latency();
   void monitor_tick();
@@ -190,6 +189,7 @@ class Controller {
   /// Picks the best `count` idle vSwitches for a vNIC homed at `home`, best
   /// first, in policy::PlacementKey order (App B.1: same ToR, then the same
   /// aggregation block, then least-loaded), excluding nodes in `exclude`.
+  /// Reads loads_ tier by tier and stops where nothing left can enter.
   std::vector<vswitch::VSwitch*> select_frontends(
       const vswitch::VSwitch& home, std::size_t count,
       const std::vector<sim::NodeId>& exclude) const;
@@ -225,7 +225,10 @@ class Controller {
 
   // Both indexed by NodeId: vSwitches join the fleet in id order from 0.
   std::vector<SwitchState> fleet_;
-  std::vector<Host> hosts_;
+  /// Each host's last sampled CPU utilization, ordered for placement. Only
+  /// add_vswitch (push_back), refresh_fleet_sample and monitor_tick (set)
+  /// write it, so the order never lags a sample.
+  policy::LoadIndex loads_;
   std::unordered_map<tables::VnicId, VnicRecord> vnics_;
   std::unordered_map<tables::VnicId, common::TimePoint> last_scale_at_;
 
@@ -237,7 +240,7 @@ class Controller {
   std::uint64_t displacement_events_ = 0;
   std::uint64_t fes_provisioned_ = 0;
   const policy::FeSelectionPolicy* policy_;
-  policy::FeWeightBook weight_book_;
+  std::shared_ptr<const policy::FeWeightBook> weight_book_;
   common::TimePoint last_weight_push_ = 0;
   common::Percentiles offload_completion_;
   telemetry::Hub* telemetry_ = nullptr;

@@ -56,6 +56,12 @@ std::size_t PushAsideDisplacementPolicy::pick(
   return static_cast<std::size_t>(net::flow_hash(hash_ft, seed) % n);
 }
 
+const std::shared_ptr<const FeWeightBook>& empty_weight_book() {
+  static const std::shared_ptr<const FeWeightBook> empty =
+      std::make_shared<const FeWeightBook>();
+  return empty;
+}
+
 const FeSelectionPolicy& policy_for(PolicyKind kind) {
   static const StaticHashPolicy static_hash;
   static const LoadAwareWeightedPolicy load_aware;

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -54,8 +55,9 @@ const char* to_string(PolicyKind kind);
 /// IP (never by pool slot: keying on the IP means list reorders move no
 /// flows and removing an FE only remaps the flows it served). Quantized to
 /// [1, kMaxWeight] — never 0, so an FE still serving stale senders keeps
-/// draining its flows. The controller recomputes and pushes the book to the
-/// whole fleet; `version` lets tests assert propagation.
+/// draining its flows. The controller recomputes the book and publishes it
+/// as one immutable copy that every vSwitch points at; `version` lets tests
+/// assert propagation.
 struct FeWeightBook {
   static constexpr std::uint16_t kDefaultWeight = 32;  // load-neutral
   static constexpr std::uint16_t kMaxWeight = 64;
@@ -72,6 +74,10 @@ struct FeWeightBook {
     weight_by_ip[ip.value()] = weight;
   }
 };
+
+/// The book every vSwitch holds before the controller publishes one: empty,
+/// so every FE weighs kDefaultWeight. One instance per process.
+const std::shared_ptr<const FeWeightBook>& empty_weight_book();
 
 /// Port backlog the load-aware signals count as fully congested (~1000 MTU
 /// packets): the placement key and the FE weight book saturate there.
@@ -95,7 +101,8 @@ struct LoadKey {
 /// hop tier from the vNIC's home (same ToR first), then the policy's load
 /// key (least-loaded first), then node id. The order is total, so the best
 /// `count` hosts, and their order, do not depend on the order a placement
-/// visits the fleet in. (Laid out in 16 B: a pass compares one per host.)
+/// visits the fleet in. (Laid out in 16 B: a placement builds one per host
+/// it visits.)
 struct PlacementKey {
   int tier = 0;
   std::uint32_t node = 0;
@@ -108,8 +115,8 @@ struct PlacementKey {
   }
 };
 
-/// The best `count` keys offered so far, best first. A placement is one
-/// pass over the fleet that offers each idle host's key, so it holds
+/// The best `count` keys offered so far, best first. A placement offers the
+/// key of each idle host its load-index search visits, so it holds
 /// O(count) state and sorts only the keys that enter the list.
 class Shortlist {
  public:
@@ -120,8 +127,9 @@ class Shortlist {
     best_.reserve(count);
   }
 
-  /// True when `key` would enter the list now; a pass asks this before a
-  /// host's costlier eligibility tests.
+  /// True when `key` would enter the list now; a placement asks this before
+  /// a host's costlier eligibility tests, and of a subtree's least host
+  /// before searching the subtree.
   bool admits(const PlacementKey& key) const { return key < bar_; }
   /// Inserts an admitted key in order, dropping the worst once `count` are
   /// held.

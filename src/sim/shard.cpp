@@ -32,6 +32,27 @@ std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
+// One worker's phase timers. Adjacent timers share the clock read at their
+// common boundary: lap() ends the running interval and starts the next
+// with one read, so a phase over k shards costs k + 1 reads, not 2k.
+class PhaseClock {
+ public:
+  PhaseClock() : last_(std::chrono::steady_clock::now()) {}
+  /// Starts an interval here, dropping the time since the last boundary.
+  void restart() { last_ = std::chrono::steady_clock::now(); }
+  /// Ends the running interval here, returning its length, and starts the
+  /// next one.
+  std::uint64_t lap() {
+    const auto now = std::chrono::steady_clock::now();
+    const std::uint64_t ns = ns_between(last_, now);
+    last_ = now;
+    return ns;
+  }
+
+ private:
+  std::chrono::steady_clock::time_point last_;
+};
+
 // Which shard's advance phase (if any) the current thread is inside. Lets
 // schedule_fenced tell a mid-epoch registration (stage per shard, assign
 // the global sequence at the barrier drain) from a quiescent one (assign
@@ -130,7 +151,6 @@ void ShardedEngine::snapshot_inbound(std::uint32_t s) {
 }
 
 void ShardedEngine::advance_shard(std::uint32_t s, common::TimePoint end) {
-  const auto t0 = std::chrono::steady_clock::now();
   tls_engine = this;
   tls_shard = s;
   const std::size_t k = shards_.size();
@@ -175,7 +195,6 @@ void ShardedEngine::advance_shard(std::uint32_t s, common::TimePoint end) {
   // the other workers by the post-advance barrier.
   xfer_inflight_[s] = xfer_epoch_[s];
   xfer_epoch_[s] = 0;
-  profile_[s].advance_ns += ns_between(t0, std::chrono::steady_clock::now());
 }
 
 void ShardedEngine::schedule_fenced(common::TimePoint due,
@@ -195,11 +214,8 @@ void ShardedEngine::schedule_fenced(common::TimePoint due,
     trace_(FenceTracePoint{false, shards_.empty() ? 0 : shards_[0].loop->now(),
                            f.due, f.seq});
   }
-  const auto pos = std::upper_bound(
-      fences_.begin(), fences_.end(), f, [](const Fence& a, const Fence& b) {
-        return a.due != b.due ? a.due < b.due : a.seq < b.seq;
-      });
-  fences_.insert(pos, std::move(f));
+  fences_.push_back(std::move(f));
+  std::push_heap(fences_.begin(), fences_.end(), fence_after);
 }
 
 bool ShardedEngine::fence_work_pending(common::TimePoint e) const {
@@ -210,28 +226,23 @@ bool ShardedEngine::fence_work_pending(common::TimePoint e) const {
 }
 
 void ShardedEngine::run_fences(common::TimePoint now) {
-  bool drained = false;
   for (const std::uint32_t s : merge_order_) {
     std::vector<Fence>& st = fence_staged_[s];
     for (Fence& f : st) {
       f.seq = fence_seq_++;
       if (trace_) trace_(FenceTracePoint{false, now, f.due, f.seq});
       fences_.push_back(std::move(f));
-      drained = true;
+      std::push_heap(fences_.begin(), fences_.end(), fence_after);
     }
     st.clear();
   }
-  if (drained) {
-    std::stable_sort(fences_.begin(), fences_.end(),
-                     [](const Fence& a, const Fence& b) {
-                       return a.due != b.due ? a.due < b.due : a.seq < b.seq;
-                     });
-  }
   // A section's body may register further fences; any it makes due <= now
-  // are picked up by this same loop (sorted insertion keeps the order).
+  // are picked up by this same loop ((due, seq) is a total order, so the
+  // heap yields exactly the sorted order).
   while (!fences_.empty() && fences_.front().due <= now) {
-    Fence f = std::move(fences_.front());
-    fences_.erase(fences_.begin());
+    std::pop_heap(fences_.begin(), fences_.end(), fence_after);
+    Fence f = std::move(fences_.back());
+    fences_.pop_back();
     if (trace_) trace_(FenceTracePoint{true, now, f.due, f.seq});
     f.fn();
     ++fences_run_;
@@ -306,6 +317,7 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
   auto work = [&](std::uint32_t w) {
     // Fixed shard→thread mapping: shard s is always driven by worker
     // s % w_count, epoch after epoch.
+    PhaseClock clock;
     for (common::TimePoint e = start; e < t;) {
       if (fence_work_pending(e)) {
         // All workers evaluated the predicate against the same
@@ -315,9 +327,9 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
         bar.arrive_and_wait();
         // Quiesce: worker 0 drains + executes while everyone else parks.
         if (w == 0) {
-          const auto f0 = std::chrono::steady_clock::now();
+          clock.restart();
           run_fences(e);
-          fence_ns_ += ns_between(f0, std::chrono::steady_clock::now());
+          fence_ns_ += clock.lap();
           ++fence_barriers_;
         }
         bar.arrive_and_wait();
@@ -327,11 +339,10 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
         // Nothing can happen before `jump`: teleport the lockstep clock.
         // run_until executes no events here (jump < every next event) —
         // it only advances each loop's now.
+        clock.restart();
         for (std::uint32_t s = w; s < k; s += w_count) {
-          const auto j0 = std::chrono::steady_clock::now();
           shards_[s].loop->run_until(jump);
-          profile_[s].fast_forward_ns +=
-              ns_between(j0, std::chrono::steady_clock::now());
+          profile_[s].fast_forward_ns += clock.lap();
         }
         if (w == 0) {
           epochs_skipped_ += static_cast<std::uint64_t>((jump - e) / epoch);
@@ -342,24 +353,20 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
         continue;
       }
       const common::TimePoint end = e + epoch < t ? e + epoch : t;
+      clock.restart();
       for (std::uint32_t s = w; s < k; s += w_count) {
-        const auto s0 = std::chrono::steady_clock::now();
         snapshot_inbound(s);
-        profile_[s].snapshot_ns +=
-            ns_between(s0, std::chrono::steady_clock::now());
+        profile_[s].snapshot_ns += clock.lap();
       }
-      const auto t0 = std::chrono::steady_clock::now();
       bar.arrive_and_wait();
-      const auto t1 = std::chrono::steady_clock::now();
+      std::uint64_t wait_ns = clock.lap();
       for (std::uint32_t s = w; s < k; s += w_count) {
         advance_shard(s, end);
         next_event_[s] = shards_[s].loop->next_event_at();
+        profile_[s].advance_ns += clock.lap();
       }
-      const auto t2 = std::chrono::steady_clock::now();
       bar.arrive_and_wait();
-      const auto t3 = std::chrono::steady_clock::now();
-      const std::uint64_t wait_ns =
-          ns_between(t0, t1) + ns_between(t2, t3);
+      wait_ns += clock.lap();
       for (std::uint32_t s = w; s < k; s += w_count) {
         ++profile_[s].epochs;
         profile_[s].barrier_wait_ns += wait_ns;
@@ -382,9 +389,9 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
   // barrier here — run_until's contract is "everything due <= t ran".
   // Counted as a quiesce point like the in-loop barriers: one per
   // run_until call, so the count stays thread- and run-invariant.
-  const auto f0 = std::chrono::steady_clock::now();
+  PhaseClock clock;
   run_fences(t);
-  fence_ns_ += ns_between(f0, std::chrono::steady_clock::now());
+  fence_ns_ += clock.lap();
   ++fence_barriers_;
 }
 

@@ -290,6 +290,11 @@ class ShardedEngine {
     std::uint64_t seq = 0;
     std::function<void()> fn;
   };
+  /// fences_'s heap order: true when `a` runs after `b`, so the earliest
+  /// (due, seq) sits at the front.
+  static bool fence_after(const Fence& a, const Fence& b) {
+    return a.due != b.due ? a.due > b.due : a.seq > b.seq;
+  }
   /// True when a barrier at epoch-start `e` must stop for fence work:
   /// either a staged registration waits for its sequence number, or the
   /// earliest queued fence is due at or before `e`. Read-only; called
@@ -337,7 +342,7 @@ class ShardedEngine {
   std::uint64_t fence_barriers_ = 0;
   std::uint64_t ff_jumps_ = 0;
 
-  // Fence state. fences_ is kept sorted by (due, seq); only worker 0 (or
+  // Fence state. fences_ is a min-heap on (due, seq); only worker 0 (or
   // quiescent setup code) touches it. fence_staged_[s] is written only by
   // shard s's worker mid-epoch and drained by worker 0 at barriers.
   std::vector<Fence> fences_;

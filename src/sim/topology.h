@@ -70,10 +70,7 @@ class Divisor {
 class Topology {
  public:
   explicit Topology(TopologyConfig config = {})
-      : config_(config),
-        rack_(config.kind == FabricKind::kClos ? config.clos.hosts_per_leaf
-                                               : config.servers_per_tor),
-        block_(config.tors_per_agg) {}
+      : config_(config), rack_(rack_hosts()), block_(config.tors_per_agg) {}
 
   const TopologyConfig& config() const { return config_; }
   bool is_clos() const { return config_.kind == FabricKind::kClos; }
@@ -88,6 +85,26 @@ class Topology {
     return is_clos() ? 0 : block_.divide(tor_of(node));
   }
   std::uint32_t leaf_of(NodeId node) const { return tor_of(node); }
+
+  /// Node ids [first, last) of a rack, or of an aggregation block (a Clos
+  /// fabric's one block spans every id): racks and blocks hold consecutive
+  /// ids, so FE placement reads each hop tier as node ranges.
+  struct Span {
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
+  };
+  Span rack_span(NodeId node) const {
+    const std::uint64_t hosts = rack_hosts();
+    const std::uint64_t first = std::uint64_t{tor_of(node)} * hosts;
+    return {first, first + hosts};
+  }
+  Span block_span(NodeId node) const {
+    if (is_clos()) return {0, std::uint64_t{1} << 32};
+    const std::uint64_t hosts =
+        std::uint64_t{config_.tors_per_agg} * rack_hosts();
+    const std::uint64_t first = std::uint64_t{agg_of(node)} * hosts;
+    return {first, first + hosts};
+  }
 
   bool same_tor(NodeId a, NodeId b) const { return tor_of(a) == tor_of(b); }
   bool same_agg(NodeId a, NodeId b) const { return agg_of(a) == agg_of(b); }
@@ -124,6 +141,10 @@ class Topology {
   std::uint32_t ecmp_spine(NodeId a, NodeId b, std::uint64_t entropy) const;
 
  private:
+  std::uint32_t rack_hosts() const {
+    return is_clos() ? config_.clos.hosts_per_leaf : config_.servers_per_tor;
+  }
+
   TopologyConfig config_;
   Divisor rack_;   // hosts per rack
   Divisor block_;  // racks per aggregation block

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <ostream>
 
 namespace nezha::telemetry {
@@ -25,11 +26,29 @@ void append_json_string(std::string& out, std::string_view s) {
   out += '"';
 }
 
+/// Where a name's probe starts in a registry's name index.
+std::uint32_t name_hash(std::string_view name) {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
+}
+
 }  // namespace
+
+template <typename Slot>
+MetricsRegistry::Id MetricsRegistry::find_slot(const NameIndex& index,
+                                               const std::vector<Slot>& slots,
+                                               std::string_view name) {
+  const std::uint32_t hash = name_hash(name);
+  const NameCell* cell = index.find(hash, [&](const NameCell& c) {
+    return c.hash == hash && slots[c.slot_plus_one - 1].name == name;
+  });
+  return cell == nullptr ? kInvalidId : cell->slot_plus_one - 1;
+}
 
 MetricsRegistry::Id MetricsRegistry::counter(std::string name) {
   const Id existing = find_counter(name);
   if (existing != kInvalidId) return existing;
+  counter_names_.insert(
+      NameCell{name_hash(name), static_cast<Id>(counters_.size() + 1)});
   counters_.push_back(CounterSlot{std::move(name), 0});
   return static_cast<Id>(counters_.size() - 1);
 }
@@ -41,6 +60,8 @@ MetricsRegistry::Id MetricsRegistry::gauge(std::string name,
     gauges_[existing].fn = std::move(fn);
     return existing;
   }
+  gauge_names_.insert(
+      NameCell{name_hash(name), static_cast<Id>(gauges_.size() + 1)});
   gauges_.push_back(GaugeSlot{std::move(name), std::move(fn)});
   return static_cast<Id>(gauges_.size() - 1);
 }
@@ -50,6 +71,8 @@ MetricsRegistry::Id MetricsRegistry::histogram(std::string name, double lo,
                                                std::size_t buckets) {
   const Id existing = find_histogram(name);
   if (existing != kInvalidId) return existing;
+  hist_names_.insert(
+      NameCell{name_hash(name), static_cast<Id>(hists_.size() + 1)});
   hists_.push_back(HistSlot{std::move(name),
                             common::Percentiles::bounded(lo, hi, buckets)});
   return static_cast<Id>(hists_.size() - 1);
@@ -57,25 +80,16 @@ MetricsRegistry::Id MetricsRegistry::histogram(std::string name, double lo,
 
 MetricsRegistry::Id MetricsRegistry::find_counter(
     std::string_view name) const {
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    if (counters_[i].name == name) return static_cast<Id>(i);
-  }
-  return kInvalidId;
+  return find_slot(counter_names_, counters_, name);
 }
 
 MetricsRegistry::Id MetricsRegistry::find_gauge(std::string_view name) const {
-  for (std::size_t i = 0; i < gauges_.size(); ++i) {
-    if (gauges_[i].name == name) return static_cast<Id>(i);
-  }
-  return kInvalidId;
+  return find_slot(gauge_names_, gauges_, name);
 }
 
 MetricsRegistry::Id MetricsRegistry::find_histogram(
     std::string_view name) const {
-  for (std::size_t i = 0; i < hists_.size(); ++i) {
-    if (hists_[i].name == name) return static_cast<Id>(i);
-  }
-  return kInvalidId;
+  return find_slot(hist_names_, hists_, name);
 }
 
 void MetricsRegistry::start_sampler(sim::EventLoop& loop,

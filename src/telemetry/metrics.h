@@ -21,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/flat_table.h"
 #include "src/common/stats.h"
 #include "src/common/time.h"
 #include "src/sim/event_loop.h"
@@ -123,11 +124,30 @@ class MetricsRegistry {
     std::function<void(std::string&)> writer;
   };
 
+  // Name → slot index, one per kind, so registering n names costs O(n): a
+  // cell holds the name's hash and the slot id plus one (0 marks an empty
+  // cell), and a match compares the slot's name.
+  struct NameCell {
+    std::uint32_t hash = 0;
+    Id slot_plus_one = 0;
+  };
+  struct NameTraits {
+    static bool empty(const NameCell& cell) { return cell.slot_plus_one == 0; }
+    static std::uint64_t hash(const NameCell& cell) { return cell.hash; }
+  };
+  using NameIndex = common::FlatTable<NameCell, NameTraits>;
+  template <typename Slot>
+  static Id find_slot(const NameIndex& index, const std::vector<Slot>& slots,
+                      std::string_view name);
+
   void tick(common::TimePoint now);
 
   std::vector<CounterSlot> counters_;
   std::vector<GaugeSlot> gauges_;
   std::vector<HistSlot> hists_;
+  NameIndex counter_names_;
+  NameIndex gauge_names_;
+  NameIndex hist_names_;
   std::vector<JsonSection> sections_;
   std::function<void(common::TimePoint)> tick_observer_;
 

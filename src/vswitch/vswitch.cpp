@@ -555,7 +555,7 @@ std::optional<tables::Location> VSwitch::resolve_dst(
   const net::FiveTuple hash_ft =
       config_.session_consistent_fe_hash ? ft.canonical() : ft;
   return policy::pick_location(*fe_policy_, hash_ft, locs, fe_hash_seed_,
-                               fe_weights_);
+                               *fe_weights_);
 }
 
 void VSwitch::send_encapped(net::Packet pkt, const tables::Location& dst) {
@@ -733,7 +733,7 @@ void VSwitch::be_tx(Vnic& v, net::Packet pkt) {
                                      ? pkt.inner.ft.canonical()
                                      : pkt.inner.ft;
   tables::Location fe = policy::pick_location(*fe_policy_, hash_ft, fes,
-                                              fe_hash_seed_, fe_weights_);
+                                              fe_hash_seed_, *fe_weights_);
   if (auto pit = pinned_flows_.find(key); pit != pinned_flows_.end()) {
     fe = pit->second;
   }

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -210,10 +211,13 @@ class VSwitch : public sim::Node {
                      : &policy::policy_for(policy::PolicyKind::kStaticHash);
   }
   const policy::FeSelectionPolicy& fe_policy() const { return *fe_policy_; }
-  /// Fleet-wide FE weight book for load-aware policies (controller-pushed;
-  /// copied, so the control plane can keep mutating its own copy).
-  void set_fe_weights(const policy::FeWeightBook& book) { fe_weights_ = book; }
-  const policy::FeWeightBook& fe_weights() const { return fe_weights_; }
+  /// Fleet-wide FE weight book for load-aware policies: the controller
+  /// publishes one immutable book and every vSwitch shares it, replaced
+  /// whole in a quiescent context.
+  void set_fe_weights(std::shared_ptr<const policy::FeWeightBook> book) {
+    fe_weights_ = std::move(book);
+  }
+  const policy::FeWeightBook& fe_weights() const { return *fe_weights_; }
 
   /// §C.1 mutual FE-BE link probing: replies to probes sent by this node's
   /// prober land here.
@@ -386,7 +390,8 @@ class VSwitch : public sim::Node {
   std::uint64_t fe_hash_seed_ = 0;
   const policy::FeSelectionPolicy* fe_policy_ =
       &policy::policy_for(policy::PolicyKind::kStaticHash);
-  policy::FeWeightBook fe_weights_;
+  std::shared_ptr<const policy::FeWeightBook> fe_weights_ =
+      policy::empty_weight_book();
   LinkProbeReplyFn link_probe_reply_;
   /// Keyed by adapter id; nodes are never erased (Vnic::adapter()).
   std::unordered_map<tables::VnicId, VmAdapter> adapters_;

@@ -19,7 +19,8 @@
 // aging sweeps at a churn equilibrium allocate nothing.
 // The fixed-cost tests pin what holds nothing: a rule-table set with empty
 // policy tables, a first setup-cache miss, a bounded estimator's buckets,
-// and an offload's FE placement, whose bytes do not grow with the fleet.
+// and an offload's FE placement, whose bytes do not grow with the fleet;
+// nor do a weight publication's bytes per vSwitch.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -237,6 +238,28 @@ TEST(PlacementAllocTest, OffloadBytesDoNotGrowWithTheFleet) {
     return bytes;
   };
   EXPECT_EQ(offload_bytes(64), offload_bytes(1024));
+}
+
+// A weight publication builds one book that every vSwitch shares, so its
+// bytes per vSwitch (the book's entry for that host) do not grow with the
+// fleet; a copy of the book per vSwitch would cost a fleet-sized book each.
+TEST(PlacementAllocTest, WeightPublishBytesPerVSwitchDoNotGrowWithTheFleet) {
+  const auto publish_bytes_per_vswitch = [](std::size_t vswitches) {
+    core::TestbedConfig cfg = core::make_clos_testbed_config(vswitches);
+    cfg.controller.auto_offload = false;
+    cfg.controller.auto_scale = false;
+    cfg.controller.fe_policy = policy::PolicyKind::kLoadAwareWeighted;
+    core::Testbed bed(cfg);
+    const std::uint64_t before = support::alloc_counts().bytes;
+    bed.controller().publish_fe_weights();
+    const std::uint64_t bytes = support::alloc_counts().bytes - before;
+    EXPECT_EQ(bed.vswitch(vswitches - 1).fe_weights().version, 1u);
+    return static_cast<double>(bytes) / static_cast<double>(vswitches);
+  };
+  const double small = publish_bytes_per_vswitch(256);
+  const double large = publish_bytes_per_vswitch(1024);
+  EXPECT_GT(small, 0.0);
+  EXPECT_LE(large, small);
 }
 
 // Session n of the table tests below: distinct, allocation-free keys.

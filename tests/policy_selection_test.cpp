@@ -7,12 +7,14 @@
 // all three policies. Plus the unit properties each implementation leans
 // on: StaticHashPolicy is exactly flow_hash % n (the pre-policy code),
 // weighted rendezvous moves only the removed FE's flows and honors the
-// weight book, and one-pass placement orders hosts exactly as a full sort
-// under the documented comparators does.
+// weight book, and placement from the controller's load index orders hosts
+// exactly as a full sort under the documented comparators does, whenever
+// it runs: between sample rounds, mid-tick, and across crashes and heals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -22,11 +24,38 @@
 #include "src/core/invariants.h"
 #include "src/core/testbed.h"
 #include "src/policy/fe_policy.h"
+#include "src/policy/load_index.h"
 #include "src/workload/fleet_model.h"
 #include "support/scenarios.h"
 
+namespace nezha::core {
+
+// Reads the loads the controller sampled last and runs its placement
+// directly, so a test can place at any moment, mid-tick included.
+struct ControllerTestPeer {
+  static double load(const Controller& c, sim::NodeId node) {
+    return c.loads_.load(node);
+  }
+  static std::vector<sim::NodeId> place(
+      const Controller& c, const vswitch::VSwitch& home, std::size_t count,
+      const std::vector<sim::NodeId>& exclude) {
+    std::vector<sim::NodeId> nodes;
+    for (vswitch::VSwitch* vs : c.select_frontends(home, count, exclude)) {
+      nodes.push_back(vs->id());
+    }
+    return nodes;
+  }
+  static void set_policy(Controller& c, const policy::FeSelectionPolicy& p) {
+    c.policy_ = &p;
+  }
+};
+
+}  // namespace nezha::core
+
 namespace nezha {
 namespace {
+
+using core::ControllerTestPeer;
 
 using policy::FeWeightBook;
 using policy::PlacementKey;
@@ -293,9 +322,9 @@ TEST(PolicySelectionTest, LoadAwareRankFoldsQueueBacklog) {
 // and the crashed, excluded and busy ones is a candidate, at its
 // Topology::hop_tier from the home, with the CPU the controller sampled
 // (drawn from a few levels, so ties are common) and its port backlog. The
-// controller's one pass over its dense host array must pick exactly the
-// hosts, in exactly the order, of a full sort of that candidate vector.
-// The pass is observed through scale_out, which appends its picks to the
+// controller's placement from its load index must pick exactly the hosts,
+// in exactly the order, of a full sort of that candidate vector. The
+// placement is observed through scale_out, which appends its picks to the
 // pool in order, excludes the pool and the extra hosts given, and installs
 // a short pick as it is. Returns how many hosts it picked and how many
 // candidates share their CPU with another.
@@ -426,6 +455,227 @@ TEST(PlacementPropertyTest, OnePassEqualsAFullSortOfTheCandidates) {
   }
   EXPECT_GT(total.picked, 0u);
   EXPECT_GT(total.cpu_ties, 0u);
+}
+
+// The load index alone: after every write, a search over a random range
+// that keeps the best k of what it visits (admitting only what could still
+// enter) finds exactly the k least (load, node) pairs of that range. Loads
+// come from a few levels, so ties fall through to the node id.
+TEST(LoadIndexTest, SearchKeepsTheBestOfARangeAfterEveryWrite) {
+  common::Rng rng(7);
+  policy::LoadIndex index;
+  std::vector<double> loads;
+  const auto level = [&rng] {
+    return 0.125 * static_cast<double>(rng.uniform_u64(0, 8));
+  };
+  for (int step = 0; step < 600; ++step) {
+    if (loads.empty() || rng.chance(0.2)) {
+      loads.push_back(level());
+      index.push_back(loads.back());
+    } else {
+      const auto node = static_cast<std::uint32_t>(
+          rng.uniform_u64(0, loads.size() - 1));
+      loads[node] = level();
+      index.set(node, loads[node]);
+    }
+    const auto first = static_cast<std::uint32_t>(
+        rng.uniform_u64(0, loads.size()));
+    const auto last = static_cast<std::uint32_t>(
+        rng.uniform_u64(first, loads.size() + 2));
+    const std::size_t k = rng.uniform_u64(0, 5);
+    using Pair = std::pair<double, std::uint32_t>;
+    std::vector<Pair> want;
+    for (std::uint32_t i = first; i < std::min<std::size_t>(last, loads.size());
+         ++i) {
+      want.emplace_back(loads[i], i);
+    }
+    std::sort(want.begin(), want.end());
+    want.resize(std::min(k, want.size()));
+    std::vector<Pair> kept;
+    index.search(
+        first, last,
+        [&](double load, std::uint32_t node) {
+          return kept.size() < k ||
+                 (k != 0 && Pair{load, node} < kept.back());
+        },
+        [&](std::uint32_t node, double load) {
+          EXPECT_EQ(load, loads[node]);
+          kept.insert(std::upper_bound(kept.begin(), kept.end(),
+                                       Pair{load, node}),
+                      Pair{load, node});
+          if (kept.size() > k) kept.pop_back();
+        });
+    ASSERT_EQ(kept, want) << "step " << step;
+  }
+}
+
+// Forwards to a real policy and calls `on_place` whenever the controller
+// starts a placement (select_frontends asks for the load key first, once).
+class PlacementSpy final : public policy::FeSelectionPolicy {
+ public:
+  PlacementSpy(const policy::FeSelectionPolicy& real,
+               std::function<void()> on_place)
+      : real_(real), on_place_(std::move(on_place)) {}
+  PolicyKind kind() const override { return real_.kind(); }
+  std::size_t pick(const net::FiveTuple& hash_ft, const tables::Location* fes,
+                   std::size_t n, std::uint64_t seed,
+                   const FeWeightBook& weights) const override {
+    return real_.pick(hash_ft, fes, n, seed, weights);
+  }
+  policy::LoadKey load_key() const override {
+    if (!inside_) {  // the probes below place too
+      inside_ = true;
+      on_place_();
+      inside_ = false;
+    }
+    return real_.load_key();
+  }
+  bool displaces() const override { return real_.displaces(); }
+
+ private:
+  const policy::FeSelectionPolicy& real_;
+  std::function<void()> on_place_;
+  mutable bool inside_ = false;
+};
+
+// Probe placements now, for random homes, counts and exclusions: each must
+// equal a full sort of the candidates as the controller sees them at this
+// moment: every host but the home and the crashed and excluded ones, below
+// the busy threshold by the load the controller sampled last, at its
+// Topology::hop_tier from the home, with its port backlog.
+void expect_placements_sort(core::Testbed& bed, PolicyKind kind,
+                            common::Rng& rng) {
+  const core::Controller& ctrl = bed.controller();
+  const std::size_t n = bed.size();
+  for (int probe = 0; probe < 3; ++probe) {
+    const auto home = static_cast<sim::NodeId>(rng.uniform_u64(0, n - 1));
+    const std::size_t count =
+        std::vector<std::size_t>{1, 4, n}[rng.uniform_u64(0, 2)];
+    std::vector<sim::NodeId> exclude;
+    for (sim::NodeId i = 0; i < n; ++i) {
+      if (rng.chance(0.1)) exclude.push_back(i);
+    }
+    std::vector<Candidate> cands;
+    for (sim::NodeId i = 0; i < n; ++i) {
+      const double cpu = ControllerTestPeer::load(ctrl, i);
+      if (i == home || bed.network().crashed(i) ||
+          std::find(exclude.begin(), exclude.end(), i) != exclude.end() ||
+          cpu >= ctrl.config().scale_threshold) {
+        continue;
+      }
+      cands.push_back(Candidate{
+          i, bed.network().topology().hop_tier(home, i), cpu,
+          static_cast<double>(bed.network().port_queued_bytes(i))});
+    }
+    const std::vector<std::uint32_t> expected =
+        kind == PolicyKind::kLoadAwareWeighted
+            ? sorted_prefix(cands, count, load_aware_less)
+            : sorted_prefix(cands, count, default_less);
+    EXPECT_EQ(ControllerTestPeer::place(ctrl, bed.vswitch(home), count,
+                                        exclude),
+              expected)
+        << "home " << home << " count " << count << " at t="
+        << bed.loop().now();
+  }
+}
+
+// Placement across sample rounds: the monitor runs with auto offload and
+// auto scale on, so placements start mid-tick, while every host after the
+// one being sampled still holds the previous round's load. Each round draws
+// new CPU shares (some above the 0.70 offload trigger, some FE hosts above
+// the 0.40 scale threshold, which scale them in), crashes and heals hosts,
+// loads ports just before the tick, and sometimes refreshes the whole
+// sample mid-round. Probes run at every placement the controller starts,
+// after every refresh and after every round. Returns how many placements
+// started during a monitor tick.
+std::size_t placement_rounds_case(bool clos, PolicyKind kind,
+                                  std::uint64_t seed) {
+  common::Rng rng(seed);
+  const std::size_t n = rng.uniform_u64(24, 40);
+  core::TestbedConfig cfg;
+  if (clos) {
+    cfg = core::make_clos_testbed_config(n, /*hosts_per_leaf=*/4,
+                                         /*num_spines=*/2);
+  } else {
+    cfg.num_vswitches = n;
+    cfg.topology.servers_per_tor = 4;
+    cfg.topology.tors_per_agg = 2;  // 3 to 5 blocks
+  }
+  cfg.controller.fe_policy = kind;
+  core::Testbed bed(cfg);
+  for (sim::NodeId i = 0; i < n; ++i) {
+    for (tables::VnicId k = 0; k < 2; ++k) {
+      if (!rng.chance(0.5)) continue;
+      vswitch::VnicConfig v;
+      v.id = 100 + 2 * i + k;
+      v.addr = tables::OverlayAddr{
+          5, net::Ipv4Addr(10, 1, static_cast<std::uint8_t>(i),
+                           static_cast<std::uint8_t>(k + 1))};
+      bed.add_vnic(i, v);
+    }
+  }
+  core::Controller& ctrl = bed.controller();
+  const common::Duration period = ctrl.config().monitor_period;
+  std::size_t mid_tick = 0;
+  const PlacementSpy spy(policy::policy_for(kind), [&] {
+    if (bed.loop().now() % period == 0) ++mid_tick;
+    expect_placements_sort(bed, kind, rng);
+  });
+  ControllerTestPeer::set_policy(ctrl, spy);
+  ctrl.start();
+
+  const net::FiveTuple ft{net::Ipv4Addr(10, 0, 0, 1),
+                          net::Ipv4Addr(10, 0, 0, 2), 1000, 80,
+                          net::IpProto::kUdp};
+  const common::Duration lead = common::microseconds(50);
+  for (int round = 0; round < 12; ++round) {
+    for (sim::NodeId i = 0; i < n; ++i) {
+      const double share =
+          std::vector<double>{0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.8,
+                              0.9}[rng.uniform_u64(0, 7)];
+      vswitch::CpuModel& cpu = bed.vswitch(i).cpu();
+      cpu.consume(share * common::to_seconds(period) * cpu.cycles_per_second(),
+                  bed.loop().now());
+      if (bed.network().crashed(i)) {
+        if (rng.chance(0.5)) bed.network().heal(i);
+      } else if (rng.chance(0.08)) {
+        bed.network().crash(i);
+      }
+    }
+    bed.run_for(period - lead);
+    for (sim::NodeId i = 0; i < n; ++i) {
+      const std::uint64_t frames = 12 * rng.uniform_u64(0, 4);
+      for (std::uint64_t f = 0; f < frames; ++f) {
+        bed.network().send(i, bed.vswitch(0).underlay_ip(),
+                           net::make_udp_packet(ft, 60000));
+      }
+    }
+    if (rng.chance(0.3)) {
+      ctrl.refresh_fleet_sample();
+      expect_placements_sort(bed, kind, rng);
+    }
+    bed.run_for(lead);
+    expect_placements_sort(bed, kind, rng);
+  }
+  EXPECT_GT(ctrl.offload_events(), 0u);
+  EXPECT_GT(ctrl.scale_in_events(), 0u);
+  return mid_tick;
+}
+
+TEST(PlacementPropertyTest, IndexedPlacementSortsAcrossSampleRounds) {
+  std::size_t mid_tick = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (bool clos : {false, true}) {
+      for (PolicyKind kind :
+           {PolicyKind::kStaticHash, PolicyKind::kLoadAwareWeighted}) {
+        SCOPED_TRACE(std::string(clos ? "clos " : "tiered ") +
+                     policy::to_string(kind) + " seed " +
+                     std::to_string(seed));
+        mid_tick += placement_rounds_case(clos, kind, seed);
+      }
+    }
+  }
+  EXPECT_GT(mid_tick, 0u);
 }
 
 // ---------------------------------------------------------------- bed level
