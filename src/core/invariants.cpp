@@ -70,7 +70,7 @@ void InvariantChecker::check_conservation() {
     }
   }
   // Cross-shard: every exported packet is either already imported by its
-  // destination shard or still sitting in a token ring. Quiescent reads
+  // destination shard or still sitting in a shard outbox. Quiescent reads
   // only (the harness runs between run_for() calls on threaded beds).
   const Testbed::NetTotals t = bed_.net_totals();
   if (bed_.engine() != nullptr) {

@@ -200,8 +200,9 @@ void Testbed::wire_shard_telemetry(std::uint32_t shard, telemetry::Hub* hub) {
   if (engine_ != nullptr) {
     sim::ShardedEngine* eng = engine_.get();
     if (shard == 0) {
-      // Engine-global counters are written only by worker 0, which also
-      // drives shard 0's sampler — same thread, no race.
+      // Engine-global counters are written only in epoch barriers'
+      // completion steps, which every worker is parked for; shard 0's
+      // sampler reads them mid-epoch, so the barrier orders the two.
       m.gauge("sim.epochs_skipped",
               [eng] { return static_cast<double>(eng->epochs_skipped()); });
       m.gauge("sim.fenced_sections", [eng] {

@@ -24,8 +24,8 @@
 //    takes that VM's packets from its adapter's sink; the halves meet only
 //    through packets, so the endpoints may sit on any shards.
 //  * Pure packet traffic — including BE→FE offload detours — may cross
-//    shards freely at any thread count; that is what the token rings are
-//    for.
+//    shards freely at any thread count; that is what the token outboxes
+//    are for.
 #pragma once
 
 #include <cstdint>

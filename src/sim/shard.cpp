@@ -13,18 +13,8 @@
 namespace nezha::sim {
 
 namespace {
-// Per-(src, dst) token ring capacity. The largest backlog one pair has
-// held at a snapshot on the 10240-vSwitch macro is 380 tokens; a larger
-// exchange spills to the overflow vector, which restores order by seq.
-constexpr std::size_t kRingCapacity = 512;
 // Seeds the fixed source-shard merge permutation.
 constexpr std::uint64_t kMergeSeed = 0x5eedfab1ccafeULL;
-
-std::size_t round_up_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
 
 std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
                          std::chrono::steady_clock::time_point b) {
@@ -38,8 +28,6 @@ std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
 class PhaseClock {
  public:
   PhaseClock() : last_(std::chrono::steady_clock::now()) {}
-  /// Starts an interval here, dropping the time since the last boundary.
-  void restart() { last_ = std::chrono::steady_clock::now(); }
   /// Ends the running interval here, returning its length, and starts the
   /// next one.
   std::uint64_t lap() {
@@ -56,54 +44,22 @@ class PhaseClock {
 // Which shard's advance phase (if any) the current thread is inside. Lets
 // schedule_fenced tell a mid-epoch registration (stage per shard, assign
 // the global sequence at the barrier drain) from a quiescent one (assign
-// immediately). Keyed by engine pointer so nested engines cannot alias.
+// immediately), and export_token pick the fill side over the drain side.
+// Keyed by engine pointer so nested engines cannot alias.
 thread_local const void* tls_engine = nullptr;
 thread_local std::uint32_t tls_shard = 0;
 }  // namespace
 
-SpscTokenRing::SpscTokenRing(std::size_t capacity) {
-  const std::size_t cap = round_up_pow2(capacity == 0 ? 1 : capacity);
-  buf_.resize(cap);
-  mask_ = cap - 1;
-}
-
-void SpscTokenRing::push(ShardToken tok) {
-  tok.seq = next_seq_++;
-  const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-  if (t - head_.load(std::memory_order_acquire) > mask_) {
-    // Ring momentarily full: spill. The consumer takes the batch wholesale
-    // at the next quiescent barrier and restores order by seq.
-    overflow_.push_back(std::move(tok));
-    return;
-  }
-  buf_[t & mask_] = std::move(tok);
-  tail_.store(t + 1, std::memory_order_release);
-}
-
-ShardToken SpscTokenRing::pop() {
-  const std::uint64_t h = head_.load(std::memory_order_relaxed);
-  ShardToken tok = std::move(buf_[h & mask_]);
-  head_.store(h + 1, std::memory_order_release);
-  return tok;
-}
-
 ShardedEngine::ShardedEngine(std::vector<Shard> shards,
                              ShardedEngineConfig config)
     : shards_(std::move(shards)), config_(config) {
+  if (config_.epoch < 1) config_.epoch = 1;
   const std::size_t k = shards_.size();
-  rings_.reserve(k * k);
-  for (std::size_t i = 0; i < k * k; ++i) {
-    // A shard never exports to itself: its own ring keeps one slot.
-    rings_.emplace_back(i / k == i % k ? 1 : kRingCapacity);
-  }
-  snap_.assign(k * k, 0);
-  staged_.resize(k * k);
+  outboxes_.resize(k * k);
   late_.assign(k, 0);
   profile_.assign(k, PhaseProfile{});
   fence_staged_.resize(k);
   next_event_.assign(k, 0);
-  xfer_epoch_.assign(k, 0);
-  xfer_inflight_.assign(k, 0);
   wait_observers_.resize(k);
   // The fixed injection order of source shards: a permutation drawn once
   // from a constant seed, so the merge schedule is a function of
@@ -131,70 +87,27 @@ const ShardedEngine::Remote* ShardedEngine::lookup_remote(
 
 void ShardedEngine::export_token(std::uint32_t src_shard,
                                  std::uint32_t dst_shard, ShardToken tok) {
-  // Callers are always the thread exclusively driving src_shard (its owner
-  // mid-advance, worker 0 inside a fence, or quiescent setup code), so the
-  // phase counter needs no synchronization beyond the epoch barriers.
-  ++xfer_epoch_[src_shard];
-  ring(src_shard, dst_shard).push(std::move(tok));
+  // Mid-advance, the fill side: dst_shard's worker may be draining the
+  // other one right now. Quiescent code appends behind the tokens the last
+  // epoch left on the drain side, so push order stays production order.
+  Outbox& o = outboxes_[src_shard * shards_.size() + dst_shard];
+  const bool mid_epoch = tls_engine == static_cast<const void*>(this);
+  o.side[mid_epoch ? parity_ : parity_ ^ 1].push_back(std::move(tok));
 }
 
-void ShardedEngine::snapshot_inbound(std::uint32_t s) {
-  const std::size_t k = shards_.size();
-  for (std::uint32_t src = 0; src < k; ++src) {
-    if (src == s) continue;
-    const std::size_t idx = src * k + s;
-    snap_[idx] = rings_[idx].pending();
-    if (rings_[idx].overflow_size() != 0) {
-      staged_[idx] = rings_[idx].take_overflow();
-    }
-  }
-}
-
-void ShardedEngine::advance_shard(std::uint32_t s, common::TimePoint end) {
-  tls_engine = this;
-  tls_shard = s;
-  const std::size_t k = shards_.size();
-  EventLoop* loop = shards_[s].loop;
+void ShardedEngine::inject_inbound(std::uint32_t s) {
   Network* net = shards_[s].net;
-  const common::TimePoint epoch_start = loop->now();
-  // Inject last epoch's inbound prefix: sources in the fixed merge order,
-  // each source's tokens in production (seq) order — a 2-way merge of the
-  // ring prefix and the overflow batch, both individually seq-ascending.
+  const common::TimePoint epoch_start = shards_[s].loop->now();
   for (const std::uint32_t src : merge_order_) {
     if (src == s) continue;
-    const std::size_t idx = src * k + s;
-    SpscTokenRing& r = rings_[idx];
-    std::size_t n = snap_[idx];
-    std::vector<ShardToken>& ov = staged_[idx];
-    std::size_t oi = 0;
-    while (n != 0 || oi < ov.size()) {
-      bool from_ring;
-      if (n == 0) {
-        from_ring = false;
-      } else if (oi >= ov.size()) {
-        from_ring = true;
-      } else {
-        from_ring = r.front().seq < ov[oi].seq;
-      }
-      ShardToken tok = from_ring ? r.pop() : std::move(ov[oi]);
-      if (from_ring) {
-        --n;
-      } else {
-        ++oi;
-      }
+    std::vector<ShardToken>& in =
+        outboxes_[src * shards_.size() + s].side[parity_ ^ 1];
+    for (ShardToken& tok : in) {
       if (tok.at < epoch_start) ++late_[s];
       net->inject_token(std::move(tok));
     }
-    ov.clear();
+    in.clear();
   }
-  loop->run_until(end);
-  tls_engine = nullptr;
-  // Everything previously in s's outbound rings was snapshotted at this
-  // epoch's start and injected by the consumers during this same phase, so
-  // what remains in flight is exactly this phase's exports. Published to
-  // the other workers by the post-advance barrier.
-  xfer_inflight_[s] = xfer_epoch_[s];
-  xfer_epoch_[s] = 0;
 }
 
 void ShardedEngine::schedule_fenced(common::TimePoint due,
@@ -247,42 +160,30 @@ void ShardedEngine::run_fences(common::TimePoint now) {
     f.fn();
     ++fences_run_;
   }
-  // Sections schedule loop events and may export tokens; refresh the
-  // next-event cache and fold the fence-phase exports into the in-flight
-  // totals so a following fast-forward decision cannot jump over either.
-  // Every loop is quiescent here and this thread owns them all.
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    next_event_[s] = shards_[s].loop->next_event_at();
-    xfer_inflight_[s] += xfer_epoch_[s];
-    xfer_epoch_[s] = 0;
-  }
 }
 
 common::TimePoint ShardedEngine::fast_forward_target(
     common::TimePoint e, common::TimePoint t) const {
   if (!config_.fast_forward) return e;
-  const common::Duration epoch = config_.epoch < 1 ? 1 : config_.epoch;
+  const common::Duration epoch = config_.epoch;
   common::TimePoint next_ev = EventLoop::kNoEvent;
   for (const common::TimePoint ne : next_event_) {
-    if (ne < next_ev) next_ev = ne;
-  }
-  if (next_ev <= e + epoch) return e;
-  // Any in-flight token must be injected at the very next boundary; the
-  // epoch it lands in cannot be elided. Decided from the barrier-published
-  // per-source totals, NOT from live ring state: another worker may
-  // already be inside snapshot_inbound taking overflow batches while this
-  // worker is still here, and all workers must reach the same verdict.
-  for (const std::uint64_t n : xfer_inflight_) {
-    if (n != 0) return e;
+    next_ev = std::min(next_ev, ne);
   }
   const common::TimePoint cap = next_ev < t ? next_ev : t;
   if (cap <= e + epoch) return e;
+  // A waiting token is injected at the very next epoch start, so that
+  // epoch cannot be elided. Every worker is parked, so the outboxes hold
+  // still, and the fill sides are empty.
+  for (const Outbox& o : outboxes_) {
+    if (!o.side[parity_ ^ 1].empty()) return e;
+  }
   // Largest boundary strictly below cap: an event AT a boundary belongs to
   // the epoch that ends there, so that epoch must run normally.
   common::TimePoint jump = e + ((cap - e - 1) / epoch) * epoch;
   if (!fences_.empty()) {
-    // Jumping ONTO a fence's barrier is fine (the fence phase at the next
-    // iteration fires it); jumping past it is not.
+    // Jumping ONTO a fence's barrier is fine (the fence runs there before
+    // any epoch does); jumping past it is not.
     const common::TimePoint due = fences_.front().due;
     const common::TimePoint fence_bar =
         due <= e ? e + epoch : e + ((due - e + epoch - 1) / epoch) * epoch;
@@ -291,82 +192,87 @@ common::TimePoint ShardedEngine::fast_forward_target(
   return jump;
 }
 
+common::TimePoint ShardedEngine::between_epochs(common::TimePoint e,
+                                                common::TimePoint t,
+                                                std::uint64_t& spent_ns) {
+  spent_ns = 0;
+  while (e < t) {
+    if (fence_work_pending(e)) {
+      PhaseClock clock;
+      run_fences(e);
+      // Sections schedule loop events; the jump below must see them.
+      for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+        next_event_[s] = shards_[s].loop->next_event_at();
+      }
+      const std::uint64_t ns = clock.lap();
+      fence_ns_ += ns;
+      spent_ns += ns;
+      ++fence_barriers_;
+    }
+    const common::TimePoint jump = fast_forward_target(e, t);
+    if (jump == e) break;
+    // Nothing can happen before `jump`: teleport every loop's clock.
+    // run_until executes no events here (jump < every next event).
+    PhaseClock clock;
+    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+      shards_[s].loop->run_until(jump);
+      const std::uint64_t ns = clock.lap();
+      profile_[s].fast_forward_ns += ns;
+      spent_ns += ns;
+    }
+    epochs_skipped_ += static_cast<std::uint64_t>((jump - e) / config_.epoch);
+    ++ff_jumps_;
+    e = jump;
+  }
+  return e;
+}
+
 void ShardedEngine::run_until(common::TimePoint t, int threads) {
   const std::size_t k = shards_.size();
   if (k == 0) return;
-  const common::TimePoint start = shards_[0].loop->now();
-  if (t <= start) return;
-  const common::Duration epoch = config_.epoch < 1 ? 1 : config_.epoch;
+  if (t <= shards_[0].loop->now()) return;
+  const common::Duration epoch = config_.epoch;
   int w_count = threads < 1 ? 1 : threads;
   if (w_count > static_cast<int>(k)) w_count = static_cast<int>(k);
 
-  // Seed the next-event cache and fold any quiescent-context exports
-  // (setup code may have scheduled events or sent cross-shard packets
-  // since the last window ended). All loops are quiescent here.
+  // Setup code may have scheduled events since the last window ended.
   for (std::uint32_t s = 0; s < k; ++s) {
     next_event_[s] = shards_[s].loop->next_event_at();
-    xfer_inflight_[s] += xfer_epoch_[s];
-    xfer_epoch_[s] = 0;
   }
-
-  // One loop for every thread count, including 1: each iteration's branch
-  // (fence / fast-forward / normal epoch) is decided from state that is
-  // identical across workers at the barrier, so all workers always take
-  // the same path and results cannot depend on w_count.
-  std::barrier<> bar(w_count);
+  // The epoch [e, end) every worker runs next, and the wall-clock the
+  // fences and jumps before it took. Written only by between_epochs: here,
+  // before any worker starts, and in the barrier's completion step, which
+  // runs once per epoch on whichever worker arrives last while the others
+  // are parked. So every worker reads the same values and takes the same
+  // path, whatever w_count is.
+  std::uint64_t step_ns = 0;
+  common::TimePoint e = between_epochs(shards_[0].loop->now(), t, step_ns);
+  common::TimePoint end = e + epoch < t ? e + epoch : t;
+  auto complete = [&]() noexcept {
+    ++epochs_run_;
+    parity_ ^= 1;
+    e = between_epochs(end, t, step_ns);
+    end = e + epoch < t ? e + epoch : t;
+  };
+  std::barrier bar(w_count, complete);
   auto work = [&](std::uint32_t w) {
     // Fixed shard→thread mapping: shard s is always driven by worker
     // s % w_count, epoch after epoch.
     PhaseClock clock;
-    for (common::TimePoint e = start; e < t;) {
-      if (fence_work_pending(e)) {
-        // All workers evaluated the predicate against the same
-        // barrier-synchronized state, so all of them are here. Park first:
-        // run_fences mutates the very state the predicate reads, and a
-        // worker still on its way in must not observe the drain.
-        bar.arrive_and_wait();
-        // Quiesce: worker 0 drains + executes while everyone else parks.
-        if (w == 0) {
-          clock.restart();
-          run_fences(e);
-          fence_ns_ += clock.lap();
-          ++fence_barriers_;
-        }
-        bar.arrive_and_wait();
-      }
-      const common::TimePoint jump = fast_forward_target(e, t);
-      if (jump > e) {
-        // Nothing can happen before `jump`: teleport the lockstep clock.
-        // run_until executes no events here (jump < every next event) —
-        // it only advances each loop's now.
-        clock.restart();
-        for (std::uint32_t s = w; s < k; s += w_count) {
-          shards_[s].loop->run_until(jump);
-          profile_[s].fast_forward_ns += clock.lap();
-        }
-        if (w == 0) {
-          epochs_skipped_ += static_cast<std::uint64_t>((jump - e) / epoch);
-          ++ff_jumps_;
-        }
-        bar.arrive_and_wait();
-        e = jump;
-        continue;
-      }
-      const common::TimePoint end = e + epoch < t ? e + epoch : t;
-      clock.restart();
+    while (e < t) {
       for (std::uint32_t s = w; s < k; s += w_count) {
-        snapshot_inbound(s);
+        tls_engine = this;
+        tls_shard = s;
+        inject_inbound(s);
         profile_[s].snapshot_ns += clock.lap();
-      }
-      bar.arrive_and_wait();
-      std::uint64_t wait_ns = clock.lap();
-      for (std::uint32_t s = w; s < k; s += w_count) {
-        advance_shard(s, end);
+        shards_[s].loop->run_until(end);
+        tls_engine = nullptr;
         next_event_[s] = shards_[s].loop->next_event_at();
         profile_[s].advance_ns += clock.lap();
       }
       bar.arrive_and_wait();
-      wait_ns += clock.lap();
+      const std::uint64_t parked = clock.lap();
+      const std::uint64_t wait_ns = parked > step_ns ? parked - step_ns : 0;
       for (std::uint32_t s = w; s < k; s += w_count) {
         ++profile_[s].epochs;
         profile_[s].barrier_wait_ns += wait_ns;
@@ -374,8 +280,6 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
           wait_observers_[s](static_cast<double>(wait_ns) * 1e-3);
         }
       }
-      if (w == 0) ++epochs_run_;
-      e = end;
     }
   };
   std::vector<std::thread> pool;
@@ -385,10 +289,10 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
   }
   work(0);
   for (std::thread& th : pool) th.join();
-  // Fences due exactly at `t` (or staged during the final epoch) get their
-  // barrier here — run_until's contract is "everything due <= t ran".
-  // Counted as a quiesce point like the in-loop barriers: one per
-  // run_until call, so the count stays thread- and run-invariant.
+  // Fences due exactly at `t` (or staged during the final epoch) run here
+  // — run_until's contract is "everything due <= t ran". Counted as a
+  // quiesce point like those between epochs: one per run_until call, so
+  // the count stays thread- and run-invariant.
   PhaseClock clock;
   run_fences(t);
   fence_ns_ += clock.lap();
@@ -397,10 +301,7 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
 
 std::uint64_t ShardedEngine::tokens_pending() const {
   std::uint64_t n = 0;
-  for (const SpscTokenRing& r : rings_) {
-    n += r.pending() + r.overflow_size();
-  }
-  for (const auto& batch : staged_) n += batch.size();
+  for (const Outbox& o : outboxes_) n += o.side[0].size() + o.side[1].size();
   return n;
 }
 

@@ -9,30 +9,32 @@
 // least one full epoch of lookahead (the "conservative" condition of
 // Chandy-Misra-style parallel simulation).
 //
-// Cross-shard packets travel as ShardTokens through preallocated SPSC
-// rings, one per (src, dst) shard pair. Producers push during their epoch;
-// consumers snapshot ring occupancy while every worker is quiescent at the
-// epoch barrier and inject exactly that prefix at the start of the next
-// epoch, merging sources in a fixed permutation (drawn once from a
-// constant seed) and each source's tokens in production order (seq). Shard
-// s is always driven by worker thread s % num_threads, and threads interact
-// only through the rings at barriers, so the schedule — and therefore
-// every counter and fingerprint — is a pure function of (config, seed,
+// Cross-shard packets travel as ShardTokens through plain per-(src, dst)
+// outboxes, two per pair, picked by epoch parity: a worker mid-epoch
+// appends to the fill side, and quiescent code (fence bodies, setup code
+// between windows) to the drain side. Each consumer injects its drain
+// sides at the start of its next advance — sources in a fixed permutation
+// (drawn once from a constant seed), each source's tokens in push order —
+// and clears them. An epoch is "inject, advance, arrive" at one barrier,
+// whose completion step, run once while every worker is parked, flips the
+// parity and does all between-epoch work. Shard s is always driven by
+// worker thread s % num_threads, and threads interact only through the
+// outboxes across that barrier, so the schedule — and therefore every
+// counter and fingerprint — is a pure function of (config, seed,
 // shard_count), independent of the thread count and of wall-clock
 // interleaving.
 //
 // Control-plane work that must touch cross-shard state (gateway placement
 // publishes, fleet-wide policy pushes, crash failover) registers *fenced
-// sections* through ShardedEngine::schedule_fenced: each runs at the first
-// epoch barrier at or after its due time, executed by one designated
-// worker in (due, seq) order while every other worker is parked at the
-// barrier (DESIGN.md §15). Symmetrically, when every shard's next event
-// lies beyond the next epoch boundary and all rings are quiet, the engine
-// *fast-forwards* — jumping the lockstep clock over the empty epochs
-// instead of spinning barriers — without changing a single outcome.
+// sections* through ShardedEngine::schedule_fenced: each runs in the
+// completion step of the first epoch barrier at or after its due time, in
+// (due, seq) order, while every worker is parked (DESIGN.md §15).
+// Symmetrically, when every shard's next event lies beyond the next epoch
+// boundary and every outbox is empty, the same step *fast-forwards* —
+// jumping the lockstep clock over the empty epochs instead of running
+// them — without changing a single outcome.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -48,73 +50,19 @@ namespace nezha::sim {
 class EventLoop;
 class Network;
 
-/// One cross-shard packet handoff. POD-movable; the Packet rides by value.
+/// One cross-shard packet handoff. The Packet rides by value.
 /// The source shard has reserved every link it owns. On a cross-leaf Clos
 /// path `at` is the spine arrival and the destination shard queues the
 /// spine→leaf downlink it owns; on any other path `at` is the final
-/// arrival. Both shards tell the two apart from the topology.
+/// arrival. Both shards tell the two apart from the topology. An outbox
+/// keeps its tokens in push order, so a token needs no sequence number.
 struct ShardToken {
   net::Packet pkt;
   common::TimePoint at = 0;  // always >= next epoch start
-  std::uint64_t seq = 0;     // producer order within one (src, dst) ring
   NodeId from = 0;
   NodeId to = 0;
   std::uint32_t bytes = 0;
   std::uint32_t spine = 0;   // cross-leaf Clos: ECMP spine already selected
-};
-
-/// Single-producer/single-consumer token ring with a producer-side
-/// overflow vector. The ring is preallocated; when it is momentarily full
-/// (the consumer only frees slots while draining the previous epoch's
-/// prefix) the producer spills to `overflow_`, which the consumer takes
-/// wholesale at the quiescent epoch barrier. Tokens carry a producer
-/// sequence number, so the consumer restores exact production order by
-/// merging the ring prefix and the overflow batch on seq.
-class SpscTokenRing {
- public:
-  explicit SpscTokenRing(std::size_t capacity);
-
-  /// Setup-time only (vector growth); never used while threads run.
-  SpscTokenRing(SpscTokenRing&& o) noexcept
-      : buf_(std::move(o.buf_)),
-        mask_(o.mask_),
-        next_seq_(o.next_seq_),
-        overflow_(std::move(o.overflow_)) {
-    head_.store(o.head_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    tail_.store(o.tail_.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-  }
-
-  // --- producer side (owned by the source shard's worker) ---
-  void push(ShardToken tok);
-
-  // --- consumer side (owned by the destination shard's worker) ---
-  /// Tokens currently visible to the consumer. Also safe mid-epoch (it is
-  /// an atomic snapshot); the engine calls it at quiescent barriers.
-  std::size_t pending() const {
-    return static_cast<std::size_t>(tail_.load(std::memory_order_acquire) -
-                                    head_.load(std::memory_order_relaxed));
-  }
-  const ShardToken& front() const { return buf_[head_raw() & mask_]; }
-  ShardToken pop();
-
-  /// Quiescent-only: producer-side spill batch, moved out (ascending seq).
-  std::vector<ShardToken> take_overflow() { return std::move(overflow_); }
-  std::size_t overflow_size() const { return overflow_.size(); }
-
- private:
-  std::uint64_t head_raw() const {
-    return head_.load(std::memory_order_relaxed);
-  }
-
-  std::vector<ShardToken> buf_;
-  std::size_t mask_;
-  alignas(64) std::atomic<std::uint64_t> head_{0};  // consumer cursor
-  alignas(64) std::atomic<std::uint64_t> tail_{0};  // producer cursor
-  // Producer-only fields (same cache line as tail_ is fine: SPSC).
-  std::uint64_t next_seq_ = 0;
-  std::vector<ShardToken> overflow_;
 };
 
 /// Maps racks (ToR/leaf index) onto contiguous shard blocks. Rack-aligned
@@ -142,7 +90,7 @@ struct ShardedEngineConfig {
   /// cross-shard path (Topology::min_cross_rack_latency()).
   common::Duration epoch = common::microseconds(8);
   /// Sparse-epoch fast-forward: when every shard's next event lies beyond
-  /// the next epoch boundary and all token rings are empty, jump the
+  /// the next epoch boundary and every outbox is empty, jump the
   /// lockstep clock to the boundary just before the earliest event (or
   /// fence barrier) instead of running empty epochs. Pure wall-clock
   /// optimization — outcomes are bit-identical either way.
@@ -178,28 +126,31 @@ class ShardedEngine {
   // --- the Networks' view: cross-shard routing ---
   /// Null when the IP is unknown fleet-wide (genuine no-route).
   const Remote* lookup_remote(net::Ipv4Addr ip) const;
-  /// Hands a token to dst_shard's inbound ring (called by src_shard's
-  /// Network while src_shard's thread drives it).
+  /// Appends a token to the (src_shard, dst_shard) outbox (called by
+  /// src_shard's Network while src_shard's thread drives it, or from
+  /// quiescent code).
   void export_token(std::uint32_t src_shard, std::uint32_t dst_shard,
                     ShardToken tok);
 
   /// Deterministic quiesce point for cross-shard control (DESIGN.md §15).
   ///
   /// A fenced section runs at the first epoch barrier whose sim-time is
-  /// >= `due` (any due <= now, including 0, means "the next barrier"),
-  /// with every worker thread parked, so it may freely read or mutate
-  /// state owned by any shard. Pending sections execute in (due, seq)
-  /// order. Registrations from a quiescent context (setup code between
-  /// run_until calls, or another fence's body) take the next global
-  /// sequence immediately; registrations made mid-epoch on a shard's
-  /// worker thread are staged per shard and drained at the next barrier in
-  /// the fixed merge order — the same recipe that makes token injection a
-  /// pure function of (config, seed, shard_count).
+  /// >= `due` (any due <= now, including 0, means "the next barrier"), in
+  /// that barrier's completion step with every worker thread parked, so it
+  /// may freely read or mutate state owned by any shard. Pending sections
+  /// execute in (due, seq) order. Registrations from a quiescent context
+  /// (setup code between run_until calls, or another fence's body) take
+  /// the next global sequence immediately; registrations made mid-epoch
+  /// on a shard's worker thread are staged per shard and drained at the
+  /// next barrier in the fixed merge order — the same recipe that makes
+  /// token injection a pure function of (config, seed, shard_count).
+  /// `fn` must not throw: the completion step is noexcept, so an exception
+  /// there ends the program.
   void schedule_fenced(common::TimePoint due, std::function<void()> fn);
 
   // --- observability (quiescent reads) ---
   std::uint64_t epochs_run() const { return epochs_run_; }
-  /// Tokens produced but not yet injected (sitting in rings/overflow).
+  /// Tokens produced but not yet injected (sitting in outboxes).
   /// Together with the networks' exported()/imported() counters this
   /// closes the cross-shard conservation identity:
   ///   sum(exported) - sum(imported) == tokens_pending().
@@ -208,10 +159,11 @@ class ShardedEngine {
   /// passed when injected (must stay 0; a nonzero count means the epoch
   /// length exceeded the true minimum cross-shard latency).
   std::uint64_t late_tokens() const;
-  /// Per-shard busy wall-clock accumulated inside advance phases; the
-  /// balance across shards bounds the achievable parallel speedup.
+  /// Per-shard busy wall-clock (injecting its inbound tokens and running
+  /// its loop); the balance across shards bounds the achievable parallel
+  /// speedup.
   std::uint64_t shard_busy_ns(std::uint32_t shard) const {
-    return profile_.at(shard).advance_ns;
+    return profile_.at(shard).snapshot_ns + profile_.at(shard).advance_ns;
   }
   /// Epochs elided by sparse-epoch fast-forward (would have run empty).
   std::uint64_t epochs_skipped() const { return epochs_skipped_; }
@@ -224,9 +176,10 @@ class ShardedEngine {
   std::uint64_t fences_queued() const { return fences_.size(); }
 
   /// Called by shard `shard`'s owning worker with each epoch's barrier
-  /// wait in microseconds — feeds the per-shard metrics histogram. The
-  /// callback runs on that worker's thread; it must only touch state owned
-  /// by that shard (per-shard registries satisfy this).
+  /// wait (as PhaseProfile::barrier_wait_ns counts it) in microseconds —
+  /// feeds the per-shard metrics histogram. The callback runs on that
+  /// worker's thread; it must only touch state owned by that shard
+  /// (per-shard registries satisfy this).
   void set_barrier_wait_observer(std::uint32_t shard,
                                  std::function<void(double)> fn) {
     wait_observers_.at(shard) = std::move(fn);
@@ -239,18 +192,20 @@ class ShardedEngine {
   /// run-invariance.
   struct PhaseProfile {
     std::uint64_t epochs = 0;           // barrier crossings measured
-    std::uint64_t snapshot_ns = 0;      // snapshot_inbound phases
-    std::uint64_t advance_ns = 0;       // advance phases (== shard_busy_ns)
-    std::uint64_t barrier_wait_ns = 0;  // parked at epoch barriers
-    std::uint64_t fast_forward_ns = 0;  // clock teleports in jump phases
+    std::uint64_t snapshot_ns = 0;      // injecting the inbound outboxes
+    std::uint64_t advance_ns = 0;       // running the loop to the epoch end
+    // Parked at epoch barriers, less the completion step's fences and
+    // jumps, which fence_wall_ns and fast_forward_ns time.
+    std::uint64_t barrier_wait_ns = 0;
+    std::uint64_t fast_forward_ns = 0;  // teleporting this shard's clock
   };
   const PhaseProfile& phase_profile(std::uint32_t shard) const {
     return profile_.at(shard);
   }
 
-  /// Engine-global profile counters, owned by worker 0 (quiescent reads).
-  /// fence_barriers / ff_jumps are event counts (thread- and
-  /// run-invariant); fence_wall_ns is wall-clock.
+  /// Engine-global profile counters, written only in barrier completion
+  /// steps and quiescent code. fence_barriers / ff_jumps are event counts
+  /// (thread- and run-invariant); fence_wall_ns is wall-clock.
   struct EngineProfile {
     std::uint64_t fence_wall_ns = 0;    // inside run_fences quiesce points
     std::uint64_t fence_barriers = 0;   // quiesce points taken
@@ -274,16 +229,15 @@ class ShardedEngine {
   }
 
  private:
-  SpscTokenRing& ring(std::uint32_t src, std::uint32_t dst) {
-    return rings_[src * shards_.size() + dst];
-  }
-
-  /// Phase 1 (all workers quiescent): record how many tokens each inbound
-  /// ring holds and take the overflow batches for shard `s`.
-  void snapshot_inbound(std::uint32_t s);
-  /// Phase 2: inject the snapshotted token prefix in (merge_order, seq)
-  /// order, then run the shard's loop to the epoch end.
-  void advance_shard(std::uint32_t s, common::TimePoint end);
+  /// Both sides of one (src, dst) pair. Index [parity_] fills during an
+  /// advance; [parity_ ^ 1] drains at the start of the next.
+  struct Outbox {
+    std::vector<ShardToken> side[2];
+  };
+  /// Shard s's worker, at the start of its advance: injects every drain
+  /// side bound for s — sources in merge_order_, each in push order — and
+  /// clears them.
+  void inject_inbound(std::uint32_t s);
 
   struct Fence {
     common::TimePoint due = 0;
@@ -297,25 +251,27 @@ class ShardedEngine {
   }
   /// True when a barrier at epoch-start `e` must stop for fence work:
   /// either a staged registration waits for its sequence number, or the
-  /// earliest queued fence is due at or before `e`. Read-only; called
-  /// by every worker with all shards quiescent (barrier-separated from
-  /// the writes it observes).
+  /// earliest queued fence is due at or before `e`.
   bool fence_work_pending(common::TimePoint e) const;
-  /// Worker 0, everyone else parked: drain staged registrations in the
-  /// fixed merge order, then execute every fence with due <= now in
-  /// (due, seq) order, then refresh every shard's next-event cache.
+  /// Every worker parked: drain staged registrations in the fixed merge
+  /// order, then execute every fence with due <= now in (due, seq) order.
   void run_fences(common::TimePoint now);
   /// Sparse-epoch fast-forward decision at epoch-start `e` (run end `t`):
   /// returns `e` when the next epoch must run normally, else the
   /// epoch-aligned time (> e) to jump the lockstep clock to.
   common::TimePoint fast_forward_target(common::TimePoint e,
                                         common::TimePoint t) const;
+  /// The work between two epochs, every worker parked: runs the fences due
+  /// by `e`, then fast-forwards over empty epochs, repeating both until an
+  /// epoch must run at the returned time (or the run ends at `t`). Sets
+  /// `spent_ns` to the wall-clock those fences and jumps took.
+  common::TimePoint between_epochs(common::TimePoint e, common::TimePoint t,
+                                   std::uint64_t& spent_ns);
 
   std::vector<Shard> shards_;
   ShardedEngineConfig config_;
-  std::vector<SpscTokenRing> rings_;         // [src * K + dst]
-  std::vector<std::size_t> snap_;            // per-ring snapshot counts
-  std::vector<std::vector<ShardToken>> staged_;  // per-ring overflow batches
+  std::vector<Outbox> outboxes_;             // [src * K + dst]
+  std::uint32_t parity_ = 0;                 // flipped at every epoch barrier
   std::vector<std::uint32_t> merge_order_;   // fixed source permutation
   // Every node's underlay IP, probed on each cross-shard send and never
   // iterated. The cell is picked from the hash's low bits, and IPs differ
@@ -334,37 +290,26 @@ class ShardedEngine {
   common::FlatTable<IpCell, IpTraits> ip_map_;
   std::uint64_t epochs_run_ = 0;
   std::vector<std::uint64_t> late_;          // per-shard, summed on read
-  // Phase profiler: profile_[s] is written only by shard s's owning
-  // worker; the engine-global fence/jump fields only by worker 0 (or
-  // quiescent code).
+  // Phase profiler: profile_[s] is written by shard s's owning worker
+  // and, for fast_forward_ns, by completion steps; the engine-global
+  // fence/jump fields only by completion steps or quiescent code.
   std::vector<PhaseProfile> profile_;
   std::uint64_t fence_ns_ = 0;
   std::uint64_t fence_barriers_ = 0;
   std::uint64_t ff_jumps_ = 0;
 
-  // Fence state. fences_ is a min-heap on (due, seq); only worker 0 (or
-  // quiescent setup code) touches it. fence_staged_[s] is written only by
-  // shard s's worker mid-epoch and drained by worker 0 at barriers.
+  // Fence state. fences_ is a min-heap on (due, seq); only completion
+  // steps and quiescent code touch it. fence_staged_[s] is written only by
+  // shard s's worker mid-epoch and drained in completion steps.
   std::vector<Fence> fences_;
   std::vector<std::vector<Fence>> fence_staged_;
   std::uint64_t fence_seq_ = 0;
   std::uint64_t fences_run_ = 0;
   std::uint64_t epochs_skipped_ = 0;
-  /// Per-shard cache of EventLoop::next_event_at(), refreshed by the
-  /// owning worker after each advance (and by worker 0 after fences).
+  /// Per-shard cache of EventLoop::next_event_at(), read while hot: by
+  /// the owning worker after each advance, and after fences and setup code
+  /// by whoever runs them.
   std::vector<common::TimePoint> next_event_;
-  /// Deterministic in-flight accounting for the fast-forward decision,
-  /// indexed by *source* shard. Every token present in the rings at an
-  /// epoch boundary is injected during the following epoch, so "tokens in
-  /// flight from shard s" at a barrier is exactly "exports by s since its
-  /// last advance began". xfer_epoch_[s] counts exports during the current
-  /// phase (written only by the thread exclusively driving s: its owner
-  /// mid-advance, worker 0 inside fences, or quiescent setup code);
-  /// xfer_inflight_[s] is the barrier-published total still sitting in
-  /// s's outbound rings. fast_forward_target reads only xfer_inflight_ —
-  /// never live ring state, which snapshot_inbound mutates concurrently.
-  std::vector<std::uint64_t> xfer_epoch_;
-  std::vector<std::uint64_t> xfer_inflight_;
   std::vector<std::function<void(double)>> wait_observers_;
   std::function<void(const FenceTracePoint&)> trace_;
 };

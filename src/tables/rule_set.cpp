@@ -10,16 +10,30 @@ constexpr std::uint64_t kSetupCacheSeed = 0x6e657a68612d6663ull;  // "nezha-fc"
 }  // namespace
 
 flow::PreActions RuleTableSet::lookup(const net::FiveTuple& tx_ft) const {
+  std::uint8_t mask = 0;
+  return chain_with_mask(tx_ft, mask);
+}
+
+flow::PreActions RuleTableSet::chain_with_mask(const net::FiveTuple& tx_ft,
+                                               std::uint8_t& mask) const {
   flow::PreActions pre;
   pre.rule_version = version_;
+  mask = 0;
 
   const net::FiveTuple rx_ft = tx_ft.reversed();
 
   // ACL: evaluated per direction (the classic stateful-ACL setup evaluates
   // "deny all inbound" only on RX).
   if (profile_.acl_enabled) {
-    pre.tx.acl_verdict = acl_.lookup(tx_ft, flow::Direction::kTx);
-    pre.rx.acl_verdict = acl_.lookup(rx_ft, flow::Direction::kRx);
+    AclLookupProbe tx_probe, rx_probe;
+    pre.tx.acl_verdict =
+        acl_.lookup_probed(tx_ft, flow::Direction::kTx, tx_probe);
+    pre.rx.acl_verdict =
+        acl_.lookup_probed(rx_ft, flow::Direction::kRx, rx_probe);
+    // Consulted ports, mapped onto the TX tuple's field space: the RX
+    // tuple's src_port is the TX tuple's dst_port and vice versa.
+    if (tx_probe.src_port || rx_probe.dst_port) mask |= kMaskSrcPort;
+    if (tx_probe.dst_port || rx_probe.src_port) mask |= kMaskDstPort;
   }
 
   // QoS keyed by the remote peer (the TX destination).
@@ -36,6 +50,10 @@ flow::PreActions RuleTableSet::lookup(const net::FiveTuple& tx_ft) const {
     pre.tx.nat_enabled = true;
     pre.tx.nat_ip = nat->ip;
     pre.tx.nat_port = nat->port;
+    // The NAT endpoint is allocated from a hash of the full tuple; flows
+    // differing only in ports get different endpoints, so a NAT hit pins
+    // both ports into the key.
+    mask |= kMaskSrcPort | kMaskDstPort;
   }
 
   // Policy routing can pre-pin the TX next hop; otherwise the vSwitch
@@ -45,55 +63,6 @@ flow::PreActions RuleTableSet::lookup(const net::FiveTuple& tx_ft) const {
   }
 
   // Traffic mirroring: copies of this flow's packets go to the collector.
-  if (auto collector = mirrors_.lookup(tx_ft.dst_ip)) {
-    pre.tx.mirror = pre.rx.mirror = true;
-    pre.tx.mirror_target = pre.rx.mirror_target = *collector;
-  }
-
-  return pre;
-}
-
-flow::PreActions RuleTableSet::chain_with_mask(const net::FiveTuple& tx_ft,
-                                               std::uint8_t& mask) const {
-  flow::PreActions pre;
-  pre.rule_version = version_;
-  mask = 0;
-
-  const net::FiveTuple rx_ft = tx_ft.reversed();
-
-  if (profile_.acl_enabled) {
-    AclLookupProbe tx_probe, rx_probe;
-    pre.tx.acl_verdict =
-        acl_.lookup_probed(tx_ft, flow::Direction::kTx, tx_probe);
-    pre.rx.acl_verdict =
-        acl_.lookup_probed(rx_ft, flow::Direction::kRx, rx_probe);
-    // Consulted ports, mapped onto the TX tuple's field space: the RX
-    // tuple's src_port is the TX tuple's dst_port and vice versa.
-    if (tx_probe.src_port || rx_probe.dst_port) mask |= kMaskSrcPort;
-    if (tx_probe.dst_port || rx_probe.src_port) mask |= kMaskDstPort;
-  }
-
-  pre.tx.rate_limit_kbps = qos_.lookup(tx_ft.dst_ip);
-  pre.rx.rate_limit_kbps = qos_.lookup(tx_ft.dst_ip);
-
-  const flow::StatsMode stats = stats_policy_.lookup(tx_ft.dst_ip);
-  pre.tx.stats_mode = stats;
-  pre.rx.stats_mode = stats;
-
-  if (auto nat = nat_.lookup(tx_ft)) {
-    pre.tx.nat_enabled = true;
-    pre.tx.nat_ip = nat->ip;
-    pre.tx.nat_port = nat->port;
-    // The NAT endpoint is allocated from a hash of the full tuple; flows
-    // differing only in ports get different endpoints, so a NAT hit pins
-    // both ports into the key.
-    mask |= kMaskSrcPort | kMaskDstPort;
-  }
-
-  if (auto hop = policy_routes_.lookup(tx_ft.dst_ip)) {
-    pre.tx.next_hop = *hop;
-  }
-
   if (auto collector = mirrors_.lookup(tx_ft.dst_ip)) {
     pre.tx.mirror = pre.rx.mirror = true;
     pre.tx.mirror_target = pre.rx.mirror_target = *collector;

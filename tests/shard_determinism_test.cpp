@@ -4,7 +4,7 @@
 // function of (config, seed, shard_count) — independent of the number of
 // worker threads and of wall-clock interleaving — and the packet
 // conservation identity extends across shard boundaries (every exported
-// token is imported exactly once or still pending in a ring). These tests
+// token is imported exactly once or still pending in an outbox). These tests
 // pin that contract on a fleet-scale Clos scenario whose offloaded BE↔FE
 // traffic genuinely crosses shards:
 //  * shards=1 is exactly the legacy single-loop testbed (same fingerprint
@@ -17,7 +17,9 @@
 //  * moving a destination to another shard changes no link outcome, and
 //    the controller reads each port's backlog on the shard that owns it;
 //  * a FleetScenario places the same endpoints at every shard count and no
-//    pair stalls, and CpsWorkloads may share a vSwitch or span shards.
+//    pair stalls, and CpsWorkloads may share a vSwitch or span shards;
+//  * a 600-token burst between one shard pair, pushed from setup code, a
+//    fenced section or a loop event, drains in one epoch in send order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -596,6 +598,114 @@ TEST(ShardDeterminism, LinksDoNotDependOnTheDestinationShard) {
   EXPECT_GT(tiered_local.dropped_queue_full, 0u);
   EXPECT_FALSE(tiered_local.arrivals.empty());
   expect_same_links(tiered_local, tiered_remote);
+}
+
+// ---------------------------------------------------------------------------
+// Outbox bursts (DESIGN.md §13). A shard pair's outbox holds whatever one
+// epoch exchanges, however much that is, and the consumer injects it in
+// push order at its next epoch start. Each burst is 600 packets from
+// shard 0 to shard 1, more than the busiest pair on the 10240-vSwitch
+// macro exchanges in an epoch (380), pushed from setup code, from a fenced
+// section, and from a loop event in a window's last epoch, so that window
+// ends with the burst pending and setup code appends another behind it.
+
+constexpr int kBurst = 600;
+
+struct BurstRun {
+  /// (send index, delivery time) at the destination, in delivery order.
+  std::vector<std::pair<std::uint16_t, common::TimePoint>> arrivals;
+  /// tokens_pending() after each window, and after the setup burst that
+  /// follows the third.
+  std::vector<std::uint64_t> pending;
+  /// Tokens shard 1 imported in each window.
+  std::vector<std::uint64_t> imported;
+};
+
+BurstRun run_bursts(int threads) {
+  // Two leaves of two hosts under one spine: host 0 (shard 0) sends to
+  // host 2 (shard 1) across the spine.
+  sim::TopologyConfig clos;
+  clos.kind = sim::FabricKind::kClos;
+  clos.clos.num_leaves = 2;
+  clos.clos.hosts_per_leaf = 2;
+  clos.clos.num_spines = 1;
+  const sim::Topology topo(clos);
+  const sim::NetworkConfig net_cfg{.link_bps = 100e9,
+                                   .egress_queue_bytes = 16u << 20,
+                                   .fabric_link_bps = 100e9,
+                                   .fabric_queue_bytes = 16u << 20};
+  sim::EventLoop loops[2];
+  sim::Network net0(loops[0], topo, net_cfg);
+  sim::Network net1(loops[1], topo, net_cfg);
+  sim::ShardedEngine engine({{&loops[0], &net0}, {&loops[1], &net1}},
+                            sim::ShardedEngineConfig{});
+  net0.set_engine(&engine, 0);
+  net1.set_engine(&engine, 1);
+  SinkHost src(0);
+  SinkHost dst(2);
+  net0.attach(src);
+  net1.attach(dst);
+  engine.map_ip(src.underlay_ip(), 0, 0);
+  engine.map_ip(dst.underlay_ip(), 1, 2);
+
+  BurstRun r;
+  net1.set_trace([&r](common::TimePoint at, const net::Packet& pkt,
+                      sim::NodeId, sim::NodeId) {
+    r.arrivals.emplace_back(pkt.inner.ft.src_port, at);
+  });
+  std::uint16_t next = 0;  // the send index rides in the source port
+  auto burst = [&net0, &dst, &next] {
+    for (int i = 0; i < kBurst; ++i) {
+      const net::FiveTuple ft{net::Ipv4Addr(192, 168, 0, 1),
+                              net::Ipv4Addr(192, 168, 0, 2), next++, 80,
+                              net::IpProto::kUdp};
+      net0.send(0, dst.underlay_ip(), net::make_udp_packet(ft, 1208));
+    }
+  };
+  auto window = [&](common::TimePoint t) {
+    const std::uint64_t before = net1.imported();
+    engine.run_until(t, threads);
+    r.imported.push_back(net1.imported() - before);
+    r.pending.push_back(engine.tokens_pending());
+    EXPECT_EQ(net0.exported() + net1.exported(),
+              net0.imported() + net1.imported() + engine.tokens_pending())
+        << "conservation between windows at t=" << t;
+  };
+
+  burst();  // setup code, before the first window
+  window(common::microseconds(8));
+  engine.schedule_fenced(common::microseconds(100), burst);  // runs at 104
+  window(common::microseconds(112));
+  loops[0].schedule_at(common::microseconds(299), burst);  // epoch [296, 300)
+  window(common::microseconds(300));
+  burst();  // setup code, behind the burst the last window left pending
+  r.pending.push_back(engine.tokens_pending());
+  window(common::microseconds(308));
+  window(common::milliseconds(3));
+
+  EXPECT_EQ(engine.late_tokens(), 0u);
+  EXPECT_EQ(net0.in_flight() + net1.in_flight(), 0u);
+  EXPECT_EQ(net0.dropped_total() + net1.dropped_total(), 0u);
+  return r;
+}
+
+TEST(ShardDeterminism, OutboxBurstBeyondOldRingCapacity) {
+  const BurstRun one = run_bursts(1);
+  // Every burst drains in the one epoch after it is pushed.
+  EXPECT_EQ(one.imported, (std::vector<std::uint64_t>{
+                              kBurst, kBurst, 0, 2 * kBurst, 0}));
+  EXPECT_EQ(one.pending, (std::vector<std::uint64_t>{
+                             0, 0, kBurst, 2 * kBurst, 0, 0}));
+  // Every packet arrives, in send order.
+  ASSERT_EQ(one.arrivals.size(), 4u * kBurst);
+  for (std::size_t i = 0; i < one.arrivals.size(); ++i) {
+    ASSERT_EQ(one.arrivals[i].first, i) << "delivery " << i;
+  }
+  // Two workers deliver the same packets at the same times.
+  const BurstRun two = run_bursts(2);
+  EXPECT_EQ(two.arrivals, one.arrivals);
+  EXPECT_EQ(two.imported, one.imported);
+  EXPECT_EQ(two.pending, one.pending);
 }
 
 TEST(ShardDeterminism, FeWeightsReadThePortOnItsOwningShard) {
