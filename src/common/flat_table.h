@@ -16,11 +16,12 @@
 // knows nothing about.
 //
 // One growth rule: nothing is allocated before the first insert; the array
-// starts at 8 cells and doubles when an insert would pass 3/4 load. There
-// is no iteration: the cell order depends on the array size, so nothing can
-// read it into an outcome.
+// starts at 8 cells and doubles when an insert would pass 3/4 load, and
+// clear() keeps it. There is no iteration: the cell order depends on the
+// array size, so nothing can read it into an outcome.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -73,6 +74,13 @@ class FlatTable {
     }
     ++size_;
     return store(cell);
+  }
+
+  /// Empties the table and keeps its array, so refilling it to the old
+  /// size allocates nothing.
+  void clear() {
+    std::fill(cells_.begin(), cells_.end(), Cell{});
+    size_ = 0;
   }
 
   /// Removes the held cell `hole` (from find() or insert()).

@@ -289,6 +289,56 @@ void Controller::evict_frontend(tables::VnicId id, sim::NodeId node) {
   }
 }
 
+std::vector<vswitch::VSwitch*> Controller::pick_frontends(
+    tables::VnicId id, const vswitch::VSwitch& home, std::size_t count,
+    std::vector<sim::NodeId> exclude) {
+  auto fes = select_frontends(home, count, exclude);
+  if (fes.size() < count && policy_->displaces()) {
+    for (vswitch::VSwitch* fe : fes) exclude.push_back(fe->id());
+    auto pushed = displace_frontends(id, home, count - fes.size(), exclude);
+    fes.insert(fes.end(), pushed.begin(), pushed.end());
+  }
+  return fes;
+}
+
+common::TimePoint Controller::install_frontends(
+    VnicRecord& rec, const std::vector<vswitch::VSwitch*>& fes,
+    const tables::RuleTableSet& rules) {
+  const common::TimePoint t0 = loop_.now();
+  common::TimePoint fe_ready = t0;
+  for (vswitch::VSwitch* fe : fes) {
+    const common::TimePoint at = t0 + sample_config_latency();
+    fe_ready = std::max(fe_ready, at);
+    // Copy the rules now (controller snapshot) and install at the config
+    // arrival time — on the FE's own loop, so the install is serialized
+    // with that vSwitch's packet processing on a sharded engine.
+    fe->loop().schedule_at(at, [fe, cfg = rec.config, rules,
+                                stateful = rec.stateful_decap,
+                                be = rec.home->location()]() {
+      (void)fe->install_frontend(cfg, rules, be, stateful);
+    });
+    rec.fe_nodes.push_back(fe->id());
+  }
+  fes_provisioned_ += fes.size();
+  return fe_ready;
+}
+
+void Controller::drop_from_pool(tables::VnicId id, VnicRecord& rec,
+                                std::vector<sim::NodeId>::iterator pos) {
+  const sim::NodeId node = *pos;
+  rec.fe_nodes.erase(pos);
+  // Failover (§4.4): delete the faulty FE from the BE's config and the
+  // gateway immediately (one config push); add a replacement only when
+  // the pool would drop below the minimum.
+  // Same filter as publish_placement: an FE from an in-flight scale-out
+  // has no instance yet and must not receive sprayed traffic.
+  rec.home->update_fe_locations(id, fe_locations(rec.fe_nodes, id, true));
+  publish_placement(rec);
+  if (rec.fe_nodes.size() < config_.min_fes) {
+    (void)scale_out(id, config_.min_fes - rec.fe_nodes.size(), {node});
+  }
+}
+
 common::Status Controller::trigger_offload(tables::VnicId id,
                                            std::size_t num_fes) {
   auto it = vnics_.find(id);
@@ -303,14 +353,7 @@ common::Status Controller::trigger_offload(tables::VnicId id,
   }
   if (num_fes == 0) num_fes = kInitialFes;
 
-  std::vector<sim::NodeId> exclude;
-  auto fes = select_frontends(*rec.home, num_fes, exclude);
-  if (fes.size() < num_fes && policy_->displaces()) {
-    for (vswitch::VSwitch* fe : fes) exclude.push_back(fe->id());
-    auto pushed =
-        displace_frontends(id, *rec.home, num_fes - fes.size(), exclude);
-    fes.insert(fes.end(), pushed.begin(), pushed.end());
-  }
+  const auto fes = pick_frontends(id, *rec.home, num_fes, {});
   if (fes.size() < num_fes) {
     return common::make_error("not enough idle vSwitches for FE pool");
   }
@@ -326,25 +369,9 @@ common::Status Controller::trigger_offload(tables::VnicId id,
   //  (3) update the gateway's vNIC-server table.
   // Each push carries a sampled config latency; the stage completes when the
   // slowest sender has re-learned the placement.
-  common::TimePoint fe_ready = t0;
-  const tables::RuleTableSet& rules = *v->rules();
+  const common::TimePoint fe_ready = install_frontends(rec, fes, *v->rules());
   std::vector<tables::Location> fe_locations;
-  for (vswitch::VSwitch* fe : fes) {
-    const common::TimePoint at = t0 + sample_config_latency();
-    fe_ready = std::max(fe_ready, at);
-    fe_locations.push_back(fe->location());
-    vswitch::VSwitch* fe_ptr = fe;
-    // Copy the rules now (controller snapshot) and install at the config
-    // arrival time — on the FE's own loop, so the install is serialized
-    // with that vSwitch's packet processing on a sharded engine.
-    fe_ptr->loop().schedule_at(at, [fe_ptr, cfg = rec.config, rules, stateful =
-                                    rec.stateful_decap,
-                                    be = rec.home->location()]() {
-      (void)fe_ptr->install_frontend(cfg, rules, be, stateful);
-    });
-    rec.fe_nodes.push_back(fe->id());
-  }
-  fes_provisioned_ += fes.size();
+  for (vswitch::VSwitch* fe : fes) fe_locations.push_back(fe->location());
 
   // (2) BE configuration lands after the FEs are live. The vSwitch
   // mutation goes on the home's loop; the controller's own record flips on
@@ -459,16 +486,10 @@ common::Status Controller::scale_out(
 
   std::vector<sim::NodeId> exclude = rec.fe_nodes;
   exclude.insert(exclude.end(), extra_exclude.begin(), extra_exclude.end());
-  auto extra = select_frontends(*rec.home, additional, exclude);
-  if (extra.size() < additional && policy_->displaces()) {
-    for (vswitch::VSwitch* fe : extra) exclude.push_back(fe->id());
-    auto pushed =
-        displace_frontends(id, *rec.home, additional - extra.size(), exclude);
-    extra.insert(extra.end(), pushed.begin(), pushed.end());
-  }
+  const auto extra =
+      pick_frontends(id, *rec.home, additional, std::move(exclude));
   if (extra.empty()) return common::make_error("no idle vSwitches available");
 
-  const common::TimePoint t0 = loop_.now();
   vswitch::Vnic* v = rec.home->vnic(id);
   // The BE no longer holds the rule tables; clone from an existing FE.
   const tables::RuleTableSet* source = nullptr;
@@ -485,18 +506,7 @@ common::Status Controller::scale_out(
   }
   if (source == nullptr) return common::make_error("no rule source for clone");
 
-  common::TimePoint fe_ready = t0;
-  for (vswitch::VSwitch* fe : extra) {
-    const common::TimePoint at = t0 + sample_config_latency();
-    fe_ready = std::max(fe_ready, at);
-    fe->loop().schedule_at(at, [fe, cfg = rec.config, rules = *source,
-                                stateful = rec.stateful_decap,
-                                be = rec.home->location()]() {
-      (void)fe->install_frontend(cfg, rules, be, stateful);
-    });
-    rec.fe_nodes.push_back(fe->id());
-  }
-  fes_provisioned_ += extra.size();
+  const common::TimePoint fe_ready = install_frontends(rec, extra, *source);
 
   // Insert the new locations into the BE's FE-location config and the
   // gateway's vNIC-server table (§4.3).
@@ -538,19 +548,7 @@ void Controller::handle_fe_crash(sim::NodeId node) {
     auto pos = std::find(rec.fe_nodes.begin(), rec.fe_nodes.end(), node);
     if (pos == rec.fe_nodes.end()) continue;
     any = true;
-    rec.fe_nodes.erase(pos);
-
-    // Failover (§4.4): delete the faulty FE from the BE's config and the
-    // gateway immediately (one config push); add a replacement only when
-    // the pool would drop below the minimum.
-    // Same filter as publish_placement: an FE from an in-flight scale-out
-    // has no instance yet and must not receive sprayed traffic.
-    rec.home->update_fe_locations(id, fe_locations(rec.fe_nodes, id, true));
-    publish_placement(rec);
-
-    if (rec.fe_nodes.size() < config_.min_fes) {
-      (void)scale_out(id, config_.min_fes - rec.fe_nodes.size(), {node});
-    }
+    drop_from_pool(id, rec, pos);
   }
   if (any) {
     ++failover_events_;
@@ -564,10 +562,6 @@ void Controller::handle_link_failure(tables::VnicId id, sim::NodeId fe_node) {
   VnicRecord& rec = it->second;
   auto pos = std::find(rec.fe_nodes.begin(), rec.fe_nodes.end(), fe_node);
   if (pos == rec.fe_nodes.end()) return;
-  rec.fe_nodes.erase(pos);
-
-  rec.home->update_fe_locations(id, fe_locations(rec.fe_nodes, id, true));
-  publish_placement(rec);
   // The FE instance itself stays configured on the (healthy but
   // unreachable) host; the controller retires it like a scale-in.
   const common::TimePoint remove_at =
@@ -576,9 +570,7 @@ void Controller::handle_link_failure(tables::VnicId id, sim::NodeId fe_node) {
     fe->loop().schedule_at(remove_at,
                            [fe, id]() { fe->remove_frontend(id); });
   }
-  if (rec.fe_nodes.size() < config_.min_fes) {
-    (void)scale_out(id, config_.min_fes - rec.fe_nodes.size(), {fe_node});
-  }
+  drop_from_pool(id, rec, pos);
   ++failover_events_;
   record_ctrl(telemetry::EventKind::kCtrlLinkFailover, fe_node, id, fe_node);
 }

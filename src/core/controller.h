@@ -203,6 +203,20 @@ class Controller {
       tables::VnicId requester, const vswitch::VSwitch& home,
       std::size_t count, std::vector<sim::NodeId>& exclude);
 
+  /// select_frontends, then displace_frontends for a push-aside shortfall.
+  std::vector<vswitch::VSwitch*> pick_frontends(
+      tables::VnicId id, const vswitch::VSwitch& home, std::size_t count,
+      std::vector<sim::NodeId> exclude);
+  /// Adds `fes` to the pool, each installing a copy of `rules` on its own
+  /// loop after a sampled config latency; returns when the last lands.
+  common::TimePoint install_frontends(VnicRecord& rec,
+                                      const std::vector<vswitch::VSwitch*>& fes,
+                                      const tables::RuleTableSet& rules);
+  /// Failover (§4.4, §C.1): erases `pos` from the pool, pushes the
+  /// installed FEs to the BE and the gateway, replaces it below min_fes.
+  void drop_from_pool(tables::VnicId id, VnicRecord& rec,
+                      std::vector<sim::NodeId>::iterator pos);
+
   /// Scale-in of one vNIC's FE on one host: update BE config + gateway
   /// after a config push, retire the FE instance after the drain interval.
   void evict_frontend(tables::VnicId id, sim::NodeId node);

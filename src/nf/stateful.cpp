@@ -24,9 +24,4 @@ flow::Verdict finalize_action(flow::Direction dir,
   return flow::Verdict::kDrop;
 }
 
-net::Ipv4Addr response_overlay_dst(const flow::SessionState& state,
-                                   net::Ipv4Addr default_dst) {
-  return state.decap_src_ip.value() != 0 ? state.decap_src_ip : default_dst;
-}
-
 }  // namespace nezha::nf

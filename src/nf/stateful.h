@@ -25,11 +25,4 @@ flow::Verdict finalize_action(flow::Direction dir,
                               const flow::PreActions& pre,
                               const flow::SessionState& state);
 
-/// Stateful decapsulation (§5.2): returns the overlay destination a TX
-/// response packet must be encapsulated toward. When the session recorded a
-/// decap source IP (the LB's address, captured from the first RX packet),
-/// responses go back to the LB rather than directly to the client.
-net::Ipv4Addr response_overlay_dst(const flow::SessionState& state,
-                                   net::Ipv4Addr default_dst);
-
 }  // namespace nezha::nf

@@ -1,11 +1,8 @@
 #include "src/tables/rule_set.h"
 
-#include <algorithm>
-
 namespace nezha::tables {
 
 namespace {
-constexpr std::size_t kSetupCacheInitial = 4;  // power of two
 constexpr std::uint64_t kSetupCacheSeed = 0x6e657a68612d6663ull;  // "nezha-fc"
 }  // namespace
 
@@ -71,47 +68,6 @@ flow::PreActions RuleTableSet::chain_with_mask(const net::FiveTuple& tx_ft,
   return pre;
 }
 
-const RuleTableSet::CacheEntry* RuleTableSet::cache_find(
-    const net::FiveTuple& masked, std::uint8_t mask, std::uint64_t h) const {
-  const std::size_t m = cache_.size() - 1;
-  for (std::size_t i = h & m;; i = (i + 1) & m) {
-    const CacheEntry& e = cache_[i];
-    if (!e.used) return nullptr;
-    if (e.hash == h && e.mask == mask && e.key == masked) return &e;
-  }
-}
-
-void RuleTableSet::cache_insert(const net::FiveTuple& masked,
-                                std::uint8_t mask, std::uint64_t h,
-                                const flow::PreActions& pre) const {
-  // Grow at 1/2 load so probe chains stay short.
-  if (cache_.empty()) {
-    cache_.assign(kSetupCacheInitial, CacheEntry{});
-  } else if ((cache_used_ + 1) * 2 > cache_.size()) {
-    std::vector<CacheEntry> old;
-    old.swap(cache_);
-    cache_.assign(old.size() * 2, CacheEntry{});
-    const std::size_t m = cache_.size() - 1;
-    for (CacheEntry& e : old) {
-      if (!e.used) continue;
-      std::size_t i = e.hash & m;
-      while (cache_[i].used) i = (i + 1) & m;
-      cache_[i] = std::move(e);
-    }
-  }
-  const std::size_t m = cache_.size() - 1;
-  std::size_t i = h & m;
-  while (cache_[i].used) i = (i + 1) & m;
-  CacheEntry& e = cache_[i];
-  e.key = masked;
-  e.pre = pre;
-  e.hash = h;
-  e.mask = mask;
-  e.used = true;
-  ++cache_used_;
-  cache_masks_ |= static_cast<std::uint8_t>(1u << mask);
-}
-
 flow::PreActions RuleTableSet::lookup_cached(
     const net::FiveTuple& tx_ft) const {
   const std::uint64_t epoch = setup_epoch();
@@ -119,26 +75,32 @@ flow::PreActions RuleTableSet::lookup_cached(
     // Some table mutated since the last lookup: drop every derived entry.
     cache_epoch_ = epoch;
     cache_masks_ = 0;
-    cache_used_ = 0;
-    if (!cache_.empty()) {
-      std::fill(cache_.begin(), cache_.end(), CacheEntry{});
-    }
+    cache_.clear();
+    cache_index_.clear();
   }
   // Probe each key shape seen so far (4 at most; typically 1).
   for (std::uint8_t mask = 0; mask < 4; ++mask) {
     if ((cache_masks_ & (1u << mask)) == 0) continue;
     const net::FiveTuple key = masked_tuple(tx_ft, mask);
-    const std::uint64_t h = net::flow_hash(key, kSetupCacheSeed ^ mask);
-    if (const CacheEntry* e = cache_find(key, mask, h)) {
+    const auto tag = static_cast<std::uint32_t>(
+        net::flow_hash(key, kSetupCacheSeed ^ mask));
+    if (const CacheCell* cell = cache_index_.find(tag, [&](const CacheCell& c) {
+          return c.hash_tag == tag && cache_[c.entry].mask == mask &&
+                 cache_[c.entry].key == key;
+        })) {
       ++cache_hits_;
-      return e->pre;
+      return cache_[cell->entry].pre;
     }
   }
   ++cache_misses_;
   std::uint8_t mask = 0;
   const flow::PreActions pre = chain_with_mask(tx_ft, mask);
   const net::FiveTuple key = masked_tuple(tx_ft, mask);
-  cache_insert(key, mask, net::flow_hash(key, kSetupCacheSeed ^ mask), pre);
+  cache_index_.insert(CacheCell{
+      static_cast<std::uint32_t>(net::flow_hash(key, kSetupCacheSeed ^ mask)),
+      static_cast<std::uint32_t>(cache_.size())});
+  cache_.push_back(CacheEntry{key, mask, pre});
+  cache_masks_ |= static_cast<std::uint8_t>(1u << mask);
   return pre;
 }
 

@@ -301,16 +301,44 @@ void VSwitch::record_mode(tables::VnicId vnic, VnicMode from, VnicMode to) {
   telemetry_->record(e);
 }
 
-void VSwitch::consume_cpu_noop(double cycles, telemetry::Stage stage) {
+bool VSwitch::charge(double cycles, telemetry::Stage stage,
+                     const net::Packet* pkt, common::TimePoint* done) {
+  if (stage == telemetry::Stage::kFeTx || stage == telemetry::Stage::kFeRx) {
+    fe_cycles_ += cycles;
+  } else if (stage != telemetry::Stage::kProbe) {
+    local_cycles_ += cycles;
+  }
   const CpuModel::Outcome out = cpu_.consume(cycles, loop_.now());
   if (!out.accepted) {
     inc(Ctr::kDropCpuOverload);
-    record_cpu(telemetry::EventKind::kCpuReject, stage, nullptr, cycles, 0);
-    return;
+    record_cpu(telemetry::EventKind::kCpuReject, stage, pkt, cycles, 0);
+    return false;
   }
-  record_cpu(telemetry::EventKind::kCpuOpStart, stage, nullptr, cycles,
-             out.done);
-  loop_.schedule_raw_at(out.done, [](void*, std::uint64_t) {}, nullptr);
+  record_cpu(telemetry::EventKind::kCpuOpStart, stage, pkt, cycles, out.done);
+  *done = out.done;
+  return true;
+}
+
+void VSwitch::charge_noop(double cycles, telemetry::Stage stage) {
+  common::TimePoint done = 0;
+  if (charge(cycles, stage, nullptr, &done)) {
+    loop_.schedule_raw_at(done, [](void*, std::uint64_t) {}, nullptr);
+  }
+}
+
+void VSwitch::charge_op(double cycles, telemetry::Stage stage, net::Packet pkt,
+                        const tables::Location& dst, VmAdapter* adapter,
+                        tables::VnicId vid) {
+  common::TimePoint done = 0;
+  if (!charge(cycles, stage, &pkt, &done)) return;
+  const std::uint32_t slot = alloc_op_slot();
+  PendingOp& rec = op_slab_[slot];
+  rec.pkt = std::move(pkt);
+  rec.dst = dst;
+  rec.adapter = adapter;
+  rec.vid = vid;
+  rec.stage = static_cast<std::uint8_t>(stage);
+  schedule_op(slot, done);
 }
 
 void VSwitch::opq_push(std::uint32_t slot) {
@@ -390,13 +418,12 @@ void VSwitch::run_op(std::uint32_t slot) {
   const tables::Location dst = rec.dst;
   VmAdapter* adapter = rec.adapter;
   const tables::VnicId vid = rec.vid;
-  const OpKind kind = rec.kind;
   const auto stage = static_cast<telemetry::Stage>(rec.stage);
   // Free before acting: send_encapped / the VM sink may re-enter and
   // reuse this slot.
   op_free_.push_back(slot);
   record_cpu(telemetry::EventKind::kCpuOpFinish, stage, &pkt, 0, 0);
-  if (kind == OpKind::kSend) {
+  if (adapter == nullptr) {
     send_encapped(std::move(pkt), dst);
     return;
   }
@@ -424,47 +451,6 @@ void VSwitch::run_op(std::uint32_t slot) {
   }
   if (adapter->sink) adapter->sink(vid, pkt);
   else inc(Ctr::kDropNoVmSink);
-}
-
-void VSwitch::consume_cpu_send(double cycles, net::Packet pkt,
-                               const tables::Location& dst,
-                               telemetry::Stage stage) {
-  const CpuModel::Outcome out = cpu_.consume(cycles, loop_.now());
-  if (!out.accepted) {
-    inc(Ctr::kDropCpuOverload);
-    record_cpu(telemetry::EventKind::kCpuReject, stage, &pkt, cycles, 0);
-    return;
-  }
-  record_cpu(telemetry::EventKind::kCpuOpStart, stage, &pkt, cycles,
-             out.done);
-  const std::uint32_t slot = alloc_op_slot();
-  PendingOp& rec = op_slab_[slot];
-  rec.pkt = std::move(pkt);
-  rec.dst = dst;
-  rec.kind = OpKind::kSend;
-  rec.stage = static_cast<std::uint8_t>(stage);
-  schedule_op(slot, out.done);
-}
-
-void VSwitch::consume_cpu_deliver(double cycles, net::Packet pkt,
-                                  tables::VnicId vid, VmAdapter* adapter,
-                                  telemetry::Stage stage) {
-  const CpuModel::Outcome out = cpu_.consume(cycles, loop_.now());
-  if (!out.accepted) {
-    inc(Ctr::kDropCpuOverload);
-    record_cpu(telemetry::EventKind::kCpuReject, stage, &pkt, cycles, 0);
-    return;
-  }
-  record_cpu(telemetry::EventKind::kCpuOpStart, stage, &pkt, cycles,
-             out.done);
-  const std::uint32_t slot = alloc_op_slot();
-  PendingOp& rec = op_slab_[slot];
-  rec.pkt = std::move(pkt);
-  rec.adapter = adapter;
-  rec.vid = vid;
-  rec.kind = OpKind::kDeliver;
-  rec.stage = static_cast<std::uint8_t>(stage);
-  schedule_op(slot, out.done);
 }
 
 flow::SessionEntry* VSwitch::get_or_create_session(
@@ -644,23 +630,29 @@ void VSwitch::local_tx(Vnic& v, net::Packet pkt) {
   sessions_.observe(*entry, flow::Direction::kTx, pkt.inner.tcp_flags,
                     pkt.inner.ft.proto == net::IpProto::kTcp,
                     pkt.inner.wire_size(), loop_.now());
-  const flow::Verdict verdict =
-      nf::finalize_action(flow::Direction::kTx, pre, entry->state);
-  if (verdict == flow::Verdict::kDrop) {
+  finish_tx(std::move(pkt), pre, entry->state, sessions_, entry, cycles,
+            telemetry::Stage::kLocalTx);
+}
+
+void VSwitch::finish_tx(net::Packet&& pkt, const flow::PreActions& pre,
+                        const flow::SessionState& state,
+                        flow::SessionTable& table, flow::SessionEntry* entry,
+                        double cycles, telemetry::Stage stage) {
+  if (nf::finalize_action(flow::Direction::kTx, pre, state) ==
+      flow::Verdict::kDrop) {
     inc(Ctr::kDropAcl);
-    local_cycles_ += cycles;
-    consume_cpu_noop(cycles, telemetry::Stage::kLocalTx);
+    charge_noop(cycles, stage);
     return;
   }
 
   // QoS pre-action: VM/flow-level rate limiting enforced at the single
   // node that sees every packet of the flow (no distributed rate-limiting
   // coordination needed, §2.3.3).
-  if (!sessions_.qos_admit(*entry, pre.tx.rate_limit_kbps,
-                           pkt.wire_size() * 8, loop_.now())) {
+  if (entry != nullptr &&
+      !table.qos_admit(*entry, pre.tx.rate_limit_kbps, pkt.wire_size() * 8,
+                       loop_.now())) {
     inc(Ctr::kDropQos);
-    local_cycles_ += cycles;
-    consume_cpu_noop(cycles, telemetry::Stage::kLocalTx);
+    charge_noop(cycles, stage);
     return;
   }
 
@@ -679,8 +671,8 @@ void VSwitch::local_tx(Vnic& v, net::Packet pkt) {
   cycles += config_.cost.encap_cycles;
   // Stateful decap (§5.2): responses return to the recorded LB address.
   std::optional<tables::Location> dst;
-  if (entry->state.decap_src_ip.value() != 0) {
-    dst = tables::Location{entry->state.decap_src_ip, net::MacAddr(0)};
+  if (state.decap_src_ip.value() != 0) {
+    dst = tables::Location{state.decap_src_ip, net::MacAddr(0)};
   } else if (pre.tx.next_hop.valid()) {
     dst = tables::Location{pre.tx.next_hop.ip, pre.tx.next_hop.mac};
   } else {
@@ -689,12 +681,11 @@ void VSwitch::local_tx(Vnic& v, net::Packet pkt) {
   }
   if (!dst) {
     inc(Ctr::kDropNoRoute);
-    local_cycles_ += cycles;
-    consume_cpu_noop(cycles, telemetry::Stage::kLocalTx);
+    charge_noop(cycles, stage);
     return;
   }
-  local_cycles_ += cycles;
-  consume_cpu_send(cycles, std::move(pkt), *dst, telemetry::Stage::kLocalTx);
+  pkt.decap();  // at an FE, strip the BE's overlay + carrier before re-encap
+  charge_op(cycles, stage, std::move(pkt), *dst);
 }
 
 void VSwitch::be_tx(Vnic& v, net::Packet pkt) {
@@ -747,8 +738,7 @@ void VSwitch::be_tx(Vnic& v, net::Packet pkt) {
     e.a = fe.ip.value();
     telemetry_->record(e);
   }
-  local_cycles_ += cycles;
-  consume_cpu_send(cycles, std::move(pkt), fe, telemetry::Stage::kBeTx);
+  charge_op(cycles, telemetry::Stage::kBeTx, std::move(pkt), fe);
 }
 
 // ------------------------------------------------------------ RX entry
@@ -778,7 +768,7 @@ void VSwitch::receive(net::Packet pkt) {
     }
     const tables::VnicId vnic_id = decode_vnic_id(*vid);
     if (pkt.carrier->flags.is_notify) {
-      if (Vnic* v = vnic(vnic_id)) be_notify(*v, pkt);
+      if (vnic(vnic_id) != nullptr) be_notify(pkt);
       else inc(Ctr::kDropNoVnic);
       return;
     }
@@ -857,32 +847,35 @@ void VSwitch::local_rx(Vnic& v, net::Packet pkt) {
   const flow::PreActions& pre =
       ensure_pre_actions(sessions_, *entry, *v.rules(), pkt.inner.ft.reversed(),
                          &cycles, scratch);
+  finish_rx(v, std::move(pkt), *entry, pre, overlay_src, cycles,
+            telemetry::Stage::kLocalRx);
+}
 
-  sessions_.observe(*entry, flow::Direction::kRx, pkt.inner.tcp_flags,
+void VSwitch::finish_rx(Vnic& v, net::Packet&& pkt,
+                        flow::SessionEntry& entry, const flow::PreActions& pre,
+                        net::Ipv4Addr lb_src, double cycles,
+                        telemetry::Stage stage) {
+  sessions_.observe(entry, flow::Direction::kRx, pkt.inner.tcp_flags,
                     pkt.inner.ft.proto == net::IpProto::kTcp,
                     pkt.inner.wire_size(), loop_.now());
-  entry->state.stats_mode = pre.rx.stats_mode;
-  if (v.stateful_decap() && entry->state.decap_src_ip.value() == 0) {
-    entry->state.decap_src_ip = overlay_src;
+  entry.state.stats_mode = pre.rx.stats_mode;
+  if (v.stateful_decap() && entry.state.decap_src_ip.value() == 0) {
+    entry.state.decap_src_ip = lb_src;
   }
 
-  const flow::Verdict verdict =
-      nf::finalize_action(flow::Direction::kRx, pre, entry->state);
-  if (verdict == flow::Verdict::kDrop) {
+  if (nf::finalize_action(flow::Direction::kRx, pre, entry.state) ==
+      flow::Verdict::kDrop) {
     inc(Ctr::kDropAcl);
-    local_cycles_ += cycles;
-    consume_cpu_noop(cycles, telemetry::Stage::kLocalRx);
+    charge_noop(cycles, stage);
     return;
   }
   // Traffic mirroring for the RX direction, at the pre-action evaluation
   // point (locally here; at the FE when offloaded).
-  if (pre.rx.mirror) {
+  if (stage == telemetry::Stage::kLocalRx && pre.rx.mirror) {
     cycles += config_.cost.mirror_cycles;
     mirror_copy(pkt, pre.rx);
   }
-  local_cycles_ += cycles;
-  consume_cpu_deliver(cycles, std::move(pkt), v.id(), v.adapter(),
-                      telemetry::Stage::kLocalRx);
+  charge_op(cycles, stage, std::move(pkt), {}, v.adapter(), v.id());
 }
 
 void VSwitch::be_rx(Vnic& v, net::Packet pkt) {
@@ -899,7 +892,11 @@ void VSwitch::be_rx(Vnic& v, net::Packet pkt) {
     inc(Ctr::kDropBadCarrier);
     return;
   }
-  const auto decap_tlv = pkt.carrier->find(net::CarrierTlvType::kDecapInfo);
+  net::Ipv4Addr lb_src;
+  if (const auto tlv = pkt.carrier->find(net::CarrierTlvType::kDecapInfo)) {
+    lb_src = net::Ipv4Addr(net::ByteReader(*tlv).u32());
+  }
+  pkt.decap();
 
   const flow::SessionKey key =
       flow::SessionKey::from_packet(pkt.vpc_id, pkt.inner.ft);
@@ -908,32 +905,11 @@ void VSwitch::be_rx(Vnic& v, net::Packet pkt) {
 
   // §5.1 RX workflow: initialize/refresh state, adopt the rule-table-derived
   // state carried in the packet (§3.2.2: the FE does not verify, it informs).
-  sessions_.observe(*entry, flow::Direction::kRx, pkt.inner.tcp_flags,
-                    pkt.inner.ft.proto == net::IpProto::kTcp,
-                    pkt.inner.wire_size(), loop_.now());
-  entry->state.stats_mode = pre.value().rx.stats_mode;
-  if (decap_tlv.has_value() && v.stateful_decap() &&
-      entry->state.decap_src_ip.value() == 0) {
-    net::ByteReader r(*decap_tlv);
-    entry->state.decap_src_ip = net::Ipv4Addr(r.u32());
-  }
-
-  const flow::Verdict verdict =
-      nf::finalize_action(flow::Direction::kRx, pre.value(), entry->state);
-  if (verdict == flow::Verdict::kDrop) {
-    inc(Ctr::kDropAcl);
-    local_cycles_ += cycles;
-    consume_cpu_noop(cycles, telemetry::Stage::kBeRx);
-    return;
-  }
-  local_cycles_ += cycles;
-  pkt.decap();
-  consume_cpu_deliver(cycles, std::move(pkt), v.id(), v.adapter(),
-                      telemetry::Stage::kBeRx);
+  finish_rx(v, std::move(pkt), *entry, pre.value(), lb_src, cycles,
+            telemetry::Stage::kBeRx);
 }
 
-void VSwitch::be_notify(Vnic& v, const net::Packet& pkt) {
-  (void)v;
+void VSwitch::be_notify(const net::Packet& pkt) {
   double cycles = config_.cost.parse_cycles +
                   config_.cost.carrier_codec_cycles +
                   config_.cost.state_update_cycles;
@@ -948,8 +924,28 @@ void VSwitch::be_notify(Vnic& v, const net::Packet& pkt) {
     entry->state.stats_mode = static_cast<flow::StatsMode>(notify->front());
   }
   inc(Ctr::kNotifyReceived);
-  local_cycles_ += cycles;
-  consume_cpu_noop(cycles, telemetry::Stage::kBeNotify);
+  charge_noop(cycles, telemetry::Stage::kBeNotify);
+}
+
+VSwitch::FeLookup VSwitch::fe_lookup(FrontendInstance& fe,
+                                     const net::Packet& pkt,
+                                     const net::FiveTuple& tx_ft,
+                                     double* cycles,
+                                     flow::PreActions& scratch) {
+  flow::SessionEntry* entry = get_or_create_cache_entry(
+      fe, flow::SessionKey::from_packet(pkt.vpc_id, pkt.inner.ft));
+  if (entry == nullptr) {
+    // Cache full: the chain runs for this packet alone.
+    scratch = fe.rules.lookup_cached(tx_ft);
+    *cycles += fe.rules.lookup_cycles(config_.cost);
+    return {nullptr, scratch, true};
+  }
+  const std::uint64_t lookups_before = slow_lookups_;
+  const flow::PreActions& pre = ensure_pre_actions(
+      fe.flow_cache, *entry, fe.rules, tx_ft, cycles, scratch);
+  const bool chain_ran = slow_lookups_ != lookups_before;
+  if (!chain_ran) *cycles *= config_.cost.fe_cache_hit_accel_factor;
+  return {entry, pre, chain_ran};
 }
 
 void VSwitch::fe_tx(FrontendInstance& fe, net::Packet pkt) {
@@ -964,90 +960,31 @@ void VSwitch::fe_tx(FrontendInstance& fe, net::Packet pkt) {
     inc(Ctr::kDropBadCarrier);
     return;
   }
-
-  const flow::SessionKey key =
-      flow::SessionKey::from_packet(pkt.vpc_id, pkt.inner.ft);
-  flow::SessionEntry* entry = get_or_create_cache_entry(fe, key);
   flow::PreActions scratch;
-  const std::uint64_t lookups_before = slow_lookups_;
-  const flow::PreActions& pre =
-      (entry != nullptr)
-          ? ensure_pre_actions(fe.flow_cache, *entry, fe.rules, pkt.inner.ft,
-                               &cycles, scratch)
-          : (scratch = fe.rules.lookup_cached(pkt.inner.ft),
-             cycles += fe.rules.lookup_cycles(config_.cost), scratch);
-  const bool chain_ran = slow_lookups_ != lookups_before || entry == nullptr;
-  if (!chain_ran) cycles *= config_.cost.fe_cache_hit_accel_factor;
-
-  // The FE executes the same finalization code as before Nezha, with the
-  // state arriving in the packet instead of a local table (Fig 5).
-  const flow::Verdict verdict =
-      nf::finalize_action(flow::Direction::kTx, pre, snapshot.value());
+  const FeLookup found = fe_lookup(fe, pkt, pkt.inner.ft, &cycles, scratch);
 
   // Notify the BE when the rule-table-derived state differs from what the
-  // packet carried (§3.2.2) — only on chain executions, which are rare.
-  if (chain_ran && pre.tx.stats_mode != snapshot.value().stats_mode) {
+  // packet carried (§3.2.2) — only on chain executions, which are rare. The
+  // notify is an op of its own, charged once.
+  if (found.chain_ran &&
+      found.pre.tx.stats_mode != snapshot.value().stats_mode) {
     net::Packet notify_pkt = pkt;  // same inner flow identity
     notify_pkt.inner.payload_len = 0;
     net::CarrierHeader& carrier = notify_pkt.carrier.emplace();
     carrier.flags.is_notify = true;
     add_vnic_id_tlv(carrier, fe.vnic);
     carrier.add(net::CarrierTlvType::kNotify,
-                {static_cast<std::uint8_t>(pre.tx.stats_mode)});
+                {static_cast<std::uint8_t>(found.pre.tx.stats_mode)});
     notify_pkt.overlay.reset();
     ++notify_sent_;
-    cycles += config_.cost.carrier_codec_cycles;
-    consume_cpu_send(config_.cost.carrier_codec_cycles, std::move(notify_pkt),
-                     fe.be_location, telemetry::Stage::kFeTx);
+    charge_op(config_.cost.carrier_codec_cycles, telemetry::Stage::kFeTx,
+              std::move(notify_pkt), fe.be_location);
   }
 
-  if (verdict == flow::Verdict::kDrop) {
-    inc(Ctr::kDropAcl);
-    fe_cycles_ += cycles;
-    consume_cpu_noop(cycles, telemetry::Stage::kFeTx);
-    return;
-  }
-
-  if (entry != nullptr &&
-      !fe.flow_cache.qos_admit(*entry, pre.tx.rate_limit_kbps,
-                               pkt.wire_size() * 8, loop_.now())) {
-    inc(Ctr::kDropQos);
-    fe_cycles_ += cycles;
-    consume_cpu_noop(cycles, telemetry::Stage::kFeTx);
-    return;
-  }
-
-  if (pre.tx.mirror) {
-    cycles += config_.cost.mirror_cycles;
-    net::Packet unwrapped = pkt;
-    unwrapped.decap();
-    mirror_copy(unwrapped, pre.tx);
-  }
-
-  if (pre.tx.nat_enabled) {
-    pkt.inner.ft.src_ip = pre.tx.nat_ip;
-    pkt.inner.ft.src_port = pre.tx.nat_port;
-  }
-
-  cycles += config_.cost.encap_cycles;
-  std::optional<tables::Location> dst;
-  if (snapshot.value().decap_src_ip.value() != 0) {
-    dst = tables::Location{snapshot.value().decap_src_ip, net::MacAddr(0)};
-  } else if (pre.tx.next_hop.valid()) {
-    dst = tables::Location{pre.tx.next_hop.ip, pre.tx.next_hop.mac};
-  } else {
-    dst = resolve_dst(tables::OverlayAddr{pkt.vpc_id, pkt.inner.ft.dst_ip},
-                      pkt.inner.ft);
-  }
-  if (!dst) {
-    inc(Ctr::kDropNoRoute);
-    fe_cycles_ += cycles;
-    consume_cpu_noop(cycles, telemetry::Stage::kFeTx);
-    return;
-  }
-  fe_cycles_ += cycles;
-  pkt.decap();  // strip the BE's overlay + carrier; re-encap toward the dst
-  consume_cpu_send(cycles, std::move(pkt), *dst, telemetry::Stage::kFeTx);
+  // The FE executes the same finalization code as before Nezha, with the
+  // state arriving in the packet instead of a local table (Fig 5).
+  finish_tx(std::move(pkt), found.pre, snapshot.value(), fe.flow_cache,
+            found.entry, cycles, telemetry::Stage::kFeTx);
 }
 
 void VSwitch::fe_rx(FrontendInstance& fe, net::Packet pkt) {
@@ -1061,27 +998,15 @@ void VSwitch::fe_rx(FrontendInstance& fe, net::Packet pkt) {
   // (§3.2.2 "rule table not involved"): the overlay source IP.
   const net::Ipv4Addr overlay_src = pkt.overlay->src_ip;
 
-  const flow::SessionKey key =
-      flow::SessionKey::from_packet(pkt.vpc_id, pkt.inner.ft);
-  flow::SessionEntry* entry = get_or_create_cache_entry(fe, key);
   flow::PreActions scratch;
-  const std::uint64_t lookups_before = slow_lookups_;
-  const flow::PreActions& pre =
-      (entry != nullptr)
-          ? ensure_pre_actions(fe.flow_cache, *entry, fe.rules,
-                               pkt.inner.ft.reversed(), &cycles, scratch)
-          : (scratch = fe.rules.lookup_cached(pkt.inner.ft.reversed()),
-             cycles += fe.rules.lookup_cycles(config_.cost), scratch);
-  const bool chain_ran = slow_lookups_ != lookups_before || entry == nullptr;
-  if (!chain_ran) cycles *= config_.cost.fe_cache_hit_accel_factor;
+  const FeLookup found =
+      fe_lookup(fe, pkt, pkt.inner.ft.reversed(), &cycles, scratch);
 
   // Traffic mirroring for the RX direction happens where the pre-actions
   // are evaluated: at the FE.
-  if (pre.rx.mirror) {
+  if (found.pre.rx.mirror) {
     cycles += config_.cost.mirror_cycles;
-    net::Packet unwrapped = pkt;
-    unwrapped.decap();
-    mirror_copy(unwrapped, pre.rx);
+    mirror_copy(pkt, found.pre.rx);
   }
 
   // Annotate the packet with the pre-actions and forward to the BE, which
@@ -1090,17 +1015,14 @@ void VSwitch::fe_rx(FrontendInstance& fe, net::Packet pkt) {
   net::CarrierHeader& carrier = pkt.carrier.emplace();
   carrier.flags.from_frontend = true;
   add_vnic_id_tlv(carrier, fe.vnic);
-  pre.serialize_into(carrier.add_uninit(net::CarrierTlvType::kPreActions,
-                                        flow::PreActions::kWireSize));
+  found.pre.serialize_into(carrier.add_uninit(
+      net::CarrierTlvType::kPreActions, flow::PreActions::kWireSize));
   if (fe.stateful_decap) {
     net::FixedWriter w(
         carrier.add_uninit(net::CarrierTlvType::kDecapInfo, 4));
     w.u32(overlay_src.value());
   }
-
-  fe_cycles_ += cycles;
-  consume_cpu_send(cycles, std::move(pkt), fe.be_location,
-                   telemetry::Stage::kFeRx);
+  charge_op(cycles, telemetry::Stage::kFeRx, std::move(pkt), fe.be_location);
 }
 
 void VSwitch::health_probe_reply(const net::Packet& pkt) {
@@ -1109,21 +1031,13 @@ void VSwitch::health_probe_reply(const net::Packet& pkt) {
   net::Packet reply = net::make_udp_packet(pkt.inner.ft.reversed(), 0, 0);
   reply.id = pkt.id;  // echo the probe id so the monitor can match it
   inc(Ctr::kProbeReplied);
-  const CpuModel::Outcome out = cpu_.consume(kCycles, loop_.now());
-  if (!out.accepted) {
-    inc(Ctr::kDropCpuOverload);
-    record_cpu(telemetry::EventKind::kCpuReject, telemetry::Stage::kProbe,
-               nullptr, kCycles, 0);
-    return;
-  }
-  record_cpu(telemetry::EventKind::kCpuOpStart, telemetry::Stage::kProbe,
-             nullptr, kCycles, out.done);
+  common::TimePoint done = 0;
+  if (!charge(kCycles, telemetry::Stage::kProbe, nullptr, &done)) return;
   // The reply waits in an op slot and leaves at completion, outside the
   // burst-mode op queue (probe replies were never batched).
   const std::uint32_t slot = alloc_op_slot();
   op_slab_[slot].pkt = std::move(reply);
-  loop_.schedule_raw_at(out.done, &VSwitch::send_probe_reply_thunk, this,
-                        slot);
+  loop_.schedule_raw_at(done, &VSwitch::send_probe_reply_thunk, this, slot);
 }
 
 void VSwitch::send_probe_reply(std::uint32_t slot) {

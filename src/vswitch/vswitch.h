@@ -282,32 +282,67 @@ class VSwitch : public sim::Node {
   }
 
  private:
-  // --- datapath stages ---
+  // --- datapath stages (DESIGN.md §4, stage map) ---
   void local_tx(Vnic& v, net::Packet pkt);
   void be_tx(Vnic& v, net::Packet pkt);
   void local_rx(Vnic& v, net::Packet pkt);
   void be_rx(Vnic& v, net::Packet pkt);
-  void be_notify(Vnic& v, const net::Packet& pkt);
+  void be_notify(const net::Packet& pkt);
   void fe_tx(FrontendInstance& fe, net::Packet pkt);
   void fe_rx(FrontendInstance& fe, net::Packet pkt);
   void health_probe_reply(const net::Packet& pkt);
 
+  /// TX finalization, Fig 5's process_pkt(pre-actions, state), run where
+  /// the two meet: the local stage passes its session entry's state, the
+  /// FE the carried snapshot. Verdict; QoS on `entry`'s bucket in `table`
+  /// (none without an entry); mirror; NAT; encap; next hop (the §5.2 LB
+  /// address, else the policy route, else the learned map); send.
+  void finish_tx(net::Packet&& pkt, const flow::PreActions& pre,
+                 const flow::SessionState& state, flow::SessionTable& table,
+                 flow::SessionEntry* entry, double cycles,
+                 telemetry::Stage stage);
+  /// RX finalization: the local stage passes its chain's pre-actions and
+  /// the overlay source, the BE the carried pre-actions and the decap
+  /// TLV's address (0 when absent). Observe; stats mode; §5.2 decap
+  /// address; verdict; mirror (only on the local stage: an offloaded
+  /// vNIC's FE evaluated the pre-actions and mirrored); deliver.
+  void finish_rx(Vnic& v, net::Packet&& pkt, flow::SessionEntry& entry,
+                 const flow::PreActions& pre, net::Ipv4Addr lb_src,
+                 double cycles, telemetry::Stage stage);
+
+  /// What the FE's pre-action step found for one packet.
+  struct FeLookup {
+    flow::SessionEntry* entry;  // flow-cache entry; null when it is full
+    const flow::PreActions& pre;
+    bool chain_ran;
+  };
+  /// The FE's pre-action step, shared by fe_tx and fe_rx: `pkt`'s
+  /// flow-cache entry and its pre-actions for `tx_ft`, or an uncached
+  /// chain lookup into `scratch` when the cache is full. A cache hit
+  /// scales *cycles by the FE cache-hit factor.
+  FeLookup fe_lookup(FrontendInstance& fe, const net::Packet& pkt,
+                     const net::FiveTuple& tx_ft, double* cycles,
+                     flow::PreActions& scratch);
+
   // --- helpers ---
   void inc(Ctr c) { counters_.inc(static_cast<std::size_t>(c)); }
 
-  /// CPU charging: the deferred work lives in a pooled PendingOp slab and
-  /// the completion event carries only the slot (no heap allocation per
-  /// packet). Charges cycles and, at completion, sends `pkt` encapped
-  /// toward `dst`.
-  void consume_cpu_send(double cycles, net::Packet pkt,
-                        const tables::Location& dst, telemetry::Stage stage);
+  /// The one CPU admission. Attributes `cycles` to Fig 8's split (FE
+  /// stages to fe_cycles_, every other stage but the probe to
+  /// local_cycles_), queues them on the CPU and records the op's start
+  /// with `pkt`. Returns false, counting and recording the rejection,
+  /// when the CPU turns the op away; else sets *done to its completion.
+  bool charge(double cycles, telemetry::Stage stage, const net::Packet* pkt,
+              common::TimePoint* done);
+  /// Charges cycles with no completion work (drops, notify receipt).
+  void charge_noop(double cycles, telemetry::Stage stage);
   /// Charges cycles and, at completion, hands `pkt` to `adapter` (a
-  /// node-stable pointer into adapters_).
-  void consume_cpu_deliver(double cycles, net::Packet pkt,
-                           tables::VnicId vid, VmAdapter* adapter,
-                           telemetry::Stage stage);
-  /// Charges cycles with no completion work (verdict-drop paths).
-  void consume_cpu_noop(double cycles, telemetry::Stage stage);
+  /// node-stable pointer into adapters_) as vNIC `vid`'s, or with no
+  /// adapter sends it encapped toward `dst`. The op waits in a pooled
+  /// PendingOp slot, and the completion event carries only the slot.
+  void charge_op(double cycles, telemetry::Stage stage, net::Packet pkt,
+                 const tables::Location& dst, VmAdapter* adapter = nullptr,
+                 tables::VnicId vid = 0);
 
   /// Flight-recorder helpers; single pointer test when telemetry is off.
   void record_cpu(telemetry::EventKind kind, telemetry::Stage stage,
@@ -358,7 +393,8 @@ class VSwitch : public sim::Node {
 
   void send_encapped(net::Packet pkt, const tables::Location& dst);
 
-  /// Sends a copy of `pkt` to the mirror collector named in the pre-action.
+  /// Sends a copy of `pkt`, without its overlay and carrier, to the mirror
+  /// collector named in the pre-action.
   void mirror_copy(const net::Packet& pkt, const flow::DirPreAction& pre);
 
   /// Releases the session-pool bytes an evicted/erased entry had reserved.
@@ -399,15 +435,13 @@ class VSwitch : public sim::Node {
   flow::SessionTable sessions_;  // unified store; see sessions() docs
 
   /// Deferred-work slab for the CPU model: packets waiting out their cycle
-  /// cost live here, addressed by slot (see consume_cpu_send/_deliver).
-  enum class OpKind : std::uint8_t { kSend = 0, kDeliver = 1 };
+  /// cost live here, addressed by slot (see charge_op).
   struct PendingOp {
     net::Packet pkt;
     tables::Location dst;
-    VmAdapter* adapter = nullptr;
+    VmAdapter* adapter = nullptr;  // null: send toward dst
     common::TimePoint done = 0;  // CPU completion time (burst mode)
     tables::VnicId vid = 0;
-    OpKind kind = OpKind::kSend;
     std::uint8_t stage = 0;  // telemetry::Stage of the charging site
   };
   std::vector<PendingOp> op_slab_;

@@ -303,6 +303,43 @@ TEST_F(NezhaCoreTest, NotifyPacketUpdatesBackendState) {
   EXPECT_EQ(notifies_after, 1u);
 }
 
+// Every CPU op is attributed once, to one side of Fig 8's FE/local split,
+// and CpuModel truncates each op's service time to whole nanoseconds. So
+// over any window, a host that answers no health probes is busy for at
+// most its attributed cycles at the CPU's rate. The window here holds the
+// notify-triggering packet: the §3.2.2 notify is an op of its own at the
+// FE, charged once and attributed to the FE.
+TEST_F(NezhaCoreTest, NotifyIsChargedOnceAndAttributedToTheFrontend) {
+  auto* rules = bed_.vswitch(1).vnic(kServerVnic)->rules();
+  rules->stats_policy().add_policy(
+      tables::Prefix::any(), flow::StatsMode::kPacketsAndBytes);
+  rules->commit_update();
+  offload_server();
+
+  const std::size_t n = bed_.size();
+  std::vector<common::Duration> busy_before(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    vswitch::VSwitch& vs = bed_.vswitch(i);
+    vs.reset_cycle_attribution();
+    busy_before[i] = vs.cpu().busy_integral(vs.loop().now());
+  }
+  server_sends(flow(44000).reversed(), net::TcpFlags{.syn = true});
+  bed_.run_for(milliseconds(300));
+
+  std::uint64_t notifies = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    vswitch::VSwitch& vs = bed_.vswitch(i);
+    notifies += vs.notify_sent();
+    const auto busy_ns = static_cast<double>(
+        vs.cpu().busy_integral(vs.loop().now()) - busy_before[i]);
+    const double attributed_ns = (vs.fe_cycles() + vs.local_cycles()) /
+                                 vs.cpu().cycles_per_second() *
+                                 static_cast<double>(common::kSecond);
+    EXPECT_LE(busy_ns, attributed_ns) << "vSwitch " << i;
+  }
+  EXPECT_EQ(notifies, 1u);
+}
+
 TEST_F(NezhaCoreTest, FlowsSpreadAcrossFrontends) {
   offload_server();
   for (int i = 0; i < 200; ++i) {

@@ -1,6 +1,6 @@
 // Unit tests for the NF layer: the §5.1 stateful-ACL truth table of
-// finalize_action, stateful-decap routing, and the middlebox profiles that
-// drive Table 3.
+// finalize_action and the middlebox profiles that drive Table 3 (stateful
+// decap is covered end to end by NezhaCoreTest.StatefulDecapAcrossOffload).
 #include <gtest/gtest.h>
 
 #include "src/nf/middlebox.h"
@@ -88,14 +88,6 @@ TEST(FinalizeActionTest, UninitializedStateGivesNoException) {
   EXPECT_EQ(finalize_action(Direction::kRx, p,
                             state_with_first(FirstDirection::kNone)),
             Verdict::kDrop);
-}
-
-TEST(StatefulDecapTest, ResponseDstPrefersRecordedLb) {
-  SessionState s;
-  const net::Ipv4Addr fallback(10, 0, 0, 1);
-  EXPECT_EQ(response_overlay_dst(s, fallback), fallback);
-  s.decap_src_ip = net::Ipv4Addr(100, 100, 1, 1);
-  EXPECT_EQ(response_overlay_dst(s, fallback), s.decap_src_ip);
 }
 
 TEST(MiddleboxProfileTest, ChainComplexityOrdering) {

@@ -1054,10 +1054,11 @@ TEST(SessionTableProperty, ListWheelMatchesRefVectorWheel) {
 // every key to one of the last four cells of the array, so clusters are
 // long and wrap past its end, and 300 keys take the array through every
 // doubling from 8 cells to 512. Key 0 is an ordinary key: a cell is empty
-// when its value is 0, as an IP table cell is when its node is null. After
-// every step each live key is found with its value, each erased key is
-// not, size() agrees, and no live cell has an empty cell between its home
-// and itself.
+// when its value is 0, as an IP table cell is when its node is null. One
+// step in the insert-heavy half clears the table, which must keep its
+// array. After every step each live key is found with its value, each
+// erased or cleared key is not, size() agrees, and no live cell has an
+// empty cell between its home and itself.
 TEST(FlatTableProperty, MatchesReferenceMap) {
   struct Cell {
     std::uint32_t key = 0;
@@ -1102,6 +1103,15 @@ TEST(FlatTableProperty, MatchesReferenceMap) {
       table.erase(cell);
       ref.erase(key);
       erased.insert(key);
+    }
+    if (step == 2000) {
+      // clear() empties the table and keeps its array.
+      const Cell* array = table.home(0);
+      table.clear();
+      ASSERT_NE(array, nullptr);
+      ASSERT_EQ(table.home(0), array);
+      for (const auto& [k, v] : ref) erased.insert(k);
+      ref.clear();
     }
 
     ASSERT_EQ(table.size(), ref.size()) << "step " << step;
