@@ -8,9 +8,9 @@
 // fleet-wide hash reseed — all fired through the epoch-fence protocol, so
 // the whole run (setup, churn and traffic) executes under worker threads.
 // Recorded per sweep point:
-//   * wall-clock speedup vs the unsharded reference and vs the 1-thread
-//     sharded run (the same epochs, rings, fences and merges, minus
-//     parallelism);
+//   * wall-clock speedup vs the unsharded (one-shard) reference and vs the
+//     1-thread sharded run (the same epochs, outboxes, fences and merges,
+//     minus parallelism);
 //   * determinism: every thread count must produce the same fingerprint —
 //     a hard exit-code gate, not a report line;
 //   * completed connections; every run places the same endpoints, so no
@@ -117,7 +117,7 @@ struct RunResult {
 /// One full scenario run, threaded end-to-end (deploy, offload, churn and
 /// the timed traffic window all execute under o.threads workers; the fence
 /// protocol keeps the outcome thread-count invariant). shards == 1 builds
-/// the engine-less reference bed.
+/// the one-shard reference bed: the same engine on one worker.
 RunResult run_one(const RunOpts& o) {
   core::TestbedConfig cfg = core::make_clos_testbed_config(o.vswitches);
   cfg.controller.auto_offload = false;
@@ -179,37 +179,35 @@ RunResult run_one(const RunOpts& o) {
   r.totals = t;
   r.exported = t.exported;
   r.imported = t.imported;
-  if (bed.engine() != nullptr) {
-    r.pending = bed.engine()->tokens_pending();
-    r.late = bed.engine()->late_tokens();
-    r.epochs = bed.engine()->epochs_run();
-    r.epochs_skipped = bed.engine()->epochs_skipped();
-    r.fenced_sections = bed.engine()->fenced_sections_run();
-    std::uint64_t sum = 0, mx = 0;
-    for (std::uint32_t s = 0; s < bed.shard_count(); ++s) {
-      const std::uint64_t b = bed.engine()->shard_busy_ns(s);
-      sum += b;
-      mx = std::max(mx, b);
-    }
-    if (mx > 0) {
-      r.busy_balance = static_cast<double>(sum) /
-                       (static_cast<double>(mx) *
-                        static_cast<double>(bed.shard_count()));
-      r.ideal_speedup = static_cast<double>(sum) / static_cast<double>(mx);
-    }
-    for (std::uint32_t s = 0; s < bed.shard_count(); ++s) {
-      const auto p = bed.engine()->phase_profile(s);
-      r.prof_epochs += p.epochs;
-      r.snapshot_wall_ns += p.snapshot_ns;
-      r.advance_wall_ns += p.advance_ns;
-      r.barrier_wait_wall_ns += p.barrier_wait_ns;
-      r.fast_forward_wall_ns += p.fast_forward_ns;
-    }
-    const auto ep = bed.engine()->engine_profile();
-    r.fence_wall_ns = ep.fence_wall_ns;
-    r.fence_barriers = ep.fence_barriers;
-    r.ff_jumps = ep.ff_jumps;
+  r.pending = bed.engine()->tokens_pending();
+  r.late = bed.engine()->late_tokens();
+  r.epochs = bed.engine()->epochs_run();
+  r.epochs_skipped = bed.engine()->epochs_skipped();
+  r.fenced_sections = bed.engine()->fenced_sections_run();
+  std::uint64_t sum = 0, mx = 0;
+  for (std::uint32_t s = 0; s < bed.shard_count(); ++s) {
+    const std::uint64_t b = bed.engine()->shard_busy_ns(s);
+    sum += b;
+    mx = std::max(mx, b);
   }
+  if (mx > 0) {
+    r.busy_balance = static_cast<double>(sum) /
+                     (static_cast<double>(mx) *
+                      static_cast<double>(bed.shard_count()));
+    r.ideal_speedup = static_cast<double>(sum) / static_cast<double>(mx);
+  }
+  for (std::uint32_t s = 0; s < bed.shard_count(); ++s) {
+    const auto p = bed.engine()->phase_profile(s);
+    r.prof_epochs += p.epochs;
+    r.snapshot_wall_ns += p.snapshot_ns;
+    r.advance_wall_ns += p.advance_ns;
+    r.barrier_wait_wall_ns += p.barrier_wait_ns;
+    r.fast_forward_wall_ns += p.fast_forward_ns;
+  }
+  const auto ep = bed.engine()->engine_profile();
+  r.fence_wall_ns = ep.fence_wall_ns;
+  r.fence_barriers = ep.fence_barriers;
+  r.ff_jumps = ep.ff_jumps;
   r.violations = checker.violations().size();
   r.report = checker.ok() ? "" : checker.report();
   return r;
@@ -283,8 +281,9 @@ int main(int argc, char** argv) {
                : 1;
   }
 
-  // Reference: the classic engine-less testbed (what every run before the
-  // sharded engine measured), same churn script via plain loop events.
+  // Reference: the same fleet on one shard, which one worker drives with
+  // no outboxes to exchange and no barrier to cross; the same churn script
+  // runs as fenced sections.
   std::printf("\n  [unsharded reference]\n");
   RunOpts oref = base;
   oref.shards = 1;

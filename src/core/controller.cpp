@@ -36,9 +36,11 @@ constexpr common::Duration kWeightUpdatePeriod = common::seconds(1);
 }  // namespace
 
 Controller::Controller(sim::EventLoop& loop, sim::Network& network,
+                       sim::ShardedEngine& engine,
                        tables::VnicServerMap& gateway,
                        ControllerConfig config)
-    : loop_(loop), network_(network), gateway_(gateway), config_(config),
+    : loop_(loop), network_(network), engine_(engine), gateway_(gateway),
+      config_(config),
       rng_(config.seed),
       policy_(&policy::policy_for(config.fe_policy)),
       weight_book_(policy::empty_weight_book()) {}
@@ -76,17 +78,8 @@ void Controller::record_ctrl(telemetry::EventKind kind, std::uint32_t node,
   telemetry_->record(e);
 }
 
-void Controller::schedule_ctrl(common::TimePoint at,
-                               std::function<void()> fn) {
-  if (engine_ != nullptr) {
-    engine_->schedule_fenced(at, std::move(fn));
-  } else {
-    loop_.schedule_at(at, std::move(fn));
-  }
-}
-
 void Controller::schedule_monitor_tick(common::TimePoint at) {
-  engine_->schedule_fenced(at, [this, at]() {
+  engine_.schedule_fenced(at, [this, at]() {
     monitor_tick();
     schedule_monitor_tick(at + config_.monitor_period);
   });
@@ -278,9 +271,9 @@ void Controller::evict_frontend(tables::VnicId id, sim::NodeId node) {
   vswitch::VSwitch* home = rec.home;
   const common::TimePoint apply_at = loop_.now() + sample_config_latency();
   // The apply touches the home vSwitch (possibly another shard's) and the
-  // gateway senders read fleet-wide → fenced under a threaded engine.
-  schedule_ctrl(apply_at,
-                [this, home, id]() { apply_fe_locations(home, id); });
+  // gateway senders read fleet-wide → fenced.
+  engine_.schedule_fenced(
+      apply_at, [this, home, id]() { apply_fe_locations(home, id); });
   const common::TimePoint remove_at =
       apply_at + config_.learning_interval + kRttAllowance;
   if (vswitch::VSwitch* fe = switch_of(node)) {
@@ -387,9 +380,9 @@ common::Status Controller::trigger_offload(tables::VnicId id,
   });
 
   // (3) Gateway update, then the learning interval bounds sender staleness.
-  // Senders on every shard read the gateway → fenced under threads.
+  // Senders on every shard read the gateway → fenced.
   const common::TimePoint gw_done = be_ready + sample_config_latency();
-  schedule_ctrl(gw_done, [this, id]() {
+  engine_.schedule_fenced(gw_done, [this, id]() {
     auto rit = vnics_.find(id);
     if (rit != vnics_.end()) publish_placement(rit->second);
   });
@@ -443,7 +436,7 @@ common::Status Controller::trigger_fallback(tables::VnicId id) {
     (void)home->begin_fallback(id);
   });
   const common::TimePoint gw_done = local_ready + sample_config_latency();
-  schedule_ctrl(gw_done, [this, id]() {
+  engine_.schedule_fenced(gw_done, [this, id]() {
     auto rit = vnics_.find(id);
     if (rit == vnics_.end()) return;
     rit->second.offloaded = false;  // placement reverts to the BE
@@ -512,8 +505,8 @@ common::Status Controller::scale_out(
   // gateway's vNIC-server table (§4.3).
   const common::TimePoint apply_at = fe_ready + sample_config_latency();
   vswitch::VSwitch* home = rec.home;
-  schedule_ctrl(apply_at,
-                [this, home, id]() { apply_fe_locations(home, id); });
+  engine_.schedule_fenced(
+      apply_at, [this, home, id]() { apply_fe_locations(home, id); });
 
   ++scale_out_events_;
   record_ctrl(telemetry::EventKind::kCtrlScaleOut, rec.home->id(), id,
@@ -673,16 +666,11 @@ bool Controller::transition_pending(tables::VnicId id) const {
 void Controller::start() {
   if (started_) return;
   started_ = true;
-  if (engine_ != nullptr) {
-    // Monitoring reads every shard's vSwitch CPU and can launch any
-    // workflow → the tick itself is a fenced section, self-rescheduling at
-    // nominal multiples of the period (the barrier quantizes actual
-    // execution to epoch boundaries, identically for every thread count).
-    schedule_monitor_tick(loop_.now() + config_.monitor_period);
-  } else {
-    loop_.schedule_periodic(config_.monitor_period,
-                            [this]() { monitor_tick(); });
-  }
+  // Monitoring reads every shard's vSwitch CPU and can launch any
+  // workflow → the tick itself is a fenced section, self-rescheduling at
+  // nominal multiples of the period (the barrier quantizes actual
+  // execution to epoch boundaries, identically for every thread count).
+  schedule_monitor_tick(loop_.now() + config_.monitor_period);
 }
 
 void Controller::monitor_tick() {

@@ -8,10 +8,17 @@
 // to Table 4. The dataplane consequences (stale senders hitting retained
 // tables, rehashed flows missing FE caches) emerge from the vSwitch and
 // learned-map models rather than being scripted.
+//
+// Threaded control plane (DESIGN.md §15): every continuation that touches
+// cross-shard state — monitor ticks, gateway publishes, fleet-wide config
+// applies — runs as a fenced section of the engine that drives the bed
+// (ShardedEngine::schedule_fenced), at an epoch barrier with every worker
+// parked, at every shard and thread count. Continuations that only mutate
+// the controller's own records stay plain events on its loop, and vSwitch
+// mutations go on the owning vSwitch's loop.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -50,8 +57,11 @@ struct ControllerConfig {
 
 class Controller {
  public:
+  /// `loop` and `network` are shard 0's; `engine` drives every shard and
+  /// runs the controller's cross-shard continuations as fenced sections.
   Controller(sim::EventLoop& loop, sim::Network& network,
-             tables::VnicServerMap& gateway, ControllerConfig config = {});
+             sim::ShardedEngine& engine, tables::VnicServerMap& gateway,
+             ControllerConfig config = {});
 
   const ControllerConfig& config() const { return config_; }
 
@@ -65,7 +75,8 @@ class Controller {
   void register_vnic(vswitch::VSwitch* home,
                      const vswitch::VnicConfig& config, bool stateful_decap);
 
-  /// Starts the periodic monitoring loop.
+  /// Starts the periodic monitoring loop: a fenced tick every
+  /// monitor_period.
   void start();
 
   // ---------- explicit operations (monitoring calls these too) ----------
@@ -137,15 +148,6 @@ class Controller {
   /// scale-out/-in, failover).
   void set_telemetry(telemetry::Hub* hub) { telemetry_ = hub; }
 
-  /// Threaded control plane (DESIGN.md §15): on a sharded bed, every
-  /// controller continuation that touches cross-shard state — monitor
-  /// ticks, gateway publishes, fleet-wide config applies — runs as a
-  /// fenced section at an epoch barrier instead of as a plain shard-0 loop
-  /// event, so the whole lifecycle (offload, churn, failover) is safe while
-  /// the engine is multi-threaded. Null (the default, an unsharded bed)
-  /// schedules them on the controller's own loop.
-  void set_engine(sim::ShardedEngine* engine) { engine_ = engine; }
-
  private:
   struct VnicRecord {
     vswitch::VnicConfig config;
@@ -171,12 +173,6 @@ class Controller {
   void record_ctrl(telemetry::EventKind kind, std::uint32_t node,
                    std::uint64_t a, std::uint64_t b = 0);
 
-  /// Schedules a control continuation that may touch cross-shard state
-  /// (gateway, other shards' vSwitch config, the whole fleet): a fenced
-  /// section on a sharded bed, a shard-0 loop event otherwise.
-  /// Continuations that only mutate the controller's own records stay on
-  /// loop_ unconditionally — they always execute on the controller's shard.
-  void schedule_ctrl(common::TimePoint at, std::function<void()> fn);
   /// Self-rescheduling fenced monitor tick at nominal `at + k*period`
   /// (periodic loop events cannot cross the quiesce protocol).
   void schedule_monitor_tick(common::TimePoint at);
@@ -233,6 +229,7 @@ class Controller {
 
   sim::EventLoop& loop_;
   sim::Network& network_;
+  sim::ShardedEngine& engine_;
   tables::VnicServerMap& gateway_;
   ControllerConfig config_;
   common::Rng rng_;
@@ -258,7 +255,6 @@ class Controller {
   common::TimePoint last_weight_push_ = 0;
   common::Percentiles offload_completion_;
   telemetry::Hub* telemetry_ = nullptr;
-  sim::ShardedEngine* engine_ = nullptr;
   bool started_ = false;
 };
 

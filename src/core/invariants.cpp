@@ -73,19 +73,18 @@ void InvariantChecker::check_conservation() {
   // destination shard or still sitting in a shard outbox. Quiescent reads
   // only (the harness runs between run_for() calls on threaded beds).
   const Testbed::NetTotals t = bed_.net_totals();
-  if (bed_.engine() != nullptr) {
-    const std::uint64_t pending = bed_.engine()->tokens_pending();
-    if (t.exported != t.imported + pending) {
-      std::ostringstream os;
-      os << "cross-shard conservation broken: exported=" << t.exported
-         << " != imported=" << t.imported << " + tokens_pending=" << pending;
-      violation(os.str());
-    }
-    if (bed_.engine()->late_tokens() != 0) {
-      violation("conservative lookahead violated: " +
-                std::to_string(bed_.engine()->late_tokens()) +
-                " tokens injected past their due time");
-    }
+  const sim::ShardedEngine& engine = *bed_.engine();
+  const std::uint64_t pending = engine.tokens_pending();
+  if (t.exported != t.imported + pending) {
+    std::ostringstream os;
+    os << "cross-shard conservation broken: exported=" << t.exported
+       << " != imported=" << t.imported << " + tokens_pending=" << pending;
+    violation(os.str());
+  }
+  if (engine.late_tokens() != 0) {
+    violation("conservative lookahead violated: " +
+              std::to_string(engine.late_tokens()) +
+              " tokens injected past their due time");
   }
   if (t.sent < prev_sent_ || t.delivered < prev_delivered_ ||
       t.dropped < prev_dropped_) {

@@ -33,24 +33,20 @@ Testbed::Testbed(TestbedConfig config) : topology_(config.topology) {
   threads_ = config.threads < 1 ? 1 : config.threads;
 
   shards_.resize(shard_map_.shards);
+  std::vector<sim::ShardedEngine::Shard> engine_shards;
   for (Shard& sh : shards_) {
     sh.loop = std::make_unique<sim::EventLoop>();
     sh.network =
         std::make_unique<sim::Network>(*sh.loop, topology_, config.network);
+    engine_shards.push_back({sh.loop.get(), sh.network.get()});
   }
-  if (shards_.size() > 1) {
-    std::vector<sim::ShardedEngine::Shard> engine_shards;
-    for (Shard& sh : shards_) {
-      engine_shards.push_back({sh.loop.get(), sh.network.get()});
-    }
-    sim::ShardedEngineConfig ecfg;
-    ecfg.epoch = topology_.min_cross_rack_latency();
-    ecfg.fast_forward = config.shard_fast_forward;
-    engine_ =
-        std::make_unique<sim::ShardedEngine>(std::move(engine_shards), ecfg);
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-      network_of_shard(s).set_engine(engine_.get(), s);
-    }
+  sim::ShardedEngineConfig ecfg;
+  ecfg.epoch = topology_.min_cross_rack_latency();
+  ecfg.fast_forward = config.shard_fast_forward;
+  engine_ =
+      std::make_unique<sim::ShardedEngine>(std::move(engine_shards), ecfg);
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    network_of_shard(s).set_engine(engine_.get(), s);
   }
 
   for (std::size_t i = 0; i < config.num_vswitches; ++i) {
@@ -59,14 +55,13 @@ Testbed::Testbed(TestbedConfig config) : topology_(config.topology) {
         static_cast<sim::NodeId>(i), underlay_ip(i), loop_of_shard(s),
         network_of_shard(s), gateway_, config.vswitch);
     network_of_shard(s).attach(*vs);
-    if (engine_ != nullptr) engine_->map_ip(underlay_ip(i), s, vs->id());
+    engine_->map_ip(underlay_ip(i), s, vs->id());
     switches_.push_back(std::move(vs));
   }
-  // Control plane lives on shard 0; on a sharded bed its cross-shard
-  // continuations run as fenced sections at epoch barriers.
-  controller_ = std::make_unique<Controller>(loop(), network(), gateway_,
-                                             config.controller);
-  controller_->set_engine(engine_.get());
+  // Control plane lives on shard 0; its cross-shard continuations run as
+  // fenced sections at epoch barriers.
+  controller_ = std::make_unique<Controller>(loop(), network(), *engine_,
+                                             gateway_, config.controller);
   for (auto& vs : switches_) controller_->add_vswitch(vs.get());
   const sim::NodeId monitor_id =
       static_cast<sim::NodeId>(config.num_vswitches + 1);
@@ -75,30 +70,19 @@ Testbed::Testbed(TestbedConfig config) : topology_(config.topology) {
       monitor_id, net::Ipv4Addr(10, 255, 0, 1), loop_of_shard(monitor_shard),
       network_of_shard(monitor_shard), config.monitor);
   network_of_shard(monitor_shard).attach(*monitor_);
-  if (engine_ != nullptr) {
-    engine_->map_ip(net::Ipv4Addr(10, 255, 0, 1), monitor_shard, monitor_id);
-  }
-  // The monitor fires this from its own shard's advance phase; failover
-  // touches the whole fleet, so on a sharded bed it becomes a fenced
-  // section at the next barrier (due 0 = "as soon as everyone is parked").
+  engine_->map_ip(net::Ipv4Addr(10, 255, 0, 1), monitor_shard, monitor_id);
+  // The monitor and the link prober fire these from their shard's advance
+  // phase; failover touches the whole fleet, so it becomes a fenced section
+  // at the next barrier (due 0 = "as soon as everyone is parked").
   monitor_->set_crash_callback([this](sim::NodeId node) {
-    if (engine_ != nullptr) {
-      engine_->schedule_fenced(
-          0, [this, node]() { controller_->handle_fe_crash(node); });
-    } else {
-      controller_->handle_fe_crash(node);
-    }
+    engine_->schedule_fenced(
+        0, [this, node]() { controller_->handle_fe_crash(node); });
   });
   link_prober_ = std::make_unique<LinkProber>(loop(), network());
   link_prober_->set_failure_callback(
       [this](tables::VnicId id, sim::NodeId fe) {
-        if (engine_ != nullptr) {
-          engine_->schedule_fenced(0, [this, id, fe]() {
-            controller_->handle_link_failure(id, fe);
-          });
-        } else {
-          controller_->handle_link_failure(id, fe);
-        }
+        engine_->schedule_fenced(
+            0, [this, id, fe]() { controller_->handle_link_failure(id, fe); });
       });
   if (config.telemetry.enabled) {
     // Probe replies trail probe sends by up to the probe timeout; the SLO
@@ -129,25 +113,23 @@ void Testbed::wire_telemetry(const telemetry::TelemetryConfig& cfg) {
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     wire_shard_telemetry(s, telemetry_of_shard(s));
   }
-  if (engine_ != nullptr) {
-    // Fence lifecycle into shard 0's flight recorder (fence taps always run
-    // in a quiescent context, on the thread that owns shard 0's hub). Node
-    // id = switches_.size(): the spare slot between the vSwitches [0, N)
-    // and the monitor N+1 — "the controller".
-    telemetry::Hub* hub0 = telemetry();
-    const auto ctrl_node = static_cast<std::uint32_t>(switches_.size());
-    engine_->set_fence_trace(
-        [hub0, ctrl_node](const sim::ShardedEngine::FenceTracePoint& p) {
-          telemetry::TraceEvent e;
-          e.at = p.at;
-          e.node = ctrl_node;
-          e.kind = p.executed ? telemetry::EventKind::kFenceExec
-                              : telemetry::EventKind::kFenceSched;
-          e.a = static_cast<std::uint64_t>(p.due < 0 ? 0 : p.due);
-          e.b = p.seq;
-          hub0->record(e);
-        });
-  }
+  // Fence lifecycle into shard 0's flight recorder (fence taps always run
+  // in a quiescent context, on the thread that owns shard 0's hub). Node
+  // id = switches_.size(): the spare slot between the vSwitches [0, N)
+  // and the monitor N+1 — "the controller".
+  telemetry::Hub* hub0 = telemetry();
+  const auto ctrl_node = static_cast<std::uint32_t>(switches_.size());
+  engine_->set_fence_trace(
+      [hub0, ctrl_node](const sim::ShardedEngine::FenceTracePoint& p) {
+        telemetry::TraceEvent e;
+        e.at = p.at;
+        e.node = ctrl_node;
+        e.kind = p.executed ? telemetry::EventKind::kFenceExec
+                            : telemetry::EventKind::kFenceSched;
+        e.a = static_cast<std::uint64_t>(p.due < 0 ? 0 : p.due);
+        e.b = p.seq;
+        hub0->record(e);
+      });
 }
 
 void Testbed::wire_shard_telemetry(std::uint32_t shard, telemetry::Hub* hub) {
@@ -197,20 +179,22 @@ void Testbed::wire_shard_telemetry(std::uint32_t shard, telemetry::Hub* hub) {
     m.gauge("mon.probe_replies",
             [mon] { return static_cast<double>(mon->replies_received()); });
   }
-  if (engine_ != nullptr) {
-    sim::ShardedEngine* eng = engine_.get();
-    if (shard == 0) {
-      // Engine-global counters are written only in epoch barriers'
-      // completion steps, which every worker is parked for; shard 0's
-      // sampler reads them mid-epoch, so the barrier orders the two.
-      m.gauge("sim.epochs_skipped",
-              [eng] { return static_cast<double>(eng->epochs_skipped()); });
-      m.gauge("sim.fenced_sections", [eng] {
-        return static_cast<double>(eng->fenced_sections_run());
-      });
-      m.gauge("sim.fences_queued",
-              [eng] { return static_cast<double>(eng->fences_queued()); });
-    }
+  sim::ShardedEngine* eng = engine_.get();
+  if (shard == 0) {
+    // Engine-global counters are written only in epoch barriers'
+    // completion steps, which every worker is parked for; shard 0's
+    // sampler reads them mid-epoch, so the barrier orders the two.
+    m.gauge("sim.epochs_skipped",
+            [eng] { return static_cast<double>(eng->epochs_skipped()); });
+    m.gauge("sim.fenced_sections", [eng] {
+      return static_cast<double>(eng->fenced_sections_run());
+    });
+    m.gauge("sim.fences_queued",
+            [eng] { return static_cast<double>(eng->fences_queued()); });
+  }
+  if (shards_.size() > 1) {
+    // Wall-clock engine telemetry, wired only where workers can wait on
+    // each other: a one-shard document stays byte-identical run to run.
     // Per-shard barrier-wait histogram: observed by the shard's owning
     // worker, sampled by the same worker's advance phase — per-shard hubs
     // keep the registries disjoint across threads.
@@ -276,15 +260,6 @@ Testbed::NetTotals Testbed::net_totals() const {
     for (std::size_t i = 0; i < sb.size(); ++i) t.spine_bytes[i] += sb[i];
   }
   return t;
-}
-
-void Testbed::schedule_control(common::TimePoint at,
-                               std::function<void()> fn) {
-  if (engine_ != nullptr) {
-    engine_->schedule_fenced(at, std::move(fn));
-  } else {
-    loop().schedule_at(at, std::move(fn));
-  }
 }
 
 void Testbed::watch_fe_links(tables::VnicId id) {

@@ -4,22 +4,21 @@
 // small-scale testbed (§6.1). Used by integration tests, benches and the
 // examples.
 //
-// Sharded mode (DESIGN.md §13): the fleet is partitioned per rack into
+// Shards (DESIGN.md §13): the fleet is partitioned per rack into
 // config.shards shards, each owning its own EventLoop, Network and (with
-// telemetry on) Hub; shard 0 also hosts the control plane. With more than
-// one shard, run_for() drives them in lockstep epochs through a
-// sim::ShardedEngine on config.threads worker threads. shards = 1 (the
-// default) builds no engine: run_for() runs shard 0's loop directly.
+// telemetry on) Hub; shard 0 also hosts the control plane. Every bed, the
+// default one shard included, is driven by a sim::ShardedEngine: run_for()
+// advances the shards in lockstep epochs on config.threads worker threads
+// (a lone worker runs each epoch's completion step itself, no barrier).
 //
-// Thread-affinity rules for sharded runs (enforced where cheap, documented
-// here otherwise):
+// Thread-affinity rules (enforced where cheap, documented here otherwise):
 //  * Control-plane workflows (controller offload/scale/failover pushes,
-//    monitor crash callbacks) mutate vSwitches across shards, so the
-//    Testbed routes them through the engine's epoch-fenced quiesce
-//    protocol (DESIGN.md §15): each runs at an epoch barrier with every
-//    worker parked, in deterministic (due, seq) order — so offload
-//    activation, churn and failover are safe and thread-invariant at ANY
-//    thread count.
+//    monitor crash callbacks, scripted churn) mutate vSwitches across
+//    shards, so they run through the engine's epoch-fenced quiesce
+//    protocol (ShardedEngine::schedule_fenced, DESIGN.md §15): each runs
+//    at an epoch barrier with every worker parked, in deterministic
+//    (due, seq) order — so offload activation, churn and failover are safe
+//    and thread-invariant at ANY thread count.
 //  * Each half of a CpsWorkload runs on its own endpoint vSwitch's loop and
 //    takes that VM's packets from its adapter's sink; the halves meet only
 //    through packets, so the endpoints may sit on any shards.
@@ -61,8 +60,8 @@ struct TestbedConfig {
   /// so drive a telemetry-enabled testbed with run_for(), not loop().run().
   /// Sharded beds get one hub per shard (disjoint packet-id streams).
   telemetry::TelemetryConfig telemetry;
-  /// Sharded engine: number of rack-aligned shard domains (clamped to the
-  /// rack count). 1 = single-loop testbed, no engine.
+  /// Number of rack-aligned shard domains (clamped to the rack count).
+  /// 1 = one loop and one network, still driven by the engine.
   std::size_t shards = 1;
   /// Worker threads run_for() uses to drive the shards (clamped to
   /// [1, shards]). The simulation result is identical for every value.
@@ -98,7 +97,7 @@ class Testbed {
 
   // --- sharding ---
   std::size_t shard_count() const { return shards_.size(); }
-  /// Null unless shard_count() > 1.
+  /// The engine that drives every shard; never null.
   sim::ShardedEngine* engine() { return engine_.get(); }
   std::uint32_t shard_of_node(sim::NodeId id) const {
     return shard_map_.shard_of_rack(topology_.tor_of(id));
@@ -133,12 +132,6 @@ class Testbed {
   };
   NetTotals net_totals() const;
 
-  /// Schedules a control-plane action at sim-time `at`: a fenced section
-  /// on a sharded bed, a plain shard-0 loop event otherwise. The hook
-  /// scenario drivers (FleetScenario churn, chaos scripts) use to
-  /// fire mid-window control that may touch any shard.
-  void schedule_control(common::TimePoint at, std::function<void()> fn);
-
   /// Starts §C.1 mutual probing on every (BE, FE) path of an offloaded
   /// vNIC; link failures route to Controller::handle_link_failure.
   void watch_fe_links(tables::VnicId id);
@@ -160,12 +153,11 @@ class Testbed {
   /// Convenience: watch every vSwitch that currently hosts FEs.
   void watch_fe_hosts();
 
+  /// Advances every shard by `d` through the engine. Drive a bed with
+  /// this, not loop().run(): fenced control runs only at the engine's
+  /// epoch barriers.
   void run_for(common::Duration d) {
-    if (engine_ != nullptr) {
-      engine_->run_until(loop().now() + d, threads_);
-    } else {
-      loop().run_until(loop().now() + d);
-    }
+    engine_->run_until(loop().now() + d, threads_);
   }
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <barrier>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -254,7 +255,11 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
     e = between_epochs(end, t, step_ns);
     end = e + epoch < t ? e + epoch : t;
   };
-  std::barrier bar(w_count, complete);
+  // A lone worker is its own last arrival: it runs the completion step
+  // directly. The barrier is built only for a pool, since libstdc++
+  // allocates its state on construction.
+  std::optional<std::barrier<decltype(complete)>> bar;
+  if (w_count > 1) bar.emplace(w_count, complete);
   auto work = [&](std::uint32_t w) {
     // Fixed shard→thread mapping: shard s is always driven by worker
     // s % w_count, epoch after epoch.
@@ -270,7 +275,11 @@ void ShardedEngine::run_until(common::TimePoint t, int threads) {
         next_event_[s] = shards_[s].loop->next_event_at();
         profile_[s].advance_ns += clock.lap();
       }
-      bar.arrive_and_wait();
+      if (bar) {
+        bar->arrive_and_wait();
+      } else {
+        complete();
+      }
       const std::uint64_t parked = clock.lap();
       const std::uint64_t wait_ns = parked > step_ns ? parked - step_ns : 0;
       for (std::uint32_t s = w; s < k; s += w_count) {

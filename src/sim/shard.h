@@ -17,7 +17,8 @@
 // (drawn once from a constant seed), each source's tokens in push order —
 // and clears them. An epoch is "inject, advance, arrive" at one barrier,
 // whose completion step, run once while every worker is parked, flips the
-// parity and does all between-epoch work. Shard s is always driven by
+// parity and does all between-epoch work; a lone worker runs that step
+// itself, with no barrier. Shard s is always driven by
 // worker thread s % num_threads, and threads interact only through the
 // outboxes across that barrier, so the schedule — and therefore every
 // counter and fingerprint — is a pure function of (config, seed,
@@ -33,6 +34,10 @@
 // boundary and every outbox is empty, the same step *fast-forwards* —
 // jumping the lockstep clock over the empty epochs instead of running
 // them — without changing a single outcome.
+//
+// Every core::Testbed drives its shards through this engine, the default
+// single shard included: one shard has no outbox to fill and, on its one
+// worker, no barrier to cross, and its control still runs as fences.
 #pragma once
 
 #include <cstdint>
@@ -118,9 +123,9 @@ class ShardedEngine {
 
   /// Advances every shard loop to `t` in lockstep epochs using `threads`
   /// workers (clamped to [1, shard_count]). Worker threads only exist for
-  /// the duration of the call; on return all loops are quiescent at `t`
-  /// and every fenced section due <= t has executed. The result is
-  /// identical for every thread count.
+  /// the duration of the call, and one worker crosses no barrier; on
+  /// return all loops are quiescent at `t` and every fenced section due
+  /// <= t has executed. The result is identical for every thread count.
   void run_until(common::TimePoint t, int threads);
 
   // --- the Networks' view: cross-shard routing ---

@@ -647,10 +647,11 @@ void VSwitch::finish_tx(net::Packet&& pkt, const flow::PreActions& pre,
 
   // QoS pre-action: VM/flow-level rate limiting enforced at the single
   // node that sees every packet of the flow (no distributed rate-limiting
-  // coordination needed, §2.3.3).
+  // coordination needed, §2.3.3). It charges the VM's frame: an FE's
+  // packet still carries the BE's overlay and carrier here.
   if (entry != nullptr &&
-      !table.qos_admit(*entry, pre.tx.rate_limit_kbps, pkt.wire_size() * 8,
-                       loop_.now())) {
+      !table.qos_admit(*entry, pre.tx.rate_limit_kbps,
+                       pkt.inner.wire_size() * 8, loop_.now())) {
     inc(Ctr::kDropQos);
     charge_noop(cycles, stage);
     return;
@@ -869,9 +870,10 @@ void VSwitch::finish_rx(Vnic& v, net::Packet&& pkt,
     charge_noop(cycles, stage);
     return;
   }
-  // Traffic mirroring for the RX direction, at the pre-action evaluation
-  // point (locally here; at the FE when offloaded).
-  if (stage == telemetry::Stage::kLocalRx && pre.rx.mirror) {
+  // Traffic mirroring for the RX direction, after the verdict, so only
+  // accepted packets are copied: locally, or at the BE with the mirror
+  // pre-action the FE carried.
+  if (pre.rx.mirror) {
     cycles += config_.cost.mirror_cycles;
     mirror_copy(pkt, pre.rx);
   }
@@ -1001,13 +1003,6 @@ void VSwitch::fe_rx(FrontendInstance& fe, net::Packet pkt) {
   flow::PreActions scratch;
   const FeLookup found =
       fe_lookup(fe, pkt, pkt.inner.ft.reversed(), &cycles, scratch);
-
-  // Traffic mirroring for the RX direction happens where the pre-actions
-  // are evaluated: at the FE.
-  if (found.pre.rx.mirror) {
-    cycles += config_.cost.mirror_cycles;
-    mirror_copy(pkt, found.pre.rx);
-  }
 
   // Annotate the packet with the pre-actions and forward to the BE, which
   // holds the state needed for the final decision (blue flow, Fig 5).

@@ -248,7 +248,7 @@ void FleetScenario::schedule_churn(common::Duration offload_at,
   const common::TimePoint t0 = bed_.loop().now();
   // (1) Offload push: bring every still-local server vNIC online
   // mid-window — the workflow offload_all's holdback left behind.
-  bed_.schedule_control(t0 + offload_at, [this]() {
+  bed_.engine()->schedule_fenced(t0 + offload_at, [this]() {
     for (tables::VnicId id : servers_) {
       if (bed_.controller().is_offloaded(id) ||
           bed_.controller().transition_pending(id)) {
@@ -263,7 +263,7 @@ void FleetScenario::schedule_churn(common::Duration offload_at,
   // fire time — stops answering on EVERY shard's network (each shard
   // checks its own crash bit at the send source), and failover arrives via
   // probe loss → crash declaration → the fenced handle_fe_crash callback.
-  bed_.schedule_control(t0 + crash_at, [this]() {
+  bed_.engine()->schedule_fenced(t0 + crash_at, [this]() {
     if (servers_.empty()) return;
     const std::vector<sim::NodeId> fes =
         bed_.controller().fe_nodes_of(servers_.front());
@@ -278,7 +278,7 @@ void FleetScenario::schedule_churn(common::Duration offload_at,
   });
   // (3) Fleet-wide FE-selection reseed (§7.5) — the same push a production
   // controller uses to fix an uneven 5-tuple hash landing.
-  bed_.schedule_control(t0 + reseed_at, [this]() {
+  bed_.engine()->schedule_fenced(t0 + reseed_at, [this]() {
     bed_.controller().reseed_fe_hash(config_.seed ^ 0x9e3779b97f4a7c15ULL);
   });
 }
@@ -305,9 +305,7 @@ std::uint64_t FleetScenario::fingerprint() const {
     h = fnv1a(h, wl->attempted());
     h = fnv1a(h, wl->completed());
   }
-  // Fleet-wide sums in the same field order as the pre-shard single-network
-  // digest, so a 1-shard testbed reproduces the historical fingerprints
-  // bit-for-bit; the cross-shard counters only join on sharded beds.
+  // Fleet-wide network sums; the cross-shard counters read 0 at one shard.
   const core::Testbed::NetTotals t = bed_.net_totals();
   h = fnv1a(h, t.sent);
   h = fnv1a(h, t.delivered);
@@ -315,10 +313,8 @@ std::uint64_t FleetScenario::fingerprint() const {
   h = fnv1a(h, t.in_flight);
   h = fnv1a(h, t.total_bytes);
   for (std::uint64_t b : t.spine_bytes) h = fnv1a(h, b);
-  if (bed_.shard_count() > 1) {
-    h = fnv1a(h, t.exported);
-    h = fnv1a(h, t.imported);
-  }
+  h = fnv1a(h, t.exported);
+  h = fnv1a(h, t.imported);
   const core::Controller& ctl = bed_.controller();
   h = fnv1a(h, ctl.offload_events());
   h = fnv1a(h, ctl.fallback_events());

@@ -115,9 +115,9 @@ class FleetScenario {
   /// do); returns how many offload workflows were accepted.
   std::size_t offload_all(std::size_t holdback = 0);
 
-  /// Full-churn script for threaded end-to-end runs, fired through
-  /// Testbed::schedule_control (fenced sections on a threaded bed, plain
-  /// loop events otherwise). Relative to now:
+  /// Full-churn script for threaded end-to-end runs, fired as fenced
+  /// sections of the bed's engine (ShardedEngine::schedule_fenced).
+  /// Relative to now:
   ///  * offload_at — offload every still-local server vNIC (the holdback);
   ///  * crash_at   — crash the lowest-numbered FE of the first server's
   ///    pool on every shard's network, with the health monitor watching

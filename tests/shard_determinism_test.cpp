@@ -7,9 +7,9 @@
 // token is imported exactly once or still pending in an outbox). These tests
 // pin that contract on a fleet-scale Clos scenario whose offloaded BE↔FE
 // traffic genuinely crosses shards:
-//  * shards=1 is exactly the legacy single-loop testbed (same fingerprint
-//    as a default-config run — the golden-fingerprint gates in CI cover
-//    the pinned burst/exact constants on this same path);
+//  * a 1-shard bed runs through the same engine, ignores the worker count
+//    and exports nothing (the golden-fingerprint gates in CI cover the
+//    pinned burst/exact constants on this same path);
 //  * N-shard runs reproduce bit-for-bit across repeated runs;
 //  * N-shard runs are identical at 1 and 2 worker threads;
 //  * the invariant harness (including the cross-shard identity) stays
@@ -18,6 +18,8 @@
 //    the controller reads each port's backlog on the shard that owns it;
 //  * a FleetScenario places the same endpoints at every shard count and no
 //    pair stalls, and CpsWorkloads may share a vSwitch or span shards;
+//  * fences run in (due, seq) order at 1 and 2 shards, and one registered
+//    from a loop event runs at the next epoch barrier;
 //  * a 600-token burst between one shard pair, pushed from setup code, a
 //    fenced section or a loop event, drains in one epoch in send order.
 #include <gtest/gtest.h>
@@ -58,9 +60,9 @@ struct ShardRun {
 };
 
 /// Clos fleet scenario with every server vNIC offloaded, driven in slices
-/// with quiescent invariant checks between them. `shards == 1` builds the
-/// engine-less testbed; otherwise the whole run, offload workflows
-/// included, executes on `threads` workers.
+/// with quiescent invariant checks between them. The whole run, offload
+/// workflows included, executes on `threads` workers (clamped to the
+/// shard count).
 ShardRun run_sharded(std::size_t shards, int threads, std::uint64_t seed) {
   // 4-host racks: the min-4-FE pools cannot fit beside their BE in one
   // rack, so offload traffic is forced across leaves — and across shards.
@@ -104,30 +106,27 @@ ShardRun run_sharded(std::size_t shards, int threads, std::uint64_t seed) {
   const core::Testbed::NetTotals t = bed.net_totals();
   r.exported = t.exported;
   r.imported = t.imported;
-  if (bed.engine() != nullptr) {
-    r.tokens_pending = bed.engine()->tokens_pending();
-    r.late_tokens = bed.engine()->late_tokens();
-    r.epochs = bed.engine()->epochs_run();
-  }
+  r.tokens_pending = bed.engine()->tokens_pending();
+  r.late_tokens = bed.engine()->late_tokens();
+  r.epochs = bed.engine()->epochs_run();
   r.stalled_pairs = support::stalled_pairs(scenario);
   r.violations = checker.violations().size();
   r.report = checker.ok() ? "" : checker.report();
   return r;
 }
 
-TEST(ShardDeterminism, OneShardIsExactlyTheLegacyTestbed) {
-  // shards=1 must not construct an engine at all, and must reproduce a
-  // default-config (pre-shard) run bit-for-bit: same objects, same path.
-  const ShardRun legacy = run_sharded(1, 1, 7);
-  const ShardRun one = run_sharded(1, 4, 7);  // threads ignored w/o engine
-  EXPECT_EQ(one.fingerprint, legacy.fingerprint)
-      << "a 1-shard testbed diverged from the classic single-loop path";
-  EXPECT_EQ(one.exported, 0u);
-  EXPECT_EQ(one.imported, 0u);
-  EXPECT_EQ(one.epochs, 0u);
-  EXPECT_EQ(legacy.violations, 0u) << legacy.report;
-  EXPECT_GT(legacy.completed, 100u);
-  EXPECT_EQ(legacy.stalled_pairs, 0u);
+TEST(ShardDeterminism, OneShardRunsThroughTheEngineThreadInvariantly) {
+  // A 1-shard bed runs on one worker whatever the thread count asks for,
+  // and has no other shard to export to.
+  const ShardRun t1 = run_sharded(1, 1, 7);
+  const ShardRun t4 = run_sharded(1, 4, 7);  // clamped to one worker
+  EXPECT_EQ(t4.fingerprint, t1.fingerprint)
+      << "the thread count leaked into a 1-shard run";
+  EXPECT_EQ(t4.exported, 0u);
+  EXPECT_EQ(t4.imported, 0u);
+  EXPECT_EQ(t1.violations, 0u) << t1.report;
+  EXPECT_GT(t1.completed, 100u);
+  EXPECT_EQ(t1.stalled_pairs, 0u);
 }
 
 TEST(ShardDeterminism, ShardedRunsReproduceBitForBit) {
@@ -246,11 +245,9 @@ ChurnRun run_churn(std::size_t shards, int threads, std::uint64_t seed,
   r.fingerprint = scenario.fingerprint();
   for (const auto& wl : scenario.workloads()) r.completed += wl->completed();
   r.exported = bed.net_totals().exported;
-  if (bed.engine() != nullptr) {
-    r.late_tokens = bed.engine()->late_tokens();
-    r.epochs_skipped = bed.engine()->epochs_skipped();
-    r.fences_run = bed.engine()->fenced_sections_run();
-  }
+  r.late_tokens = bed.engine()->late_tokens();
+  r.epochs_skipped = bed.engine()->epochs_skipped();
+  r.fences_run = bed.engine()->fenced_sections_run();
   r.failovers = bed.controller().failover_events();
   r.crashed_fe = scenario.crashed_fe();
   r.stalled_pairs = support::stalled_pairs(scenario);
@@ -425,38 +422,67 @@ TEST(ShardDeterminism, CrossShardPairWithCoalescedTimersIsThreadInvariant) {
 }
 
 TEST(ShardDeterminism, FencesExecuteInDueThenSeqOrderAndStuckOnesKeep) {
-  core::TestbedConfig cfg = core::make_clos_testbed_config(
-      8, /*hosts_per_leaf=*/4, /*num_spines=*/2, /*oversubscription=*/2.0);
-  cfg.shards = 2;
-  cfg.threads = 2;
-  core::Testbed bed(cfg);
-  ASSERT_NE(bed.engine(), nullptr);
+  for (const std::size_t shards : {1, 2}) {
+    SCOPED_TRACE(std::to_string(shards) + " shard(s)");
+    core::TestbedConfig cfg = core::make_clos_testbed_config(
+        8, /*hosts_per_leaf=*/4, /*num_spines=*/2, /*oversubscription=*/2.0);
+    cfg.shards = shards;
+    cfg.threads = static_cast<int>(shards);
+    core::Testbed bed(cfg);
+    ASSERT_EQ(bed.shard_count(), shards);
+    sim::ShardedEngine& engine = *bed.engine();
 
-  const common::TimePoint t0 = bed.loop().now();
-  std::vector<int> order;
-  // Registered out of due order; 0 means "next barrier" (earliest).
-  bed.engine()->schedule_fenced(t0 + common::milliseconds(2),
-                                [&order]() { order.push_back(0); });
-  bed.engine()->schedule_fenced(t0 + common::milliseconds(1),
-                                [&order]() { order.push_back(1); });
-  bed.engine()->schedule_fenced(t0 + common::milliseconds(1),
-                                [&order]() { order.push_back(2); });
-  bed.engine()->schedule_fenced(0, [&order]() { order.push_back(3); });
-  // Due beyond this window: must NOT run now, must survive to the next.
-  bed.engine()->schedule_fenced(t0 + common::milliseconds(10),
-                                [&order]() { order.push_back(4); });
+    const common::TimePoint t0 = bed.loop().now();
+    std::vector<int> order;
+    // Registered out of due order; 0 means "next barrier" (earliest).
+    engine.schedule_fenced(t0 + common::milliseconds(2),
+                           [&order]() { order.push_back(0); });
+    engine.schedule_fenced(t0 + common::milliseconds(1),
+                           [&order]() { order.push_back(1); });
+    engine.schedule_fenced(t0 + common::milliseconds(1),
+                           [&order]() { order.push_back(2); });
+    engine.schedule_fenced(0, [&order]() { order.push_back(3); });
+    // Due beyond this window: must NOT run now, must survive to the next.
+    engine.schedule_fenced(t0 + common::milliseconds(10),
+                           [&order]() { order.push_back(4); });
+    // Registered mid-epoch from a loop event, off the epoch grid: it must
+    // not run inside the event, but in the completion step of the epoch
+    // that holds the event, i.e. at the next barrier.
+    bool in_event = false;
+    bool ran_in_event = false;
+    std::uint64_t event_epoch = 0;
+    std::uint64_t fence_epoch = 0;
+    common::TimePoint event_at = 0;
+    common::TimePoint fence_at = 0;
+    bed.loop().schedule_at(t0 + common::milliseconds(3) + 1, [&]() {
+      in_event = true;
+      event_at = bed.loop().now();
+      event_epoch = engine.epochs_run();
+      engine.schedule_fenced(0, [&]() {
+        ran_in_event = in_event;
+        fence_at = bed.loop().now();
+        fence_epoch = engine.epochs_run();
+        order.push_back(5);
+      });
+      in_event = false;
+    });
 
-  bed.run_for(common::milliseconds(5));
-  EXPECT_EQ(order, (std::vector<int>{3, 1, 2, 0}))
-      << "fences must run in (due, registration) order";
-  EXPECT_EQ(bed.engine()->fences_queued(), 1u)
-      << "the not-yet-due fence should remain queued (the 'stuck fence' "
-         "signature nezha_trace audit reports)";
-  bed.run_for(common::milliseconds(10));
-  EXPECT_EQ(order.size(), 5u);
-  EXPECT_EQ(order.back(), 4);
-  EXPECT_EQ(bed.engine()->fences_queued(), 0u);
-  EXPECT_EQ(bed.engine()->fenced_sections_run(), 5u);
+    bed.run_for(common::milliseconds(5));
+    EXPECT_EQ(order, (std::vector<int>{3, 1, 2, 0, 5}))
+        << "fences must run in (due, registration) order";
+    EXPECT_FALSE(ran_in_event);
+    EXPECT_EQ(fence_epoch, event_epoch + 1)
+        << "a fence staged by a loop event must run at the next barrier";
+    EXPECT_GT(fence_at, event_at);
+    EXPECT_EQ(engine.fences_queued(), 1u)
+        << "the not-yet-due fence should remain queued (the 'stuck fence' "
+           "signature nezha_trace audit reports)";
+    bed.run_for(common::milliseconds(10));
+    EXPECT_EQ(order.size(), 6u);
+    EXPECT_EQ(order.back(), 4);
+    EXPECT_EQ(engine.fences_queued(), 0u);
+    EXPECT_EQ(engine.fenced_sections_run(), 6u);
+  }
 }
 
 // ---------------------------------------------------------------------------

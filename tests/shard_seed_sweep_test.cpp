@@ -95,10 +95,8 @@ SweepRun run_seed(std::uint64_t seed, int threads) {
   r.fingerprint = scenario.fingerprint();
   for (const auto& wl : scenario.workloads()) r.completed += wl->completed();
   r.exported = bed.net_totals().exported;
-  if (bed.engine() != nullptr) {
-    r.late_tokens = bed.engine()->late_tokens();
-    r.epochs_skipped = bed.engine()->epochs_skipped();
-  }
+  r.late_tokens = bed.engine()->late_tokens();
+  r.epochs_skipped = bed.engine()->epochs_skipped();
   r.failovers = bed.controller().failover_events();
   r.stalled_pairs = support::stalled_pairs(scenario);
   r.violations = checker.violations().size();

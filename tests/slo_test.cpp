@@ -207,7 +207,7 @@ struct ClosRun {
 };
 
 /// Fleet scenario on the Clos fabric with telemetry+SLO on. shards == 1 is
-/// the engine-less reference; shards > 1 exercises the sharded hubs at the
+/// the one-hub reference; shards > 1 exercises the sharded hubs at the
 /// given worker-thread count.
 ClosRun run_clos(std::uint64_t seed, std::size_t shards, int threads) {
   core::TestbedConfig cfg = core::make_clos_testbed_config(
