@@ -319,12 +319,10 @@ FailoverResult run_tight_pool_failover(PolicyKind kind,
         ws == 0 ? 0 : 1.0 - static_cast<double>(wd) / static_cast<double>(ws);
   }
 
-  // Crash the pool's first FE on every shard network, notify failover.
+  // Crash the pool's first FE, notify failover.
   const auto pool0 = bed.controller().fe_nodes_of(100);
   const sim::NodeId victim = pool0.front();
-  for (std::uint32_t s = 0; s < bed.shard_count(); ++s) {
-    bed.network_of_shard(s).crash(victim);
-  }
+  bed.network().crash(victim);
   bed.controller().handle_fe_crash(victim);
 
   const int windows = fl.smoke ? 6 : 8;

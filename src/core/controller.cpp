@@ -35,12 +35,9 @@ constexpr common::Duration kWeightUpdatePeriod = common::seconds(1);
 
 }  // namespace
 
-Controller::Controller(sim::EventLoop& loop, sim::Network& network,
-                       sim::ShardedEngine& engine,
-                       tables::VnicServerMap& gateway,
-                       ControllerConfig config)
-    : loop_(loop), network_(network), engine_(engine), gateway_(gateway),
-      config_(config),
+Controller::Controller(sim::EventLoop& loop, sim::ShardedEngine& engine,
+                       tables::VnicServerMap& gateway, ControllerConfig config)
+    : loop_(loop), engine_(engine), gateway_(gateway), config_(config),
       rng_(config.seed),
       policy_(&policy::policy_for(config.fe_policy)),
       weight_book_(policy::empty_weight_book()) {}
@@ -137,7 +134,7 @@ std::vector<vswitch::VSwitch*> Controller::select_frontends(
   // lies in [0, 1], where load_key(cpu, 0) is the CPU itself, so that
   // bound follows the index order; a backlog only adds to it.
   const sim::NodeId home_id = home.id();
-  const sim::Topology& topo = network_.topology();
+  const sim::Topology& topo = home.network().topology();
   const std::uint64_t n = loads_.size();
   const auto clip = [n](std::uint64_t id) {
     return static_cast<sim::NodeId>(std::min(id, n));
@@ -177,7 +174,7 @@ std::vector<vswitch::VSwitch*> Controller::select_frontends(
           const policy::PlacementKey key{range.tier, node,
                                          load_key(cpu, queue)};
           if (!best.admits(key) || node == home_id ||
-              network_.crashed(node) ||
+              fleet_[node].net->crashed(node) ||
               std::find(exclude.begin(), exclude.end(), node) !=
                   exclude.end()) {
             return;
@@ -205,7 +202,7 @@ std::vector<vswitch::VSwitch*> Controller::displace_frontends(
   std::vector<sim::NodeId> victims;
   for (sim::NodeId node = 0; node < fleet_.size(); ++node) {
     if (node == home.id()) continue;
-    if (network_.crashed(node)) continue;
+    if (fleet_[node].net->crashed(node)) continue;
     if (std::find(exclude.begin(), exclude.end(), node) != exclude.end()) {
       continue;
     }
@@ -575,8 +572,8 @@ void Controller::reseed_fe_hash(std::uint64_t seed) {
 void Controller::refresh_fleet_sample() {
   const common::TimePoint now = loop_.now();
   for (sim::NodeId node = 0; node < fleet_.size(); ++node) {
-    if (network_.crashed(node)) continue;
     SwitchState& state = fleet_[node];
+    if (state.net->crashed(node)) continue;
     loads_.set(node, state.sampler.sample(state.vs->cpu(), now));
   }
 }
@@ -678,7 +675,7 @@ void Controller::monitor_tick() {
   for (sim::NodeId node = 0; node < fleet_.size(); ++node) {
     SwitchState& state = fleet_[node];
     vswitch::VSwitch* vs = state.vs;
-    if (network_.crashed(node)) continue;
+    if (state.net->crashed(node)) continue;
     const double cpu_util = state.sampler.sample(vs->cpu(), now);
     loads_.set(node, cpu_util);
     const double mem_util = std::max(vs->rule_memory().utilization(),

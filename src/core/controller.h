@@ -57,11 +57,12 @@ struct ControllerConfig {
 
 class Controller {
  public:
-  /// `loop` and `network` are shard 0's; `engine` drives every shard and
-  /// runs the controller's cross-shard continuations as fenced sections.
-  Controller(sim::EventLoop& loop, sim::Network& network,
-             sim::ShardedEngine& engine, tables::VnicServerMap& gateway,
-             ControllerConfig config = {});
+  /// `loop` is shard 0's, the clock the controller keeps; `engine` drives
+  /// every shard and runs the controller's cross-shard continuations as
+  /// fenced sections. The fleet's crash bits and topology are read through
+  /// the managed vSwitches' networks, which share one directory.
+  Controller(sim::EventLoop& loop, sim::ShardedEngine& engine,
+             tables::VnicServerMap& gateway, ControllerConfig config = {});
 
   const ControllerConfig& config() const { return config_; }
 
@@ -160,7 +161,8 @@ class Controller {
 
   struct SwitchState {
     vswitch::VSwitch* vs = nullptr;
-    /// vs->network(): the owning shard's Network, which holds the port.
+    /// vs->network(): the owning shard's Network, which holds the port
+    /// and, like every shard's, reads the bed's crash bits.
     const sim::Network* net = nullptr;
     vswitch::UtilizationSampler sampler;
   };
@@ -228,7 +230,6 @@ class Controller {
   void publish_placement(const VnicRecord& rec);
 
   sim::EventLoop& loop_;
-  sim::Network& network_;
   sim::ShardedEngine& engine_;
   tables::VnicServerMap& gateway_;
   ControllerConfig config_;

@@ -36,8 +36,8 @@ Testbed::Testbed(TestbedConfig config) : topology_(config.topology) {
   std::vector<sim::ShardedEngine::Shard> engine_shards;
   for (Shard& sh : shards_) {
     sh.loop = std::make_unique<sim::EventLoop>();
-    sh.network =
-        std::make_unique<sim::Network>(*sh.loop, topology_, config.network);
+    sh.network = std::make_unique<sim::Network>(*sh.loop, topology_,
+                                                directory_, config.network);
     engine_shards.push_back({sh.loop.get(), sh.network.get()});
   }
   sim::ShardedEngineConfig ecfg;
@@ -55,13 +55,12 @@ Testbed::Testbed(TestbedConfig config) : topology_(config.topology) {
         static_cast<sim::NodeId>(i), underlay_ip(i), loop_of_shard(s),
         network_of_shard(s), gateway_, config.vswitch);
     network_of_shard(s).attach(*vs);
-    engine_->map_ip(underlay_ip(i), s, vs->id());
     switches_.push_back(std::move(vs));
   }
-  // Control plane lives on shard 0; its cross-shard continuations run as
-  // fenced sections at epoch barriers.
-  controller_ = std::make_unique<Controller>(loop(), network(), *engine_,
-                                             gateway_, config.controller);
+  // The controller keeps shard 0's clock; its cross-shard continuations
+  // run as fenced sections at epoch barriers.
+  controller_ = std::make_unique<Controller>(loop(), *engine_, gateway_,
+                                             config.controller);
   for (auto& vs : switches_) controller_->add_vswitch(vs.get());
   const sim::NodeId monitor_id =
       static_cast<sim::NodeId>(config.num_vswitches + 1);
@@ -70,7 +69,6 @@ Testbed::Testbed(TestbedConfig config) : topology_(config.topology) {
       monitor_id, net::Ipv4Addr(10, 255, 0, 1), loop_of_shard(monitor_shard),
       network_of_shard(monitor_shard), config.monitor);
   network_of_shard(monitor_shard).attach(*monitor_);
-  engine_->map_ip(net::Ipv4Addr(10, 255, 0, 1), monitor_shard, monitor_id);
   // The monitor and the link prober fire these from their shard's advance
   // phase; failover touches the whole fleet, so it becomes a fenced section
   // at the next barrier (due 0 = "as soon as everyone is parked").

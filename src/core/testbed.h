@@ -6,10 +6,13 @@
 //
 // Shards (DESIGN.md §13): the fleet is partitioned per rack into
 // config.shards shards, each owning its own EventLoop, Network and (with
-// telemetry on) Hub; shard 0 also hosts the control plane. Every bed, the
-// default one shard included, is driven by a sim::ShardedEngine: run_for()
-// advances the shards in lockstep epochs on config.threads worker threads
-// (a lone worker runs each epoch's completion step itself, no barrier).
+// telemetry on) Hub. The control plane keeps shard 0's clock. The Networks
+// share the bed's one sim::NodeDirectory of routes, crash bits and
+// partitions, so a fault set through any shard's network holds fleet-wide.
+// Every bed, the default one shard included, is driven by a
+// sim::ShardedEngine: run_for() advances the shards in lockstep epochs on
+// config.threads worker threads (a lone worker runs each epoch's
+// completion step itself, no barrier).
 //
 // Thread-affinity rules (enforced where cheap, documented here otherwise):
 //  * Control-plane workflows (controller offload/scale/failover pushes,
@@ -85,7 +88,8 @@ class Testbed {
  public:
   explicit Testbed(TestbedConfig config = {});
 
-  /// Shard 0's loop and network: the control plane's home.
+  /// Shard 0's loop and network. The loop is the control plane's clock;
+  /// faults set through this network, like any shard's, reach every shard.
   sim::EventLoop& loop() { return loop_of_shard(0); }
   sim::Network& network() { return network_of_shard(0); }
   tables::VnicServerMap& gateway() { return gateway_; }
@@ -176,6 +180,8 @@ class Testbed {
   sim::Topology topology_;
   sim::ShardMap shard_map_;
   int threads_ = 1;
+  /// Declared before shards_ so it outlives every Network that holds it.
+  sim::NodeDirectory directory_;
   std::vector<Shard> shards_;
   std::unique_ptr<sim::ShardedEngine> engine_;
   std::vector<std::unique_ptr<vswitch::VSwitch>> switches_;

@@ -9,6 +9,8 @@
 namespace nezha::sim {
 
 namespace {
+using IpCell = NodeDirectory::IpCell;
+
 /// Connection identity for trace events: the canonical inner 5-tuple hash
 /// (seed 0), identical for both directions of a flow.
 std::uint64_t trace_flow(const net::Packet& pkt) {
@@ -16,8 +18,9 @@ std::uint64_t trace_flow(const net::Packet& pkt) {
 }
 }  // namespace
 
-Network::Network(EventLoop& loop, Topology topology, NetworkConfig config)
-    : loop_(loop), topology_(topology), config_(config) {
+Network::Network(EventLoop& loop, Topology topology, NodeDirectory& directory,
+                 NetworkConfig config)
+    : loop_(loop), topology_(topology), dir_(directory), config_(config) {
   if (topology_.is_clos()) {
     const ClosConfig& clos = topology_.config().clos;
     num_spines_ = clos.num_spines == 0 ? 1 : clos.num_spines;
@@ -37,14 +40,10 @@ Network::Network(EventLoop& loop, Topology topology, NetworkConfig config)
   }
 }
 
-const Network::IpCell* Network::ip_cell(std::uint32_t ip) const {
-  return ips_.find(IpTraits::hash(IpCell{ip, nullptr}),
-                   [ip](const IpCell& cell) { return cell.ip == ip; });
-}
-
-Node* Network::find_by_ip(net::Ipv4Addr ip) const {
-  const IpCell* cell = ip_cell(ip.value());
-  return cell == nullptr ? nullptr : cell->node;
+const IpCell* Network::ip_cell(std::uint32_t ip) const {
+  return dir_.ips.find(
+      NodeDirectory::IpTraits::hash(IpCell{ip, kInvalidNode, 0}),
+      [ip](const IpCell& cell) { return cell.ip == ip; });
 }
 
 void Network::attach(Node& node) {
@@ -52,23 +51,23 @@ void Network::attach(Node& node) {
   if (id >= nodes_.size()) {
     nodes_.resize(id + 1, nullptr);
     ports_.resize(id + 1);
-    crashed_.resize(id + 1, 0);
   }
+  if (id >= dir_.crashed.size()) dir_.crashed.resize(id + 1, 0);
   nodes_[id] = &node;
   ports_[id] = Link{};
-  // A node attached at an IP already held takes it over.
+  // A node attached at an IP already held, on any shard, takes it over.
   const std::uint32_t ip = node.underlay_ip().value();
-  if (const IpCell* held = ip_cell(ip)) ips_.erase(held);
-  ips_.insert(IpCell{ip, &node});
+  if (const IpCell* held = ip_cell(ip)) dir_.ips.erase(held);
+  dir_.ips.insert(IpCell{ip, id, shard_id_});
 }
 
 void Network::detach(NodeId id) {
   if (id >= nodes_.size() || nodes_[id] == nullptr) return;
   const IpCell* cell = ip_cell(nodes_[id]->underlay_ip().value());
-  if (cell != nullptr && cell->node == nodes_[id]) ips_.erase(cell);
+  if (cell != nullptr && cell->node == id) dir_.ips.erase(cell);
   nodes_[id] = nullptr;
   ports_[id] = Link{};
-  crashed_[id] = 0;
+  dir_.crashed[id] = 0;
 }
 
 std::uint32_t Network::alloc_slot() {
@@ -286,24 +285,17 @@ void Network::send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt) {
                 static_cast<std::uint32_t>(pkt.wire_size()));
     return;
   }
-  // Resolve the destination: attached here, or owned by another shard.
-  NodeId to = 0;
-  std::uint32_t to_shard = shard_id_;
-  if (const Node* dst = find_by_ip(to_ip)) {
-    to = dst->id();
-  } else {
-    const ShardedEngine::Remote* rem =
-        engine_ != nullptr ? engine_->lookup_remote(to_ip) : nullptr;
-    if (rem == nullptr || rem->shard == shard_id_) {
-      ++dropped_no_route_;
-      record_drop(pkt, from, to_ip.value(),
-                  static_cast<std::uint8_t>(telemetry::DropReason::kNoRoute),
-                  static_cast<std::uint32_t>(pkt.wire_size()));
-      return;
-    }
-    to = rem->node;
-    to_shard = rem->shard;
+  // Resolve the destination, attached here or on another shard.
+  const IpCell* dst = ip_cell(to_ip.value());
+  if (dst == nullptr) {
+    ++dropped_no_route_;
+    record_drop(pkt, from, to_ip.value(),
+                static_cast<std::uint8_t>(telemetry::DropReason::kNoRoute),
+                static_cast<std::uint32_t>(pkt.wire_size()));
+    return;
   }
+  const NodeId to = dst->node;
+  const std::uint32_t to_shard = dst->shard;
   if (partitioned(from, to)) {
     ++dropped_partitioned_;
     record_drop(pkt, from, to,
@@ -408,33 +400,32 @@ void Network::downlink(std::uint32_t slot, std::uint32_t spine,
 }
 
 void Network::crash(NodeId id) {
-  if (id >= crashed_.size()) crashed_.resize(id + 1, 0);
-  crashed_[id] = 1;
+  if (id >= dir_.crashed.size()) dir_.crashed.resize(id + 1, 0);
+  dir_.crashed[id] = 1;
 }
 
 void Network::heal(NodeId id) {
-  if (id < crashed_.size()) crashed_[id] = 0;
+  if (id < dir_.crashed.size()) dir_.crashed[id] = 0;
 }
 
 void Network::partition(NodeId a, NodeId b) {
+  std::vector<std::uint64_t>& pairs = dir_.partition_pairs;
   const std::uint64_t key = pair_key(a, b);
-  if (std::find(partition_pairs_.begin(), partition_pairs_.end(), key) ==
-      partition_pairs_.end()) {
-    partition_pairs_.push_back(key);
+  if (std::find(pairs.begin(), pairs.end(), key) == pairs.end()) {
+    pairs.push_back(key);
   }
 }
 
 void Network::heal_partition(NodeId a, NodeId b) {
-  const std::uint64_t key = pair_key(a, b);
-  partition_pairs_.erase(
-      std::remove(partition_pairs_.begin(), partition_pairs_.end(), key),
-      partition_pairs_.end());
+  std::vector<std::uint64_t>& pairs = dir_.partition_pairs;
+  pairs.erase(std::remove(pairs.begin(), pairs.end(), pair_key(a, b)),
+              pairs.end());
 }
 
 bool Network::partitioned(NodeId a, NodeId b) const {
-  if (partition_pairs_.empty()) return false;
-  return std::find(partition_pairs_.begin(), partition_pairs_.end(),
-                   pair_key(a, b)) != partition_pairs_.end();
+  const std::vector<std::uint64_t>& pairs = dir_.partition_pairs;
+  if (pairs.empty()) return false;
+  return std::find(pairs.begin(), pairs.end(), pair_key(a, b)) != pairs.end();
 }
 
 }  // namespace nezha::sim

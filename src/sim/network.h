@@ -14,14 +14,19 @@
 // and contend for its uplink and downlink, so offload traffic genuinely
 // competes for spine capacity.
 //
+// Every shard's Network shares the bed's one NodeDirectory, so send()
+// resolves any destination with one probe, and a fault set through any
+// shard's Network holds on every shard.
+//
 // Datapath memory model: a packet in flight lives in a pooled slab record
 // (InFlight) addressed by a small slot index, and the scheduled completion
 // captures only {this, slot} — small enough for std::function's inline
 // buffer, so forwarding a packet performs no heap allocation. All per-packet
 // lookups are dense-vector indexed: nodes/ports/crash bits by NodeId, fabric
-// links by a precomputed (leaf, spine, direction) index, and the IP→node map
-// is a common::FlatTable of inline {ip, node} cells. A detached node's IP
-// leaves the map, unless a later node attached at the same IP took it over.
+// links by a precomputed (leaf, spine, direction) index, and the IP map is
+// a common::FlatTable of inline {ip, node, shard} cells. A detached node's
+// IP leaves the map, unless a later node attached at the same IP took it
+// over.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +38,7 @@
 #include "src/common/flat_table.h"
 #include "src/common/stats.h"
 #include "src/common/time.h"
+#include "src/net/five_tuple.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/node.h"
 #include "src/sim/shard.h"
@@ -68,6 +74,38 @@ struct NetworkConfig {
   common::Duration rx_burst_window = 0;
 };
 
+/// The bed's one record of its nodes, shared by every shard's Network and
+/// handed to each at construction: which node, attached on which shard,
+/// owns each underlay IP; each node's crash bit; the partitioned pairs.
+/// Networks write it only through attach, detach, crash, heal, partition
+/// and heal_partition, while no worker reads it: in setup code between
+/// windows, in a fenced section, or from a loop event of a bed that one
+/// worker drives. A threaded bed must not write it from a loop event.
+/// attach sizes `crashed` for the node, so crashing or healing an attached
+/// node never reallocates it under a reading worker.
+struct NodeDirectory {
+  /// IP cell. A cell is empty when its node is kInvalidNode, so every IP,
+  /// 0.0.0.0 included, is an ordinary key. The probe starts from the IP
+  /// through a 64-bit mixer, since a cell is picked from the hash's low
+  /// bits and IPs differ in their high bits too.
+  struct IpCell {
+    std::uint32_t ip = 0;
+    NodeId node = kInvalidNode;
+    std::uint32_t shard = 0;
+  };
+  struct IpTraits {
+    static bool empty(const IpCell& cell) { return cell.node == kInvalidNode; }
+    static std::uint64_t hash(const IpCell& cell) {
+      return net::flow_hash_mix64(cell.ip);
+    }
+  };
+
+  common::FlatTable<IpCell, IpTraits> ips;
+  std::vector<std::uint8_t> crashed;  // by NodeId
+  // Partitions are rare and few; a tiny pair-key vector beats a hash set.
+  std::vector<std::uint64_t> partition_pairs;
+};
+
 class Network {
  public:
   /// Max packets handed to a node per burst-drain event; a window holding
@@ -75,15 +113,19 @@ class Network {
   /// order (mirrors a NIC RX-burst cap).
   static constexpr std::size_t kRxBurst = 32;
 
-  Network(EventLoop& loop, Topology topology, NetworkConfig config = {});
+  /// `directory` is the bed's one NodeDirectory; it must outlive the
+  /// network, which never swaps it.
+  Network(EventLoop& loop, Topology topology, NodeDirectory& directory,
+          NetworkConfig config = {});
 
   const Topology& topology() const { return topology_; }
 
-  /// Registers a node; the network does not take ownership.
+  /// Registers a node on this network's shard, in the directory too; the
+  /// network does not take ownership.
   void attach(Node& node);
   void detach(NodeId id);
 
-  Node* find_by_ip(net::Ipv4Addr ip) const;
+  /// A node attached to this network (not to another shard's), or null.
   Node* find_by_id(NodeId id) const {
     return id < nodes_.size() ? nodes_[id] : nullptr;
   }
@@ -95,11 +137,12 @@ class Network {
   /// destination is unknown, crashed, or a queue overflows.
   void send(NodeId from, net::Ipv4Addr to_ip, net::Packet pkt);
 
-  /// Sharded-engine hookup (DESIGN.md §13). With an engine set, a send()
-  /// whose destination IP is not attached locally is resolved fleet-wide.
-  /// The sending shard reserves the links it owns (the sender port and, on
-  /// a cross-leaf Clos path, its leaf's uplink), then exports a ShardToken
-  /// to the owning shard instead of running the last leg locally.
+  /// Sharded-engine hookup (DESIGN.md §13): this network serves shard
+  /// `shard_id`, which attach records in the directory, so set it before
+  /// attaching. A send() to a node on another shard reserves the links the
+  /// sending shard owns (the sender port and, on a cross-leaf Clos path,
+  /// its leaf's uplink), then exports a ShardToken to the owning shard
+  /// instead of running the last leg locally.
   void set_engine(ShardedEngine* engine, std::uint32_t shard_id) {
     engine_ = engine;
     shard_id_ = shard_id;
@@ -112,11 +155,13 @@ class Network {
   /// other packet is delivered at tok.at.
   void inject_token(ShardToken tok);
 
-  /// Fault injection: a crashed node neither sends nor receives.
+  /// Fault injection: a crashed node neither sends nor receives. Faults
+  /// live in the directory, so any shard's network sets or reads them for
+  /// any node; see NodeDirectory for who may write one, and when.
   void crash(NodeId id);
   void heal(NodeId id);
   bool crashed(NodeId id) const {
-    return id < crashed_.size() && crashed_[id] != 0;
+    return id < dir_.crashed.size() && dir_.crashed[id] != 0;
   }
 
   /// Link-level fault injection: drops all traffic between a and b (both
@@ -192,19 +237,6 @@ class Network {
   struct Link {
     // Virtual time at which the last reserved byte leaves the link.
     common::TimePoint busy_until = 0;
-  };
-
-  /// IP→node cell of the IP table. A cell is empty when its node is null,
-  /// so every IP, 0.0.0.0 included, is an ordinary key.
-  struct IpCell {
-    std::uint32_t ip = 0;
-    Node* node = nullptr;
-  };
-  struct IpTraits {
-    static bool empty(const IpCell& cell) { return cell.node == nullptr; }
-    static std::uint64_t hash(const IpCell& cell) {
-      return cell.ip * 2654435761u;  // Knuth's multiplicative hash
-    }
   };
 
   /// What a scheduled completion does with its in-flight record.
@@ -288,8 +320,8 @@ class Network {
   static void complete_thunk(void* self, std::uint64_t slot) {
     static_cast<Network*>(self)->complete(static_cast<std::uint32_t>(slot));
   }
-  /// The IP table cell holding `ip`, or null.
-  const IpCell* ip_cell(std::uint32_t ip) const;
+  /// The directory cell holding `ip`, or null.
+  const NodeDirectory::IpCell* ip_cell(std::uint32_t ip) const;
 
   static std::uint64_t pair_key(NodeId a, NodeId b) {
     if (a > b) std::swap(a, b);
@@ -298,23 +330,19 @@ class Network {
 
   EventLoop& loop_;
   Topology topology_;
+  NodeDirectory& dir_;
   NetworkConfig config_;
   double fabric_link_bps_ = 0;
   std::uint32_t num_spines_ = 1;
 
-  // Dense per-node state, indexed by NodeId (ids are small and sequential).
+  // Dense per-node state of the nodes attached here, indexed by NodeId
+  // (ids are small and sequential).
   std::vector<Node*> nodes_;
   std::vector<Link> ports_;
-  std::vector<std::uint8_t> crashed_;
-
-  common::FlatTable<IpCell, IpTraits> ips_;
 
   // Directed Clos fabric links, indexed (leaf * num_spines + spine) * 2 +
   // (downlink ? 1 : 0).
   std::vector<Link> fabric_links_;
-
-  // Partitions are rare and few; a tiny pair-key vector beats a hash set.
-  std::vector<std::uint64_t> partition_pairs_;
 
   // In-flight packet slab + free list (free list capacity tracks the slab,
   // so completion-side push_back never reallocates).

@@ -73,19 +73,6 @@ ShardedEngine::ShardedEngine(std::vector<Shard> shards,
   rng.shuffle(merge_order_);
 }
 
-void ShardedEngine::map_ip(net::Ipv4Addr ip, std::uint32_t shard,
-                           NodeId node) {
-  ip_map_.insert(IpCell{ip.value(), true, Remote{shard, node}});
-}
-
-const ShardedEngine::Remote* ShardedEngine::lookup_remote(
-    net::Ipv4Addr ip) const {
-  const IpCell* cell = ip_map_.find(
-      net::flow_hash_mix64(ip.value()),
-      [&](const IpCell& c) { return c.ip == ip.value(); });
-  return cell == nullptr ? nullptr : &cell->remote;
-}
-
 void ShardedEngine::export_token(std::uint32_t src_shard,
                                  std::uint32_t dst_shard, ShardToken tok) {
   // Mid-advance, the fill side: dst_shard's worker may be draining the

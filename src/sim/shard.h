@@ -2,12 +2,14 @@
 // discrete-event execution in the style of FireSim's switch model.
 //
 // The fleet is partitioned per rack into shards; each shard owns an
-// EventLoop, a Network and the vSwitches of its racks. Shards advance in
-// lockstep epochs no longer than the minimum cross-rack fabric latency, so
-// a packet handed off to another shard during epoch E can never be due
-// before epoch E+1 begins — cross-shard influence always arrives with at
-// least one full epoch of lookahead (the "conservative" condition of
-// Chandy-Misra-style parallel simulation).
+// EventLoop, a Network and the vSwitches of its racks. The Networks find
+// every node, and its shard, in the bed's one NodeDirectory
+// (src/sim/network.h). Shards advance in lockstep epochs no longer than
+// the minimum cross-rack fabric latency, so a packet handed off to another
+// shard during epoch E can never be due before epoch E+1 begins —
+// cross-shard influence always arrives with at least one full epoch of
+// lookahead (the "conservative" condition of Chandy-Misra-style parallel
+// simulation).
 //
 // Cross-shard packets travel as ShardTokens through plain per-(src, dst)
 // outboxes, two per pair, picked by epoch parity: a worker mid-epoch
@@ -44,9 +46,7 @@
 #include <functional>
 #include <vector>
 
-#include "src/common/flat_table.h"
 #include "src/common/time.h"
-#include "src/net/five_tuple.h"
 #include "src/net/packet.h"
 #include "src/sim/node.h"
 
@@ -109,17 +109,7 @@ class ShardedEngine {
     Network* net = nullptr;
   };
 
-  /// Where a node that is not local to the asking shard lives.
-  struct Remote {
-    std::uint32_t shard = 0;
-    NodeId node = 0;
-  };
-
   ShardedEngine(std::vector<Shard> shards, ShardedEngineConfig config);
-
-  /// Registers a node's underlay IP, once per IP, so other shards can route
-  /// to it.
-  void map_ip(net::Ipv4Addr ip, std::uint32_t shard, NodeId node);
 
   /// Advances every shard loop to `t` in lockstep epochs using `threads`
   /// workers (clamped to [1, shard_count]). Worker threads only exist for
@@ -128,9 +118,6 @@ class ShardedEngine {
   /// <= t has executed. The result is identical for every thread count.
   void run_until(common::TimePoint t, int threads);
 
-  // --- the Networks' view: cross-shard routing ---
-  /// Null when the IP is unknown fleet-wide (genuine no-route).
-  const Remote* lookup_remote(net::Ipv4Addr ip) const;
   /// Appends a token to the (src_shard, dst_shard) outbox (called by
   /// src_shard's Network while src_shard's thread drives it, or from
   /// quiescent code).
@@ -278,21 +265,6 @@ class ShardedEngine {
   std::vector<Outbox> outboxes_;             // [src * K + dst]
   std::uint32_t parity_ = 0;                 // flipped at every epoch barrier
   std::vector<std::uint32_t> merge_order_;   // fixed source permutation
-  // Every node's underlay IP, probed on each cross-shard send and never
-  // iterated. The cell is picked from the hash's low bits, and IPs differ
-  // in their high bits too, hence the 64-bit mixer.
-  struct IpCell {
-    std::uint32_t ip = 0;
-    bool held = false;
-    Remote remote;
-  };
-  struct IpTraits {
-    static bool empty(const IpCell& cell) { return !cell.held; }
-    static std::uint64_t hash(const IpCell& cell) {
-      return net::flow_hash_mix64(cell.ip);
-    }
-  };
-  common::FlatTable<IpCell, IpTraits> ip_map_;
   std::uint64_t epochs_run_ = 0;
   std::vector<std::uint64_t> late_;          // per-shard, summed on read
   // Phase profiler: profile_[s] is written by shard s's owning worker

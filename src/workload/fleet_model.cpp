@@ -260,9 +260,9 @@ void FleetScenario::schedule_churn(common::Duration offload_at,
   // (2) FE crash, detected the honest way: the monitor watches every FE
   // host (many targets keep the §C.2 widespread-failure fraction low),
   // then the victim — the lowest-numbered FE of the first server's pool at
-  // fire time — stops answering on EVERY shard's network (each shard
-  // checks its own crash bit at the send source), and failover arrives via
-  // probe loss → crash declaration → the fenced handle_fe_crash callback.
+  // fire time — crashes in the bed's one node directory, so it stops
+  // answering on every shard, and failover arrives via probe loss → crash
+  // declaration → the fenced handle_fe_crash callback.
   bed_.engine()->schedule_fenced(t0 + crash_at, [this]() {
     if (servers_.empty()) return;
     const std::vector<sim::NodeId> fes =
@@ -272,9 +272,7 @@ void FleetScenario::schedule_churn(common::Duration offload_at,
     crashed_fe_ = victim;
     bed_.watch_fe_hosts();
     bed_.monitor().start();
-    for (std::uint32_t s = 0; s < bed_.shard_count(); ++s) {
-      bed_.network_of_shard(static_cast<std::uint32_t>(s)).crash(victim);
-    }
+    bed_.network().crash(victim);
   });
   // (3) Fleet-wide FE-selection reseed (§7.5) — the same push a production
   // controller uses to fix an uneven 5-tuple hash landing.

@@ -120,9 +120,8 @@ class FleetScenario {
   /// Relative to now:
   ///  * offload_at — offload every still-local server vNIC (the holdback);
   ///  * crash_at   — crash the lowest-numbered FE of the first server's
-  ///    pool on every shard's network, with the health monitor watching
-  ///    all FE hosts, so failover flows probe-loss → declaration →
-  ///    handle_fe_crash;
+  ///    pool, with the health monitor watching all FE hosts, so failover
+  ///    flows probe-loss → declaration → handle_fe_crash;
   ///  * reseed_at  — fleet-wide FE hash reseed (§7.5).
   /// All three are pure functions of (config, seed) at fire time.
   void schedule_churn(common::Duration offload_at, common::Duration crash_at,

@@ -139,9 +139,7 @@ ChurnRun run_churn(PolicyKind kind, Churn churn, std::uint64_t seed,
       break;
     case Churn::kFeCrash:
       r.victim = r.pool_before.back();
-      for (std::uint32_t s = 0; s < bed.shard_count(); ++s) {
-        bed.network_of_shard(s).crash(r.victim);
-      }
+      bed.network().crash(r.victim);
       checker.record("crash node=" + std::to_string(r.victim));
       ctrl.handle_fe_crash(r.victim);
       r.churn_ok = true;

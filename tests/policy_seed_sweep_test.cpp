@@ -67,9 +67,7 @@ SweepRun run_seed(std::uint64_t seed, PolicyKind kind) {
     const auto pool = bed.controller().fe_nodes_of(id);
     if (pool.empty()) continue;
     const sim::NodeId victim = pool[seed % pool.size()];
-    for (std::uint32_t s = 0; s < bed.shard_count(); ++s) {
-      bed.network_of_shard(s).crash(victim);
-    }
+    bed.network().crash(victim);
     checker.record("crash node=" + std::to_string(victim));
     bed.controller().handle_fe_crash(victim);
     break;

@@ -21,7 +21,9 @@
 //  * fences run in (due, seq) order at 1 and 2 shards, and one registered
 //    from a loop event runs at the next epoch barrier;
 //  * a 600-token burst between one shard pair, pushed from setup code, a
-//    fenced section or a loop event, drains in one epoch in send order.
+//    fenced section or a loop event, drains in one epoch in send order;
+//  * a crash or partition set through any shard's network holds on every
+//    shard, for the controller's placement and for the datapath alike.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -526,8 +528,9 @@ LinkRun run_links(const sim::TopologyConfig& topo_cfg,
                                    .fabric_link_bps = 1e9,
                                    .fabric_queue_bytes = 6000};
   sim::EventLoop loops[2];
-  sim::Network net0(loops[0], topo, net_cfg);
-  sim::Network net1(loops[1], topo, net_cfg);
+  sim::NodeDirectory dir;
+  sim::Network net0(loops[0], topo, dir, net_cfg);
+  sim::Network net1(loops[1], topo, dir, net_cfg);
   sim::Network* nets[2] = {&net0, &net1};
   sim::ShardedEngine engine({{&loops[0], &net0}, {&loops[1], &net1}},
                             sim::ShardedEngineConfig{});
@@ -545,7 +548,6 @@ LinkRun run_links(const sim::TopologyConfig& topo_cfg,
   auto add_host = [&](sim::NodeId id, std::uint32_t shard) {
     hosts.push_back(std::make_unique<SinkHost>(id));
     nets[shard]->attach(*hosts.back());
-    engine.map_ip(hosts.back()->underlay_ip(), shard, id);
   };
   for (const auto& [from, to] : flows) {
     add_host(from, 0);
@@ -661,8 +663,9 @@ BurstRun run_bursts(int threads) {
                                    .fabric_link_bps = 100e9,
                                    .fabric_queue_bytes = 16u << 20};
   sim::EventLoop loops[2];
-  sim::Network net0(loops[0], topo, net_cfg);
-  sim::Network net1(loops[1], topo, net_cfg);
+  sim::NodeDirectory dir;
+  sim::Network net0(loops[0], topo, dir, net_cfg);
+  sim::Network net1(loops[1], topo, dir, net_cfg);
   sim::ShardedEngine engine({{&loops[0], &net0}, {&loops[1], &net1}},
                             sim::ShardedEngineConfig{});
   net0.set_engine(&engine, 0);
@@ -671,8 +674,6 @@ BurstRun run_bursts(int threads) {
   SinkHost dst(2);
   net0.attach(src);
   net1.attach(dst);
-  engine.map_ip(src.underlay_ip(), 0, 0);
-  engine.map_ip(dst.underlay_ip(), 1, 2);
 
   BurstRun r;
   net1.set_trace([&r](common::TimePoint at, const net::Packet& pkt,
@@ -768,6 +769,78 @@ TEST(ShardDeterminism, FeWeightsReadThePortOnItsOwningShard) {
   const std::uint16_t sharded = weight_after_burst(2);
   EXPECT_LT(unsharded, policy::FeWeightBook::kMaxWeight);
   EXPECT_EQ(sharded, unsharded);
+}
+
+TEST(ShardDeterminism, FaultsReachEveryShard) {
+  // Hosts 12-15 form one rack, on shard 1 of a two-shard bed; the
+  // controller keeps shard 0's clock. Each fault is set through one
+  // shard's network and must hold wherever it is read.
+  constexpr sim::NodeId kVictim = 12;
+  constexpr sim::NodeId kPeer = 13;
+  constexpr std::size_t kHome = 14;
+  struct Outcome {
+    std::vector<sim::NodeId> pool;  // vNIC B's, placed after the crash
+    // {delivered, dropped} of one send from the victim to its peer.
+    std::pair<std::uint64_t, std::uint64_t> partitioned;
+    std::pair<std::uint64_t, std::uint64_t> crashed;
+  };
+  auto run = [](std::size_t shards, int threads) {
+    core::TestbedConfig cfg = core::make_clos_testbed_config(16, 4);
+    cfg.controller.auto_offload = false;
+    cfg.controller.auto_scale = false;
+    cfg.shards = shards;
+    cfg.threads = threads;
+    core::Testbed bed(cfg);
+    EXPECT_EQ(bed.shard_of_node(kVictim), shards - 1);
+    auto send_victim_to_peer = [&bed] {
+      const core::Testbed::NetTotals before = bed.net_totals();
+      const net::FiveTuple ft{net::Ipv4Addr(192, 168, 0, 1),
+                              net::Ipv4Addr(192, 168, 0, 2), 1000, 80,
+                              net::IpProto::kUdp};
+      bed.network_of(kVictim).send(kVictim, bed.vswitch(kPeer).underlay_ip(),
+                                   net::make_udp_packet(ft, 100));
+      bed.run_for(common::milliseconds(1));
+      const core::Testbed::NetTotals after = bed.net_totals();
+      return std::make_pair(after.delivered - before.delivered,
+                            after.dropped - before.dropped);
+    };
+    Outcome out;
+    // (a) The controller must not place vNIC B on a host crashed through
+    // the host's own shard.
+    const vswitch::VnicConfig a = support::numbered_vnic(0);
+    const vswitch::VnicConfig b = support::numbered_vnic(1);
+    bed.add_vnic(kHome, a);
+    EXPECT_TRUE(bed.controller().trigger_offload(a.id, 4).ok());
+    bed.run_for(common::seconds(2));
+    bed.network_of(kVictim).crash(kVictim);
+    bed.add_vnic(kHome, b);
+    EXPECT_TRUE(bed.controller().trigger_offload(b.id, 4).ok());
+    bed.run_for(common::seconds(2));
+    out.pool = bed.controller().fe_nodes_of(b.id);
+    bed.network_of(kVictim).heal(kVictim);
+    // (b) A partition set through shard 0 cuts a pair on shard 1.
+    bed.network().partition(kVictim, kPeer);
+    out.partitioned = send_victim_to_peer();
+    bed.network().heal_partition(kVictim, kPeer);
+    // (c) So does a crash set through shard 0.
+    bed.network().crash(kVictim);
+    out.crashed = send_victim_to_peer();
+    return out;
+  };
+  const std::vector<sim::NodeId> unsharded = run(1, 1).pool;
+  ASSERT_EQ(unsharded.size(), 4u);
+  EXPECT_EQ(std::count(unsharded.begin(), unsharded.end(), kVictim), 0);
+  for (const std::size_t shards : {1u, 2u}) {
+    for (const int threads : {1, 2}) {
+      SCOPED_TRACE(testing::Message()
+                   << "shards=" << shards << " threads=" << threads);
+      const Outcome o = run(shards, threads);
+      EXPECT_EQ(o.pool, unsharded);
+      EXPECT_EQ(o.partitioned, std::make_pair(std::uint64_t{0},
+                                              std::uint64_t{1}));
+      EXPECT_EQ(o.crashed, std::make_pair(std::uint64_t{0}, std::uint64_t{1}));
+    }
+  }
 }
 
 }  // namespace

@@ -335,7 +335,8 @@ net::Packet test_packet(std::uint16_t payload = 100) {
 struct NetworkFixture {
   EventLoop loop;
   Topology topo{TopologyConfig{.servers_per_tor = 4, .tors_per_agg = 2}};
-  Network net{loop, topo};
+  NodeDirectory dir;
+  Network net{loop, topo, dir};
   SinkNode a{0, net::Ipv4Addr(172, 16, 0, 1)};
   SinkNode b{1, net::Ipv4Addr(172, 16, 0, 2)};
   SinkNode far{8, net::Ipv4Addr(172, 16, 0, 9)};
@@ -420,7 +421,8 @@ TEST(NetworkTest, SerializationDelayAccumulatesAtPort) {
   // serialization time after the first.
   EventLoop loop;
   Topology topo;
-  Network net(loop, topo, NetworkConfig{.link_bps = 1e9});  // 1 Gbps
+  NodeDirectory dir;
+  Network net(loop, topo, dir, NetworkConfig{.link_bps = 1e9});  // 1 Gbps
   SinkNode a{0, net::Ipv4Addr(1, 0, 0, 1)};
   SinkNode b{1, net::Ipv4Addr(1, 0, 0, 2)};
   net.attach(a);
@@ -445,7 +447,8 @@ TEST(NetworkTest, EgressQueueOverflowTailDrops) {
   // finds is exactly the bytes still ahead of it on the wire.
   EventLoop loop;
   Topology topo;
-  Network net(loop, topo,
+  NodeDirectory dir;
+  Network net(loop, topo, dir,
               NetworkConfig{.link_bps = 1e6, .egress_queue_bytes = 3000});
   SinkNode a{0, net::Ipv4Addr(1, 0, 0, 1)};
   SinkNode b{1, net::Ipv4Addr(1, 0, 0, 2)};
@@ -505,7 +508,8 @@ struct ClosFixture {
   }
 
   EventLoop loop;
-  Network net{loop, Topology(topology()),
+  NodeDirectory dir;
+  Network net{loop, Topology(topology()), dir,
               NetworkConfig{.link_bps = 1e10,
                             .fabric_link_bps = 1e9,
                             .fabric_queue_bytes = 3000}};
